@@ -93,18 +93,9 @@ struct DistRow {
   uint64_t Batches = 0;
   uint64_t Bytes = 0;
   uint64_t ChildRssKb = 0;
-};
-
-struct DistCompressRow {
-  unsigned Shards = 0;
-  double MsCompressed = 0.0;
-  double MsLegacy = 0.0;
-  uint64_t BytesCompressed = 0;
-  uint64_t BytesLegacy = 0;
-  uint64_t DictNodes = 0;
-  uint64_t DefBytes = 0;
-  uint64_t RefBytes = 0;
-  bool Identical = true; ///< compressed run matches the legacy run bit-wise.
+  uint64_t DictNodes = 0; ///< distinct nodes in all send dictionaries.
+  uint64_t DefBytes = 0;  ///< definition-stream bytes shipped.
+  uint64_t RefBytes = 0;  ///< reference-stream bytes shipped.
 };
 
 struct PorRow {
@@ -495,8 +486,9 @@ int main() {
     Opts.Jobs = 1;
     TextTable DistTable;
     DistTable.setHeader({"shards", "configs", "time (ms)", "exchanged",
-                         "batches", "bytes", "child rss KB", "identical"});
-    for (unsigned I = 0; I <= 6; ++I)
+                         "batches", "bytes", "dict nodes", "def B", "ref B",
+                         "child rss KB", "identical"});
+    for (unsigned I = 0; I <= 9; ++I)
       DistTable.setRightAligned(I);
     Timer TB;
     RunResult Base = explore(Main, spanRootState(Case, G), Opts);
@@ -526,8 +518,12 @@ int main() {
       // Max over THIS run's children (LastRun), not the process-lifetime
       // high-water mark: the cumulative counter never decreases, so it
       // reported the same value for every shard count in one process.
-      for (const dist::ShardExchange &S : After.LastRun)
+      for (const dist::ShardExchange &S : After.LastRun) {
         Row.ChildRssKb = std::max(Row.ChildRssKb, S.MaxRssKb);
+        Row.DictNodes += S.DictNodes;
+        Row.DefBytes += S.DictDefBytes;
+        Row.RefBytes += S.DictRefBytes;
+      }
       Ok &= R.complete() && Row.Identical;
       DistRows.push_back(Row);
     }
@@ -538,91 +534,12 @@ int main() {
                         std::to_string(R.ExchangedConfigs),
                         std::to_string(R.Batches),
                         std::to_string(R.Bytes),
+                        std::to_string(R.DictNodes),
+                        std::to_string(R.DefBytes),
+                        std::to_string(R.RefBytes),
                         std::to_string(R.ChildRssKb),
                         R.Identical ? "yes" : "NO"});
     std::printf("%s\n", DistTable.render().c_str());
-  }
-
-  // Dictionary-streamed frontier protocol (DESIGN.md §14): compressed vs
-  // legacy wire encoding on the same diamond-2 workload, A/B per shard
-  // count. The compressed run must be bit-identical to the legacy one and
-  // ship >= 5x fewer frame bytes (each interned node crosses a connection
-  // once as a definition, thereafter as a varint reference).
-  std::printf("dictionary wire compression, diamond-2:\n");
-  std::vector<DistCompressRow> DistCompressRows;
-  {
-    Heap G = diamondOf(2);
-    ProgRef Main = makeSpanRootProg(Case, Ptr(1));
-    EngineOptions Opts;
-    Opts.Ambient = Case.PrivOnly;
-    Opts.EnvInterference = false;
-    Opts.Defs = &Case.Defs;
-    Opts.Jobs = 1;
-    TextTable CmpTable;
-    CmpTable.setHeader({"shards", "bytes (dict)", "bytes (legacy)",
-                        "reduction", "dict nodes", "def B", "ref B",
-                        "time dict (ms)", "time legacy (ms)", "identical"});
-    for (unsigned I = 0; I <= 8; ++I)
-      CmpTable.setRightAligned(I);
-    for (unsigned Shards : {2u, 4u}) {
-      DistCompressRow Row;
-      Row.Shards = Shards;
-
-      dist::setDistCompress(true);
-      dist::FleetStats Before = dist::fleetTotals();
-      Timer TC;
-      RunResult Compressed = dist::distributedExplore(
-          Main, spanRootState(Case, G), Opts, {}, Shards);
-      Row.MsCompressed = TC.elapsedMs();
-      dist::FleetStats Mid = dist::fleetTotals();
-      Row.BytesCompressed = Mid.Bytes - Before.Bytes;
-      for (const dist::ShardExchange &S : Mid.LastRun) {
-        Row.DictNodes += S.DictNodes;
-        Row.DefBytes += S.DictDefBytes;
-        Row.RefBytes += S.DictRefBytes;
-      }
-
-      dist::setDistCompress(false);
-      Timer TL;
-      RunResult Legacy = dist::distributedExplore(
-          Main, spanRootState(Case, G), Opts, {}, Shards);
-      Row.MsLegacy = TL.elapsedMs();
-      dist::FleetStats After = dist::fleetTotals();
-      Row.BytesLegacy = After.Bytes - Mid.Bytes;
-      dist::setDistCompress(true);
-
-      Row.Identical = Compressed.Safe == Legacy.Safe &&
-                      Compressed.Exhausted == Legacy.Exhausted &&
-                      Compressed.ConfigsExplored == Legacy.ConfigsExplored &&
-                      Compressed.ActionSteps == Legacy.ActionSteps &&
-                      Compressed.DedupHits == Legacy.DedupHits &&
-                      sameTerminals(Compressed.Terminals, Legacy.Terminals);
-      bool Reduced = Row.BytesCompressed * 5 <= Row.BytesLegacy;
-      if (!Reduced)
-        std::printf("  FAIL: %u-shard dictionary bytes %llu not >=5x below "
-                    "legacy %llu\n",
-                    Shards,
-                    static_cast<unsigned long long>(Row.BytesCompressed),
-                    static_cast<unsigned long long>(Row.BytesLegacy));
-      Ok &= Compressed.complete() && Legacy.complete() && Row.Identical &&
-            Reduced;
-      DistCompressRows.push_back(Row);
-      double Ratio = Row.BytesCompressed
-                         ? static_cast<double>(Row.BytesLegacy) /
-                               static_cast<double>(Row.BytesCompressed)
-                         : 0.0;
-      CmpTable.addRow({std::to_string(Row.Shards),
-                       std::to_string(Row.BytesCompressed),
-                       std::to_string(Row.BytesLegacy),
-                       formatString("%.1fx", Ratio),
-                       std::to_string(Row.DictNodes),
-                       std::to_string(Row.DefBytes),
-                       std::to_string(Row.RefBytes),
-                       formatString("%.1f", Row.MsCompressed),
-                       formatString("%.1f", Row.MsLegacy),
-                       Row.Identical ? "yes" : "NO"});
-    }
-    std::printf("%s\n", CmpTable.render().c_str());
   }
 
   // Symmetry reduction (DESIGN.md §11): orbit canonicalization of
@@ -933,41 +850,20 @@ int main() {
       std::fprintf(F,
                    "    {\"shards\": %u, \"ms\": %.2f, \"configs\": %llu, "
                    "\"exchanged_configs\": %llu, \"batches\": %llu, "
-                   "\"bytes\": %llu, \"child_rss_kb\": %llu, "
-                   "\"identical\": %s}%s\n",
+                   "\"bytes\": %llu, \"dict_nodes\": %llu, "
+                   "\"def_bytes\": %llu, \"ref_bytes\": %llu, "
+                   "\"child_rss_kb\": %llu, \"identical\": %s}%s\n",
                    R.Shards, R.Ms,
                    static_cast<unsigned long long>(R.Configs),
                    static_cast<unsigned long long>(R.ExchangedConfigs),
                    static_cast<unsigned long long>(R.Batches),
                    static_cast<unsigned long long>(R.Bytes),
-                   static_cast<unsigned long long>(R.ChildRssKb),
-                   R.Identical ? "true" : "false",
-                   I + 1 == DistRows.size() ? "" : ",");
-    }
-    std::fprintf(F, "  ]},\n");
-    std::fprintf(F, "  \"dist_compress\": {\"graph\": \"diamond-2\", "
-                    "\"runs\": [\n");
-    for (size_t I = 0; I != DistCompressRows.size(); ++I) {
-      const DistCompressRow &R = DistCompressRows[I];
-      double Ratio = R.BytesCompressed
-                         ? static_cast<double>(R.BytesLegacy) /
-                               static_cast<double>(R.BytesCompressed)
-                         : 0.0;
-      std::fprintf(F,
-                   "    {\"shards\": %u, \"bytes_compressed\": %llu, "
-                   "\"bytes_legacy\": %llu, \"reduction\": %.2f, "
-                   "\"dict_nodes\": %llu, \"def_bytes\": %llu, "
-                   "\"ref_bytes\": %llu, \"ms_compressed\": %.2f, "
-                   "\"ms_legacy\": %.2f, \"identical\": %s}%s\n",
-                   R.Shards,
-                   static_cast<unsigned long long>(R.BytesCompressed),
-                   static_cast<unsigned long long>(R.BytesLegacy), Ratio,
                    static_cast<unsigned long long>(R.DictNodes),
                    static_cast<unsigned long long>(R.DefBytes),
                    static_cast<unsigned long long>(R.RefBytes),
-                   R.MsCompressed, R.MsLegacy,
+                   static_cast<unsigned long long>(R.ChildRssKb),
                    R.Identical ? "true" : "false",
-                   I + 1 == DistCompressRows.size() ? "" : ",");
+                   I + 1 == DistRows.size() ? "" : ",");
     }
     std::fprintf(F, "  ]},\n");
     std::fprintf(F, "  \"symmetry\": {\"suites\": [\n");

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 #===- scripts/verify.sh - Tier-1 suite + TSan race check + ASan/UBSan -----===#
 #
-# Part of fcsl-cpp. Six stages:
+# Part of fcsl-cpp. Eight stages:
 #
 #   1. Tier-1: configure + build + full ctest in build/ (the gate every
 #      PR must keep green).
@@ -13,31 +13,32 @@
 #      build.
 #   3. ASan+UBSan: a third build tree (build-asan/) compiled with
 #      -DFCSL_SANITIZE=address,undefined; the intern-arena, codec and
-#      symmetry tests run under it, since those layers do the
-#      pointer-identity, raw-byte and pointer-renaming manipulation where
-#      memory bugs would hide.
-#   4. POR cross-check: fcsl-verify --por=check runs every Table-1
-#      session twice (full and reduced exploration) and fails on any
-#      divergence in verdicts or terminal states, at 1 and 4 jobs.
+#      symmetry tests run under it, along with the dist wire, cache and
+#      service tests, since those layers do the pointer-identity, raw-byte
+#      and pointer-renaming manipulation where memory bugs would hide.
+#      The decoders must stay fail-soft: malformed frames, including the
+#      retired tag-2 frontier batch, are rejected and never crash.
+#   4. POR oracle: fcsl-verify --por=check runs every Table-1 session
+#      through the soundness oracle — each exploration runs once on the
+#      plain engine (POR off, symmetry off) and once reduced — and fails
+#      on any divergence in verdicts or terminal states, at 1 and 4 jobs.
 #      The dynamic mode (--por=check-dynamic: ample sets licensed by
 #      observed footprints and the env-future closure) gets the same
-#      oracle treatment, alone, composed with symmetry reduction, and
-#      composed with sharding.
+#      oracle, alone, composed with symmetry reduction (one oracle checks
+#      both reductions together), and composed with sharding.
 #   5. Symmetry: fcsl-verify --symmetry=on must report the same verdicts
 #      and obligation counts as --symmetry=off (per-config check counts
-#      shrink — that is the reduction), and --symmetry=check — the
-#      full-vs-canonical soundness cross-check, which under the terminal
-#      pointer abstraction compares per-session terminal multisets modulo
-#      fresh-pointer renaming — must pass alone, composed with static and
-#      dynamic POR oracles (--por=check-dynamic: both cross-checks in one
-#      run), and composed with sharding over both wire encodings.
+#      shrink — that is the reduction), and --symmetry=check — the same
+#      oracle with the canonical space as the reduced run, comparing
+#      terminals modulo fresh-pointer renaming — must pass alone,
+#      composed with static and dynamic POR (--por=check-dynamic: still
+#      two explorations, the plain engine against both reductions), and
+#      composed with sharding.
 #   6. Shards: fcsl-verify --shards=2 verify all must print the same
 #      report as --shards=1 (modulo timings), with POR off and on — the
 #      multi-process partitioned exploration (src/dist/) is bit-identical
-#      to the in-process engine. Both wire encodings are exercised: the
-#      dictionary-streamed protocol (the default) and the legacy
-#      standalone encoding (--dist-compress=off) must produce the same
-#      report.
+#      to the in-process engine. Frontier frames between shards use the
+#      dictionary-streamed protocol, the only wire encoding.
 #   7. Cache: a cold run against an empty obligation store and a warm
 #      rerun must print byte-identical reports (modulo timings), the warm
 #      run must be 100% hits, and --cache=check — which re-discharges
@@ -132,19 +133,19 @@ if [[ "$RUN_ASAN" == 1 ]]; then
 fi
 
 if [[ "$RUN_POR" == 1 ]]; then
-  echo "== por: soundness cross-check over every Table-1 session =="
+  echo "== por: soundness oracle over every Table-1 session =="
   cmake --build build -j "$(nproc)" --target fcsl-verify
-  # Check mode explores each session's state space twice — full and
+  # The oracle explores each state space twice — plain engine and
   # reduced — and any divergence in Safe verdicts, exhaustion, or
   # terminal states fails the session. Run serial and parallel.
   for Jobs in 1 4; do
     ./build/tools/fcsl-verify --jobs "$Jobs" --por=check verify all
   done
 
-  echo "== por: dynamic (observed-footprint) cross-check =="
-  # check-dynamic runs full vs dynamically-reduced exploration and fails
-  # on any divergence; it must also hold composed with symmetry reduction
-  # and with the multi-process sharded engine.
+  echo "== por: dynamic (observed-footprint) oracle =="
+  # check-dynamic runs the plain engine vs the dynamically-reduced
+  # exploration and fails on any divergence; it must also hold composed
+  # with symmetry reduction and with the multi-process sharded engine.
   for Jobs in 1 4; do
     ./build/tools/fcsl-verify --jobs "$Jobs" --por=check-dynamic verify all
   done
@@ -158,9 +159,10 @@ if [[ "$RUN_SYMMETRY" == 1 ]]; then
   # Verdicts and obligation counts must agree between canonical and full
   # exploration; the per-category *check* counts legitimately shrink
   # (fewer configs visited is the whole point), so the third numeric
-  # column is stripped along with timings. Check mode — which explores
-  # each state space twice and compares verdicts, exhaustion, and
-  # terminal sets — must pass composed with POR and with sharding.
+  # column is stripped along with timings. The oracle — which explores
+  # each state space on the plain engine and reduced, and compares
+  # verdicts, exhaustion, and terminal sets — must pass composed with
+  # POR and with sharding.
   NormalizeSym='s/[0-9]+\.[0-9]+//g; s/^([A-Za-z]+ +[0-9]+ +)[0-9]+/\1/; s/ +/ /g; s/-+/-/g; s/ +$//'
   ./build/tools/fcsl-verify --symmetry=off verify all \
     | sed -E "$NormalizeSym" > build/verify-sym-off.txt
@@ -171,17 +173,14 @@ if [[ "$RUN_SYMMETRY" == 1 ]]; then
   echo "   symmetry=on verdicts/obligations identical to symmetry=off"
   ./build/tools/fcsl-verify --symmetry=check verify all
   ./build/tools/fcsl-verify --symmetry=check --por=on verify all
-  # Both soundness oracles in one run: every session explored full,
-  # canonical, and dynamically-reduced, all cross-validated.
+  # Both check modes in one run: one oracle per exploration, the plain
+  # engine against dynamic POR and symmetry composed.
   ./build/tools/fcsl-verify --symmetry=check --por=check-dynamic verify all
-  # Composed with the multi-process engine, over both wire encodings —
-  # canonical fingerprints must partition identically across shards
-  # whether frontier frames travel dictionary-streamed or standalone.
+  # Composed with the multi-process engine: canonical fingerprints must
+  # partition identically across shards.
   ./build/tools/fcsl-verify --symmetry=check --shards=2 verify all
   ./build/tools/fcsl-verify --symmetry=check --por=check-dynamic --shards=2 \
     verify all
-  ./build/tools/fcsl-verify --symmetry=check --por=check-dynamic --shards=2 \
-    --dist-compress=off verify all
 fi
 
 if [[ "$RUN_SHARDS" == 1 ]]; then
@@ -197,14 +196,7 @@ if [[ "$RUN_SHARDS" == 1 ]]; then
       | sed -E "$Normalize" > build/verify-shards-2.txt
     diff build/verify-shards-1.txt build/verify-shards-2.txt \
       || { echo "shards=2 diverged from shards=1 (por=$Por)" >&2; exit 1; }
-    # The legacy (pre-dictionary) wire encoding must agree too: it is the
-    # A/B baseline the compressed protocol is measured against.
-    ./build/tools/fcsl-verify --por="$Por" --shards=2 --dist-compress=off \
-      verify all | sed -E "$Normalize" > build/verify-shards-2-legacy.txt
-    diff build/verify-shards-1.txt build/verify-shards-2-legacy.txt \
-      || { echo "legacy wire (--dist-compress=off) diverged from shards=1" \
-             "(por=$Por)" >&2; exit 1; }
-    echo "   por=$Por: shards=2 identical to shards=1 (dict + legacy wire)"
+    echo "   por=$Por: shards=2 identical to shards=1"
   done
 fi
 

@@ -93,21 +93,14 @@ RunResult dist::distributedExplore(const ProgRef &Root,
   if (NShards == 0)
     NShards = 1;
 
-  // Resolve the reduction mode once, in the parent, so every shard (and
-  // the ownership-compatible merge) agrees on it. Check mode never
-  // reaches here: explore() expands it into two resolved sub-runs first.
+  // Resolve the reduction modes once, in the parent, so every shard (and
+  // the ownership-compatible merge) agrees on them. The soundness oracle
+  // is explore()'s: a check mode here explores its reduced space only.
+  ReductionModes Modes = resolveModes(Opts.Por, Opts.Symmetry);
   EngineOptions RunOpts = Opts;
-  if (RunOpts.Por == PorMode::Default)
-    RunOpts.Por = defaultPorMode();
-  assert(RunOpts.Por != PorMode::Check &&
-         "explore() resolves Check before dispatching to the coordinator");
-  if (RunOpts.Por == PorMode::Check)
-    RunOpts.Por = PorMode::Off;
+  RunOpts.Por = Modes.Por;
+  RunOpts.Symmetry = Modes.Sym;
   RunOpts.Shards = NShards;
-
-  // Latch the frontier-encoding choice in the parent so every forked
-  // worker inherits the same resolved value.
-  (void)distCompressEnabled();
 
   // Crash-injection hook for the worker-loss diagnostic test.
   long CrashShard = -1;
@@ -132,7 +125,7 @@ RunResult dist::distributedExplore(const ProgRef &Root,
       closeFd(P[0]);
       closeFd(P[1]);
     }
-    EngineOptions Fb = Opts;
+    EngineOptions Fb = RunOpts;
     Fb.Shards = 1; // 1 shard never re-enters the coordinator hook.
     return explore(Root, Initial, Fb, InitialEnv);
   };
@@ -270,7 +263,6 @@ RunResult dist::distributedExplore(const ProgRef &Root,
       if (M.Stats.Exhausted)
         StartDrain(true);
       break;
-    case MsgType::FrontierBatch:
     case MsgType::FrontierBatchDict:
       break; // Batch frames take the raw-relay path in HandlePayload.
     case MsgType::Verdict:
@@ -308,15 +300,17 @@ RunResult dist::distributedExplore(const ProgRef &Root,
     WorkerCh &W = Workers[From];
     std::optional<MsgType> Tag = peekFrameTag(Payload);
     if (!Tag) {
-      // A well-framed message of a type this build does not speak means a
-      // worker from a different protocol vintage — a real bug, not line
-      // noise. Drain as exhausted (like a dead shard) so the run fails
-      // loudly instead of silently dropping traffic; genuinely malformed
-      // frames stay fail-soft.
-      if (classifyFrame(Payload) == FrameClass::UnknownType &&
-          LostShardNote.empty()) {
+      // Workers run this same binary, so a frame the hub cannot tag — a
+      // bad header, the retired tag 2, or a type from another protocol
+      // vintage — is a real bug, not line noise. Drain as exhausted (like
+      // a dead shard) so the run fails loudly instead of silently
+      // dropping traffic.
+      if (LostShardNote.empty()) {
         LostShardNote =
-            "unknown message type from shard " + std::to_string(From) +
+            std::string(classifyFrame(Payload) == FrameClass::UnknownType
+                            ? "unknown message type"
+                            : "malformed frame") +
+            " from shard " + std::to_string(From) +
             "; the distributed exploration is incomplete";
         StartDrain(true);
       }
@@ -324,8 +318,7 @@ RunResult dist::distributedExplore(const ProgRef &Root,
     }
     RecvFrames[static_cast<size_t>(*Tag)] += 1;
     RecvBytes[static_cast<size_t>(*Tag)] += Payload.size();
-    if (*Tag != MsgType::FrontierBatch &&
-        *Tag != MsgType::FrontierBatchDict) {
+    if (*Tag != MsgType::FrontierBatchDict) {
       std::optional<WireMsg> M = decodeFrame(Payload);
       if (M)
         HandleFrame(From, *M);
@@ -354,11 +347,8 @@ RunResult dist::distributedExplore(const ProgRef &Root,
     // destination never learns about the dropped configs.
     if (Draining || P->Dest >= Workers.size() || Workers[P->Dest].Eof)
       return;
-    // An emptied legacy frame carries nothing; an emptied dictionary
-    // frame still carries its definition stream, which later frames on
-    // the connection reference — it must flow.
-    if (Kept == 0 && *Tag == MsgType::FrontierBatch)
-      return;
+    // An emptied frame still carries its definition stream, which later
+    // frames on the connection reference — it must flow.
     std::vector<uint8_t> Frame;
     if (Kept == Count) {
       Frame = frameFromPayload(Payload);
@@ -521,7 +511,8 @@ RunResult dist::distributedExplore(const ProgRef &Root,
   // counters, terminals deduplicated into one sorted set.
   RunResult Out;
   Out.MaxConfigsBound = Opts.MaxConfigs;
-  Out.PorReduced = RunOpts.Por == PorMode::On;
+  Out.Reduction.Por = Modes.Por;
+  Out.Reduction.Sym = Modes.Sym;
   std::set<Terminal> Merged;
   bool FailPicked = false;
   for (unsigned I = 0; I != NShards; ++I) {
@@ -554,10 +545,6 @@ RunResult dist::distributedExplore(const ProgRef &Root,
   Out.DedupHits += DroppedDupes;
   if (!LostShardNote.empty() && !FailPicked)
     Out.FailureNote = LostShardNote;
-  if (Out.PorReduced)
-    Out.ConfigsReduced = Out.ConfigsExplored;
-  else
-    Out.ConfigsFull = Out.ConfigsExplored;
 
   // Fleet statistics (reported by --stats and the benchmarks).
   {

@@ -8,7 +8,7 @@
 /// \file
 /// The coordinator of the multi-process sharded exploration (DESIGN.md
 /// §10). distributedExplore() forks N worker processes — each running
-/// exploreShard() over one socket pair — relays FrontierBatch frames
+/// exploreShard() over one socket pair — relays frontier batch frames
 /// between them, detects distributed termination, and merges the per-
 /// shard Verdicts into one RunResult that is bit-identical to the
 /// in-process engine's for complete explorations.

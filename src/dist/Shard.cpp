@@ -30,12 +30,10 @@ constexpr auto ReportInterval = std::chrono::milliseconds(20);
 } // namespace
 
 SocketShardIo::SocketShardIo(int Fd, unsigned ShardId, unsigned NShards)
-    : Fd(Fd), Id(ShardId), Compress(distCompressEnabled()), Out(NShards),
-      PeerDicts(NShards) {
+    : Fd(Fd), Id(ShardId), Out(NShards), PeerDicts(NShards) {
   for (unsigned I = 0; I != NShards; ++I) {
     Out[I].Batch.Dest = I;
     Out[I].Batch.Src = ShardId;
-    Out[I].Batch.Dict = Compress;
   }
   HelloMsg Hello;
   Hello.ShardId = ShardId;
@@ -68,11 +66,9 @@ void SocketShardIo::flushOutbox(unsigned Dest) {
   Outbox &O = Out[Dest];
   if (O.Batch.Configs.empty())
     return;
-  if (Compress) {
-    O.Batch.Defs = O.PendingDefs.take();
-    O.PendingDefs = Encoder();
-    DictDefBytes += O.Batch.Defs.size();
-  }
+  O.Batch.Defs = O.PendingDefs.take();
+  O.PendingDefs = Encoder();
+  DictDefBytes += O.Batch.Defs.size();
   std::vector<uint8_t> Frame = frameBatch(O.Batch);
   ++SentBatches;
   SentBytes += Frame.size();
@@ -90,29 +86,20 @@ void SocketShardIo::flushAll() {
 
 void SocketShardIo::send(unsigned Dest, FrontierConfig FC, uint64_t Fp) {
   Outbox &O = Out[Dest];
-  std::vector<uint8_t> Body;
-  if (Compress) {
-    // Encode against this connection's dictionary: nodes the peer has
-    // already seen become references; new ones append to the pending
-    // definition stream that rides in the next flushed frame.
-    Encoder Refs;
-    O.Dict.encodeConfig(O.PendingDefs, Refs, FC);
-    Body = Refs.take();
-    DictRefBytes += Body.size();
-  } else {
-    // Legacy A/B baseline: the standalone encoding, produced here so the
-    // engine pays no serialization cost when compression is on.
-    Encoder E;
-    encode(E, FC);
-    Body = E.take();
-  }
+  // Encode against this connection's dictionary: nodes the peer has
+  // already seen become references; new ones append to the pending
+  // definition stream that rides in the next flushed frame.
+  Encoder Refs;
+  O.Dict.encodeConfig(O.PendingDefs, Refs, FC);
+  std::vector<uint8_t> Body = Refs.take();
+  DictRefBytes += Body.size();
   if (O.Batch.Configs.empty())
     O.Oldest = std::chrono::steady_clock::now();
   O.Bytes += Body.size();
   O.Batch.Fps.push_back(Fp);
   O.Batch.Configs.push_back(std::move(Body));
   if (O.Batch.Configs.size() >= FlushConfigs || O.Bytes >= FlushBytes ||
-      (Compress ? O.PendingDefs.buffer().size() : 0) >= FlushBytes)
+      O.PendingDefs.buffer().size() >= FlushBytes)
     flushOutbox(Dest);
 }
 
@@ -156,37 +143,26 @@ ShardCommand SocketShardIo::pump(const ShardStatus &Status,
   while (std::optional<std::vector<uint8_t>> Payload = In.next()) {
     std::optional<WireMsg> M = decodeFrame(*Payload);
     if (!M) {
-      // An unknown-but-well-framed type means a versioned peer is
-      // speaking a protocol this worker does not: surface it as a
-      // malformed delivery so the run fails loudly instead of silently
-      // dropping fleet traffic. A genuinely malformed frame stays
-      // fail-soft (the stream itself may still carry good frames).
-      if (classifyFrame(*Payload) == FrameClass::UnknownType) {
-        ShardDelivery Delivery;
-        Delivery.Malformed = true;
-        Incoming.push_back(std::move(Delivery));
-      }
+      // Frames on a fleet socket come from this same binary, so one that
+      // does not decode — a bad header, a truncated body, the retired
+      // tag 2, or a tag from a newer protocol — means protocol traffic
+      // was lost. Surface it as a malformed delivery so the run fails
+      // loudly instead of silently dropping it.
+      ShardDelivery Delivery;
+      Delivery.Malformed = true;
+      Incoming.push_back(std::move(Delivery));
       continue;
     }
-    if (M->Type == MsgType::FrontierBatch ||
-        M->Type == MsgType::FrontierBatchDict) {
+    if (M->Type == MsgType::FrontierBatchDict) {
       FrontierBatchMsg &B = M->Batch;
-      NodeDictDecoder *Dict = nullptr;
-      bool BatchBad = false;
-      if (B.Dict) {
-        if (B.Src >= PeerDicts.size()) {
-          BatchBad = true;
-        } else {
-          Dict = &PeerDicts[B.Src];
-          // The definition stream extends the (Src -> here) connection
-          // dictionary; a malformed stream poisons it permanently, so
-          // every config in this and later batches from Src is
-          // undeliverable — surface each as Malformed (the engine fails
-          // the run; per-config entries keep received-counts balanced).
-          if (!Dict->feedDefs(B.Defs.data(), B.Defs.size()))
-            BatchBad = true;
-        }
-      }
+      // The definition stream extends the (Src -> here) connection
+      // dictionary; a malformed stream poisons it permanently, so every
+      // config in this and later batches from Src is undeliverable —
+      // surface each as Malformed (the engine fails the run; per-config
+      // entries keep received-counts balanced).
+      NodeDictDecoder *Dict =
+          B.Src < PeerDicts.size() ? &PeerDicts[B.Src] : nullptr;
+      bool BatchBad = !Dict || !Dict->feedDefs(B.Defs.data(), B.Defs.size());
       for (size_t I = 0; I != B.Configs.size(); ++I) {
         ShardDelivery Delivery;
         Delivery.Fp = I < B.Fps.size() ? B.Fps[I] : 0;
@@ -194,8 +170,7 @@ ShardCommand SocketShardIo::pump(const ShardStatus &Status,
           Delivery.Malformed = true;
         } else {
           Decoder D(B.Configs[I]);
-          Delivery.Config =
-              Dict ? Dict->decodeConfig(D) : decodeFrontierConfig(D);
+          Delivery.Config = Dict->decodeConfig(D);
           Delivery.Malformed = D.failed() || !D.atEnd();
         }
         Incoming.push_back(std::move(Delivery));
@@ -243,7 +218,6 @@ VerdictMsg SocketShardIo::makeVerdict(const RunResult &R) const {
   V.ShardId = Id;
   V.Safe = R.Safe;
   V.Exhausted = R.Exhausted;
-  V.PorReduced = R.PorReduced;
   V.FailureNote = R.FailureNote;
   V.FailureTrace = R.FailureTrace;
   V.Terminals = R.Terminals;

@@ -33,8 +33,7 @@ namespace dist {
 class SocketShardIo final : public ShardIo {
 public:
   /// Takes ownership of \p Fd (the worker's end of the socket pair) and
-  /// announces itself with a Hello frame. The frontier encoding follows
-  /// distCompressEnabled() (resolved by the coordinator before forking).
+  /// announces itself with a Hello frame.
   SocketShardIo(int Fd, unsigned ShardId, unsigned NShards);
   ~SocketShardIo() override;
 
@@ -76,7 +75,6 @@ private:
 
   int Fd;
   unsigned Id;
-  bool Compress;
   std::vector<Outbox> Out;           ///< one per destination shard.
   std::vector<NodeDictDecoder> PeerDicts; ///< one per source shard.
   FrameBuffer In;

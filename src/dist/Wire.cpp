@@ -6,35 +6,21 @@
 
 #include "dist/Wire.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 using namespace fcsl;
 using namespace fcsl::dist;
 
-namespace {
-
-std::atomic<int> DistCompress{-1}; // -1 unresolved, 0 off, 1 on
-
-} // namespace
-
-void dist::setDistCompress(bool Enabled) {
-  DistCompress.store(Enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-bool dist::distCompressEnabled() {
-  int V = DistCompress.load(std::memory_order_relaxed);
-  if (V < 0) {
-    const char *Env = std::getenv("FCSL_DIST_COMPRESS");
-    V = (Env && (std::string(Env) == "off" || std::string(Env) == "0")) ? 0
-                                                                        : 1;
-    DistCompress.store(V, std::memory_order_relaxed);
-  }
-  return V != 0;
-}
+void dist::setDistCompress(bool) {}
 
 namespace {
+
+/// The tag of the retired standalone frontier batch (see MsgType).
+constexpr uint8_t RetiredBatchTag = 2;
+
+/// A tag decodeFrame has a body layout for.
+bool knownTag(uint8_t Tag) {
+  return Tag >= static_cast<uint8_t>(MsgType::Hello) &&
+         Tag <= MaxKnownMsgTag && Tag != RetiredBatchTag;
+}
 
 Encoder startFrame(MsgType T) {
   Encoder E;
@@ -74,15 +60,13 @@ std::vector<uint8_t> dist::frameHello(const HelloMsg &M) {
 }
 
 std::vector<uint8_t> dist::frameBatch(const FrontierBatchMsg &M) {
-  Encoder E = startFrame(M.Dict ? MsgType::FrontierBatchDict
-                                : MsgType::FrontierBatch);
+  Encoder E = startFrame(MsgType::FrontierBatchDict);
   E.u32(M.Dest);
   E.u32(M.Src);
   E.u32(static_cast<uint32_t>(M.Configs.size()));
   for (size_t I = 0, N = M.Configs.size(); I != N; ++I)
     E.u64(I < M.Fps.size() ? M.Fps[I] : 0);
-  if (M.Dict)
-    encodeBlob(E, M.Defs);
+  encodeBlob(E, M.Defs);
   for (const std::vector<uint8_t> &C : M.Configs)
     encodeBlob(E, C);
   return finishFrame(std::move(E));
@@ -114,7 +98,6 @@ std::vector<uint8_t> dist::frameVerdict(const VerdictMsg &M) {
   E.u32(M.ShardId);
   E.u8(M.Safe);
   E.u8(M.Exhausted);
-  E.u8(M.PorReduced);
   E.str(M.FailureNote);
   E.u32(static_cast<uint32_t>(M.FailureTrace.size()));
   for (const std::string &S : M.FailureTrace)
@@ -229,7 +212,7 @@ std::optional<WireMsg> dist::decodeFrame(const std::vector<uint8_t> &Payload) {
   if (!decodeHeader(D))
     return std::nullopt;
   uint8_t Tag = D.u8();
-  if (Tag < static_cast<uint8_t>(MsgType::Hello) || Tag > MaxKnownMsgTag)
+  if (!knownTag(Tag))
     return std::nullopt;
   WireMsg M;
   M.Type = static_cast<MsgType>(Tag);
@@ -237,9 +220,7 @@ std::optional<WireMsg> dist::decodeFrame(const std::vector<uint8_t> &Payload) {
   case MsgType::Hello:
     M.Hello.ShardId = D.u32();
     break;
-  case MsgType::FrontierBatch:
   case MsgType::FrontierBatchDict: {
-    M.Batch.Dict = M.Type == MsgType::FrontierBatchDict;
     M.Batch.Dest = D.u32();
     M.Batch.Src = D.u32();
     uint32_t Count = D.u32();
@@ -249,8 +230,7 @@ std::optional<WireMsg> dist::decodeFrame(const std::vector<uint8_t> &Payload) {
     }
     for (uint32_t I = 0; I != Count && !D.failed(); ++I)
       M.Batch.Fps.push_back(D.u64());
-    if (M.Batch.Dict)
-      M.Batch.Defs = decodeBlob(D);
+    M.Batch.Defs = decodeBlob(D);
     for (uint32_t I = 0; I != Count && !D.failed(); ++I)
       M.Batch.Configs.push_back(decodeBlob(D));
     break;
@@ -274,7 +254,6 @@ std::optional<WireMsg> dist::decodeFrame(const std::vector<uint8_t> &Payload) {
     M.Verdict.ShardId = D.u32();
     M.Verdict.Safe = D.u8() != 0;
     M.Verdict.Exhausted = D.u8() != 0;
-    M.Verdict.PorReduced = D.u8() != 0;
     M.Verdict.FailureNote = D.str();
     uint32_t NumTrace = D.u32();
     for (uint32_t I = 0; I != NumTrace && !D.failed(); ++I)
@@ -363,8 +342,7 @@ std::optional<MsgType> dist::peekFrameTag(const std::vector<uint8_t> &Payload) {
   if (!decodeHeader(D))
     return std::nullopt;
   uint8_t Tag = D.u8();
-  if (D.failed() || Tag < static_cast<uint8_t>(MsgType::Hello) ||
-      Tag > MaxKnownMsgTag)
+  if (D.failed() || !knownTag(Tag))
     return std::nullopt;
   return static_cast<MsgType>(Tag);
 }
@@ -374,7 +352,9 @@ FrameClass dist::classifyFrame(const std::vector<uint8_t> &Payload) {
   if (!decodeHeader(D))
     return FrameClass::Malformed;
   uint8_t Tag = D.u8();
-  if (D.failed())
+  // Tag 2 is not a newer peer's message: no protocol version assigns it
+  // any more, so a frame carrying it is malformed.
+  if (D.failed() || Tag == RetiredBatchTag)
     return FrameClass::Malformed;
   if (Tag < static_cast<uint8_t>(MsgType::Hello) || Tag > MaxKnownMsgTag)
     return FrameClass::UnknownType;
@@ -385,12 +365,9 @@ std::optional<BatchPeek> dist::peekBatch(const std::vector<uint8_t> &Payload) {
   Decoder D(Payload);
   if (!decodeHeader(D))
     return std::nullopt;
-  uint8_t Tag = D.u8();
-  if (Tag != static_cast<uint8_t>(MsgType::FrontierBatch) &&
-      Tag != static_cast<uint8_t>(MsgType::FrontierBatchDict))
+  if (D.u8() != static_cast<uint8_t>(MsgType::FrontierBatchDict))
     return std::nullopt;
   BatchPeek P;
-  P.Type = static_cast<MsgType>(Tag);
   P.Dest = D.u32();
   P.Src = D.u32();
   uint32_t Count = D.u32();
@@ -407,8 +384,7 @@ std::optional<std::vector<uint8_t>>
 dist::filterBatchFrame(const std::vector<uint8_t> &Payload,
                        const std::vector<bool> &Keep) {
   std::optional<WireMsg> M = decodeFrame(Payload);
-  if (!M || (M->Type != MsgType::FrontierBatch &&
-             M->Type != MsgType::FrontierBatchDict))
+  if (!M || M->Type != MsgType::FrontierBatchDict)
     return std::nullopt;
   FrontierBatchMsg &B = M->Batch;
   if (Keep.size() != B.Configs.size() || B.Fps.size() != B.Configs.size())
@@ -416,7 +392,6 @@ dist::filterBatchFrame(const std::vector<uint8_t> &Payload,
   FrontierBatchMsg Out;
   Out.Dest = B.Dest;
   Out.Src = B.Src;
-  Out.Dict = B.Dict;
   Out.Defs = std::move(B.Defs); // definitions survive filtering, always.
   for (size_t I = 0, N = B.Configs.size(); I != N; ++I) {
     if (!Keep[I])

@@ -16,13 +16,13 @@
 ///
 /// Message flow (coordinator C, workers W0..Wn-1, one socket pair each):
 ///
-///   W -> C   Hello          once, immediately after fork
-///   W -> C   FrontierBatch  non-owned successors, addressed by shard id
-///   C -> W   FrontierBatch  relayed to the owning shard
-///   W -> C   StatsReport    idle/failed/exhausted + sent/received counts
-///   C -> W   Drain          stop exploring and report
-///   W -> C   CacheDelta     obligation-cache records appended worker-side
-///   W -> C   Verdict        the shard's RunResult, then exit
+///   W -> C   Hello              once, immediately after fork
+///   W -> C   FrontierBatchDict  non-owned successors, addressed by shard
+///   C -> W   FrontierBatchDict  relayed to the owning shard
+///   W -> C   StatsReport        idle/failed/exhausted + sent/received counts
+///   C -> W   Drain              stop exploring and report
+///   W -> C   CacheDelta         obligation-cache records appended worker-side
+///   W -> C   Verdict            the shard's RunResult, then exit
 ///
 /// The verification service (src/service/, DESIGN.md §15) speaks the same
 /// frame protocol over a client connection (client L, daemon S):
@@ -56,14 +56,15 @@ namespace dist {
 
 enum class MsgType : uint8_t {
   Hello = 1,
-  FrontierBatch = 2,
+  // 2 was the standalone (dictionary-free) frontier batch. It is retired
+  // but never reused: a tag-2 frame is malformed (see classifyFrame).
   StatsReport = 3,
   Drain = 4,
   Verdict = 5,
   CacheDelta = 6,
-  /// A dictionary-compressed frontier batch (DESIGN.md §14): same
-  /// envelope as FrontierBatch plus a NodeDef stream; config bodies are
-  /// varint references into the sender's per-connection dictionary.
+  /// A dictionary-compressed frontier batch (DESIGN.md §14): a routing
+  /// envelope plus a NodeDef stream; config bodies are varint references
+  /// into the sender's per-connection dictionary.
   FrontierBatchDict = 7,
   // -- Verification-service frames (src/service/, DESIGN.md §15) --
   SubmitSession = 8,
@@ -87,7 +88,7 @@ inline constexpr uint8_t MaxKnownMsgTag =
 /// malformed delivery so the run fails loudly instead of silently
 /// dropping protocol traffic.
 enum class FrameClass : uint8_t {
-  Malformed,   ///< bad codec header (or no tag byte at all).
+  Malformed,   ///< bad codec header, no tag byte, or the retired tag 2.
   UnknownType, ///< valid header, tag outside [Hello, Shutdown].
   Known,       ///< valid header and a tag this build decodes.
 };
@@ -97,12 +98,10 @@ enum class FrameClass : uint8_t {
 /// body).
 FrameClass classifyFrame(const std::vector<uint8_t> &Payload);
 
-/// Process-wide switch for the dictionary-compressed frontier encoding
-/// (`--dist-compress`, `FCSL_DIST_COMPRESS`). Resolved by the coordinator
-/// before forking so the whole fleet agrees; receivers are tag-driven and
-/// accept both encodings regardless. Default on.
+/// Does nothing. The dictionary-compressed frontier encoding is the only
+/// one; the switch that once selected a standalone encoding is kept so
+/// existing callers still build.
 void setDistCompress(bool Enabled);
-bool distCompressEnabled();
 
 /// Announces a worker's shard id on its channel.
 struct HelloMsg {
@@ -115,23 +114,20 @@ struct HelloMsg {
 
 /// A batch of encoded frontier configs sent by shard \p Src and addressed
 /// to shard \p Dest, with one ownership fingerprint per config (so the
-/// coordinator can dedup relays without decoding bodies). In the legacy
-/// encoding (Dict false) each config blob is an encodeFrontierConfigPrefix
-/// buffer; in the dictionary encoding (Dict true) \p Defs carries the
-/// NodeDef stream extending the (Src, Dest) connection dictionary and each
-/// config blob is a NodeDictEncoder reference stream.
+/// coordinator can dedup relays without decoding bodies). \p Defs carries
+/// the NodeDef stream extending the (Src, Dest) connection dictionary and
+/// each config blob is a NodeDictEncoder reference stream.
 struct FrontierBatchMsg {
   uint32_t Dest = 0;
   uint32_t Src = 0;
-  bool Dict = false;
   std::vector<uint64_t> Fps;
   std::vector<uint8_t> Defs;
   std::vector<std::vector<uint8_t>> Configs;
 
   friend bool operator==(const FrontierBatchMsg &A,
                          const FrontierBatchMsg &B) {
-    return A.Dest == B.Dest && A.Src == B.Src && A.Dict == B.Dict &&
-           A.Fps == B.Fps && A.Defs == B.Defs && A.Configs == B.Configs;
+    return A.Dest == B.Dest && A.Src == B.Src && A.Fps == B.Fps &&
+           A.Defs == B.Defs && A.Configs == B.Configs;
   }
 };
 
@@ -176,7 +172,6 @@ struct VerdictMsg {
   uint32_t ShardId = 0;
   bool Safe = true;
   bool Exhausted = false;
-  bool PorReduced = false;
   std::string FailureNote;
   std::vector<std::string> FailureTrace;
   std::vector<Terminal> Terminals; ///< sorted ascending, like RunResult.
@@ -204,7 +199,7 @@ struct VerdictMsg {
           B.Terminals[I] < A.Terminals[I])
         return false;
     return A.ShardId == B.ShardId && A.Safe == B.Safe &&
-           A.Exhausted == B.Exhausted && A.PorReduced == B.PorReduced &&
+           A.Exhausted == B.Exhausted &&
            A.FailureNote == B.FailureNote &&
            A.FailureTrace == B.FailureTrace &&
            A.ConfigsExplored == B.ConfigsExplored &&
@@ -386,7 +381,6 @@ std::optional<MsgType> peekFrameTag(const std::vector<uint8_t> &Payload);
 /// A batch frame's routing envelope — dest, src, per-config ownership
 /// fingerprints — read without touching the config bodies.
 struct BatchPeek {
-  MsgType Type = MsgType::FrontierBatch;
   uint32_t Dest = 0;
   uint32_t Src = 0;
   std::vector<uint64_t> Fps;
@@ -395,8 +389,8 @@ std::optional<BatchPeek> peekBatch(const std::vector<uint8_t> &Payload);
 
 /// Rebuilds a complete frame (length prefix + payload) from a batch frame
 /// payload, keeping only the configs whose \p Keep bit is set. The
-/// definition stream of a dictionary frame is ALWAYS kept — later frames
-/// on the connection reference it. Returns nullopt on malformation or a
+/// definition stream is ALWAYS kept — later frames on the connection
+/// reference it. Returns nullopt on malformation or a
 /// Keep size mismatch.
 std::optional<std::vector<uint8_t>>
 filterBatchFrame(const std::vector<uint8_t> &Payload,

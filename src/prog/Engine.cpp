@@ -59,23 +59,50 @@ void notePeakVisited(uint64_t Nodes, uint64_t Bytes) {
 }
 
 std::atomic<uint64_t> TotalConfigsCounter{0};
-std::atomic<uint64_t> CheckFullCounter{0};
-std::atomic<uint64_t> CheckReducedCounter{0};
+std::atomic<uint64_t> OracleRunsCounter{0};
+std::atomic<uint64_t> OraclePlainCounter{0};
+std::atomic<uint64_t> OracleReducedCounter{0};
+std::atomic<uint64_t> OracleMismatchCounter{0};
 std::atomic<int> DefaultPorSetting{-1}; ///< -1: fall back to FCSL_POR.
+std::atomic<int> DefaultSymSetting{-1}; ///< -1: fall back to FCSL_SYMMETRY.
 
-PorMode envPorMode() {
-  const char *E = std::getenv("FCSL_POR");
-  if (!E)
-    return PorMode::Off;
-  if (std::strcmp(E, "on") == 0 || std::strcmp(E, "1") == 0)
-    return PorMode::On;
-  if (std::strcmp(E, "dynamic") == 0)
-    return PorMode::Dynamic;
-  if (std::strcmp(E, "check") == 0)
-    return PorMode::Check;
-  if (std::strcmp(E, "check-dynamic") == 0)
-    return PorMode::CheckDynamic;
-  return PorMode::Off;
+/// Mode spellings, canonical name first; "1" is an alias for "on".
+constexpr std::pair<const char *, PorMode> PorSpellings[] = {
+    {"off", PorMode::Off},     {"on", PorMode::On},
+    {"1", PorMode::On},        {"dynamic", PorMode::Dynamic},
+    {"check", PorMode::Check}, {"check-dynamic", PorMode::CheckDynamic}};
+constexpr std::pair<const char *, SymMode> SymSpellings[] = {
+    {"off", SymMode::Off}, {"on", SymMode::On}, {"1", SymMode::On},
+    {"check", SymMode::Check}};
+
+template <typename Mode, size_t N>
+bool parseSpelling(const std::pair<const char *, Mode> (&Table)[N],
+                   const char *Text, Mode &Out) {
+  for (const auto &[Name, M] : Table)
+    if (Text && std::strcmp(Text, Name) == 0) {
+      Out = M;
+      return true;
+    }
+  return false;
+}
+
+template <typename Mode, size_t N>
+const char *spellingOf(const std::pair<const char *, Mode> (&Table)[N],
+                       Mode M) {
+  for (const auto &[Name, V] : Table)
+    if (V == M)
+      return Name;
+  return "default";
+}
+
+/// A mode environment variable through its parser; unset or unknown is
+/// Off (the tools reject unknown spellings at startup, see validateEnv).
+template <typename Mode>
+Mode envMode(const char *Var, bool (*Parse)(const char *, Mode &)) {
+  Mode M = Mode::Off;
+  if (const char *E = std::getenv(Var))
+    Parse(E, M);
+  return M;
 }
 
 // Partial-order-reduction telemetry, process-wide across every reduced
@@ -86,21 +113,6 @@ std::atomic<uint64_t> PorWakeupReplaysCounter{0};
 std::atomic<uint64_t> PorWakeupPeakCounter{0};
 std::atomic<uint64_t> PorSleepHitsCounter{0};
 std::atomic<uint64_t> PorFullExpansionsCounter{0};
-
-std::atomic<uint64_t> SymCheckFullCounter{0};
-std::atomic<uint64_t> SymCheckCanonicalCounter{0};
-std::atomic<int> DefaultSymSetting{-1}; ///< -1: fall back to FCSL_SYMMETRY.
-
-SymMode envSymMode() {
-  const char *E = std::getenv("FCSL_SYMMETRY");
-  if (!E)
-    return SymMode::Off;
-  if (std::strcmp(E, "on") == 0 || std::strcmp(E, "1") == 0)
-    return SymMode::On;
-  if (std::strcmp(E, "check") == 0)
-    return SymMode::Check;
-  return SymMode::Off;
-}
 
 // Orbit-cache telemetry, process-wide across every symmetry-reduced run.
 std::atomic<uint64_t> OrbitLookupsCounter{0};
@@ -135,6 +147,22 @@ uint64_t fcsl::totalConfigsExplored() {
   return TotalConfigsCounter.load(std::memory_order_relaxed);
 }
 
+bool fcsl::parsePorMode(const char *Text, PorMode &Out) {
+  return parseSpelling(PorSpellings, Text, Out);
+}
+
+const char *fcsl::porModeName(PorMode M) {
+  return spellingOf(PorSpellings, M);
+}
+
+bool fcsl::parseSymMode(const char *Text, SymMode &Out) {
+  return parseSpelling(SymSpellings, Text, Out);
+}
+
+const char *fcsl::symModeName(SymMode M) {
+  return spellingOf(SymSpellings, M);
+}
+
 void fcsl::setDefaultPorMode(PorMode M) {
   DefaultPorSetting.store(static_cast<int>(M), std::memory_order_relaxed);
 }
@@ -143,12 +171,14 @@ PorMode fcsl::defaultPorMode() {
   int V = DefaultPorSetting.load(std::memory_order_relaxed);
   if (V >= 0 && static_cast<PorMode>(V) != PorMode::Default)
     return static_cast<PorMode>(V);
-  return envPorMode();
+  return envMode("FCSL_POR", parsePorMode);
 }
 
-PorCheckTotals fcsl::porCheckTotals() {
-  return {CheckFullCounter.load(std::memory_order_relaxed),
-          CheckReducedCounter.load(std::memory_order_relaxed)};
+OracleTotals fcsl::oracleTotals() {
+  return {OracleRunsCounter.load(std::memory_order_relaxed),
+          OraclePlainCounter.load(std::memory_order_relaxed),
+          OracleReducedCounter.load(std::memory_order_relaxed),
+          OracleMismatchCounter.load(std::memory_order_relaxed)};
 }
 
 PorStats fcsl::porStats() {
@@ -168,12 +198,22 @@ SymMode fcsl::defaultSymmetryMode() {
   int V = DefaultSymSetting.load(std::memory_order_relaxed);
   if (V >= 0 && static_cast<SymMode>(V) != SymMode::Default)
     return static_cast<SymMode>(V);
-  return envSymMode();
+  return envMode("FCSL_SYMMETRY", parseSymMode);
 }
 
-SymCheckTotals fcsl::symCheckTotals() {
-  return {SymCheckFullCounter.load(std::memory_order_relaxed),
-          SymCheckCanonicalCounter.load(std::memory_order_relaxed)};
+ReductionModes fcsl::resolveModes(PorMode Por, SymMode Sym) {
+  if (Por == PorMode::Default)
+    Por = defaultPorMode();
+  if (Sym == SymMode::Default)
+    Sym = defaultSymmetryMode();
+  ReductionModes M;
+  M.Oracle = Por == PorMode::Check || Por == PorMode::CheckDynamic ||
+             Sym == SymMode::Check;
+  M.Por = Por == PorMode::Check          ? PorMode::On
+          : Por == PorMode::CheckDynamic ? PorMode::Dynamic
+                                         : Por;
+  M.Sym = Sym == SymMode::Check ? SymMode::On : Sym;
+  return M;
 }
 
 SymmetryStats fcsl::symmetryStats() {
@@ -564,6 +604,9 @@ public:
     PorOn = Opts.Por == PorMode::On || Opts.Por == PorMode::Dynamic;
     DynOn = Opts.Por == PorMode::Dynamic;
     SymOn = Opts.Symmetry == SymMode::On;
+    Res.MaxConfigsBound = Opts.MaxConfigs;
+    Res.Reduction.Por = Opts.Por;
+    Res.Reduction.Sym = Opts.Symmetry;
     if (SymOn)
       PinnedPtrs = collectPinnedPtrs(Root, Initial, InitialEnv, Opts.Defs);
 
@@ -2863,172 +2906,110 @@ bool sameTerminals(const std::vector<Terminal> &A,
   return true;
 }
 
+/// \p Opts with its reduction modes replaced by the resolved \p M.
+EngineOptions withModes(const EngineOptions &Opts, const ReductionModes &M) {
+  EngineOptions RunOpts = Opts;
+  RunOpts.Por = M.Por;
+  RunOpts.Symmetry = M.Sym;
+  return RunOpts;
+}
+
+/// One exploration under resolved modes: in-process, or handed whole to
+/// the sharded-exploration hook. Refused inside a parallel region —
+/// forking requires a single-threaded parent, and obligation fan-outs
+/// already clamp to serial when shards are configured (Session/Verifier).
+RunResult exploreResolved(const ProgRef &Root, const GlobalState &Initial,
+                          const EngineOptions &Opts, const VarEnv &InitialEnv,
+                          const ReductionModes &M) {
+  EngineOptions RunOpts = withModes(Opts, M);
+  RunResult Res;
+  unsigned NShards = RunOpts.Shards ? RunOpts.Shards : defaultShards();
+  ShardedExploreFn Hook = ShardedHook.load(std::memory_order_relaxed);
+  if (NShards > 1 && Hook && !inParallelRegion()) {
+    RunOpts.Shards = NShards;
+    Res = Hook(Root, Initial, RunOpts, InitialEnv, NShards);
+    notePeakVisited(Res.VisitedNodes, Res.VisitedBytes);
+  } else {
+    Explorer E(RunOpts, Res);
+    E.run(Root, Initial, InitialEnv);
+  }
+  TotalConfigsCounter.fetch_add(Res.ConfigsExplored,
+                                std::memory_order_relaxed);
+  return Res;
+}
+
+/// Renders one terminal for an oracle failure note.
+std::string describeTerminal(const Terminal &T) {
+  return formatString("result=%s view=%s", T.Result.toString().c_str(),
+                      T.FinalView.toString().c_str());
+}
+
 } // namespace
 
 RunResult fcsl::explore(const ProgRef &Root, const GlobalState &Initial,
                         const EngineOptions &Opts, const VarEnv &InitialEnv) {
   assert(Root && "explore needs a program");
-  PorMode Mode = Opts.Por == PorMode::Default ? defaultPorMode() : Opts.Por;
+  ReductionModes M = resolveModes(Opts.Por, Opts.Symmetry);
+  if (!M.Oracle)
+    return exploreResolved(Root, Initial, Opts, InitialEnv, M);
 
-  if (Mode == PorMode::Check || Mode == PorMode::CheckDynamic) {
-    // The soundness cross-check harness: run both explorations and demand
-    // the same verdict — and, when both complete, the same terminals. The
-    // full run's result is returned (it is the ground truth); a mismatch
-    // forces Safe = false so verification sessions fail loudly. Check
-    // cross-validates the static reduction, CheckDynamic the dynamic one.
-    EngineOptions Sub = Opts;
-    Sub.Por = PorMode::Off;
-    RunResult Full = explore(Root, Initial, Sub, InitialEnv);
-    Sub.Por =
-        Mode == PorMode::CheckDynamic ? PorMode::Dynamic : PorMode::On;
-    RunResult Reduced = explore(Root, Initial, Sub, InitialEnv);
-    CheckFullCounter.fetch_add(Full.ConfigsExplored,
-                               std::memory_order_relaxed);
-    CheckReducedCounter.fetch_add(Reduced.ConfigsExplored,
-                                  std::memory_order_relaxed);
-    RunResult Res = Full;
-    Res.PorChecked = true;
-    Res.PorDynamic = Mode == PorMode::CheckDynamic;
-    Res.ConfigsFull = Full.ConfigsExplored;
-    Res.ConfigsReduced = Reduced.ConfigsExplored;
-    bool Agree =
-        Full.Safe == Reduced.Safe && Full.Exhausted == Reduced.Exhausted &&
-        (!Full.complete() ||
-         sameTerminals(Full.Terminals, Reduced.Terminals));
-    if (!Agree) {
-      Res.PorMismatch = true;
-      Res.Safe = false;
-      Res.FailureNote = formatString(
-          "partial-order reduction soundness cross-check failed: full "
-          "exploration (safe=%d exhausted=%d, %zu terminals, %llu configs) "
-          "disagrees with reduced exploration (safe=%d exhausted=%d, %zu "
-          "terminals, %llu configs)",
-          int(Full.Safe), int(Full.Exhausted), Full.Terminals.size(),
-          static_cast<unsigned long long>(Full.ConfigsExplored),
-          int(Reduced.Safe), int(Reduced.Exhausted),
-          Reduced.Terminals.size(),
-          static_cast<unsigned long long>(Reduced.ConfigsExplored));
-    }
-    return Res;
-  }
-
-  SymMode Sym =
-      Opts.Symmetry == SymMode::Default ? defaultSymmetryMode() : Opts.Symmetry;
-  if (Sym == SymMode::Check) {
-    // Symmetry soundness cross-check, mirroring the POR harness above: the
-    // full (uncanonicalized) exploration is ground truth; the canonical run
-    // must agree on the verdict and, when both complete, on the terminal
-    // set. Runs under whatever POR mode was resolved, so `check` also
-    // exercises the POR x symmetry composition.
-    EngineOptions Sub = Opts;
-    Sub.Por = Mode;
-    Sub.Symmetry = SymMode::Off;
-    RunResult Full = explore(Root, Initial, Sub, InitialEnv);
-    Sub.Symmetry = SymMode::On;
-    RunResult Canonical = explore(Root, Initial, Sub, InitialEnv);
-    SymCheckFullCounter.fetch_add(Full.ConfigsExplored,
-                                  std::memory_order_relaxed);
-    SymCheckCanonicalCounter.fetch_add(Canonical.ConfigsExplored,
-                                       std::memory_order_relaxed);
-    RunResult Res = Full;
-    Res.SymChecked = true;
-    Res.SymConfigsFull = Full.ConfigsExplored;
-    Res.SymConfigsCanonical = Canonical.ConfigsExplored;
-    // Terminals are compared modulo the terminal pointer abstraction
-    // (DESIGN.md §11): the canonical run renumbers fresh allocations, so
-    // raw terminal equality is deliberately too strong. Both sides are
-    // abstracted with the same pinned set, sorted, and deduplicated; the
-    // abstracted sets must coincide exactly.
+  // The soundness oracle: the plain engine is ground truth, and the
+  // reduced run must agree on the verdict, on exhaustion and — when both
+  // complete — on the terminal set. Terminals compare raw unless the
+  // reduced run canonicalized: renaming fresh allocations makes raw
+  // equality too strong, so both sides are then compared modulo the
+  // terminal pointer abstraction (DESIGN.md §11). The plain run is
+  // returned; a mismatch forces Safe = false so sessions fail loudly.
+  RunResult Plain =
+      exploreResolved(Root, Initial, Opts, InitialEnv, ReductionModes{});
+  RunResult Reduced = exploreResolved(Root, Initial, Opts, InitialEnv, M);
+  std::vector<Terminal> AbsPlain, AbsReduced;
+  const std::vector<Terminal> *PlainTerms = &Plain.Terminals;
+  const std::vector<Terminal> *ReducedTerms = &Reduced.Terminals;
+  if (M.Sym == SymMode::On) {
     std::set<Ptr> Pinned =
         collectPinnedPtrs(Root, Initial, InitialEnv, Opts.Defs);
-    std::vector<Terminal> AbsFull =
-        abstractTerminals(Full.Terminals, Pinned);
-    std::vector<Terminal> AbsCanonical =
-        abstractTerminals(Canonical.Terminals, Pinned);
-    bool Agree =
-        Full.Safe == Canonical.Safe &&
-        Full.Exhausted == Canonical.Exhausted &&
-        (!Full.complete() || sameTerminals(AbsFull, AbsCanonical));
-    if (!Agree) {
-      Res.SymMismatch = true;
-      Res.Safe = false;
-      Res.FailureNote = formatString(
-          "symmetry reduction soundness cross-check failed: full "
-          "exploration (safe=%d exhausted=%d, %zu terminals [%zu "
-          "abstracted], %llu configs) disagrees with canonical exploration "
-          "(safe=%d exhausted=%d, %zu terminals [%zu abstracted], %llu "
-          "configs)",
-          int(Full.Safe), int(Full.Exhausted), Full.Terminals.size(),
-          AbsFull.size(),
-          static_cast<unsigned long long>(Full.ConfigsExplored),
-          int(Canonical.Safe), int(Canonical.Exhausted),
-          Canonical.Terminals.size(), AbsCanonical.size(),
-          static_cast<unsigned long long>(Canonical.ConfigsExplored));
-      // Dump the first diverging orbit representative in each direction so
-      // a failure pinpoints the lost (or invented) behavior, not just the
-      // counts.
-      if (const Terminal *T = firstMissing(AbsFull, AbsCanonical))
-        Res.FailureNote += formatString(
-            "; first terminal only in full exploration: result=%s view=%s",
-            T->Result.toString().c_str(), T->FinalView.toString().c_str());
-      if (const Terminal *T = firstMissing(AbsCanonical, AbsFull))
-        Res.FailureNote += formatString(
-            "; first terminal only in canonical exploration: result=%s "
-            "view=%s",
-            T->Result.toString().c_str(), T->FinalView.toString().c_str());
-    }
-    return Res;
+    AbsPlain = abstractTerminals(Plain.Terminals, Pinned);
+    AbsReduced = abstractTerminals(Reduced.Terminals, Pinned);
+    PlainTerms = &AbsPlain;
+    ReducedTerms = &AbsReduced;
   }
-
-  EngineOptions RunOpts = Opts;
-  RunOpts.Por = Mode;
-  RunOpts.Symmetry = Sym;
-
-  // Multi-process sharding: hand the whole run to the coordinator hook.
-  // Refused inside a parallel region — forking requires a single-threaded
-  // parent, and obligation fan-outs already clamp to serial when shards
-  // are configured (Session/Verifier).
-  unsigned NShards = RunOpts.Shards ? RunOpts.Shards : defaultShards();
-  ShardedExploreFn Hook = ShardedHook.load(std::memory_order_relaxed);
-  if (NShards > 1 && Hook && !inParallelRegion()) {
-    RunOpts.Shards = NShards;
-    RunResult Res = Hook(Root, Initial, RunOpts, InitialEnv, NShards);
-    Res.MaxConfigsBound = Opts.MaxConfigs;
-    Res.PorReduced = Mode == PorMode::On || Mode == PorMode::Dynamic;
-    Res.PorDynamic = Mode == PorMode::Dynamic;
-    if (Res.PorReduced)
-      Res.ConfigsReduced = Res.ConfigsExplored;
-    else
-      Res.ConfigsFull = Res.ConfigsExplored;
-    Res.SymReduced = Sym == SymMode::On;
-    if (Res.SymReduced)
-      Res.SymConfigsCanonical = Res.ConfigsExplored;
-    else
-      Res.SymConfigsFull = Res.ConfigsExplored;
-    notePeakVisited(Res.VisitedNodes, Res.VisitedBytes);
-    TotalConfigsCounter.fetch_add(Res.ConfigsExplored,
-                                  std::memory_order_relaxed);
-    return Res;
+  bool Mismatch = Plain.Safe != Reduced.Safe ||
+                  Plain.Exhausted != Reduced.Exhausted ||
+                  (Plain.complete() && !sameTerminals(*PlainTerms,
+                                                      *ReducedTerms));
+  OracleRunsCounter.fetch_add(1, std::memory_order_relaxed);
+  OraclePlainCounter.fetch_add(Plain.ConfigsExplored,
+                               std::memory_order_relaxed);
+  OracleReducedCounter.fetch_add(Reduced.ConfigsExplored,
+                                 std::memory_order_relaxed);
+  if (Mismatch) {
+    OracleMismatchCounter.fetch_add(1, std::memory_order_relaxed);
+    std::string Note = formatString(
+        "reduction soundness oracle failed: plain exploration (por=off "
+        "symmetry=off; safe=%d exhausted=%d, %zu terminals, %llu configs) "
+        "disagrees with reduced exploration (por=%s symmetry=%s; safe=%d "
+        "exhausted=%d, %zu terminals, %llu configs)",
+        int(Plain.Safe), int(Plain.Exhausted), PlainTerms->size(),
+        static_cast<unsigned long long>(Plain.ConfigsExplored),
+        porModeName(M.Por), symModeName(M.Sym), int(Reduced.Safe),
+        int(Reduced.Exhausted), ReducedTerms->size(),
+        static_cast<unsigned long long>(Reduced.ConfigsExplored));
+    // The first diverging terminal in each direction pinpoints the lost
+    // (or invented) behaviour, not just the counts.
+    if (const Terminal *T = firstMissing(*PlainTerms, *ReducedTerms))
+      Note += "; first terminal only in plain exploration: " +
+              describeTerminal(*T);
+    if (const Terminal *T = firstMissing(*ReducedTerms, *PlainTerms))
+      Note += "; first terminal only in reduced exploration: " +
+              describeTerminal(*T);
+    Plain.Safe = false;
+    Plain.FailureNote = std::move(Note);
   }
-
-  RunResult Res;
-  Res.MaxConfigsBound = Opts.MaxConfigs;
-  Res.PorReduced = Mode == PorMode::On || Mode == PorMode::Dynamic;
-  Res.PorDynamic = Mode == PorMode::Dynamic;
-  Res.SymReduced = Sym == SymMode::On;
-  Explorer E(RunOpts, Res);
-  E.run(Root, Initial, InitialEnv);
-  if (Res.PorReduced)
-    Res.ConfigsReduced = Res.ConfigsExplored;
-  else
-    Res.ConfigsFull = Res.ConfigsExplored;
-  if (Res.SymReduced)
-    Res.SymConfigsCanonical = Res.ConfigsExplored;
-  else
-    Res.SymConfigsFull = Res.ConfigsExplored;
-  TotalConfigsCounter.fetch_add(Res.ConfigsExplored,
-                                std::memory_order_relaxed);
-  return Res;
+  Plain.Reduction = Reduced.Reduction;
+  Plain.Reduction.Oracle = {true, Mismatch, Plain.ConfigsExplored,
+                            Reduced.ConfigsExplored};
+  return Plain;
 }
 
 RunResult fcsl::exploreShard(const ProgRef &Root, const GlobalState &Initial,
@@ -3037,39 +3018,15 @@ RunResult fcsl::exploreShard(const ProgRef &Root, const GlobalState &Initial,
                              unsigned NShards, ShardIo &Io) {
   assert(Root && "exploreShard needs a program");
   assert(NShards > 0 && ShardId < NShards && "bad shard coordinates");
-  PorMode Mode = Opts.Por == PorMode::Default ? defaultPorMode() : Opts.Por;
-  assert(Mode != PorMode::Check && Mode != PorMode::CheckDynamic &&
-         "the coordinator resolves Check before sharding");
-  if (Mode == PorMode::Check || Mode == PorMode::CheckDynamic)
-    Mode = PorMode::Off;
-  SymMode Sym =
-      Opts.Symmetry == SymMode::Default ? defaultSymmetryMode() : Opts.Symmetry;
-  assert(Sym != SymMode::Check &&
-         "the coordinator resolves symmetry Check before sharding");
-  if (Sym == SymMode::Check)
-    Sym = SymMode::Off;
+  EngineOptions RunOpts =
+      withModes(Opts, resolveModes(Opts.Por, Opts.Symmetry));
   RunResult Res;
-  Res.MaxConfigsBound = Opts.MaxConfigs;
-  Res.PorReduced = Mode == PorMode::On || Mode == PorMode::Dynamic;
-  Res.PorDynamic = Mode == PorMode::Dynamic;
-  Res.SymReduced = Sym == SymMode::On;
-  EngineOptions RunOpts = Opts;
-  RunOpts.Por = Mode;
-  RunOpts.Symmetry = Sym;
   Explorer E(RunOpts, Res);
   E.setDist(ShardId, NShards, &Io);
   E.run(Root, Initial, InitialEnv);
-  if (Res.PorReduced)
-    Res.ConfigsReduced = Res.ConfigsExplored;
-  else
-    Res.ConfigsFull = Res.ConfigsExplored;
-  if (Res.SymReduced)
-    Res.SymConfigsCanonical = Res.ConfigsExplored;
-  else
-    Res.SymConfigsFull = Res.ConfigsExplored;
   // No TotalConfigsCounter update: the shard runs in a forked child whose
   // counters die with it; the coordinator accounts the merged run in the
-  // parent (see explore()'s hook path).
+  // parent (see exploreResolved's hook path).
   return Res;
 }
 

@@ -27,8 +27,8 @@
 /// sets prune the second order of already-commuted pairs (DESIGN.md §9).
 /// Reduction preserves the Safe verdict, the sorted Terminals, and
 /// failure detection, and stays bit-identical across job counts; the
-/// `Check` mode cross-validates this at runtime by running both
-/// explorations and comparing.
+/// check modes cross-validate this at runtime with one soundness oracle
+/// that compares the reduced exploration against the plain engine.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,8 +48,8 @@ enum class PorMode : uint8_t {
   On,      ///< static ample-set + sleep-set reduction.
   Dynamic, ///< `On` plus dynamic ample sets from observed footprints
            ///< (env-future closure; DESIGN.md §12).
-  Check,   ///< run Off and On, assert identical verdicts and terminals.
-  CheckDynamic ///< run Off and Dynamic, assert identical results.
+  Check,   ///< explore with `On` and cross-check against the plain engine.
+  CheckDynamic ///< explore with `Dynamic` and cross-check likewise.
 };
 
 /// Symmetry-reduction mode for an exploration (DESIGN.md §11).
@@ -58,8 +58,22 @@ enum class SymMode : uint8_t {
            ///< FCSL_SYMMETRY).
   Off,     ///< explore configurations as constructed.
   On,      ///< canonicalize each configuration to its orbit representative.
-  Check    ///< run Off and On, assert identical verdicts and terminals.
+  Check    ///< explore with `On` and cross-check against the plain engine.
 };
+
+/// Parses a `--por` / `FCSL_POR` spelling: off, on (alias 1), dynamic,
+/// check, check-dynamic. Returns false, leaving \p Out untouched, on any
+/// other text. Every tool and the engine's environment fallback share it,
+/// so all of them accept and reject the same spellings.
+bool parsePorMode(const char *Text, PorMode &Out);
+/// Renders a mode as its flag spelling ("default" for Default).
+const char *porModeName(PorMode M);
+
+/// Parses a `--symmetry` / `FCSL_SYMMETRY` spelling: off, on (alias 1),
+/// check. Returns false, leaving \p Out untouched, on any other text.
+bool parseSymMode(const char *Text, SymMode &Out);
+/// Renders a mode as its flag spelling ("default" for Default).
+const char *symModeName(SymMode M);
 
 /// Exploration parameters.
 struct EngineOptions {
@@ -143,6 +157,37 @@ struct Terminal {
   }
 };
 
+/// An exploration's reduction modes resolved against the process defaults
+/// (see resolveModes): POR is Off, On or Dynamic, symmetry Off or On, and
+/// a check spelling of either asks for the soundness oracle on top.
+struct ReductionModes {
+  PorMode Por = PorMode::Off;
+  SymMode Sym = SymMode::Off;
+  bool Oracle = false;
+};
+
+/// Resolves `Default` to the process defaults and folds the check modes
+/// into their reduced mode plus the oracle flag: Check is On, CheckDynamic
+/// is Dynamic, symmetry Check is On. explore(), exploreShard() and the
+/// sharded coordinator all resolve through this one function.
+ReductionModes resolveModes(PorMode Por, SymMode Sym);
+
+/// How an exploration was reduced. \c Por and \c Sym are the resolved
+/// modes of the call. When the soundness oracle ran, the result's
+/// verdict, terminals and counters are those of the plain (Off, Off) run,
+/// and \c Por / \c Sym name the reduced run it was checked against.
+struct ReductionRecord {
+  PorMode Por = PorMode::Off;
+  SymMode Sym = SymMode::Off;
+  struct OracleRecord {
+    bool Ran = false;
+    /// The reduced run disagreed with the plain one (forces Safe = false).
+    bool Mismatch = false;
+    uint64_t PlainConfigs = 0;
+    uint64_t ReducedConfigs = 0;
+  } Oracle;
+};
+
 /// The outcome of an exploration.
 struct RunResult {
   bool Safe = true;       ///< no action was applied outside its safe states.
@@ -167,24 +212,8 @@ struct RunResult {
   /// at abort (scheduling-dependent; a magnitude, not an exact count).
   uint64_t MaxConfigsBound = 0;
   uint64_t FrontierAtAbort = 0;
-  /// Partial-order reduction provenance: whether this run explored the
-  /// reduced state space, and — in Check mode — both runs' config counts
-  /// and whether they disagreed (a mismatch also forces Safe = false).
-  bool PorReduced = false;
-  bool PorDynamic = false; ///< the reduced run used dynamic ample sets.
-  bool PorChecked = false;
-  bool PorMismatch = false;
-  uint64_t ConfigsFull = 0;    ///< Check mode: the full run's configs.
-  uint64_t ConfigsReduced = 0; ///< Check/On/Dynamic: the reduced run's.
-  /// Symmetry-reduction provenance, mirroring the POR fields: whether this
-  /// run canonicalized configs to orbit representatives, and — in Check
-  /// mode — both runs' config counts and whether they disagreed (a
-  /// mismatch also forces Safe = false).
-  bool SymReduced = false;
-  bool SymChecked = false;
-  bool SymMismatch = false;
-  uint64_t SymConfigsFull = 0;      ///< Check mode: the full run's configs.
-  uint64_t SymConfigsCanonical = 0; ///< Check/On: the canonical run's.
+  /// Reduction provenance: the resolved modes and what the oracle saw.
+  ReductionRecord Reduction;
 
   bool complete() const { return Safe && !Exhausted; }
   /// Renders the failure trace, one step per line.
@@ -248,17 +277,20 @@ uint64_t totalConfigsExplored();
 void setDefaultPorMode(PorMode M);
 
 /// The process-default PorMode: the last setDefaultPorMode value, else the
-/// `FCSL_POR` environment variable ("off"/"on"/"dynamic"/"check"/
-/// "check-dynamic"), else Off.
+/// `FCSL_POR` environment variable (parsePorMode; an unknown spelling
+/// reads as Off), else Off.
 PorMode defaultPorMode();
 
-/// Cumulative full/reduced config counts over every Check-mode run so far
-/// (the cross-check harness prints the aggregate reduction ratio).
-struct PorCheckTotals {
-  uint64_t Full = 0;
-  uint64_t Reduced = 0;
+/// Cumulative soundness-oracle work over every oracle run so far: how
+/// many explore() calls ran it, the configs of their plain and reduced
+/// explorations, and how many of them disagreed.
+struct OracleTotals {
+  uint64_t Runs = 0;
+  uint64_t PlainConfigs = 0;
+  uint64_t ReducedConfigs = 0;
+  uint64_t Mismatches = 0;
 };
-PorCheckTotals porCheckTotals();
+OracleTotals oracleTotals();
 
 /// Process-wide partial-order-reduction counters over every POR-reduced
 /// run so far (reported by `fcsl-verify --stats`): dynamic races that
@@ -283,16 +315,9 @@ PorStats porStats();
 void setDefaultSymmetryMode(SymMode M);
 
 /// The process-default SymMode: the last setDefaultSymmetryMode value, else
-/// the `FCSL_SYMMETRY` environment variable ("off"/"on"/"check"), else Off.
+/// the `FCSL_SYMMETRY` environment variable (parseSymMode; an unknown
+/// spelling reads as Off), else Off.
 SymMode defaultSymmetryMode();
-
-/// Cumulative full/canonical config counts over every symmetry Check-mode
-/// run so far (mirrors porCheckTotals for the `--symmetry=check` harness).
-struct SymCheckTotals {
-  uint64_t Full = 0;
-  uint64_t Canonical = 0;
-};
-SymCheckTotals symCheckTotals();
 
 /// Process-wide orbit-cache counters over every symmetry-reduced run so
 /// far (reported by `fcsl-verify --stats`): cache probes, probe hits, how
@@ -356,12 +381,10 @@ struct ShardDelivery {
 /// The transport a sharded exploration talks to. `send` routes one
 /// frontier config toward the shard that owns it: \p FC is the decoded
 /// form and \p Fp its ownership fingerprint. The transport owns wire
-/// encoding end to end — dictionary-streamed by default, plain
-/// encodeFrontierConfigPrefix bytes when compression is off (the two
-/// produce identical decoded configs, so the engine never needs to
-/// know which is active). `pump` flushes outboxes, reports \p Status,
-/// and delivers any configs routed here. Both are called under one
-/// lock, so implementations need not be thread-safe.
+/// encoding end to end (dictionary-streamed, DESIGN.md §14), so the
+/// engine only ever sees decoded configs. `pump` flushes outboxes,
+/// reports \p Status, and delivers any configs routed here. Both are
+/// called under one lock, so implementations need not be thread-safe.
 class ShardIo {
 public:
   virtual ~ShardIo() = default;
@@ -373,8 +396,10 @@ public:
 /// Runs shard \p ShardId of an \p NShards-way partitioned exploration:
 /// identical to explore() except that only configs whose ownership
 /// fingerprint maps to this shard are inserted locally — every other
-/// successor is encoded and handed to \p Io. `Opts.Por` must already be
-/// resolved (not Default or Check) so all shards agree on the reduction.
+/// successor is encoded and handed to \p Io. The modes resolve through
+/// resolveModes(); the coordinator resolves them once in the parent so
+/// all shards agree on the reduction. The oracle is explore()'s alone:
+/// a check mode here explores its reduced space only.
 RunResult exploreShard(const ProgRef &Root, const GlobalState &Initial,
                        const EngineOptions &Opts, const VarEnv &InitialEnv,
                        unsigned ShardId, unsigned NShards, ShardIo &Io);

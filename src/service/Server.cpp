@@ -214,7 +214,7 @@ void Server::handleConnection(int Fd) {
     FrameClass Cls = classifyFrame(Payload);
     if (Cls == FrameClass::Malformed) {
       Stats.MalformedFrames.fetch_add(1, std::memory_order_relaxed);
-      Reject("malformed frame: bad codec header or version");
+      Reject("malformed frame: bad codec header, version or tag");
       continue;
     }
     if (Cls == FrameClass::UnknownType) {

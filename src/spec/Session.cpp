@@ -39,6 +39,14 @@ uint64_t fcsl::engineFlagsFingerprintFor(PorMode Por, SymMode Sym) {
   uint64_t Fp = fpString("fcsl-engine-flags");
   Fp = fpCombine(Fp, static_cast<uint64_t>(Por));
   Fp = fpCombine(Fp, static_cast<uint64_t>(Sym));
+  // Oracle modes return the plain run's counters, where the earlier
+  // per-reduction harnesses returned a partly reduced run's: salted so
+  // their old records go stale instead of tripping --cache=check. The
+  // callers pass resolved modes, so the test is three compares and every
+  // other mode keeps its fingerprint (and its warm store records).
+  if (Por == PorMode::Check || Por == PorMode::CheckDynamic ||
+      Sym == SymMode::Check)
+    Fp = fpCombine(Fp, fpString("single-oracle"));
   return Fp;
 }
 

@@ -134,7 +134,9 @@ VerifyResult fcsl::verifyTriple(const ProgRef &Prog, const Spec &S,
           static_cast<unsigned long long>(Run.MaxConfigsBound),
           static_cast<unsigned long long>(Run.ConfigsExplored),
           static_cast<unsigned long long>(Run.FrontierAtAbort),
-          Run.PorReduced ? "on" : "off");
+          Run.Reduction.Por != PorMode::Off && !Run.Reduction.Oracle.Ran
+              ? "on"
+              : "off");
       return Out;
     }
     for (const Terminal &Term : Run.Terminals) {

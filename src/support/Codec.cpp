@@ -482,52 +482,6 @@ const Prog *ProgTable::progAt(uint32_t I) const {
   return Nodes[I];
 }
 
-void fcsl::encode(Encoder &E, const FrontierConfig &C) {
-  encodeFrontierConfigPrefix(E, C);
-}
-
-size_t fcsl::encodeFrontierConfigPrefix(Encoder &E, const FrontierConfig &C) {
-  size_t Start = E.buffer().size();
-  encode(E, C.GS);
-  E.u32(static_cast<uint32_t>(C.Threads.size()));
-  for (const FrontierThread &T : C.Threads) {
-    E.u64(T.Id);
-    E.u8(T.Waiting);
-    E.u64(T.SymGroup);
-    E.u8(T.Done.has_value());
-    if (T.Done)
-      encode(E, *T.Done);
-    E.u32(static_cast<uint32_t>(T.Frames.size()));
-    for (const FrontierFrame &F : T.Frames) {
-      E.u8(F.Kind);
-      E.u32(F.Node);
-      E.u32(F.Rest);
-      E.str(F.Var);
-      E.u32(static_cast<uint32_t>(F.Env.size()));
-      for (const auto &Binding : F.Env) {
-        E.str(Binding.first);
-        encode(E, Binding.second);
-      }
-    }
-  }
-  // The identity prefix ends with the thread stacks (v4): the wake
-  // payload below is merged into the receiving shard's visited node, not
-  // compared, so it must not perturb ownership fingerprints.
-  size_t Prefix = E.buffer().size() - Start;
-  E.u32(static_cast<uint32_t>(C.Sleep.size()));
-  for (const FrontierSleep &S : C.Sleep) {
-    E.u8(S.IsEnv);
-    E.u64(S.T);
-    E.u32(S.ActNode);
-    E.u64(S.EnvIdx);
-  }
-  E.u32(C.EnvCloseMask);
-  for (const FrontierSleep &S : C.Sleep)
-    encode(E, S.Fp);
-  E.u8(C.Counts);
-  return Prefix;
-}
-
 //===----------------------------------------------------------------------===//
 // Dictionary-scoped contexts (DESIGN.md §14)
 //===----------------------------------------------------------------------===//
@@ -820,8 +774,8 @@ void NodeDictEncoder::encodeConfig(Encoder &Defs, Encoder &Refs,
   Refs.vu(C.Threads.size());
   for (const FrontierThread &T : C.Threads)
     Refs.vu(internThread(Defs, T));
-  // Wake payload and the accounting flag, as in the plain codec (sleep
-  // footprints are rare and stay plainly encoded).
+  // Wake payload and the accounting flag (sleep footprints are rare and
+  // stay plainly encoded).
   Refs.vu(C.Sleep.size());
   for (const FrontierSleep &S : C.Sleep) {
     Refs.u8(S.IsEnv);
@@ -1187,59 +1141,6 @@ FrontierConfig NodeDictDecoder::decodeConfig(Decoder &D) {
     C.Sleep.push_back(std::move(S));
   }
   C.EnvCloseMask = static_cast<uint32_t>(D.vu());
-  for (size_t I = 0; I != C.Sleep.size() && !D.failed(); ++I)
-    C.Sleep[I].Fp = decodeFootprint(D);
-  uint8_t Counts = D.u8();
-  if (Counts > 1)
-    D.fail();
-  C.Counts = Counts != 0;
-  return D.failed() ? FrontierConfig() : C;
-}
-
-FrontierConfig fcsl::decodeFrontierConfig(Decoder &D) {
-  FrontierConfig C;
-  C.GS = decodeGlobalState(D);
-  uint32_t NumThreads = D.u32();
-  for (uint32_t I = 0; I != NumThreads && !D.failed(); ++I) {
-    FrontierThread T;
-    T.Id = D.u64();
-    T.Waiting = D.u8() != 0;
-    T.SymGroup = D.u64();
-    if (D.u8() != 0)
-      T.Done = decodeVal(D);
-    uint32_t NumFrames = D.u32();
-    for (uint32_t J = 0; J != NumFrames && !D.failed(); ++J) {
-      FrontierFrame F;
-      F.Kind = D.u8();
-      F.Node = D.u32();
-      F.Rest = D.u32();
-      F.Var = D.str();
-      uint32_t NumBindings = D.u32();
-      for (uint32_t K = 0; K != NumBindings && !D.failed(); ++K) {
-        std::string Name = D.str();
-        Val V = decodeVal(D);
-        if (!D.failed())
-          F.Env.emplace(std::move(Name), std::move(V));
-      }
-      T.Frames.push_back(std::move(F));
-    }
-    C.Threads.push_back(std::move(T));
-  }
-  uint32_t NumSleep = D.u32();
-  for (uint32_t I = 0; I != NumSleep && !D.failed(); ++I) {
-    FrontierSleep S;
-    uint8_t IsEnv = D.u8();
-    if (IsEnv > 1) {
-      D.fail();
-      break;
-    }
-    S.IsEnv = IsEnv != 0;
-    S.T = D.u64();
-    S.ActNode = D.u32();
-    S.EnvIdx = D.u64();
-    C.Sleep.push_back(std::move(S));
-  }
-  C.EnvCloseMask = D.u32();
   for (size_t I = 0; I != C.Sleep.size() && !D.failed(); ++I)
     C.Sleep[I].Fp = decodeFootprint(D);
   uint8_t Counts = D.u8();

@@ -298,7 +298,7 @@ struct FrontierSleep {
 /// every thread's control stack, the POR wake payload (sleep set and
 /// terminal env-closure mask), and the dedup-accounting flag. This is the
 /// unit of work sharded exploration ships between processes (src/dist/,
-/// DESIGN.md §10).
+/// DESIGN.md §10), always through the dictionary contexts below.
 struct FrontierConfig {
   GlobalState GS;
   std::vector<FrontierThread> Threads;
@@ -316,28 +316,14 @@ struct FrontierConfig {
   }
 };
 
-void encode(Encoder &E, const FrontierConfig &C);
-
-/// Encodes \p C and returns the length in bytes of its *identity prefix*:
-/// the bytes, counted from the first byte this call appends, that cover
-/// exactly the components the engine's config equality compares (state
-/// and threads). The wake payload — sleep entries, EnvCloseMask, and the
-/// Counts flag, all merged rather than compared on arrival — is appended
-/// after the prefix, so two configs that the engine deduplicates against
-/// each other encode to identical prefixes. Shard ownership fingerprints
-/// hash the prefix only.
-size_t encodeFrontierConfigPrefix(Encoder &E, const FrontierConfig &C);
-
-FrontierConfig decodeFrontierConfig(Decoder &D);
-
 //===----------------------------------------------------------------------===//
 // Dictionary-scoped encode/decode contexts (DESIGN.md §14)
 //===----------------------------------------------------------------------===//
 //
 // FCSL states are hash-consed: two configs that share a heap, history, or
 // auxiliary subtree share the interned node, and the node's handle is a
-// process-stable fingerprint. The plain codec above re-serializes every
-// shared subtree per config; the dictionary contexts below serialize each
+// process-stable fingerprint. The value codec above serializes every
+// shared subtree in full; the dictionary contexts below serialize each
 // node once per logical connection. An encoder context assigns every
 // distinct node a dense index the first time it appears, appends its
 // definition (children as references to lower indices) to a NodeDef

@@ -24,6 +24,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -150,6 +151,100 @@ TEST(CacheKeyTest, KeysAreProcessStable) {
   std::string Mine = dumpAllKeys();
   EXPECT_FALSE(Mine.empty());
   EXPECT_EQ(ChildDump.str(), Mine);
+}
+
+namespace {
+
+/// The engine-flag fingerprint as every store record was keyed before
+/// the oracle modes were salted: the resolved mode values, nothing else.
+uint64_t unsaltedFlagsFingerprint(PorMode Por, SymMode Sym) {
+  uint64_t Fp = fpString("fcsl-engine-flags");
+  Fp = fpCombine(Fp, static_cast<uint64_t>(Por));
+  return fpCombine(Fp, static_cast<uint64_t>(Sym));
+}
+
+} // namespace
+
+TEST(CacheKeyTest, OracleModesSaltOnlyTheirFlagFingerprints) {
+  // An oracle run returns the plain run's counters, so its records must
+  // not answer for the older per-reduction harnesses' records; every
+  // other mode keeps its fingerprint bit-identical so warm stores hit.
+  std::set<uint64_t> Seen;
+  for (PorMode Por : {PorMode::Off, PorMode::On, PorMode::Dynamic,
+                      PorMode::Check, PorMode::CheckDynamic}) {
+    for (SymMode Sym : {SymMode::Off, SymMode::On, SymMode::Check}) {
+      uint64_t Fp = engineFlagsFingerprintFor(Por, Sym);
+      std::string Tag = std::string(porModeName(Por)) + "/" +
+                        symModeName(Sym);
+      if (resolveModes(Por, Sym).Oracle)
+        EXPECT_NE(Fp, unsaltedFlagsFingerprint(Por, Sym)) << Tag;
+      else
+        EXPECT_EQ(Fp, unsaltedFlagsFingerprint(Por, Sym)) << Tag;
+      EXPECT_TRUE(Seen.insert(Fp).second) << Tag << " collides";
+    }
+  }
+}
+
+TEST(CacheKeyTest, NonOracleFlagFingerprintsArePinned) {
+  // The literal keys every existing store was written under: a change to
+  // the fingerprint mixing, not only to the formula above, would orphan
+  // every warm record of these modes.
+  struct Pin {
+    PorMode Por;
+    SymMode Sym;
+    uint64_t Fp;
+  };
+  const Pin Pins[] = {
+      {PorMode::Off, SymMode::Off, 0x39ac37d995fec588ull},
+      {PorMode::Off, SymMode::On, 0xa36fd553ffded22dull},
+      {PorMode::On, SymMode::Off, 0x1c5717629a529064ull},
+      {PorMode::On, SymMode::On, 0x9b9771e8b07282cfull},
+      {PorMode::Dynamic, SymMode::Off, 0x8f270246574bb680ull},
+      {PorMode::Dynamic, SymMode::On, 0x0867e0dc38abc93full},
+  };
+  for (const Pin &P : Pins)
+    EXPECT_EQ(engineFlagsFingerprintFor(P.Por, P.Sym), P.Fp)
+        << porModeName(P.Por) << "/" << symModeName(P.Sym);
+}
+
+TEST_F(CacheTest, OracleModeRecordsFromBeforeTheSaltGoStale) {
+  // A record keyed the old way under --por=check --symmetry=check carries
+  // a partly reduced run's counters: it must be a stale-by-flag miss, not
+  // a --cache=check divergence. The same content keyed under a non-check
+  // mode still hits.
+  VerificationSession S = toySession(0x0c0c, 6);
+  ASSERT_EQ(S.units().size(), 1u);
+  {
+    cache::Store Planted;
+    ASSERT_TRUE(Planted.open(storePath(), /*Writable=*/true));
+    cache::CacheRecord R;
+    R.Key = S.units()[0].key(
+        unsaltedFlagsFingerprint(PorMode::Check, SymMode::Check));
+    R.Checks = 999; // The fresh discharge reports 6.
+    Planted.append(R);
+    R.Key = S.units()[0].key(
+        unsaltedFlagsFingerprint(PorMode::Dynamic, SymMode::On));
+    R.Checks = 6;
+    R.Counters.Configs = 12;
+    Planted.append(R);
+  }
+  setDefaultPorMode(PorMode::Check);
+  setDefaultSymmetryMode(SymMode::Check);
+  setMode(cache::CacheMode::Check);
+  SessionReport Checked = S.run();
+  setDefaultPorMode(PorMode::Dynamic);
+  setDefaultSymmetryMode(SymMode::On);
+  setMode(cache::CacheMode::Rw);
+  SessionReport Warm = S.run();
+  setDefaultPorMode(PorMode::Off);
+  setDefaultSymmetryMode(SymMode::Off);
+
+  EXPECT_TRUE(Checked.AllPassed);
+  EXPECT_EQ(Checked.Cache.Hits, 0u);
+  EXPECT_EQ(Checked.Cache.StaleFlags, 1u);
+  EXPECT_EQ(Checked.Cache.Divergences, 0u);
+  EXPECT_EQ(Warm.Cache.Hits, 1u);
+  EXPECT_EQ(Warm.Cache.Misses, 0u);
 }
 
 TEST_F(CacheTest, WarmRunReplaysBitIdentically) {

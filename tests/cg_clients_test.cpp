@@ -20,9 +20,10 @@ constexpr Label Lk = 2;
 } // namespace
 
 /// Parameterized over the lock implementation: the whole point of the
-/// abstract interface (Table 2's `3L`).
+/// abstract interface (Table 2's `3L`). The name is a std::string so that
+/// gtest prints it by value, not by the address of a literal.
 class LockClientTest
-    : public ::testing::TestWithParam<std::pair<const char *, int>> {
+    : public ::testing::TestWithParam<std::pair<std::string, int>> {
 protected:
   LockProtocol makeLock(const ResourceModel &Model) {
     if (GetParam().second == 0)
@@ -123,9 +124,10 @@ TEST_P(LockClientTest, AllocWithdrawsFromPool) {
 
 INSTANTIATE_TEST_SUITE_P(
     BothLocks, LockClientTest,
-    ::testing::Values(std::make_pair("cas", 0), std::make_pair("ticket", 1)),
-    [](const ::testing::TestParamInfo<std::pair<const char *, int>> &I) {
-      return std::string(I.param.first);
+    ::testing::Values(std::make_pair(std::string("cas"), 0),
+                      std::make_pair(std::string("ticket"), 1)),
+    [](const ::testing::TestParamInfo<std::pair<std::string, int>> &I) {
+      return I.param.first;
     });
 
 TEST(CgIncrementTest, SessionPasses) {

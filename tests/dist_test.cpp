@@ -68,7 +68,6 @@ VerdictMsg sampleVerdict() {
   V.ShardId = 3;
   V.Safe = false;
   V.Exhausted = true;
-  V.PorReduced = true;
   V.FailureNote = "probe applied outside its safe states";
   V.FailureTrace = {"thread 1: incr -> 0", "thread 1: probe UNSAFE"};
   V.Terminals.push_back(Terminal{Val::ofInt(1), sampleView()});
@@ -100,10 +99,8 @@ TEST(DistWire, RoundTripsEveryMessageType) {
   Batch.Dest = 1;
   Batch.Src = 0;
   Batch.Fps = {11, 0, 0x1234567890abcdef};
+  Batch.Defs = {9, 8, 7, 6};
   Batch.Configs = {{1, 2, 3}, {}, {0xFF, 0x00, 0x7F}};
-  FrontierBatchMsg DictBatch = Batch;
-  DictBatch.Dict = true;
-  DictBatch.Defs = {9, 8, 7, 6};
   StatsReportMsg Stats;
   Stats.ShardId = 1;
   Stats.Idle = true;
@@ -127,13 +124,8 @@ TEST(DistWire, RoundTripsEveryMessageType) {
 
     M = throughBuffer(frameBatch(Batch), Chunk);
     ASSERT_TRUE(M);
-    EXPECT_EQ(M->Type, MsgType::FrontierBatch);
-    EXPECT_EQ(M->Batch, Batch);
-
-    M = throughBuffer(frameBatch(DictBatch), Chunk);
-    ASSERT_TRUE(M);
     EXPECT_EQ(M->Type, MsgType::FrontierBatchDict);
-    EXPECT_EQ(M->Batch, DictBatch);
+    EXPECT_EQ(M->Batch, Batch);
 
     M = throughBuffer(frameStats(Stats), Chunk);
     ASSERT_TRUE(M);
@@ -258,61 +250,6 @@ FrontierConfig smallConfig() {
 
 } // namespace
 
-TEST(DistCodec, FrontierConfigPrefixRoundTrips) {
-  FrontierConfig C = smallConfig();
-  Encoder E;
-  size_t Prefix = encodeFrontierConfigPrefix(E, C);
-  EXPECT_GT(Prefix, 0u);
-  EXPECT_LE(Prefix, E.buffer().size());
-
-  Decoder D(E.buffer());
-  FrontierConfig Back = decodeFrontierConfig(D);
-  EXPECT_FALSE(D.failed());
-  EXPECT_TRUE(D.atEnd());
-  EXPECT_EQ(Back, C);
-}
-
-TEST(DistCodec, IdentityPrefixExcludesWakePayload) {
-  // Since v4 the engine deduplicates configs that differ in *any* wake
-  // payload — sleep entries, EnvCloseMask, the Counts flag — and merges
-  // the payload on arrival instead. Every such variant must own the same
-  // fingerprint bytes or shards would route merge partners apart.
-  FrontierConfig A = smallConfig();
-  FrontierConfig FpVariant = smallConfig();
-  FpVariant.Sleep[0].Fp = Footprint::none()
-                              .readWrite(FpAtom::joint(2))
-                              .read(FpAtom::otherAux(2));
-  FrontierConfig Masked = smallConfig();
-  Masked.EnvCloseMask = 0;
-  FrontierConfig Slept = smallConfig();
-  Slept.Sleep.clear();
-  FrontierConfig Uncounted = smallConfig();
-  Uncounted.Counts = false;
-  Encoder EA;
-  size_t PA = encodeFrontierConfigPrefix(EA, A);
-  for (const FrontierConfig *Other : {&FpVariant, &Masked, &Slept,
-                                      &Uncounted}) {
-    Encoder EO;
-    size_t PO = encodeFrontierConfigPrefix(EO, *Other);
-    ASSERT_EQ(PA, PO);
-    EXPECT_TRUE(std::equal(EA.buffer().begin(), EA.buffer().begin() + PA,
-                           EO.buffer().begin()));
-  }
-  // The full buffers still differ (payload rides behind the prefix).
-  Encoder EFull;
-  encodeFrontierConfigPrefix(EFull, FpVariant);
-  EXPECT_NE(EA.buffer(), EFull.buffer());
-
-  // Identity-relevant fields must land inside the prefix.
-  FrontierConfig Threaded = smallConfig();
-  Threaded.Threads[0].Waiting = !Threaded.Threads[0].Waiting;
-  Encoder EO;
-  size_t PO = encodeFrontierConfigPrefix(EO, Threaded);
-  std::vector<uint8_t> PrefA(EA.buffer().begin(), EA.buffer().begin() + PA);
-  std::vector<uint8_t> PrefO(EO.buffer().begin(), EO.buffer().begin() + PO);
-  EXPECT_NE(PrefA, PrefO);
-}
-
 TEST(DistWire, MalformedDictionaryReferenceIsSurfaced) {
   // A dict batch whose second config references past the end of the
   // connection dictionary: the transport must deliver the good config,
@@ -328,7 +265,6 @@ TEST(DistWire, MalformedDictionaryReferenceIsSurfaced) {
     FrontierBatchMsg B;
     B.Dest = 0;
     B.Src = 1;
-    B.Dict = true;
     B.Defs = Defs.take();
     B.Fps = {1, 2};
     B.Configs.push_back(Refs.take());
@@ -355,7 +291,6 @@ TEST(DistWire, MalformedDictionaryReferenceIsSurfaced) {
     FrontierBatchMsg Bad;
     Bad.Dest = 0;
     Bad.Src = 1;
-    Bad.Dict = true;
     Bad.Defs = {0xff, 0xff, 0xff}; // unknown definition tag
     Bad.Fps = {3};
     Bad.Configs.push_back({0x00});
@@ -369,6 +304,46 @@ TEST(DistWire, MalformedDictionaryReferenceIsSurfaced) {
     EXPECT_TRUE(Incoming[0].Malformed);
   }
   ::close(Fds[1]);
+}
+
+namespace {
+
+/// A well-framed frame (length prefix + payload) in the retired tag-2
+/// layout: the standalone frontier batch, whose envelope had no
+/// definition stream. No build of this protocol version sends one.
+std::vector<uint8_t> retiredBatchFrame() {
+  Encoder Body;
+  encodeHeader(Body);
+  Body.u8(2);
+  Body.u32(0);  // dest
+  Body.u32(1);  // src
+  Body.u32(1);  // one config
+  Body.u64(42); // its ownership fingerprint
+  Body.u32(3);  // the config blob
+  Body.raw({1, 2, 3});
+  Encoder Frame;
+  Frame.u32(static_cast<uint32_t>(Body.buffer().size()));
+  Frame.raw(Body.buffer());
+  return Frame.take();
+}
+
+} // namespace
+
+TEST(DistWire, RetiredBatchTagIsMalformed) {
+  // The framing is sound, so the stream stays usable...
+  std::vector<uint8_t> Frame = retiredBatchFrame();
+  FrameBuffer In;
+  In.feed(Frame.data(), Frame.size());
+  std::optional<std::vector<uint8_t>> Payload = In.next();
+  ASSERT_TRUE(Payload);
+  EXPECT_FALSE(In.corrupt());
+  // ...but tag 2 belongs to no message any more: every reader refuses it,
+  // and it is malformed rather than a newer peer's unknown type.
+  EXPECT_EQ(classifyFrame(*Payload), FrameClass::Malformed);
+  EXPECT_EQ(decodeFrame(*Payload), std::nullopt);
+  EXPECT_EQ(peekFrameTag(*Payload), std::nullopt);
+  EXPECT_FALSE(peekBatch(*Payload));
+  EXPECT_EQ(filterBatchFrame(*Payload, {true}), std::nullopt);
 }
 
 namespace {
@@ -573,10 +548,40 @@ TEST(DistEngine, LockClientShardIdentity) {
   expectShardIdentity(Ticket.Main, Ticket.Initial, Ticket.Opts);
 }
 
-TEST(DistEngine, CompressedAndLegacyWireAgreeUnderReductions) {
-  // The dictionary protocol must be invisible to results: compressed and
-  // legacy wire encodings yield bit-identical merged verdicts, terminals,
-  // and counters at every shard count, composed with dynamic POR and
+TEST(DistEngine, DirectCallReportsInProcessProvenance) {
+  // A direct distributedExplore resolves its modes through the same
+  // resolveModes() as explore(): a dynamic-POR fleet reports a dynamic
+  // reduction, never an unreduced run.
+  SpanTreeCase Case = makeSpanTreeCase(1, 2);
+  EngineOptions Opts;
+  Opts.Ambient = Case.PrivOnly;
+  Opts.EnvInterference = false;
+  Opts.Defs = &Case.Defs;
+  Opts.Shards = 1;
+  ProgRef Main = makeSpanRootProg(Case, Ptr(1));
+  GlobalState GS = spanRootState(Case, diamondOf(1));
+  for (PorMode Por : {PorMode::Off, PorMode::On, PorMode::Dynamic}) {
+    for (SymMode Sym : {SymMode::Off, SymMode::On}) {
+      Opts.Por = Por;
+      Opts.Symmetry = Sym;
+      RunResult Local = explore(Main, GS, Opts);
+      RunResult Fleet = distributedExplore(Main, GS, Opts, {}, 2);
+      std::string Tag = std::string("por=") + porModeName(Por) +
+                        " symmetry=" + symModeName(Sym);
+      EXPECT_EQ(Fleet.Reduction.Por, Por) << Tag;
+      EXPECT_EQ(Fleet.Reduction.Sym, Sym) << Tag;
+      EXPECT_EQ(Fleet.Reduction.Por, Local.Reduction.Por) << Tag;
+      EXPECT_EQ(Fleet.Reduction.Sym, Local.Reduction.Sym) << Tag;
+      EXPECT_FALSE(Fleet.Reduction.Oracle.Ran) << Tag;
+      EXPECT_EQ(Fleet.ConfigsExplored, Local.ConfigsExplored) << Tag;
+    }
+  }
+}
+
+TEST(DistEngine, DictWireMatchesInProcessUnderReductions) {
+  // The dictionary protocol must be invisible to results: sharded runs
+  // yield bit-identical merged verdicts, terminals, and counters to the
+  // in-process engine at every shard count, composed with dynamic POR and
   // symmetry reduction.
   SpanTreeCase Case = makeSpanTreeCase(1, 2);
   EngineOptions Opts;
@@ -589,31 +594,45 @@ TEST(DistEngine, CompressedAndLegacyWireAgreeUnderReductions) {
   GlobalState S0 = spanRootState(Case, diamondOf(1));
   RunResult Base = explore(Main, S0, Opts);
   ASSERT_TRUE(Base.complete()) << Base.FailureNote;
-  for (unsigned Shards : {1u, 2u, 4u}) {
-    for (bool Compress : {true, false}) {
-      SCOPED_TRACE(testing::Message() << "shards=" << Shards
-                                      << " compress=" << Compress);
-      setDistCompress(Compress);
-      RunResult R = Shards == 1
-                        ? explore(Main, S0, Opts)
-                        : distributedExplore(Main, S0, Opts, {}, Shards);
-      EXPECT_EQ(R.Safe, Base.Safe);
-      EXPECT_EQ(R.Exhausted, Base.Exhausted);
-      EXPECT_TRUE(sameTerminals(R.Terminals, Base.Terminals));
-      EXPECT_EQ(R.ConfigsExplored, Base.ConfigsExplored);
-      EXPECT_EQ(R.ActionSteps, Base.ActionSteps);
-      EXPECT_EQ(R.EnvSteps, Base.EnvSteps);
-      EXPECT_EQ(R.DedupHits, Base.DedupHits);
-      EXPECT_EQ(R.VisitedNodes, Base.VisitedNodes);
-    }
+  for (unsigned Shards : {2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "shards=" << Shards);
+    RunResult R = distributedExplore(Main, S0, Opts, {}, Shards);
+    EXPECT_EQ(R.Safe, Base.Safe);
+    EXPECT_EQ(R.Exhausted, Base.Exhausted);
+    EXPECT_TRUE(sameTerminals(R.Terminals, Base.Terminals));
+    EXPECT_EQ(R.ConfigsExplored, Base.ConfigsExplored);
+    EXPECT_EQ(R.ActionSteps, Base.ActionSteps);
+    EXPECT_EQ(R.EnvSteps, Base.EnvSteps);
+    EXPECT_EQ(R.DedupHits, Base.DedupHits);
+    EXPECT_EQ(R.VisitedNodes, Base.VisitedNodes);
   }
-  setDistCompress(true);
+}
+
+TEST(DistEngine, DictWireBytesStayBelowTheStandaloneFloor) {
+  // The deleted standalone encoding shipped 817,883 bytes on diamond-2
+  // at 2 shards in its last bench_statespace measurement; the dictionary
+  // stream shipped 36,786. Keep the old >= 5x floor as an absolute bound
+  // on the one remaining encoding.
+  SpanTreeCase Case = makeSpanTreeCase(1, 2);
+  EngineOptions Opts;
+  Opts.Ambient = Case.PrivOnly;
+  Opts.EnvInterference = false;
+  Opts.Defs = &Case.Defs;
+  Opts.Jobs = 1;
+  FleetStats Before = fleetTotals();
+  RunResult R = distributedExplore(makeSpanRootProg(Case, Ptr(1)),
+                                   spanRootState(Case, diamondOf(2)), Opts,
+                                   {}, 2);
+  FleetStats After = fleetTotals();
+  ASSERT_TRUE(R.complete()) << R.FailureNote;
+  uint64_t Bytes = After.Bytes - Before.Bytes;
+  EXPECT_GT(Bytes, 0u);
+  EXPECT_LE(Bytes * 5, 817883u) << Bytes << " relayed bytes";
 }
 
 TEST(DistEngine, CompressedWireComposesWithObligationCache) {
-  // Sharded sessions under --cache=rw: both wire encodings populate the
-  // obligation store and replay from it with the same report. The store
-  // is reset between encodings so each genuinely exercises its wire path.
+  // Sharded sessions under --cache=rw: the dictionary wire populates the
+  // obligation store and replays from it with the same report.
   ShardDefaultGuard Guard;
   installDistributedEngine();
   cache::CacheMode SavedMode = cache::defaultCacheMode();
@@ -621,22 +640,17 @@ TEST(DistEngine, CompressedWireComposesWithObligationCache) {
   SessionReport Base = makeSpinLockSession().run();
   ASSERT_TRUE(Base.AllPassed) << Base.Program;
   setDefaultShards(2);
-  for (bool Compress : {true, false}) {
-    SCOPED_TRACE(testing::Message() << "compress=" << Compress);
-    setDistCompress(Compress);
-    cache::resetActiveStore();
-    cache::setDefaultCacheMode(cache::CacheMode::Rw);
-    SessionReport Cold = makeSpinLockSession().run(); // populates the store
-    SessionReport Warm = makeSpinLockSession().run(); // replays from it
-    EXPECT_EQ(Cold.AllPassed, Base.AllPassed);
-    EXPECT_EQ(Cold.totalObligations(), Base.totalObligations());
-    EXPECT_EQ(Cold.totalChecks(), Base.totalChecks());
-    EXPECT_EQ(Warm.AllPassed, Base.AllPassed);
-    EXPECT_EQ(Warm.totalObligations(), Base.totalObligations());
-  }
+  cache::resetActiveStore();
+  cache::setDefaultCacheMode(cache::CacheMode::Rw);
+  SessionReport Cold = makeSpinLockSession().run(); // populates the store
+  SessionReport Warm = makeSpinLockSession().run(); // replays from it
+  EXPECT_EQ(Cold.AllPassed, Base.AllPassed);
+  EXPECT_EQ(Cold.totalObligations(), Base.totalObligations());
+  EXPECT_EQ(Cold.totalChecks(), Base.totalChecks());
+  EXPECT_EQ(Warm.AllPassed, Base.AllPassed);
+  EXPECT_EQ(Warm.totalObligations(), Base.totalObligations());
   cache::setDefaultCacheMode(SavedMode);
   cache::resetActiveStore();
-  setDistCompress(true);
 }
 
 TEST(DistEngine, CrashedWorkerFailsLoudly) {
@@ -656,6 +670,33 @@ TEST(DistEngine, CrashedWorkerFailsLoudly) {
   EXPECT_NE(R.FailureNote.find("shard 1"), std::string::npos)
       << R.FailureNote;
   EXPECT_NE(R.FailureNote.find("died"), std::string::npos) << R.FailureNote;
+}
+
+TEST(DistEngine, RetiredBatchFrameFailsShardLoudly) {
+  // A shard handed a tag-2 frame must not drop it and report a complete
+  // run: the frame could have carried frontier work. It fails the run.
+  SpanTreeCase Case = makeSpanTreeCase(1, 2);
+  EngineOptions Opts;
+  Opts.Ambient = Case.PrivOnly;
+  Opts.EnvInterference = false;
+  Opts.Defs = &Case.Defs;
+  int Fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
+  std::vector<uint8_t> Stream = retiredBatchFrame();
+  std::vector<uint8_t> Drain = frameDrain(DrainMsg{});
+  Stream.insert(Stream.end(), Drain.begin(), Drain.end());
+  ASSERT_EQ(::send(Fds[1], Stream.data(), Stream.size(), 0),
+            static_cast<ssize_t>(Stream.size()));
+  RunResult R;
+  {
+    SocketShardIo Io(Fds[0], /*ShardId=*/0, /*NShards=*/2);
+    R = exploreShard(makeSpanRootProg(Case, Ptr(1)),
+                     spanRootState(Case, diamondOf(1)), Opts, {}, 0, 2, Io);
+  }
+  ::close(Fds[1]);
+  EXPECT_FALSE(R.Safe);
+  EXPECT_NE(R.FailureNote.find("malformed"), std::string::npos)
+      << R.FailureNote;
 }
 
 //===----------------------------------------------------------------------===//

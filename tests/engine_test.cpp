@@ -329,3 +329,98 @@ TEST(EngineTest, EnvironmentStepsRespectOtherFixity) {
   for (const Terminal &T : R.Terminals)
     EXPECT_EQ(T.FinalView.self(Ct).getNat(), 0u);
 }
+
+//===----------------------------------------------------------------------===//
+// Mode spellings and their resolution.
+//===----------------------------------------------------------------------===//
+
+TEST(EngineModeTest, PorSpellingsRoundTrip) {
+  for (PorMode M : {PorMode::Off, PorMode::On, PorMode::Dynamic,
+                    PorMode::Check, PorMode::CheckDynamic}) {
+    PorMode Parsed = PorMode::Default;
+    ASSERT_TRUE(parsePorMode(porModeName(M), Parsed)) << porModeName(M);
+    EXPECT_EQ(Parsed, M);
+  }
+  PorMode Alias = PorMode::Off;
+  EXPECT_TRUE(parsePorMode("1", Alias));
+  EXPECT_EQ(Alias, PorMode::On);
+  EXPECT_STREQ(porModeName(PorMode::Default), "default");
+}
+
+TEST(EngineModeTest, SymSpellingsRoundTrip) {
+  for (SymMode M : {SymMode::Off, SymMode::On, SymMode::Check}) {
+    SymMode Parsed = SymMode::Default;
+    ASSERT_TRUE(parseSymMode(symModeName(M), Parsed)) << symModeName(M);
+    EXPECT_EQ(Parsed, M);
+  }
+  SymMode Alias = SymMode::Off;
+  EXPECT_TRUE(parseSymMode("1", Alias));
+  EXPECT_EQ(Alias, SymMode::On);
+  EXPECT_STREQ(symModeName(SymMode::Default), "default");
+}
+
+TEST(EngineModeTest, EnumValuesAreTheDaemonModeBytes) {
+  // fcsl-client sends these values on the wire and the obligation cache
+  // fingerprints them: they must never be renumbered.
+  EXPECT_EQ(static_cast<int>(PorMode::Default), 0);
+  EXPECT_EQ(static_cast<int>(PorMode::Off), 1);
+  EXPECT_EQ(static_cast<int>(PorMode::On), 2);
+  EXPECT_EQ(static_cast<int>(PorMode::Dynamic), 3);
+  EXPECT_EQ(static_cast<int>(PorMode::Check), 4);
+  EXPECT_EQ(static_cast<int>(PorMode::CheckDynamic), 5);
+  EXPECT_EQ(static_cast<int>(SymMode::Default), 0);
+  EXPECT_EQ(static_cast<int>(SymMode::Off), 1);
+  EXPECT_EQ(static_cast<int>(SymMode::On), 2);
+  EXPECT_EQ(static_cast<int>(SymMode::Check), 3);
+}
+
+TEST(EngineModeTest, TyposAreRejectedAndLeaveTheOutputAlone) {
+  for (const char *Bad : {"", "dynamc", "ON", "check_dynamic", "checkdynamic",
+                          "default", "2", "off ", "check-dynamicx"}) {
+    PorMode Por = PorMode::Dynamic;
+    EXPECT_FALSE(parsePorMode(Bad, Por)) << "'" << Bad << "'";
+    EXPECT_EQ(Por, PorMode::Dynamic) << "'" << Bad << "'";
+  }
+  for (const char *Bad : {"", "chek", "dynamic", "default", "Off"}) {
+    SymMode Sym = SymMode::Check;
+    EXPECT_FALSE(parseSymMode(Bad, Sym)) << "'" << Bad << "'";
+    EXPECT_EQ(Sym, SymMode::Check) << "'" << Bad << "'";
+  }
+  PorMode Por = PorMode::On;
+  SymMode Sym = SymMode::On;
+  EXPECT_FALSE(parsePorMode(nullptr, Por));
+  EXPECT_FALSE(parseSymMode(nullptr, Sym));
+}
+
+TEST(EngineModeTest, ResolveFoldsCheckModesIntoTheOracle) {
+  struct Row {
+    PorMode Por;
+    SymMode Sym;
+    PorMode WantPor;
+    SymMode WantSym;
+    bool WantOracle;
+  };
+  const Row Rows[] = {
+      {PorMode::Off, SymMode::Off, PorMode::Off, SymMode::Off, false},
+      {PorMode::Dynamic, SymMode::On, PorMode::Dynamic, SymMode::On, false},
+      {PorMode::Check, SymMode::Off, PorMode::On, SymMode::Off, true},
+      {PorMode::CheckDynamic, SymMode::On, PorMode::Dynamic, SymMode::On,
+       true},
+      {PorMode::On, SymMode::Check, PorMode::On, SymMode::On, true},
+      {PorMode::CheckDynamic, SymMode::Check, PorMode::Dynamic, SymMode::On,
+       true},
+  };
+  for (const Row &R : Rows) {
+    ReductionModes M = resolveModes(R.Por, R.Sym);
+    EXPECT_EQ(M.Por, R.WantPor) << porModeName(R.Por);
+    EXPECT_EQ(M.Sym, R.WantSym) << symModeName(R.Sym);
+    EXPECT_EQ(M.Oracle, R.WantOracle)
+        << porModeName(R.Por) << "/" << symModeName(R.Sym);
+  }
+  // Default resolves to the process default.
+  setDefaultPorMode(PorMode::CheckDynamic);
+  ReductionModes M = resolveModes(PorMode::Default, SymMode::Off);
+  setDefaultPorMode(PorMode::Off);
+  EXPECT_EQ(M.Por, PorMode::Dynamic);
+  EXPECT_TRUE(M.Oracle);
+}

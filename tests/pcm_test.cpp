@@ -62,14 +62,23 @@ std::vector<PCMVal> sampleFor(const PCMType &T) {
   return {};
 }
 
+/// A carrier under test. It prints as the carrier's name, so the test
+/// names stay the same from one build to the next; gtest would print a
+/// bare PCMTypeRef by its address.
+struct Carrier {
+  PCMTypeRef T;
+};
+
+void PrintTo(const Carrier &C, std::ostream *OS) { *OS << C.T->name(); }
+
 } // namespace
 
 /// Parameterized sweep: the PCM laws hold for every carrier used in the
 /// paper's case studies.
-class PCMLawsTest : public ::testing::TestWithParam<PCMTypeRef> {};
+class PCMLawsTest : public ::testing::TestWithParam<Carrier> {};
 
 TEST_P(PCMLawsTest, LawsHold) {
-  PCMTypeRef T = GetParam();
+  PCMTypeRef T = GetParam().T;
   std::vector<PCMVal> Sample = sampleFor(*T);
   ASSERT_FALSE(Sample.empty());
   PCMLawReport R = checkPCMLaws(*T, Sample);
@@ -81,21 +90,22 @@ TEST_P(PCMLawsTest, LawsHold) {
 }
 
 TEST_P(PCMLawsTest, UnitIsUnitOf) {
-  PCMTypeRef T = GetParam();
+  PCMTypeRef T = GetParam().T;
   EXPECT_TRUE(T->unit().isUnitOf(*T));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllCarriers, PCMLawsTest,
     ::testing::Values(
-        PCMType::nat(), PCMType::mutex(), PCMType::ptrSet(),
-        PCMType::heap(), PCMType::hist(),
-        PCMType::pairOf(PCMType::mutex(), PCMType::nat()),
-        PCMType::pairOf(PCMType::ptrSet(), PCMType::hist()),
-        PCMType::lifted(PCMType::nat()),
-        PCMType::pairOf(PCMType::mutex(),
-                        PCMType::pairOf(PCMType::ptrSet(),
-                                        PCMType::hist()))));
+        Carrier{PCMType::nat()}, Carrier{PCMType::mutex()},
+        Carrier{PCMType::ptrSet()}, Carrier{PCMType::heap()},
+        Carrier{PCMType::hist()},
+        Carrier{PCMType::pairOf(PCMType::mutex(), PCMType::nat())},
+        Carrier{PCMType::pairOf(PCMType::ptrSet(), PCMType::hist())},
+        Carrier{PCMType::lifted(PCMType::nat())},
+        Carrier{PCMType::pairOf(
+            PCMType::mutex(),
+            PCMType::pairOf(PCMType::ptrSet(), PCMType::hist()))}));
 
 TEST(PCMJoinTest, MutexExclusion) {
   EXPECT_FALSE(

@@ -111,9 +111,8 @@ TEST(PorDynamicTest, SpanningTreeDynamicBeatsStatic) {
   RunResult Dyn = explore(Main, GS, Opts);
   ASSERT_TRUE(Full.complete()) << Full.FailureNote;
   ASSERT_TRUE(Dyn.complete()) << Dyn.FailureNote;
-  EXPECT_TRUE(Dyn.PorReduced);
-  EXPECT_TRUE(Dyn.PorDynamic);
-  EXPECT_FALSE(Static.PorDynamic);
+  EXPECT_EQ(Dyn.Reduction.Por, PorMode::Dynamic);
+  EXPECT_EQ(Static.Reduction.Por, PorMode::On);
   EXPECT_TRUE(sameTerminals(Full, Dyn));
   // Strict pins: dynamic never beats full by less than static does, and
   // both modes genuinely reduce this commuting-heavy program.
@@ -135,7 +134,7 @@ TEST(PorDynamicTest, FlatCombinerDynamicStrictlyReduces) {
   PorStats After = porStats();
   ASSERT_TRUE(Full.complete()) << Full.FailureNote;
   ASSERT_TRUE(Dyn.complete()) << Dyn.FailureNote;
-  EXPECT_TRUE(Dyn.PorDynamic);
+  EXPECT_EQ(Dyn.Reduction.Por, PorMode::Dynamic);
   EXPECT_TRUE(sameTerminals(Full, Dyn));
   EXPECT_LT(Dyn.ConfigsExplored, Full.ConfigsExplored)
       << Dyn.ConfigsExplored << " dynamic vs " << Full.ConfigsExplored
@@ -219,14 +218,15 @@ TEST(PorDynamicTest, CheckDynamicModeReportsBothRuns) {
   S.Opts.Por = PorMode::CheckDynamic;
   RunResult R = explore(S.Main, S.Initial, S.Opts);
   EXPECT_TRUE(R.Safe);
-  EXPECT_TRUE(R.PorChecked);
-  EXPECT_FALSE(R.PorMismatch);
-  EXPECT_GT(R.ConfigsFull, 0u);
-  EXPECT_GT(R.ConfigsReduced, 0u);
-  EXPECT_LT(R.ConfigsReduced, R.ConfigsFull);
-  // Like Check, CheckDynamic reports the full (ground-truth) run.
-  EXPECT_FALSE(R.PorReduced);
-  EXPECT_EQ(R.ConfigsExplored, R.ConfigsFull);
+  EXPECT_TRUE(R.Reduction.Oracle.Ran);
+  EXPECT_FALSE(R.Reduction.Oracle.Mismatch);
+  EXPECT_GT(R.Reduction.Oracle.PlainConfigs, 0u);
+  EXPECT_GT(R.Reduction.Oracle.ReducedConfigs, 0u);
+  EXPECT_LT(R.Reduction.Oracle.ReducedConfigs,
+            R.Reduction.Oracle.PlainConfigs);
+  // Like Check, CheckDynamic reports the plain (ground-truth) run.
+  EXPECT_EQ(R.Reduction.Por, PorMode::Dynamic);
+  EXPECT_EQ(R.ConfigsExplored, R.Reduction.Oracle.PlainConfigs);
 }
 
 TEST(PorDynamicTest, CheckDynamicCrossValidatesAllSessions) {

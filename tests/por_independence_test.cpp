@@ -227,8 +227,8 @@ TEST(PorEquivalenceTest, OpenWorldSpanMatchesFullExploration) {
           << "X=" << X.toString() << " |EnvMarked|=" << EnvMarked.size()
           << ": " << Full.Terminals.size() << " full vs "
           << Red.Terminals.size() << " reduced terminals";
-      EXPECT_TRUE(Red.PorReduced);
-      EXPECT_FALSE(Full.PorReduced);
+      EXPECT_EQ(Red.Reduction.Por, PorMode::On);
+      EXPECT_EQ(Full.Reduction.Por, PorMode::Off);
     }
   }
 }
@@ -282,15 +282,17 @@ TEST(PorEquivalenceTest, CheckModeCrossValidates) {
   Opts.Por = PorMode::Check;
   RunResult R = explore(Main, GS, Opts);
   EXPECT_TRUE(R.Safe);
-  EXPECT_TRUE(R.PorChecked);
-  EXPECT_FALSE(R.PorMismatch);
-  EXPECT_GT(R.ConfigsFull, 0u);
-  EXPECT_GT(R.ConfigsReduced, 0u);
-  EXPECT_LT(R.ConfigsReduced, R.ConfigsFull);
-  // Check mode reports the *full* run (the ground truth), so its counters
-  // and PorReduced flag describe the unreduced exploration.
-  EXPECT_FALSE(R.PorReduced);
-  EXPECT_EQ(R.ConfigsExplored, R.ConfigsFull);
+  EXPECT_TRUE(R.Reduction.Oracle.Ran);
+  EXPECT_FALSE(R.Reduction.Oracle.Mismatch);
+  EXPECT_GT(R.Reduction.Oracle.PlainConfigs, 0u);
+  EXPECT_GT(R.Reduction.Oracle.ReducedConfigs, 0u);
+  EXPECT_LT(R.Reduction.Oracle.ReducedConfigs,
+            R.Reduction.Oracle.PlainConfigs);
+  // The oracle returns the *plain* run (the ground truth), so the counters
+  // describe the unreduced exploration; the record names the reduction
+  // it was checked against.
+  EXPECT_EQ(R.Reduction.Por, PorMode::On);
+  EXPECT_EQ(R.ConfigsExplored, R.Reduction.Oracle.PlainConfigs);
 }
 
 TEST(PorEquivalenceTest, DefaultModeFollowsProcessDefault) {
@@ -303,8 +305,8 @@ TEST(PorEquivalenceTest, DefaultModeFollowsProcessDefault) {
   RunResult R = explore(Main, GS, Opts);
   setDefaultPorMode(PorMode::Off);
   RunResult F = explore(Main, GS, Opts);
-  EXPECT_TRUE(R.PorReduced);
-  EXPECT_FALSE(F.PorReduced);
+  EXPECT_EQ(R.Reduction.Por, PorMode::On);
+  EXPECT_EQ(F.Reduction.Por, PorMode::Off);
   EXPECT_TRUE(sameTerminals(R, F));
 }
 
@@ -354,6 +356,91 @@ TEST(PorFailureTest, RacyUnsafeActionStillDetected) {
   EXPECT_NE(Red.FailureNote.find("assert_unmarked"), std::string::npos)
       << Red.FailureNote;
   EXPECT_FALSE(Red.FailureTrace.empty());
+}
+
+//===----------------------------------------------------------------------===//
+// The soundness oracle must fire on an unsound reduction.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// par(trymark(1), read_marked(1)) where read_marked observes node 1's
+/// Marked field but declares an empty static footprint: it falsely claims
+/// independence from its sibling's write, so POR explores it alone and
+/// loses the schedule in which trymark lands first.
+struct LyingReaderSetup {
+  SpanTreeCase Case = makeSpanTreeCase(Pv, Sp);
+  ProgRef Main;
+  GlobalState GS;
+  EngineOptions Opts;
+
+  LyingReaderSetup() {
+    ActionRef ReadMarked = makeAction(
+        "read_marked", Case.Open, 1,
+        [](const View &Pre, const std::vector<Val> &Args)
+            -> std::optional<std::vector<ActOutcome>> {
+          const Heap &G = Pre.joint(Sp);
+          if (!Args[0].isPtr() || !G.contains(Args[0].getPtr()))
+            return std::nullopt;
+          bool Marked = G.lookup(Args[0].getPtr()).getNode().Marked;
+          return std::vector<ActOutcome>{{Val::ofBool(Marked), Pre}};
+        },
+        Footprint::none());
+    Main = Prog::par(Prog::act(Case.TryMark, {Expr::litPtr(Ptr(1))}),
+                     Prog::act(ReadMarked, {Expr::litPtr(Ptr(1))}));
+    GS = spanOpenState(Case, threeNodeGraph(), {});
+    Opts = openOpts(Case);
+    Opts.EnvInterference = false;
+  }
+};
+
+/// Asserts \p R is an oracle run that caught the lost schedule.
+void expectOracleFired(const RunResult &R) {
+  EXPECT_FALSE(R.Safe);
+  EXPECT_TRUE(R.Reduction.Oracle.Ran);
+  EXPECT_TRUE(R.Reduction.Oracle.Mismatch);
+  EXPECT_NE(R.FailureNote.find("soundness oracle failed"), std::string::npos)
+      << R.FailureNote;
+  EXPECT_NE(R.FailureNote.find("first terminal only in plain exploration"),
+            std::string::npos)
+      << R.FailureNote;
+}
+
+} // namespace
+
+TEST(PorOracleTest, LyingFootprintLosesATerminal) {
+  // The planted bug is real: the reduced run is safe and complete, yet
+  // misses a terminal of the plain run.
+  LyingReaderSetup S;
+  S.Opts.Por = PorMode::Off;
+  RunResult Plain = explore(S.Main, S.GS, S.Opts);
+  S.Opts.Por = PorMode::On;
+  RunResult Reduced = explore(S.Main, S.GS, S.Opts);
+  ASSERT_TRUE(Plain.complete() && Reduced.complete());
+  EXPECT_LT(Reduced.Terminals.size(), Plain.Terminals.size());
+}
+
+TEST(PorOracleTest, CheckModeFiresOnLyingFootprint) {
+  LyingReaderSetup S;
+  S.Opts.Por = PorMode::Check;
+  S.Opts.Symmetry = SymMode::Off;
+  OracleTotals Before = oracleTotals();
+  RunResult R = explore(S.Main, S.GS, S.Opts);
+  expectOracleFired(R);
+  EXPECT_EQ(R.Reduction.Por, PorMode::On);
+  EXPECT_EQ(oracleTotals().Mismatches, Before.Mismatches + 1);
+}
+
+TEST(PorOracleTest, CheckModeFiresWithSymmetryComposed) {
+  // With symmetry on, terminals compare modulo the pointer abstraction;
+  // the lost schedule must still show.
+  LyingReaderSetup S;
+  S.Opts.Por = PorMode::Check;
+  S.Opts.Symmetry = SymMode::On;
+  RunResult R = explore(S.Main, S.GS, S.Opts);
+  expectOracleFired(R);
+  EXPECT_EQ(R.Reduction.Por, PorMode::On);
+  EXPECT_EQ(R.Reduction.Sym, SymMode::On);
 }
 
 //===----------------------------------------------------------------------===//
@@ -466,7 +553,7 @@ TEST(StructurePorTest, TreiberConcurrentHeadReadsReduceStrictly) {
   ASSERT_TRUE(Full.Safe);
   ASSERT_TRUE(Red.Safe);
   EXPECT_TRUE(sameTerminals(Full, Red));
-  EXPECT_TRUE(Red.PorReduced);
+  EXPECT_EQ(Red.Reduction.Por, PorMode::On);
   EXPECT_LT(Red.ConfigsExplored, Full.ConfigsExplored)
       << Red.ConfigsExplored << " reduced vs " << Full.ConfigsExplored;
   EXPECT_LT(Red.ActionSteps, Full.ActionSteps);

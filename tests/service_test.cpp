@@ -29,6 +29,7 @@
 #include <cstring>
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
 
@@ -278,6 +279,17 @@ TEST_F(ServiceTest, MalformedAndUnknownFramesAreRejectedLoudly) {
   ASSERT_TRUE(Ch.send(rawFrame(Unknown.take())));
   ExpectReject("unknown message type");
 
+  // The retired tag 2 (the standalone frontier batch) is no newer peer's
+  // message: rejected as malformed, connection survives.
+  Encoder Retired;
+  encodeHeader(Retired);
+  Retired.u8(2);
+  Retired.u32(0);
+  Retired.u32(1);
+  Retired.u32(0);
+  ASSERT_TRUE(Ch.send(rawFrame(Retired.take())));
+  ExpectReject("malformed");
+
   // Known tag, truncated body: rejected as malformed, connection survives.
   std::vector<uint8_t> Truncated = frameSubmitSession(SubmitSessionMsg{});
   Truncated.erase(Truncated.begin(), Truncated.begin() + 4); // strip length
@@ -326,9 +338,36 @@ TEST_F(ServiceTest, MalformedAndUnknownFramesAreRejectedLoudly) {
   ASSERT_TRUE(Fresh.ok()) << Fresh.error();
   std::optional<CacheStatsMsg> Stats = Fresh.stats();
   ASSERT_TRUE(Stats);
-  EXPECT_GE(Stats->MalformedFrames, 2u);
+  EXPECT_GE(Stats->MalformedFrames, 3u);
   EXPECT_GE(Stats->UnknownFrames, 1u);
-  EXPECT_GE(Stats->Rejected, 5u);
+  EXPECT_GE(Stats->Rejected, 6u);
+}
+
+TEST(ServiceToolsTest, BadModeEnvironmentExitsTwo) {
+  // fcsl-serve and fcsl-verify validate every FCSL_* knob at startup
+  // through the shared mode parsers: a typo must not silently run the
+  // wrong engine configuration. The trailing unknown flag makes a tool
+  // that skipped validation exit through its usage text instead (also
+  // status 2, but without the error line), so it can never start serving.
+  for (const char *Bin : {FCSL_SERVE_BIN, FCSL_VERIFY_BIN}) {
+    for (const char *Env : {"FCSL_POR=dynamc", "FCSL_SYMMETRY=chek",
+                            "FCSL_CACHE=wr", "FCSL_JOBS=-1",
+                            "FCSL_SHARDS=0"}) {
+      std::string Cmd =
+          std::string("env ") + Env + " '" + Bin + "' --no-such-flag 2>&1";
+      FILE *P = ::popen(Cmd.c_str(), "r");
+      ASSERT_NE(P, nullptr) << Cmd;
+      std::string Out;
+      char Buf[256];
+      while (size_t N = std::fread(Buf, 1, sizeof(Buf), P))
+        Out.append(Buf, N);
+      int Status = ::pclose(P);
+      ASSERT_TRUE(WIFEXITED(Status)) << Cmd;
+      EXPECT_EQ(WEXITSTATUS(Status), 2) << Cmd;
+      EXPECT_NE(Out.find("error: invalid"), std::string::npos)
+          << Cmd << "\n" << Out;
+    }
+  }
 }
 
 TEST_F(ServiceTest, ShutdownDrainsInFlightSessions) {

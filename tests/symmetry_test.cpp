@@ -5,7 +5,7 @@
 // strict state-space reduction on programs with interchangeable sibling
 // threads (including a nested par tree whose orbits have up to 2^3
 // members), stability of the canonical space across job counts and shard
-// counts, the `--symmetry=check` cross-validation harness over the
+// counts, the `--symmetry=check` soundness oracle over the
 // Table 1 sessions, and composition with partial-order reduction and
 // multi-process sharding. Part of the TSan stage of scripts/verify.sh.
 //
@@ -235,8 +235,8 @@ TEST(SymmetryTest, SiblingPairCollapsesToOneOrbitPerLevel) {
   ASSERT_TRUE(Canon.Safe);
   EXPECT_EQ(Full.Exhausted, Canon.Exhausted);
   EXPECT_TRUE(sameTerminals(Full, Canon));
-  EXPECT_TRUE(Canon.SymReduced);
-  EXPECT_FALSE(Full.SymReduced);
+  EXPECT_EQ(Canon.Reduction.Sym, SymMode::On);
+  EXPECT_EQ(Full.Reduction.Sym, SymMode::Off);
   EXPECT_LT(Canon.ConfigsExplored, Full.ConfigsExplored)
       << Canon.ConfigsExplored << " canonical vs " << Full.ConfigsExplored
       << " full configurations";
@@ -468,8 +468,8 @@ TEST(SymmetryTest, CanonicalSpaceIsProcessStable) {
 }
 
 //===----------------------------------------------------------------------===//
-// The check harness: canonical exploration cross-validated against the
-// full one, exactly like --por=check.
+// The soundness oracle: canonical exploration cross-validated against the
+// plain engine, exactly like --por=check.
 //===----------------------------------------------------------------------===//
 
 TEST(SymmetryCheckTest, CheckModeCrossValidates) {
@@ -478,14 +478,15 @@ TEST(SymmetryCheckTest, CheckModeCrossValidates) {
   Opts.Symmetry = SymMode::Check;
   RunResult R = explore(symmetricQuad(W), counterState(), Opts);
   EXPECT_TRUE(R.Safe);
-  EXPECT_TRUE(R.SymChecked);
-  EXPECT_FALSE(R.SymMismatch);
-  EXPECT_GT(R.SymConfigsFull, 0u);
-  EXPECT_GT(R.SymConfigsCanonical, 0u);
-  EXPECT_LT(R.SymConfigsCanonical, R.SymConfigsFull);
-  // Check mode reports the *full* run (the ground truth).
-  EXPECT_FALSE(R.SymReduced);
-  EXPECT_EQ(R.ConfigsExplored, R.SymConfigsFull);
+  EXPECT_TRUE(R.Reduction.Oracle.Ran);
+  EXPECT_FALSE(R.Reduction.Oracle.Mismatch);
+  EXPECT_GT(R.Reduction.Oracle.PlainConfigs, 0u);
+  EXPECT_GT(R.Reduction.Oracle.ReducedConfigs, 0u);
+  EXPECT_LT(R.Reduction.Oracle.ReducedConfigs,
+            R.Reduction.Oracle.PlainConfigs);
+  // The oracle reports the *plain* run (the ground truth).
+  EXPECT_EQ(R.Reduction.Sym, SymMode::On);
+  EXPECT_EQ(R.ConfigsExplored, R.Reduction.Oracle.PlainConfigs);
 }
 
 TEST(SymmetryCheckTest, DefaultModeFollowsProcessDefault) {
@@ -497,8 +498,8 @@ TEST(SymmetryCheckTest, DefaultModeFollowsProcessDefault) {
   RunResult Canon = explore(symmetricPair(W), counterState(), Opts);
   setDefaultSymmetryMode(SymMode::Off);
   RunResult Full = explore(symmetricPair(W), counterState(), Opts);
-  EXPECT_TRUE(Canon.SymReduced);
-  EXPECT_FALSE(Full.SymReduced);
+  EXPECT_EQ(Canon.Reduction.Sym, SymMode::On);
+  EXPECT_EQ(Full.Reduction.Sym, SymMode::Off);
   EXPECT_TRUE(sameTerminals(Canon, Full));
 }
 
@@ -506,7 +507,7 @@ TEST(SymmetryCheckTest, EveryTableOneSessionPassesUnderCheck) {
   // The acceptance gate: every Table 1 session discharges identically in
   // the canonical and the full space. Sessions run their engine calls
   // with SymMode::Default, so the process default routes them all
-  // through the check harness.
+  // through the soundness oracle.
   SymModeGuard Guard;
   setDefaultSymmetryMode(SymMode::Check);
   for (const CaseEntry &Case : allCaseStudies()) {
@@ -551,19 +552,63 @@ TEST(SymmetryComposeTest, SymmetryPorAndShardsMatchThePlainEngine) {
 }
 
 TEST(SymmetryComposeTest, CheckComposesWithPorOnTableOneStructure) {
-  // Both reductions in check mode at once on a real structure: the POR
-  // harness resolves first and each of its sub-runs goes through the
-  // symmetry harness.
+  // Both reductions in check mode at once on a real structure: one
+  // oracle run per exploration, the plain engine against POR and
+  // symmetry composed.
   SymModeGuard Guard;
   setDefaultSymmetryMode(SymMode::Check);
   setDefaultPorMode(PorMode::Check);
   SessionReport Report;
+  OracleTotals Before = oracleTotals();
+  uint64_t ConfigsBefore = totalConfigsExplored();
   for (const CaseEntry &Case : allCaseStudies())
     if (Case.Name == "CG increment")
       Report = Case.MakeSession().run();
+  OracleTotals After = oracleTotals();
   setDefaultPorMode(PorMode::Off);
   EXPECT_EQ(Report.Program, "CG increment");
   EXPECT_TRUE(Report.AllPassed)
       << (Report.Failures.empty() ? std::string("(no failure note)")
                                   : Report.Failures.front());
+  // Every config the session explored belongs to an oracle run's plain
+  // or reduced exploration: no nested per-reduction sub-runs.
+  EXPECT_GT(After.Runs, Before.Runs);
+  EXPECT_EQ(After.Mismatches, Before.Mismatches);
+  EXPECT_EQ(totalConfigsExplored() - ConfigsBefore,
+            (After.PlainConfigs - Before.PlainConfigs) +
+                (After.ReducedConfigs - Before.ReducedConfigs));
+}
+
+TEST(SymmetryComposeTest, CombinedCheckModesRunOnePlainAndOneReducedRun) {
+  // --por=check --symmetry=check on one exploration: exactly one oracle
+  // run, whose plain side is the (Off, Off) engine and whose reduced side
+  // is POR and symmetry composed. The returned result is the plain run.
+  CounterWorld W = makeCounterWorld();
+  ProgRef Main = symmetricQuad(W);
+  EngineOptions Opts = optsFor(W);
+  Opts.Por = PorMode::Off;
+  Opts.Symmetry = SymMode::Off;
+  RunResult Plain = explore(Main, counterState(), Opts);
+  Opts.Por = PorMode::On;
+  Opts.Symmetry = SymMode::On;
+  RunResult Reduced = explore(Main, counterState(), Opts);
+
+  Opts.Por = PorMode::Check;
+  Opts.Symmetry = SymMode::Check;
+  OracleTotals Before = oracleTotals();
+  uint64_t ConfigsBefore = totalConfigsExplored();
+  RunResult R = explore(Main, counterState(), Opts);
+  OracleTotals After = oracleTotals();
+  EXPECT_TRUE(R.Safe) << R.FailureNote;
+  EXPECT_FALSE(R.Reduction.Oracle.Mismatch);
+  EXPECT_EQ(After.Runs - Before.Runs, 1u);
+  EXPECT_EQ(After.PlainConfigs - Before.PlainConfigs, Plain.ConfigsExplored);
+  EXPECT_EQ(After.ReducedConfigs - Before.ReducedConfigs,
+            Reduced.ConfigsExplored);
+  EXPECT_EQ(totalConfigsExplored() - ConfigsBefore,
+            Plain.ConfigsExplored + Reduced.ConfigsExplored);
+  EXPECT_LT(Reduced.ConfigsExplored, Plain.ConfigsExplored);
+  EXPECT_EQ(R.ConfigsExplored, Plain.ConfigsExplored);
+  EXPECT_EQ(R.ActionSteps, Plain.ActionSteps);
+  EXPECT_TRUE(sameTerminals(R, Plain));
 }

@@ -16,6 +16,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "cache/Store.h"
+#include "prog/Engine.h"
 #include "service/Client.h"
 #include "spec/Session.h"
 #include "structures/Suite.h"
@@ -51,46 +53,15 @@ int usage() {
   return 2;
 }
 
-/// Maps a mode string to its raw wire byte (0 stays \"daemon default\").
-bool porByte(const char *Mode, uint8_t &Out) {
-  if (!std::strcmp(Mode, "off"))
-    Out = 1;
-  else if (!std::strcmp(Mode, "on"))
-    Out = 2;
-  else if (!std::strcmp(Mode, "dynamic"))
-    Out = 3;
-  else if (!std::strcmp(Mode, "check"))
-    Out = 4;
-  else if (!std::strcmp(Mode, "check-dynamic"))
-    Out = 5;
-  else
+/// Parses a mode flag into its wire byte: the enum's own value, so a
+/// byte never drifts from the mode it names (0 stays "daemon default").
+template <typename Mode>
+bool modeByte(const char *Text, bool (*Parse)(const char *, Mode &),
+              uint8_t &Out) {
+  Mode M{};
+  if (!Parse(Text, M))
     return false;
-  return true;
-}
-
-bool symByte(const char *Mode, uint8_t &Out) {
-  if (!std::strcmp(Mode, "off"))
-    Out = 1;
-  else if (!std::strcmp(Mode, "on"))
-    Out = 2;
-  else if (!std::strcmp(Mode, "check"))
-    Out = 3;
-  else
-    return false;
-  return true;
-}
-
-bool cacheByte(const char *Mode, uint8_t &Out) {
-  if (!std::strcmp(Mode, "off"))
-    Out = 1;
-  else if (!std::strcmp(Mode, "rw"))
-    Out = 2;
-  else if (!std::strcmp(Mode, "ro"))
-    Out = 3;
-  else if (!std::strcmp(Mode, "check"))
-    Out = 4;
-  else
-    return false;
+  Out = static_cast<uint8_t>(M);
   return true;
 }
 
@@ -118,13 +89,13 @@ int main(int Argc, char **Argv) {
     if (!std::strcmp(Argv[I], "--socket") && I + 1 < Argc) {
       Socket = Argv[++I];
     } else if (!std::strcmp(Argv[I], "--por") && I + 1 < Argc) {
-      if (!porByte(Argv[++I], Por))
+      if (!modeByte(Argv[++I], parsePorMode, Por))
         return usage();
     } else if (!std::strcmp(Argv[I], "--symmetry") && I + 1 < Argc) {
-      if (!symByte(Argv[++I], Sym))
+      if (!modeByte(Argv[++I], parseSymMode, Sym))
         return usage();
     } else if (!std::strcmp(Argv[I], "--cache") && I + 1 < Argc) {
-      if (!cacheByte(Argv[++I], Cache))
+      if (!modeByte(Argv[++I], cache::parseCacheMode, Cache))
         return usage();
     } else if (!std::strcmp(Argv[I], "--jobs") && I + 1 < Argc) {
       char *End = nullptr;

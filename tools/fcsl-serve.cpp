@@ -15,10 +15,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "cache/Store.h"
-#include "prog/Engine.h"
 #include "service/Server.h"
 #include "support/ThreadPool.h"
+#include "ModeFlags.h"
 
 #include <csignal>
 #include <cstdio>
@@ -69,6 +68,8 @@ void onSignal(int) {
 } // namespace
 
 int main(int Argc, char **Argv) {
+  if (int Bad = validateEnv())
+    return Bad;
   service::ServerOptions Opts;
   auto ParseUnsigned = [](const char *Text, long Min, long &Out) {
     char *End = nullptr;
@@ -90,34 +91,15 @@ int main(int Argc, char **Argv) {
       Opts.Jobs = static_cast<unsigned>(N);
       setDefaultJobs(static_cast<unsigned>(N));
     } else if (std::strcmp(Argv[I], "--por") == 0 && I + 1 < Argc) {
-      const char *Mode = Argv[++I];
-      if (std::strcmp(Mode, "off") == 0)
-        setDefaultPorMode(PorMode::Off);
-      else if (std::strcmp(Mode, "on") == 0)
-        setDefaultPorMode(PorMode::On);
-      else if (std::strcmp(Mode, "dynamic") == 0)
-        setDefaultPorMode(PorMode::Dynamic);
-      else if (std::strcmp(Mode, "check") == 0)
-        setDefaultPorMode(PorMode::Check);
-      else if (std::strcmp(Mode, "check-dynamic") == 0)
-        setDefaultPorMode(PorMode::CheckDynamic);
-      else
+      if (!applyMode(Argv[++I], parsePorMode, setDefaultPorMode))
         return usage();
     } else if (std::strcmp(Argv[I], "--symmetry") == 0 && I + 1 < Argc) {
-      const char *Mode = Argv[++I];
-      if (std::strcmp(Mode, "off") == 0)
-        setDefaultSymmetryMode(SymMode::Off);
-      else if (std::strcmp(Mode, "on") == 0)
-        setDefaultSymmetryMode(SymMode::On);
-      else if (std::strcmp(Mode, "check") == 0)
-        setDefaultSymmetryMode(SymMode::Check);
-      else
+      if (!applyMode(Argv[++I], parseSymMode, setDefaultSymmetryMode))
         return usage();
     } else if (std::strcmp(Argv[I], "--cache") == 0 && I + 1 < Argc) {
-      cache::CacheMode M;
-      if (!cache::parseCacheMode(Argv[++I], M))
+      if (!applyMode(Argv[++I], cache::parseCacheMode,
+                     cache::setDefaultCacheMode))
         return usage();
-      cache::setDefaultCacheMode(M);
     } else {
       return usage();
     }

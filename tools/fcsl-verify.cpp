@@ -23,6 +23,7 @@
 #include "support/Format.h"
 #include "support/Intern.h"
 #include "support/ThreadPool.h"
+#include "ModeFlags.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -36,8 +37,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: fcsl-verify [--jobs N] [--por MODE] [--symmetry MODE] "
-               "[--shards N] [--dist-compress MODE] [--cache MODE] "
-               "<command>\n"
+               "[--shards N] [--cache MODE] <command>\n"
                "  list                 list the verifiable case studies\n"
                "  verify <name|all>    run one (or every) verification "
                "session\n"
@@ -58,9 +58,10 @@ int usage() {
                "sets licensed by\n"
                "                       observed footprints (env-future "
                "closure), check /\n"
-               "                       check-dynamic = run full and reduced, "
-               "cross-validate\n"
-               "                       (default from FCSL_POR, else off)\n"
+               "                       check-dynamic = on / dynamic "
+               "cross-checked against\n"
+               "                       the plain engine (default from "
+               "FCSL_POR, else off)\n"
                "  --symmetry off|on|check\n"
                "                       orbit canonicalization of "
                "interchangeable sibling\n"
@@ -68,27 +69,20 @@ int usage() {
                "(default), on =\n"
                "                       rewrite each config to its orbit "
                "representative,\n"
-               "                       check = run both and cross-validate "
-               "verdicts and\n"
-               "                       terminals (default from FCSL_SYMMETRY, "
-               "else off);\n"
-               "                       composes with --por and --shards\n"
+               "                       check = on cross-checked against "
+               "the plain engine\n"
+               "                       (default from FCSL_SYMMETRY, else "
+               "off); composes\n"
+               "                       with --por and --shards: with either "
+               "check mode,\n"
+               "                       one oracle checks both reductions "
+               "together\n"
                "  --shards N           partition every exploration across N "
                "worker processes\n"
                "                       by state fingerprint (1 = in-process; "
                "default from\n"
                "                       FCSL_SHARDS, else 1); composes with "
                "--por and --jobs\n"
-               "  --dist-compress on|off\n"
-               "                       dictionary-streamed frontier frames "
-               "between shards:\n"
-               "                       each interned node crosses a "
-               "connection once as a\n"
-               "                       definition, then as a varint "
-               "reference (default on;\n"
-               "                       off = the plain per-config encoding, "
-               "the A/B baseline;\n"
-               "                       default from FCSL_DIST_COMPRESS)\n"
                "  --cache off|rw|ro|check\n"
                "                       persistent obligation-verdict cache "
                "(content-addressed\n"
@@ -106,48 +100,6 @@ int usage() {
                "                       statistics (node counts, dedup ratio, "
                "peak bytes)\n");
   return 2;
-}
-
-/// Validates every FCSL_* environment knob the tool honors: a typo'd mode
-/// must fail loudly at startup, not silently fall back to the default and
-/// quietly verify with the wrong engine configuration.
-int validateEnv() {
-  int Bad = 0;
-  auto Reject = [&](const char *Var, const char *Val, const char *Want) {
-    std::fprintf(stderr, "error: invalid %s value '%s' (expected %s)\n", Var,
-                 Val, Want);
-    Bad = 2;
-  };
-  if (const char *E = std::getenv("FCSL_POR"))
-    if (*E && std::strcmp(E, "off") != 0 && std::strcmp(E, "on") != 0 &&
-        std::strcmp(E, "1") != 0 && std::strcmp(E, "dynamic") != 0 &&
-        std::strcmp(E, "check") != 0 && std::strcmp(E, "check-dynamic") != 0)
-      Reject("FCSL_POR", E, "off|on|dynamic|check|check-dynamic");
-  if (const char *E = std::getenv("FCSL_SYMMETRY"))
-    if (*E && std::strcmp(E, "off") != 0 && std::strcmp(E, "on") != 0 &&
-        std::strcmp(E, "1") != 0 && std::strcmp(E, "check") != 0)
-      Reject("FCSL_SYMMETRY", E, "off|on|check");
-  if (const char *E = std::getenv("FCSL_CACHE")) {
-    cache::CacheMode M;
-    if (*E && !cache::parseCacheMode(E, M))
-      Reject("FCSL_CACHE", E, "off|rw|ro|check");
-  }
-  if (const char *E = std::getenv("FCSL_DIST_COMPRESS"))
-    if (*E && std::strcmp(E, "on") != 0 && std::strcmp(E, "off") != 0 &&
-        std::strcmp(E, "1") != 0 && std::strcmp(E, "0") != 0)
-      Reject("FCSL_DIST_COMPRESS", E, "on|off");
-  auto CheckUnsigned = [&](const char *Var, long Min) {
-    const char *E = std::getenv(Var);
-    if (!E || !*E)
-      return;
-    char *End = nullptr;
-    long V = std::strtol(E, &End, 10);
-    if (End == E || *End != '\0' || V < Min)
-      Reject(Var, E, "a non-negative integer");
-  };
-  CheckUnsigned("FCSL_JOBS", 0);
-  CheckUnsigned("FCSL_SHARDS", 1);
-  return Bad;
 }
 
 /// Per-structure symmetry accounting, filled by runVerify/runTable1 when
@@ -259,7 +211,7 @@ void printStats() {
       for (const CaseSymRecord &R : SymPerCase) {
         // With orbits of mean size k, k-1 of every k probed raw configs
         // rewrite to the representative, so lookups/(lookups-changed)
-        // estimates k. Exact only in check mode (full vs canonical).
+        // estimates k. Exact only under the oracle (plain vs reduced).
         double Est = R.Lookups > R.Changed
                          ? static_cast<double>(R.Lookups) /
                                static_cast<double>(R.Lookups - R.Changed)
@@ -351,7 +303,7 @@ void printStats() {
   // The wire table: every frame the hub received, by message type.
   {
     static const char *const TagNames[16] = {
-        "-",           "hello",      "batch",
+        "-",           "hello",      "-",
         "stats",       "drain",      "verdict",
         "cache-delta", "batch-dict", "submit-session",
         "progress",    "report",     "cache-stats",
@@ -450,74 +402,39 @@ int runTable1() {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  // Strip `--jobs N` and `--stats` (anywhere on the line) before command
+  // Strip the option flags (anywhere on the line) before command
   // dispatch; --jobs sets the process-default job count picked up by every
   // session and engine invocation with Jobs = 0, and --stats prints the
   // canonical-state-layer counters after the command finishes.
   std::vector<char *> Args;
   bool Stats = false;
-  bool PorCheckRequested = false;
-  bool SymCheckRequested = false;
-  bool SymRequested = false;
   if (int Bad = validateEnv())
     return Bad;
   dist::installDistributedEngine();
-  auto ParseCache = [](const char *Mode) -> bool {
-    cache::CacheMode M;
-    if (!cache::parseCacheMode(Mode, M))
-      return false;
-    cache::setDefaultCacheMode(M);
-    return true;
-  };
-  auto ParseShards = [](const char *Text) -> bool {
-    char *End = nullptr;
-    long N = std::strtol(Text, &End, 10);
-    if (End == Text || *End != '\0' || N < 1)
-      return false;
-    setDefaultShards(static_cast<unsigned>(N));
-    return true;
-  };
-  auto ParseDistCompress = [](const char *Mode) -> bool {
-    if (std::strcmp(Mode, "on") == 0 || std::strcmp(Mode, "1") == 0)
-      dist::setDistCompress(true);
-    else if (std::strcmp(Mode, "off") == 0 || std::strcmp(Mode, "0") == 0)
-      dist::setDistCompress(false);
-    else
-      return false;
-    return true;
-  };
-  auto ParsePor = [&](const char *Mode) -> bool {
-    if (std::strcmp(Mode, "off") == 0) {
-      setDefaultPorMode(PorMode::Off);
-    } else if (std::strcmp(Mode, "on") == 0) {
-      setDefaultPorMode(PorMode::On);
-    } else if (std::strcmp(Mode, "dynamic") == 0) {
-      setDefaultPorMode(PorMode::Dynamic);
-    } else if (std::strcmp(Mode, "check") == 0) {
-      setDefaultPorMode(PorMode::Check);
-      PorCheckRequested = true;
-    } else if (std::strcmp(Mode, "check-dynamic") == 0) {
-      setDefaultPorMode(PorMode::CheckDynamic);
-      PorCheckRequested = true;
-    } else {
-      return false;
-    }
-    return true;
-  };
-  auto ParseSym = [&](const char *Mode) -> bool {
-    if (std::strcmp(Mode, "off") == 0) {
-      setDefaultSymmetryMode(SymMode::Off);
-    } else if (std::strcmp(Mode, "on") == 0) {
-      setDefaultSymmetryMode(SymMode::On);
-      SymRequested = true;
-    } else if (std::strcmp(Mode, "check") == 0) {
-      setDefaultSymmetryMode(SymMode::Check);
-      SymRequested = true;
-      SymCheckRequested = true;
-    } else {
-      return false;
-    }
-    return true;
+  // Flags taking a value, spelled `--flag VALUE` or `--flag=VALUE`.
+  const std::pair<const char *, bool (*)(const char *)> ValueFlags[] = {
+      {"--por",
+       [](const char *T) {
+         return applyMode(T, parsePorMode, setDefaultPorMode);
+       }},
+      {"--symmetry",
+       [](const char *T) {
+         return applyMode(T, parseSymMode, setDefaultSymmetryMode);
+       }},
+      {"--cache",
+       [](const char *T) {
+         return applyMode(T, cache::parseCacheMode,
+                          cache::setDefaultCacheMode);
+       }},
+      {"--shards",
+       [](const char *T) {
+         char *End = nullptr;
+         long N = std::strtol(T, &End, 10);
+         if (End == T || *End != '\0' || N < 1)
+           return false;
+         setDefaultShards(static_cast<unsigned>(N));
+         return true;
+       }},
   };
   for (int I = 1; I < Argc; ++I) {
     if (std::strcmp(Argv[I], "--jobs") == 0) {
@@ -530,68 +447,36 @@ int main(int Argc, char **Argv) {
       setDefaultJobs(static_cast<unsigned>(N));
       continue;
     }
-    if (std::strcmp(Argv[I], "--por") == 0) {
-      if (I + 1 >= Argc || !ParsePor(Argv[++I]))
-        return usage();
-      continue;
-    }
-    if (std::strncmp(Argv[I], "--por=", 6) == 0) {
-      if (!ParsePor(Argv[I] + 6))
-        return usage();
-      continue;
-    }
-    if (std::strcmp(Argv[I], "--symmetry") == 0) {
-      if (I + 1 >= Argc || !ParseSym(Argv[++I]))
-        return usage();
-      continue;
-    }
-    if (std::strncmp(Argv[I], "--symmetry=", 11) == 0) {
-      if (!ParseSym(Argv[I] + 11))
-        return usage();
-      continue;
-    }
-    if (std::strcmp(Argv[I], "--shards") == 0) {
-      if (I + 1 >= Argc || !ParseShards(Argv[++I]))
-        return usage();
-      continue;
-    }
-    if (std::strncmp(Argv[I], "--shards=", 9) == 0) {
-      if (!ParseShards(Argv[I] + 9))
-        return usage();
-      continue;
-    }
-    if (std::strcmp(Argv[I], "--dist-compress") == 0) {
-      if (I + 1 >= Argc || !ParseDistCompress(Argv[++I]))
-        return usage();
-      continue;
-    }
-    if (std::strncmp(Argv[I], "--dist-compress=", 16) == 0) {
-      if (!ParseDistCompress(Argv[I] + 16))
-        return usage();
-      continue;
-    }
-    if (std::strcmp(Argv[I], "--cache") == 0) {
-      if (I + 1 >= Argc || !ParseCache(Argv[++I]))
-        return usage();
-      continue;
-    }
-    if (std::strncmp(Argv[I], "--cache=", 8) == 0) {
-      if (!ParseCache(Argv[I] + 8))
-        return usage();
-      continue;
-    }
     if (std::strcmp(Argv[I], "--stats") == 0) {
       Stats = true;
       continue;
     }
-    Args.push_back(Argv[I]);
+    bool Matched = false;
+    for (const auto &[Flag, Apply] : ValueFlags) {
+      size_t Len = std::strlen(Flag);
+      if (std::strncmp(Argv[I], Flag, Len) != 0 ||
+          (Argv[I][Len] != '=' && Argv[I][Len] != '\0'))
+        continue;
+      const char *Value = Argv[I] + Len + 1;
+      if (Argv[I][Len] == '\0') {
+        if (I + 1 >= Argc)
+          return usage();
+        Value = Argv[++I];
+      }
+      if (!Apply(Value))
+        return usage();
+      Matched = true;
+      break;
+    }
+    if (!Matched)
+      Args.push_back(Argv[I]);
   }
-  // FCSL_SYMMETRY may select a mode without the flag; resolve once so the
-  // cross-check summary and the per-structure tables follow either spelling.
-  SymMode ResolvedSym = defaultSymmetryMode();
-  SymCheckRequested |= ResolvedSym == SymMode::Check;
-  SymRequested |= ResolvedSym != SymMode::Off;
-  CollectSymPerCase = Stats && SymRequested;
+  // A mode may come from the flag or from FCSL_POR / FCSL_SYMMETRY;
+  // resolve once so the oracle summary and the per-structure tables
+  // follow either spelling.
+  ReductionModes Modes =
+      resolveModes(defaultPorMode(), defaultSymmetryMode());
+  CollectSymPerCase = Stats && Modes.Sym == SymMode::On;
   CollectCachePerCase =
       Stats && cache::defaultCacheMode() != cache::CacheMode::Off;
   Argc = static_cast<int>(Args.size()) + 1;
@@ -618,26 +503,20 @@ int main(int Argc, char **Argv) {
   } else {
     return usage();
   }
-  if (PorCheckRequested) {
-    PorCheckTotals Totals = porCheckTotals();
-    if (Totals.Full > 0)
-      std::printf("\npor cross-check: %llu full configs vs %llu reduced "
-                  "(ratio %.3f), verdicts identical\n",
-                  static_cast<unsigned long long>(Totals.Full),
-                  static_cast<unsigned long long>(Totals.Reduced),
-                  static_cast<double>(Totals.Reduced) /
-                      static_cast<double>(Totals.Full));
-  }
-  if (SymCheckRequested) {
-    SymCheckTotals Totals = symCheckTotals();
-    if (Totals.Full > 0)
-      std::printf("\nsymmetry cross-check: %llu full configs vs %llu "
-                  "canonical (ratio %.3f), verdicts identical\n",
-                  static_cast<unsigned long long>(Totals.Full),
-                  static_cast<unsigned long long>(Totals.Canonical),
-                  static_cast<double>(Totals.Canonical) /
-                      static_cast<double>(Totals.Full));
-  }
+  OracleTotals Oracle = oracleTotals();
+  if (Modes.Oracle && Oracle.Runs > 0)
+    std::printf("\nreduction oracle (por=%s symmetry=%s): %llu runs, %llu "
+                "plain configs vs %llu reduced (ratio %.3f), %llu "
+                "mismatches\n",
+                porModeName(Modes.Por), symModeName(Modes.Sym),
+                static_cast<unsigned long long>(Oracle.Runs),
+                static_cast<unsigned long long>(Oracle.PlainConfigs),
+                static_cast<unsigned long long>(Oracle.ReducedConfigs),
+                Oracle.PlainConfigs
+                    ? static_cast<double>(Oracle.ReducedConfigs) /
+                          static_cast<double>(Oracle.PlainConfigs)
+                    : 1.0,
+                static_cast<unsigned long long>(Oracle.Mismatches));
   if (Stats)
     printStats();
   return Status;
