@@ -25,7 +25,8 @@
 #      The dynamic mode (--por=check-dynamic: ample sets licensed by
 #      observed footprints and the env-future closure) gets the same
 #      oracle, alone, composed with symmetry reduction (one oracle checks
-#      both reductions together), and composed with sharding.
+#      both reductions together, also at 4 jobs, where the workers share
+#      one env-step graph), and composed with sharding.
 #   5. Symmetry: fcsl-verify --symmetry=on must report the same verdicts
 #      and obligation counts as --symmetry=off (per-config check counts
 #      shrink — that is the reduction), and --symmetry=check — the same
@@ -150,6 +151,9 @@ if [[ "$RUN_POR" == 1 ]]; then
     ./build/tools/fcsl-verify --jobs "$Jobs" --por=check-dynamic verify all
   done
   ./build/tools/fcsl-verify --por=check-dynamic --symmetry=on verify all
+  # Four workers share one env-step graph per exploration.
+  ./build/tools/fcsl-verify --jobs 4 --por=check-dynamic --symmetry=on \
+    verify all
   ./build/tools/fcsl-verify --por=check-dynamic --shards=2 verify all
 fi
 

@@ -337,16 +337,17 @@ struct ThreadCtx {
 /// equality and hashing) is the *step*, not the footprint: a thread entry
 /// is (thread, action node) — a sleeping thread cannot move, so its
 /// pending action is pinned — and an environment entry is the transition's
-/// index in the ambient concurroid. The footprint recorded when the entry
-/// went to sleep rides along for re-filtering against later steps; it is
-/// deliberately excluded from identity (it is a function of the step and
-/// the configuration already).
+/// index in the ambient concurroid. The step's static footprint rides
+/// along for re-filtering against later steps; it is deliberately excluded
+/// from identity (it is a function of the step already). It is a pointer
+/// into the action or transition that owns it, which outlives the run, so
+/// copying and merging sleep sets never copies a footprint.
 struct SleepEntry {
   bool IsEnv = false;
   ThreadId T = 0;
   const Prog *ActNode = nullptr; ///< thread entries: the pending Act node.
   size_t EnvIdx = 0;             ///< env entries: transition index.
-  Footprint Fp; ///< dynamic footprint at sleep time; not identity.
+  const Footprint *Fp = nullptr; ///< the step's static footprint.
 
   friend bool operator==(const SleepEntry &A, const SleepEntry &B) {
     return A.IsEnv == B.IsEnv && A.T == B.T && A.ActNode == B.ActNode &&
@@ -360,6 +361,12 @@ struct SleepEntry {
     hashValue(Seed, EnvIdx);
   }
 };
+
+/// Whether the environment takes \p T during interference exploration:
+/// every env-enabled transition except the identity.
+bool isEnvStep(const Transition &T) {
+  return T.isEnvEnabled() && T.name() != "idle";
+}
 
 /// Canonical sleep-set order: thread entries ascending by id, then env
 /// entries ascending by transition index (each kind's key is unique).
@@ -541,8 +548,7 @@ struct Config {
       for (const Frame &F : Entry.second.Stack)
         Bytes += F.approxBytes();
     }
-    for (const SleepEntry &E : Sleep)
-      Bytes += E.Fp.approxBytes();
+    Bytes += Sleep.size() * sizeof(const Footprint *);
     return Bytes;
   }
 };
@@ -800,7 +806,7 @@ public:
         View EnvView = C.GS.viewForEnv();
         std::vector<View> Posts;
         for (const Transition &T : Opts.Ambient->transitions()) {
-          if (!T.isEnvEnabled() || T.name() == "idle")
+          if (!isEnvStep(T))
             continue;
           for (const View &Post : T.successors(EnvView))
             if (Opts.Ambient->coherent(Post))
@@ -1360,16 +1366,43 @@ private:
       FS.T = S.T;
       FS.ActNode = S.ActNode ? PT->indexOf(S.ActNode) : ProgTable::NoProg;
       FS.EnvIdx = S.EnvIdx;
-      FS.Fp = std::move(S.Fp);
+      FS.Fp = *S.Fp;
       F.Sleep.push_back(std::move(FS));
     }
     F.EnvCloseMask = C.EnvCloseMask;
     return F;
   }
 
+  /// Does \p F carry the program references its kind executes?
+  static bool frameFits(const Frame &F) {
+    switch (F.K) {
+    case Frame::Kind::Run:
+      return F.Node != nullptr;
+    case Frame::Kind::BindCont:
+      return F.Rest != nullptr;
+    case Frame::Kind::HideExit:
+      return F.Node && F.Node->kind() == Prog::Kind::Hide;
+    }
+    return false;
+  }
+
   /// The inverse lift, also consuming its argument for the same reason.
-  Config fromFrontier(FrontierConfig &&F) const {
-    Config C;
+  /// A received config comes from another process, so every index it
+  /// carries is checked before use: program references must be in the
+  /// table and fit their frame kind, a thread sleep entry must name an
+  /// Act node, and an env sleep entry an env step of the ambient. The
+  /// sleep footprints are re-derived from those steps, never taken from
+  /// the wire. Returns false, leaving \p C partly built, on any violation.
+  bool fromFrontier(FrontierConfig &&F, Config &C) const {
+    auto ProgOf = [&](uint32_t I, const Prog *&Out) {
+      Out = nullptr;
+      if (I == ProgTable::NoProg)
+        return true;
+      if (I >= PT->size())
+        return false;
+      Out = PT->progAt(I);
+      return true;
+    };
     C.GS = std::move(F.GS);
     for (FrontierThread &T : F.Threads) {
       ThreadCtx Ctx;
@@ -1378,11 +1411,12 @@ private:
       Ctx.Done = std::move(T.Done);
       for (FrontierFrame &FF : T.Frames) {
         Frame Fr;
+        if (FF.Kind > static_cast<uint8_t>(Frame::Kind::HideExit) ||
+            !ProgOf(FF.Node, Fr.Node) || !ProgOf(FF.Rest, Fr.Rest))
+          return false;
         Fr.K = static_cast<Frame::Kind>(FF.Kind);
-        Fr.Node = FF.Node == ProgTable::NoProg ? nullptr
-                                               : PT->progAt(FF.Node);
-        Fr.Rest = FF.Rest == ProgTable::NoProg ? nullptr
-                                               : PT->progAt(FF.Rest);
+        if (!frameFits(Fr))
+          return false;
         Fr.Var = std::move(FF.Var);
         Fr.Env = std::move(FF.Env);
         Ctx.Stack.push_back(std::move(Fr));
@@ -1393,14 +1427,24 @@ private:
       SleepEntry S;
       S.IsEnv = FS.IsEnv;
       S.T = FS.T;
-      S.ActNode = FS.ActNode == ProgTable::NoProg ? nullptr
-                                                  : PT->progAt(FS.ActNode);
-      S.EnvIdx = FS.EnvIdx;
-      S.Fp = std::move(FS.Fp);
-      C.Sleep.push_back(std::move(S));
+      if (S.IsEnv) {
+        if (FS.ActNode != ProgTable::NoProg || !Opts.EnvInterference ||
+            !Opts.Ambient ||
+            FS.EnvIdx >= Opts.Ambient->transitions().size() ||
+            !isEnvStep(Opts.Ambient->transitions()[FS.EnvIdx]))
+          return false;
+        S.EnvIdx = FS.EnvIdx;
+        S.Fp = &Opts.Ambient->transitions()[S.EnvIdx].staticFootprint();
+      } else {
+        if (FS.EnvIdx != 0 || !ProgOf(FS.ActNode, S.ActNode) || !S.ActNode ||
+            S.ActNode->kind() != Prog::Kind::Act)
+          return false;
+        S.Fp = &S.ActNode->action()->staticFootprint();
+      }
+      C.Sleep.push_back(S);
     }
     C.EnvCloseMask = F.EnvCloseMask;
-    return C;
+    return true;
   }
 
   //===--------------------------------------------------------------------===//
@@ -1811,6 +1855,8 @@ private:
     // reaches the same least fixpoint; a merge that changed the node's
     // wake state re-queues it for re-expansion (a "wakeup": steps a
     // previous visit suppressed are now permitted here).
+    assert(C.GSHash == std::hash<GlobalState>{}(C.GS) &&
+           "visited config carries a stale global-state hash");
     std::vector<SleepEntry> InSleep = C.Sleep;
     uint32_t InMask = C.EnvCloseMask;
     Shard &S = Shards[C.Hash % NumShards];
@@ -2041,24 +2087,28 @@ private:
         continue;
       // The transport owns wire decoding (it holds the per-peer
       // dictionaries); a framing or dictionary error it detected
-      // mid-stream arrives as a Malformed delivery and fails the run.
-      if (Delivery.Malformed) {
+      // mid-stream arrives as a Malformed delivery and fails the run, and
+      // so does a well-framed config whose indices do not resolve here.
+      bool Counts = Delivery.Config.Counts;
+      Config C;
+      if (Delivery.Malformed ||
+          !fromFrontier(std::move(Delivery.Config), C)) {
         failGlobal(nullptr, "",
                    "malformed frontier config received from a peer "
                    "shard");
         continue;
       }
-      bool Counts = Delivery.Config.Counts;
-      Config C = fromFrontier(std::move(Delivery.Config));
       // The wire carries the sender's identity hash; the hash function
       // is process-stable and the fleet is one forked binary, so adopt
-      // it rather than re-walking the structure. (rehash also refreshes
-      // GSHash, but a received config is owned here by construction and
-      // never re-routed, so that field is not needed.)
-      if (Delivery.Fp != 0)
+      // it rather than re-walking the thread stacks. The global-state
+      // hash is not on the wire; it keys the env-step graph, so compute
+      // it here.
+      if (Delivery.Fp != 0) {
         C.Hash = Delivery.Fp;
-      else
+        C.GSHash = std::hash<GlobalState>{}(C.GS);
+      } else {
         C.rehash();
+      }
       // Senders ship canonical forms; canonicalizing again is an
       // idempotent no-op kept as a safety net for mixed-version peers.
       canonicalize(C);
@@ -2167,7 +2217,7 @@ private:
     }
     if (Opts.EnvInterference && Opts.Ambient) {
       for (const Transition &T : Opts.Ambient->transitions()) {
-        if (!T.isEnvEnabled() || T.name() == "idle")
+        if (!isEnvStep(T))
           continue;
         const Footprint &F = T.staticFootprint();
         if (F.known())
@@ -2194,97 +2244,181 @@ private:
   /// Environment transitions read and write only the instrumented state
   /// (never thread stacks), so the closure is a pure function of the
   /// GlobalState — which is what makes it memoizable. `Ok` is false when
-  /// the closure left the state cap or met a transition with no dynamic
-  /// footprint; both mean "never take a dynamic ample here".
+  /// the future has more than ClosureStateCap states or meets a
+  /// transition with no dynamic footprint; both mean "never take a
+  /// dynamic ample here".
   struct EnvClosure {
     bool Ok = false;
     std::vector<Footprint> Fps;
   };
+  using EnvClosureRef = std::shared_ptr<const EnvClosure>;
 
-  /// Computes the env-only closure of \p GS0: a BFS over applyEnv
-  /// successors (coherence-filtered, like the explorer itself) that
-  /// collects each enabled transition's dynamic footprint at each
-  /// reachable state. Instances that merely repeat an already-collected
-  /// footprint are deduplicated — the independence check downstream only
-  /// cares about the footprint set.
-  EnvClosure computeEnvClosure(const GlobalState &GS0) const {
-    EnvClosure R;
-    if (!Opts.EnvInterference || !Opts.Ambient) {
-      R.Ok = true;
-      return R;
-    }
-    std::unordered_map<size_t, std::vector<GlobalState>> Visited;
-    auto Visit = [&](const GlobalState &G) {
-      size_t H = 0;
-      G.hashInto(H);
-      std::vector<GlobalState> &Bucket = Visited[H];
-      for (const GlobalState &X : Bucket)
-        if (X == G)
-          return false;
-      Bucket.push_back(G);
-      return true;
-    };
-    std::vector<GlobalState> Queue{GS0};
-    Visit(GS0);
-    const std::vector<Transition> &Ts = Opts.Ambient->transitions();
-    size_t States = 0;
-    while (!Queue.empty()) {
-      if (++States > ClosureStateCap)
-        return R; // Ok stays false: closure too large to certify.
-      GlobalState G = std::move(Queue.back());
-      Queue.pop_back();
-      View EnvView = G.viewForEnv();
-      for (const Transition &T : Ts) {
-        if (!T.isEnvEnabled() || T.name() == "idle")
-          continue;
-        std::vector<View> Posts = T.successors(EnvView);
-        if (Posts.empty())
-          continue;
-        Footprint F = T.footprint(EnvView);
-        if (!F.known())
-          return R; // An undescribed step in the future: never ample.
-        bool Dup = false;
-        for (const Footprint &X : R.Fps)
-          if (X == F) {
-            Dup = true;
-            break;
-          }
-        if (!Dup)
-          R.Fps.push_back(std::move(F));
-        for (const View &Post : Posts) {
-          if (!Opts.Ambient->coherent(Post))
-            continue;
-          GlobalState NG = G;
-          NG.applyEnv(EnvView, Post);
-          if (Visit(NG))
-            Queue.push_back(std::move(NG));
-        }
-      }
-    }
-    R.Ok = true;
-    return R;
+  /// One global state of the env-step graph. The step data is written
+  /// once by expandEnvNode under EnvMutex and published by Expanded,
+  /// after which it is read without the lock.
+  struct EnvNode {
+    GlobalState GS;
+    std::atomic<bool> Expanded{false};
+    /// Some enabled transition has no dynamic footprint here. The other
+    /// step data is then left empty: every closure reaching this node is
+    /// refused anyway.
+    bool Unknown = false;
+    std::vector<Footprint> Fps;   ///< distinct footprints of enabled steps.
+    std::vector<EnvNode *> Succs; ///< distinct coherent env successors.
+    /// Set once a closure from here was refused. Refusal is inherited by
+    /// every state that reaches this one (its future contains this
+    /// future), which lets later closures stop early.
+    std::atomic<bool> Refused{false};
+    EnvClosureRef Closure; ///< memoized closure; guarded by EnvMutex.
+  };
+
+  /// Every global state reached by env-only steps in one exploration,
+  /// each expanded once, indexed by Config::GSHash. Nodes hold raw
+  /// pointers to each other, so the graph is bounded by replacing it
+  /// wholesale (see envNode): a closure computation holds its own
+  /// reference to the graph it walks, and closures are handed out as
+  /// shared pointers, so neither can dangle.
+  struct EnvGraph {
+    std::deque<EnvNode> Nodes;
+    std::unordered_multimap<size_t, EnvNode *> Index;
+  };
+
+  /// The node for \p GS (hash \p H) in \p G, or null. Caller holds
+  /// EnvMutex.
+  static EnvNode *findEnvNode(EnvGraph &G, const GlobalState &GS, size_t H) {
+    auto [It, End] = G.Index.equal_range(H);
+    for (; It != End; ++It)
+      if (It->second->GS == GS)
+        return It->second;
+    return nullptr;
   }
 
-  /// Memoized computeEnvClosure: thread stacks vary far more than the
-  /// instrumented state, so the same GlobalState recurs across many
-  /// configurations. Striped and capped like the orbit cache; a hash
-  /// collision recomputes, never returns a wrong closure.
-  EnvClosure envClosureFor(const GlobalState &GS) {
-    size_t H = 0;
-    GS.hashInto(H);
-    ClosureStripe &S = Closure[H % ClosureStripeCount];
-    {
-      std::lock_guard<std::mutex> Lock(S.M);
-      auto It = S.Map.find(H);
-      if (It != S.Map.end() && It->second.first == GS)
-        return It->second.second;
+  /// The node for \p GS in \p G, created when missing. Caller holds
+  /// EnvMutex. Creating a node in the current graph when it is full
+  /// starts a fresh graph for later lookups; \p G itself lives on for
+  /// as long as a closure computation still walks it.
+  EnvNode *envNode(EnvGraph &G, GlobalState &&GS, size_t H) {
+    if (EnvNode *N = findEnvNode(G, GS, H))
+      return N;
+    if (&G == EnvG.get() && G.Nodes.size() >= EnvGraphCap)
+      EnvG = std::make_shared<EnvGraph>();
+    EnvNode &N = G.Nodes.emplace_back();
+    N.GS = std::move(GS);
+    G.Index.emplace(H, &N);
+    return &N;
+  }
+
+  /// Evaluates every env step of \p N — without holding EnvMutex, since
+  /// workers share the graph — then publishes the result. Two workers
+  /// may expand one node at once; both compute the same data and the
+  /// first to publish wins.
+  void expandEnvNode(EnvGraph &G, EnvNode &N) {
+    bool Unknown = false;
+    std::vector<Footprint> Fps;
+    std::vector<std::pair<size_t, GlobalState>> Next;
+    View EnvView = N.GS.viewForEnv();
+    for (const Transition &T : Opts.Ambient->transitions()) {
+      if (!isEnvStep(T))
+        continue;
+      std::vector<View> Posts = T.successors(EnvView);
+      if (Posts.empty())
+        continue;
+      Footprint F = T.footprint(EnvView);
+      if (!F.known()) {
+        Unknown = true;
+        Fps.clear();
+        Next.clear();
+        break;
+      }
+      if (std::find(Fps.begin(), Fps.end(), F) == Fps.end())
+        Fps.push_back(std::move(F));
+      for (const View &Post : Posts) {
+        if (!Opts.Ambient->coherent(Post))
+          continue;
+        GlobalState NG = N.GS;
+        NG.applyEnv(EnvView, Post);
+        size_t H = std::hash<GlobalState>{}(NG);
+        Next.emplace_back(H, std::move(NG));
+      }
     }
-    EnvClosure R = computeEnvClosure(GS);
-    std::lock_guard<std::mutex> Lock(S.M);
-    if (S.Map.size() >= ClosureCapPerStripe)
-      S.Map.clear();
-    S.Map[H] = {GS, R};
-    return R;
+    std::lock_guard<std::mutex> Lock(EnvMutex);
+    if (N.Expanded)
+      return;
+    for (auto &[H, NG] : Next) {
+      EnvNode *S = envNode(G, std::move(NG), H);
+      if (std::find(N.Succs.begin(), N.Succs.end(), S) == N.Succs.end())
+        N.Succs.push_back(S);
+    }
+    N.Unknown = Unknown;
+    N.Fps = std::move(Fps);
+    N.Expanded = true;
+  }
+
+  /// The env-only closure of \p C's global state, memoized per state in
+  /// the env-step graph. Thread stacks vary far more than the
+  /// instrumented state, so the same GlobalState recurs across many
+  /// configurations, and env futures overlap: each state is expanded
+  /// once per graph, and a closure is a walk over stored successors. The
+  /// walk collects each reached state's footprints (deduplicated — the
+  /// independence check downstream only cares about the set) and refuses
+  /// when the future exceeds ClosureStateCap states or contains an
+  /// unknown footprint, so the result equals a fresh BFS over applyEnv
+  /// successors.
+  EnvClosureRef envClosureFor(const Config &C) {
+    // Shared closures: the trivial one without interference, and refusal.
+    static const EnvClosureRef NoEnvClosure =
+        std::make_shared<const EnvClosure>(EnvClosure{true, {}});
+    static const EnvClosureRef Refusal = std::make_shared<const EnvClosure>();
+    if (!Opts.EnvInterference || !Opts.Ambient)
+      return NoEnvClosure;
+    std::shared_ptr<EnvGraph> G;
+    EnvNode *Root;
+    {
+      std::lock_guard<std::mutex> Lock(EnvMutex);
+      if (!EnvG)
+        EnvG = std::make_shared<EnvGraph>();
+      Root = findEnvNode(*EnvG, C.GS, C.GSHash);
+      if (Root && Root->Closure)
+        return Root->Closure;
+      G = EnvG;
+    }
+    if (!Root) {
+      GlobalState GS = C.GS;
+      std::lock_guard<std::mutex> Lock(EnvMutex);
+      Root = envNode(*G, std::move(GS), C.GSHash);
+    }
+    auto R = std::make_shared<EnvClosure>();
+    R->Ok = true;
+    std::vector<EnvNode *> Queue{Root};
+    std::unordered_set<EnvNode *> Seen{Root};
+    for (size_t I = 0; R->Ok && I != Queue.size(); ++I) {
+      EnvNode &N = *Queue[I];
+      if (!N.Expanded)
+        expandEnvNode(*G, N);
+      if (N.Unknown) {
+        R->Ok = false; // An undescribed step in the future: never ample.
+        break;
+      }
+      for (const Footprint &F : N.Fps)
+        if (std::find(R->Fps.begin(), R->Fps.end(), F) == R->Fps.end())
+          R->Fps.push_back(F);
+      for (EnvNode *S : N.Succs) {
+        if (!Seen.insert(S).second)
+          continue;
+        if (Seen.size() > ClosureStateCap || S->Refused) {
+          R->Ok = false; // Too large to certify, or reaches a refusal.
+          break;
+        }
+        Queue.push_back(S);
+      }
+    }
+    if (!R->Ok)
+      Root->Refused = true;
+    EnvClosureRef Result = R->Ok ? EnvClosureRef(std::move(R)) : Refusal;
+    std::lock_guard<std::mutex> Lock(EnvMutex);
+    if (!Root->Closure)
+      Root->Closure = std::move(Result);
+    return Root->Closure;
   }
 
   /// One successor built by a thread's action step, before enqueueing.
@@ -2449,7 +2583,7 @@ private:
       EnvView = C.GS.viewForEnv();
       const std::vector<Transition> &Ts = Opts.Ambient->transitions();
       for (size_t I = 0, Sz = Ts.size(); I != Sz; ++I) {
-        if (!Ts[I].isEnvEnabled() || Ts[I].name() == "idle")
+        if (!isEnvStep(Ts[I]))
           continue;
         // At a terminal, only transitions licensed by the last action's
         // (merged) close mask may keep firing (see Config::EnvCloseMask).
@@ -2477,7 +2611,7 @@ private:
       const std::vector<Transition> &Ts = Opts.Ambient->transitions();
       size_t Sz = Ts.size() < 32 ? Ts.size() : 32;
       for (size_t I = 0; I != Sz; ++I) {
-        if (!Ts[I].isEnvEnabled() || Ts[I].name() == "idle")
+        if (!isEnvStep(Ts[I]))
           continue;
         if (fpIndependent(Fp, Ts[I].staticFootprint()))
           Mask |= uint32_t(1) << I;
@@ -2502,7 +2636,7 @@ private:
       E.T = K.T;
       E.ActNode = K.ActNode;
       E.EnvIdx = K.EnvIdx;
-      E.Fp = StaticFpOf(K);
+      E.Fp = &StaticFpOf(K);
       return E;
     };
 
@@ -2548,11 +2682,11 @@ private:
       if (!globallyIndependent(K.Fp)) {
         if (!DynOn || RunnableThreads != 1 || !K.Fp.known())
           continue;
-        EnvClosure Cl = envClosureFor(C.GS);
-        if (!Cl.Ok)
+        EnvClosureRef Cl = envClosureFor(C);
+        if (!Cl->Ok)
           continue;
         bool Indep = true;
-        for (const Footprint &F : Cl.Fps)
+        for (const Footprint &F : Cl->Fps)
           if (!fpIndependent(K.Fp, F)) {
             Indep = false;
             PorRacesCounter.fetch_add(1, std::memory_order_relaxed);
@@ -2586,7 +2720,7 @@ private:
       bool Fresh = markExecuted(N, CandKey(K));
       std::vector<SleepEntry> NextSleep;
       for (const SleepEntry &E : Snap.Sleep)
-        if (fpIndependent(E.Fp, K.Fp))
+        if (fpIndependent(*E.Fp, K.Fp))
           NextSleep.push_back(E);
       if (Fresh)
         for (const BuiltSucc &B : Succ)
@@ -2637,10 +2771,10 @@ private:
         // Two env transitions are steps of the *same* agent (the
         // environment): their self/self and owned-region touches alias.
         for (const SleepEntry &E : Snap.Sleep)
-          if (fpIndependent(E.Fp, K.Fp, E.IsEnv && K.IsEnv))
+          if (fpIndependent(*E.Fp, K.Fp, E.IsEnv && K.IsEnv))
             NextSleep.push_back(E);
         for (const SleepEntry &E : Taken)
-          if (fpIndependent(E.Fp, K.Fp, E.IsEnv && K.IsEnv))
+          if (fpIndependent(*E.Fp, K.Fp, E.IsEnv && K.IsEnv))
             NextSleep.push_back(E);
         std::sort(NextSleep.begin(), NextSleep.end(), sleepLess);
       };
@@ -2762,7 +2896,7 @@ private:
     if (Opts.EnvInterference && Opts.Ambient) {
       View EnvView = C.GS.viewForEnv();
       for (const Transition &T : Opts.Ambient->transitions()) {
-        if (!T.isEnvEnabled() || T.name() == "idle")
+        if (!isEnvStep(T))
           continue;
         for (const View &Post : T.successors(EnvView)) {
           if (!Opts.Ambient->coherent(Post))
@@ -2788,15 +2922,13 @@ private:
   /// collectPinnedPtrs). Fixed before exploration starts.
   std::set<Ptr> PinnedPtrs;
 
-  /// The env-closure memo (see envClosureFor): striped, verified, capped.
-  struct ClosureStripe {
-    std::mutex M;
-    std::unordered_map<size_t, std::pair<GlobalState, EnvClosure>> Map;
-  };
-  static constexpr size_t ClosureStripeCount = 16;
-  static constexpr size_t ClosureCapPerStripe = 4096;
+  /// The env-step graph (see envClosureFor), created on first use.
+  /// EnvMutex guards EnvG and every graph's index, node list and
+  /// unpublished node data.
   static constexpr size_t ClosureStateCap = 4096;
-  ClosureStripe Closure[ClosureStripeCount];
+  static constexpr size_t EnvGraphCap = 1u << 16;
+  std::mutex EnvMutex;
+  std::shared_ptr<EnvGraph> EnvG;
 
   /// The orbit cache: striped, verified, capped. Entries map a raw config
   /// to its canonical form (nullopt when the raw form is already

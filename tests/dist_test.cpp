@@ -7,7 +7,8 @@
 // bit-identical verdicts, terminals and counters to the in-process engine
 // at every shard count (with POR off and on); verification sessions run
 // through the installed hook must agree with their in-process baseline;
-// and a crashed worker must fail the run loudly instead of hanging.
+// a crashed worker must fail the run loudly instead of hanging; and a
+// shard must reject a received config whose indices do not resolve.
 // Part of the ASan stage of scripts/verify.sh.
 //
 //===----------------------------------------------------------------------===//
@@ -28,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <sys/socket.h>
 
 using namespace fcsl;
@@ -696,6 +698,125 @@ TEST(DistEngine, RetiredBatchFrameFailsShardLoudly) {
   ::close(Fds[1]);
   EXPECT_FALSE(R.Safe);
   EXPECT_NE(R.FailureNote.find("malformed"), std::string::npos)
+      << R.FailureNote;
+}
+
+namespace {
+
+/// An in-memory transport for one shard: records every config the shard
+/// routes out, delivers the scripted configs on the first pump, and
+/// drains the run once the shard is idle.
+class ScriptedShardIo : public ShardIo {
+public:
+  explicit ScriptedShardIo(std::vector<FrontierConfig> Script = {})
+      : Script(std::move(Script)) {}
+
+  void send(unsigned, FrontierConfig FC, uint64_t) override {
+    Sent.push_back(std::move(FC));
+  }
+
+  ShardCommand pump(const ShardStatus &Status,
+                    std::vector<ShardDelivery> &Incoming) override {
+    if (!Script.empty()) {
+      for (FrontierConfig &FC : Script)
+        Incoming.push_back(ShardDelivery{std::move(FC), 0, false});
+      Script.clear();
+      return ShardCommand::Continue;
+    }
+    return Status.Idle ? ShardCommand::Drain : ShardCommand::Continue;
+  }
+
+  std::vector<FrontierConfig> Sent;
+
+private:
+  std::vector<FrontierConfig> Script;
+};
+
+} // namespace
+
+TEST(DistEngine, MalformedFrontierConfigFailsShardLoudly) {
+  // A well-framed config whose indices do not resolve in the receiver's
+  // program table or ambient must fail the run, never index out of range.
+  // The open-world ticketed-lock client: its env steps move the global
+  // state, so configs cross shards.
+  IncrCase C = makeIncrCase(ticketLockFactory(), PCMType::ptrSet(),
+                            /*Parallel=*/false, /*EnvInterference=*/true,
+                            /*EnvTotal=*/0);
+  C.Opts.Por = PorMode::On;
+  auto RunShard = [&C](unsigned Id, ScriptedShardIo &Io) {
+    return exploreShard(C.Main, C.Initial, C.Opts, {}, Id, 2, Io);
+  };
+
+  // A genuine config, captured from whichever shard owns the seed.
+  std::optional<FrontierConfig> Valid;
+  for (unsigned Id : {0u, 1u}) {
+    ScriptedShardIo Io;
+    RunShard(Id, Io);
+    for (const FrontierConfig &FC : Io.Sent)
+      if (!FC.Threads.empty() && !FC.Threads.front().Frames.empty()) {
+        Valid = FC;
+        break;
+      }
+    if (Valid)
+      break;
+  }
+  ASSERT_TRUE(Valid) << "no shard routed a config out";
+
+  const std::vector<Transition> &Ts = C.Opts.Ambient->transitions();
+  size_t NotEnvStep = Ts.size();
+  for (size_t I = 0; I != Ts.size(); ++I)
+    if (!Ts[I].isEnvEnabled() || Ts[I].name() == "idle")
+      NotEnvStep = I;
+  ASSERT_LT(NotEnvStep, Ts.size()) << "the ambient has an idle transition";
+
+  FrontierSleep EnvEntry;
+  EnvEntry.IsEnv = true;
+  FrontierSleep ThreadEntry;
+  ThreadEntry.T = rootThread();
+  std::vector<std::pair<std::string, std::function<void(FrontierConfig &)>>>
+      Mutations = {
+          {"frame node", [](FrontierConfig &F) {
+             F.Threads.front().Frames.front().Node = 1u << 30;
+           }},
+          {"frame rest", [](FrontierConfig &F) {
+             F.Threads.front().Frames.front().Rest = 1u << 30;
+           }},
+          {"frame kind", [](FrontierConfig &F) {
+             F.Threads.front().Frames.front().Kind = 7;
+           }},
+          // Index 0 is the root `call pop`: a program node, not an Act.
+          {"sleep act node", [&](FrontierConfig &F) {
+             ThreadEntry.ActNode = 0;
+             F.Sleep.push_back(ThreadEntry);
+           }},
+          {"sleep act node range", [&](FrontierConfig &F) {
+             ThreadEntry.ActNode = 1u << 30;
+             F.Sleep.push_back(ThreadEntry);
+           }},
+          {"sleep env index", [&](FrontierConfig &F) {
+             EnvEntry.EnvIdx = Ts.size();
+             F.Sleep.push_back(EnvEntry);
+           }},
+          {"sleep env step", [&](FrontierConfig &F) {
+             EnvEntry.EnvIdx = NotEnvStep;
+             F.Sleep.push_back(EnvEntry);
+           }},
+      };
+  for (auto &[What, Mutate] : Mutations) {
+    FrontierConfig Bad = *Valid;
+    Mutate(Bad);
+    ScriptedShardIo Io({std::move(Bad)});
+    RunResult R = RunShard(0, Io);
+    EXPECT_FALSE(R.Safe) << What;
+    EXPECT_NE(R.FailureNote.find("malformed frontier config"),
+              std::string::npos)
+        << What << ": " << R.FailureNote;
+  }
+
+  // The untouched config is accepted: the checks reject only bad indices.
+  ScriptedShardIo Io({*Valid});
+  RunResult R = RunShard(0, Io);
+  EXPECT_EQ(R.FailureNote.find("malformed"), std::string::npos)
       << R.FailureNote;
 }
 

@@ -6,10 +6,14 @@
 // (spanning tree, flat combiner), that it never explores more than the
 // full state space, that it is bit-identical across job counts and shard
 // counts, that check-dynamic cross-validates every Table-1 session, and
-// that it composes with symmetry reduction and sharding.
+// that it composes with symmetry reduction and sharding. Exact counter
+// pins and two closure refusals (a future past the state cap, an unknown
+// env footprint) guard the memoized env-step graph behind the closure.
 //
 //===----------------------------------------------------------------------===//
 
+#include "action/AtomicAction.h"
+#include "concurroid/Concurroid.h"
 #include "dist/Coordinator.h"
 #include "graph/GraphGen.h"
 #include "prog/Engine.h"
@@ -83,6 +87,121 @@ FcSetup makeFcSetup() {
   S.Opts.Defs = &S.Case.Defs;
   S.Opts.Jobs = 1;
   return S;
+}
+
+// A ticker world for the env-future closure: the environment steps a
+// counter in cell 1 through 0..Period-1 (tick, plus a reset to 0), so
+// every state's env-only future is all Period states; the program bumps
+// cell 2 twice. Statically the two clash (tick may write any cell), so
+// the static reduction finds nothing; dynamically tick touches cell 1
+// only, so the first bump is a dynamic ample whenever the closure is
+// certified. With \p UnknownAtOne, an extra env transition enabled at
+// counter 1 has no dynamic footprint.
+constexpr Label Tk = 5;
+
+struct TickerWorld {
+  ProgRef Main;
+  GlobalState Initial;
+  EngineOptions Opts;
+};
+
+View withCell(const View &Pre, Ptr P, int64_t V) {
+  View Post = Pre;
+  Heap Joint = Pre.joint(Tk);
+  Joint.update(P, Val::ofInt(V));
+  Post.setJoint(Tk, std::move(Joint));
+  return Post;
+}
+
+TickerWorld makeTickerWorld(int64_t Period, bool UnknownAtOne) {
+  auto Coh = [](const View &S) {
+    return S.hasLabel(Tk) && S.joint(Tk).contains(Ptr(1)) &&
+           S.joint(Tk).contains(Ptr(2));
+  };
+  auto C = makeConcurroid("Ticker", {OwnedLabel{Tk, "tk", PCMType::nat()}},
+                          Coh);
+  Footprint AnyCell = Footprint::none().readWrite(FpAtom::joint(Tk));
+  C->addTransition(
+      Transition("tick", TransitionKind::Internal,
+                 [Period](const View &Pre) {
+                   int64_t V = Pre.joint(Tk).lookup(Ptr(1)).getInt();
+                   std::vector<View> Posts;
+                   if (V + 1 < Period)
+                     Posts.push_back(withCell(Pre, Ptr(1), V + 1));
+                   if (V != 0)
+                     Posts.push_back(withCell(Pre, Ptr(1), 0));
+                   return Posts;
+                 })
+          .withFootprint(AnyCell, [](const View &) {
+            return Footprint::none().readWrite(FpAtom::jointCell(Tk, Ptr(1)));
+          }));
+  if (UnknownAtOne)
+    C->addTransition(
+        Transition("wild", TransitionKind::Internal,
+                   [](const View &Pre) {
+                     std::vector<View> Posts;
+                     if (Pre.joint(Tk).lookup(Ptr(1)).getInt() == 1)
+                       Posts.push_back(withCell(Pre, Ptr(1), 0));
+                     return Posts;
+                   })
+            .withFootprint(AnyCell,
+                           [](const View &) { return Footprint(); }));
+  TickerWorld W;
+  ActionRef Bump = makeAction(
+      "bump2", C, 0,
+      [](const View &Pre, const std::vector<Val> &)
+          -> std::optional<std::vector<ActOutcome>> {
+        Val Old = Pre.joint(Tk).lookup(Ptr(2));
+        return std::vector<ActOutcome>{
+            {Old, withCell(Pre, Ptr(2), Old.getInt() + 1)}};
+      },
+      Footprint::none().readWrite(FpAtom::jointCell(Tk, Ptr(2))));
+  W.Main = Prog::bind(Prog::act(Bump, {}), "_", Prog::act(Bump, {}));
+  Heap Joint = Heap::singleton(Ptr(1), Val::ofInt(0));
+  Joint.insert(Ptr(2), Val::ofInt(0));
+  W.Initial.addLabel(Tk, PCMType::nat(), std::move(Joint), PCMVal::ofNat(0),
+                     false);
+  W.Opts.Ambient = C;
+  W.Opts.EnvInterference = true;
+  W.Opts.Jobs = 1;
+  return W;
+}
+
+// The exact work counters of one run, with the POR counters it added.
+struct PinnedCounts {
+  uint64_t Configs, ActionSteps, EnvSteps, DedupHits;
+  uint64_t Races, Backtracks, FullExpansions, SleepHits, WakeupReplays;
+
+  friend bool operator==(const PinnedCounts &A, const PinnedCounts &B) {
+    return A.Configs == B.Configs && A.ActionSteps == B.ActionSteps &&
+           A.EnvSteps == B.EnvSteps && A.DedupHits == B.DedupHits &&
+           A.Races == B.Races && A.Backtracks == B.Backtracks &&
+           A.FullExpansions == B.FullExpansions &&
+           A.SleepHits == B.SleepHits && A.WakeupReplays == B.WakeupReplays;
+  }
+  friend std::ostream &operator<<(std::ostream &OS, const PinnedCounts &C) {
+    return OS << "{" << C.Configs << ", " << C.ActionSteps << ", "
+              << C.EnvSteps << ", " << C.DedupHits << ", " << C.Races << ", "
+              << C.Backtracks << ", " << C.FullExpansions << ", "
+              << C.SleepHits << ", " << C.WakeupReplays << "}";
+  }
+};
+
+PinnedCounts countsOf(const ProgRef &Main, const GlobalState &Initial,
+                      const EngineOptions &Opts) {
+  PorStats Before = porStats();
+  RunResult R = explore(Main, Initial, Opts);
+  PorStats After = porStats();
+  EXPECT_TRUE(R.complete()) << R.FailureNote;
+  return {R.ConfigsExplored,
+          R.ActionSteps,
+          R.EnvSteps,
+          R.DedupHits,
+          After.RacesDetected - Before.RacesDetected,
+          After.BacktrackPoints - Before.BacktrackPoints,
+          After.FullExpansions - Before.FullExpansions,
+          After.SleepHits - Before.SleepHits,
+          After.WakeupReplays - Before.WakeupReplays};
 }
 
 // Restores the process-default POR mode on scope exit (tests in this
@@ -167,6 +286,78 @@ TEST(PorDynamicTest, PairSnapshotNeverExceedsFull) {
     EXPECT_LE(Red.ConfigsExplored, Full.ConfigsExplored)
         << "mode=" << static_cast<int>(Mode);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Exact counters: the memoized env-step graph and pointer sleep entries
+// must leave every counter where the per-root closure search put it.
+//===----------------------------------------------------------------------===//
+
+TEST(PorDynamicTest, PinsExactDynamicCounters) {
+  // {configs, action steps, env steps, dedup hits, races, backtracks,
+  //  full expansions, sleep hits, wakeup replays} at Jobs = 1; the POR
+  // counters of a parallel run vary with the schedule, the rest do not.
+  const PinnedCounts FlatCombiner{2305, 1743, 3054, 2493, 1423,
+                                  1895, 2317, 701,  561};
+  const PinnedCounts SpanningTree{391, 447, 0, 57, 0, 0, 52, 0, 0};
+  for (SymMode Sym : {SymMode::Off, SymMode::On}) {
+    FcSetup S = makeFcSetup();
+    S.Opts.Por = PorMode::Dynamic;
+    S.Opts.Symmetry = Sym;
+    EXPECT_EQ(countsOf(S.Main, S.Initial, S.Opts), FlatCombiner)
+        << "symmetry=" << symModeName(Sym);
+    SpanTreeCase Case = makeSpanTreeCase(Pv, Sp);
+    EngineOptions Opts = spanClosedOpts(Case);
+    Opts.Por = PorMode::Dynamic;
+    Opts.Symmetry = Sym;
+    EXPECT_EQ(countsOf(makeSpanRootProg(Case, Ptr(1)),
+                       spanRootState(Case, diamondOf(2)), Opts),
+              SpanningTree)
+        << "symmetry=" << symModeName(Sym);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Closure refusal: a future the closure cannot certify licenses no
+// dynamic ample, so the dynamic run is exactly the static one.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+// Static and dynamic counts of one ticker world.
+std::pair<PinnedCounts, PinnedCounts> tickerCounts(int64_t Period,
+                                                   bool UnknownAtOne) {
+  TickerWorld W = makeTickerWorld(Period, UnknownAtOne);
+  W.Opts.Por = PorMode::On;
+  PinnedCounts Static = countsOf(W.Main, W.Initial, W.Opts);
+  W.Opts.Por = PorMode::Dynamic;
+  PinnedCounts Dyn = countsOf(W.Main, W.Initial, W.Opts);
+  return {Static, Dyn};
+}
+
+} // namespace
+
+TEST(PorDynamicTest, CertifiedTickerClosureLicensesDynamicAmple) {
+  // The control for the two refusals below: with a small certified
+  // future the first bump explores alone.
+  auto [Static, Dyn] = tickerCounts(/*Period=*/4, /*UnknownAtOne=*/false);
+  EXPECT_LT(Dyn.Configs, Static.Configs);
+  EXPECT_EQ(Dyn.Races, 0u);
+}
+
+TEST(PorDynamicTest, ClosurePastTheStateCapLicensesNoDynamicAmple) {
+  // 4,097 states in every env-only future: one more than the cap.
+  auto [Static, Dyn] = tickerCounts(/*Period=*/4097, /*UnknownAtOne=*/false);
+  EXPECT_EQ(Dyn, Static);
+  EXPECT_EQ(Dyn.Configs, 2u * 4097 + 1);
+}
+
+TEST(PorDynamicTest, UnknownEnvFootprintLicensesNoDynamicAmple) {
+  auto [Static, Dyn] = tickerCounts(/*Period=*/4, /*UnknownAtOne=*/true);
+  EXPECT_EQ(Dyn, Static);
+  auto [Known, KnownDyn] = tickerCounts(/*Period=*/4, /*UnknownAtOne=*/false);
+  EXPECT_EQ(Static.Configs, Known.Configs);
+  EXPECT_LT(KnownDyn.Configs, Known.Configs);
 }
 
 //===----------------------------------------------------------------------===//
