@@ -124,7 +124,6 @@ struct SymRow {
   double MsFull = 0.0;
   double MsCanonical = 0.0;
   uint64_t OrbitLookups = 0;
-  uint64_t OrbitHits = 0;
   bool Identical = true; ///< canonical terminals + verdict match the full run.
 };
 
@@ -564,7 +563,7 @@ int main() {
 
     TextTable SymTable;
     SymTable.setHeader({"suite", "full cfgs", "canonical cfgs", "ratio",
-                        "cache hits", "identical"});
+                        "lookups", "identical"});
     for (unsigned I = 1; I <= 4; ++I)
       SymTable.setRightAligned(I);
 
@@ -587,7 +586,6 @@ int main() {
       Row.MsFull = MsF;
       Row.MsCanonical = MsC;
       Row.OrbitLookups = After.Lookups - Before.Lookups;
-      Row.OrbitHits = After.Hits - Before.Hits;
       Row.Identical = Full.Safe == Canon.Safe &&
                       Full.Exhausted == Canon.Exhausted &&
                       sameTerminals(Full.Terminals, Canon.Terminals);
@@ -600,7 +598,7 @@ int main() {
                                     ? double(Row.ConfigsCanonical) /
                                           double(Row.ConfigsFull)
                                     : 1.0),
-           std::to_string(Row.OrbitHits), Row.Identical ? "yes" : "NO"});
+           std::to_string(Row.OrbitLookups), Row.Identical ? "yes" : "NO"});
     };
 
     RunSym("counter-pair", symmetricIncrTree(W, 1), counterState(), CtOpts);
@@ -872,8 +870,7 @@ int main() {
       std::fprintf(F,
                    "    {\"suite\": \"%s\", \"configs_full\": %llu, "
                    "\"configs_canonical\": %llu, \"ratio\": %.3f, "
-                   "\"orbit_cache_lookups\": %llu, "
-                   "\"orbit_cache_hits\": %llu, "
+                   "\"orbit_lookups\": %llu, "
                    "\"ms_full\": %.2f, \"ms_canonical\": %.2f, "
                    "\"identical\": %s}%s\n",
                    R.Suite.c_str(),
@@ -883,7 +880,6 @@ int main() {
                                        double(R.ConfigsFull)
                                  : 1.0,
                    static_cast<unsigned long long>(R.OrbitLookups),
-                   static_cast<unsigned long long>(R.OrbitHits),
                    R.MsFull, R.MsCanonical,
                    R.Identical ? "true" : "false",
                    I + 1 == SymRows.size() ? "" : ",");

@@ -64,7 +64,6 @@ struct ProgramRow {
   uint64_t ConfigsReduced = 0; ///< configs explored under static POR.
   uint64_t ConfigsDynamic = 0; ///< configs explored under dynamic POR.
   uint64_t ConfigsCanonical = 0; ///< configs explored under symmetry.
-  uint64_t OrbitHits = 0;      ///< orbit-cache hits during the symmetry run.
   uint64_t DistExchanged = 0;  ///< frontier configs exchanged when sharded.
   uint64_t DistBytes = 0;      ///< wire bytes exchanged when sharded.
 };
@@ -160,10 +159,8 @@ int main() {
     // the orbit-canonicalized state space (DESIGN.md §11).
     setDefaultSymmetryMode(SymMode::On);
     uint64_t Configs2 = totalConfigsExplored();
-    SymmetryStats Orbit0 = symmetryStats();
     SessionReport Sym = Case.MakeSession().run(/*Jobs=*/1);
     uint64_t ConfigsCanonical = totalConfigsExplored() - Configs2;
-    SymmetryStats Orbit1 = symmetryStats();
     setDefaultSymmetryMode(SymMode::Off);
     AllPassed &= Sym.AllPassed == Report.AllPassed &&
                  Sym.totalObligations() == Report.totalObligations();
@@ -249,7 +246,6 @@ int main() {
                               AllOn.TotalMs, AllOnHits, ConfigsFull,
                               ConfigsReduced, ConfigsDynamic,
                               ConfigsCanonical,
-                              Orbit1.Hits - Orbit0.Hits,
                               Fleet1.Configs - Fleet0.Configs,
                               Fleet1.Bytes - Fleet0.Bytes});
   }
@@ -383,7 +379,7 @@ int main() {
                    "\"dynpor_ms\": %.2f, \"configs_dynamic\": %llu, "
                    "\"dynpor_ratio\": %.3f, "
                    "\"symmetry_ms\": %.2f, \"configs_canonical\": %llu, "
-                   "\"orbit_ratio\": %.3f, \"orbit_cache_hits\": %llu, "
+                   "\"orbit_ratio\": %.3f, "
                    "\"dist_ms\": %.2f, \"dist_exchanged_configs\": %llu, "
                    "\"dist_bytes\": %llu, "
                    "\"cache_cold_ms\": %.2f, \"cache_warm_ms\": %.2f, "
@@ -409,7 +405,6 @@ int main() {
                    R.ConfigsFull
                        ? double(R.ConfigsCanonical) / double(R.ConfigsFull)
                        : 1.0,
-                   static_cast<unsigned long long>(R.OrbitHits),
                    R.DistMs,
                    static_cast<unsigned long long>(R.DistExchanged),
                    static_cast<unsigned long long>(R.DistBytes),
@@ -436,9 +431,8 @@ int main() {
     std::fprintf(F,
                  "  \"symmetry\": {\"ms\": %.2f, \"configs_full\": %llu, "
                  "\"configs_canonical\": %llu, \"orbit_ratio\": %.3f, "
-                 "\"orbit_cache_lookups\": %llu, "
-                 "\"orbit_cache_hits\": %llu, "
-                 "\"orbit_cache_canonicalized\": %llu},\n",
+                 "\"orbit_lookups\": %llu, "
+                 "\"orbit_canonicalized\": %llu},\n",
                  SymTotalMs,
                  static_cast<unsigned long long>(ConfigsFullTotal),
                  static_cast<unsigned long long>(ConfigsCanonicalTotal),
@@ -447,7 +441,6 @@ int main() {
                            double(ConfigsFullTotal)
                      : 1.0,
                  static_cast<unsigned long long>(Orbit.Lookups),
-                 static_cast<unsigned long long>(Orbit.Hits),
                  static_cast<unsigned long long>(Orbit.Changed));
     uint64_t StoreRecords = 0, StoreBytes = 0;
     cache::setDefaultCacheMode(cache::CacheMode::Ro);

@@ -7,8 +7,9 @@
 #      PR must keep green).
 #   2. TSan: a separate build tree (build-tsan/) compiled with
 #      -DFCSL_SANITIZE=thread; the thread pool, the parallel exploration
-#      engine, the lock-striped intern arena, and the runtime structures
-#      are run under the race detector. The binaries are invoked directly
+#      engine, the lock-striped intern arena, the runtime structures, and
+#      the service daemon (concurrent sessions under different modes) are
+#      run under the race detector. The binaries are invoked directly
 #      rather than through ctest so only the relevant targets need to
 #      build.
 #   3. ASan+UBSan: a third build tree (build-asan/) compiled with
@@ -104,9 +105,10 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   cmake -B build-tsan -S . -DFCSL_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$(nproc)" \
     --target threadpool_test parallel_engine_test runtime_test intern_test \
-    --target por_independence_test por_dynamic_test symmetry_test
+    --target por_independence_test por_dynamic_test symmetry_test \
+    --target service_test
 
-  echo "== tsan: race-checking thread pool, parallel engine, runtime, arena =="
+  echo "== tsan: race-checking thread pool, parallel engine, runtime, arena, service =="
   # TSan aborts the process on the first data race; a clean exit is the
   # pass condition.
   ./build-tsan/tests/threadpool_test
@@ -116,6 +118,7 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   ./build-tsan/tests/por_independence_test
   ./build-tsan/tests/por_dynamic_test
   ./build-tsan/tests/symmetry_test
+  ./build-tsan/tests/service_test
 fi
 
 if [[ "$RUN_ASAN" == 1 ]]; then

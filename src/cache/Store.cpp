@@ -339,8 +339,7 @@ std::string cacheDir() {
   return ".fcsl-cache";
 }
 
-Store *activeStore() {
-  CacheMode Mode = defaultCacheMode();
+Store *activeStore(CacheMode Mode) {
   if (Mode == CacheMode::Off || Mode == CacheMode::Default)
     return nullptr;
   std::string Dir = cacheDir();

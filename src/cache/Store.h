@@ -181,15 +181,15 @@ const char *cacheModeName(CacheMode M);
 void setCacheDir(std::string Dir);
 std::string cacheDir();
 
-/// The lazily-opened process store for cacheDir(), or nullptr when the
-/// default mode is Off or the log cannot be opened (fail-soft: the session
-/// then just discharges everything). Ro mode opens read-only.
-Store *activeStore();
+/// The lazily-opened process store for cacheDir(), or nullptr when \p Mode
+/// is Off or the log cannot be opened (fail-soft: the session then just
+/// discharges everything). The first call that opens the store fixes its
+/// access: Ro opens it read-only. Every later call, under any consulting
+/// mode, returns that one store until resetActiveStore().
+Store *activeStore(CacheMode Mode = defaultCacheMode());
 
-/// The already-resolved process store regardless of the current default
-/// cache mode, or nullptr when no store has been opened yet. The service
-/// daemon uses this for its warm fast path: workers flip the process mode
-/// per request, but an open store stays valid until resetActiveStore().
+/// The already-opened process store whatever mode opened it, or nullptr
+/// when none has been opened yet.
 Store *resolvedStore();
 
 /// Closes the process store so the next activeStore() reopens it — used by

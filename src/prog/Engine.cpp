@@ -114,9 +114,8 @@ std::atomic<uint64_t> PorWakeupPeakCounter{0};
 std::atomic<uint64_t> PorSleepHitsCounter{0};
 std::atomic<uint64_t> PorFullExpansionsCounter{0};
 
-// Orbit-cache telemetry, process-wide across every symmetry-reduced run.
+// Symmetry telemetry, process-wide across every symmetry-reduced run.
 std::atomic<uint64_t> OrbitLookupsCounter{0};
-std::atomic<uint64_t> OrbitHitsCounter{0};
 std::atomic<uint64_t> OrbitChangedCounter{0};
 std::atomic<uint64_t> OrbitRenamesCounter{0};
 std::atomic<uint64_t> SymGroupsCounter{0};
@@ -218,7 +217,7 @@ ReductionModes fcsl::resolveModes(PorMode Por, SymMode Sym) {
 
 SymmetryStats fcsl::symmetryStats() {
   return {OrbitLookupsCounter.load(std::memory_order_relaxed),
-          OrbitHitsCounter.load(std::memory_order_relaxed),
+          /*Hits=*/0,
           OrbitChangedCounter.load(std::memory_order_relaxed),
           OrbitRenamesCounter.load(std::memory_order_relaxed),
           SymGroupsCounter.load(std::memory_order_relaxed),
@@ -333,8 +332,8 @@ struct ThreadCtx {
 /// One suppressed scheduling alternative under partial-order reduction: a
 /// step that was already explored at an ancestor configuration and has
 /// commuted with every step on the path since, so re-exploring it here
-/// would only re-derive states reached there. Identity (for config
-/// equality and hashing) is the *step*, not the footprint: a thread entry
+/// would only re-derive states reached there. Identity (for ordering and
+/// merging sleep sets) is the *step*, not the footprint: a thread entry
 /// is (thread, action node) — a sleeping thread cannot move, so its
 /// pending action is pinned — and an environment entry is the transition's
 /// index in the ambient concurroid. The step's static footprint rides
@@ -348,18 +347,6 @@ struct SleepEntry {
   const Prog *ActNode = nullptr; ///< thread entries: the pending Act node.
   size_t EnvIdx = 0;             ///< env entries: transition index.
   const Footprint *Fp = nullptr; ///< the step's static footprint.
-
-  friend bool operator==(const SleepEntry &A, const SleepEntry &B) {
-    return A.IsEnv == B.IsEnv && A.T == B.T && A.ActNode == B.ActNode &&
-           A.EnvIdx == B.EnvIdx;
-  }
-
-  void hashInto(size_t &Seed) const {
-    hashValue(Seed, IsEnv);
-    hashValue(Seed, T);
-    hashValue(Seed, ActNode ? ActNode->fingerprint() : 0);
-    hashValue(Seed, EnvIdx);
-  }
 };
 
 /// Whether the environment takes \p T during interference exploration:
@@ -520,22 +507,6 @@ struct Config {
       Entry.second.hashInto(Seed);
     }
     Hash = Seed;
-  }
-
-  /// Hash of the identity *plus* the wake payload, for caches (the orbit
-  /// cache) whose entries are only reusable when the payload matches too.
-  size_t wakeHash() const {
-    size_t Seed = Hash;
-    hashValue(Seed, Sleep.size());
-    for (const SleepEntry &E : Sleep)
-      E.hashInto(Seed);
-    hashValue(Seed, EnvCloseMask);
-    return Seed;
-  }
-
-  /// Identity equality extended with the wake payload (see wakeHash).
-  friend bool sameWithWake(const Config &A, const Config &B) {
-    return A.EnvCloseMask == B.EnvCloseMask && A == B && A.Sleep == B.Sleep;
   }
 
   /// Approximate retained bytes of this configuration in the visited set
@@ -1701,18 +1672,9 @@ private:
     return true;
   }
 
-  /// Canonicalizes \p C in place through the orbit cache. Requires
-  /// C.rehash() to have been called; re-hashes when the config changes.
-  /// The cache stores verified (raw, canonical) pairs keyed by the raw
-  /// *payload-extended* hash — config identity ignores the sleep/mask
-  /// payload, but the canonical form's payload is a function of the raw
-  /// payload (the slot permutation renames sleep entries), so a cached
-  /// mapping is only reusable when the payload matches too. When a form
-  /// actually changed, a second entry keyed by the CANONICAL hash maps the
-  /// canonical form to itself, so an arrival already in canonical form
-  /// (common after the renaming pass changes fingerprints) still hits. A
-  /// hash collision falls back to recomputing, never to a wrong
-  /// representative.
+  /// Canonicalizes \p C in place: rewrites it to its orbit representative,
+  /// a deterministic function of the raw config. Requires C.rehash() to
+  /// have been called; re-hashes when the config changes.
   ///
   /// The representative is a bounded fixpoint of slot sorting and fresh-
   /// pointer renumbering: renaming can change slot ranks and re-sorting
@@ -1724,21 +1686,6 @@ private:
     if (!SymOn)
       return;
     OrbitLookupsCounter.fetch_add(1, std::memory_order_relaxed);
-    size_t Key = C.wakeHash();
-    OrbitStripe &S = Orbit[Key % OrbitStripeCount];
-    {
-      std::lock_guard<std::mutex> Lock(S.M);
-      auto It = S.Map.find(Key);
-      if (It != S.Map.end() && sameWithWake(It->second.Raw, C)) {
-        OrbitHitsCounter.fetch_add(1, std::memory_order_relaxed);
-        if (It->second.Canon) {
-          C = *It->second.Canon;
-          OrbitChangedCounter.fetch_add(1, std::memory_order_relaxed);
-        }
-        return;
-      }
-    }
-    Config Raw = C;
     bool Changed = false;
     bool AnyRenamed = false;
     for (int Round = 0; Round != 4; ++Round) {
@@ -1754,22 +1701,6 @@ private:
     if (Changed) {
       C.rehash();
       OrbitChangedCounter.fetch_add(1, std::memory_order_relaxed);
-    }
-    {
-      std::lock_guard<std::mutex> Lock(S.M);
-      if (S.Map.size() >= OrbitCapPerStripe)
-        S.Map.clear();
-      S.Map[Key] = OrbitEntry{
-          std::move(Raw),
-          Changed ? std::optional<Config>(C) : std::nullopt};
-    }
-    if (Changed) {
-      size_t CKey = C.wakeHash();
-      OrbitStripe &SC = Orbit[CKey % OrbitStripeCount];
-      std::lock_guard<std::mutex> Lock(SC.M);
-      if (SC.Map.size() >= OrbitCapPerStripe)
-        SC.Map.clear();
-      SC.Map.emplace(CKey, OrbitEntry{C, std::nullopt});
     }
   }
 
@@ -2930,20 +2861,6 @@ private:
   std::mutex EnvMutex;
   std::shared_ptr<EnvGraph> EnvG;
 
-  /// The orbit cache: striped, verified, capped. Entries map a raw config
-  /// to its canonical form (nullopt when the raw form is already
-  /// canonical — the common case, kept cheap).
-  struct OrbitEntry {
-    Config Raw;
-    std::optional<Config> Canon;
-  };
-  struct OrbitStripe {
-    std::mutex M;
-    std::unordered_map<size_t, OrbitEntry> Map;
-  };
-  static constexpr size_t OrbitStripeCount = 16;
-  static constexpr size_t OrbitCapPerStripe = 4096;
-  OrbitStripe Orbit[OrbitStripeCount];
   unsigned NumShards = 1;
   std::vector<Shard> Shards;
   std::vector<std::unique_ptr<Worker>> Workers;

@@ -319,14 +319,15 @@ void setDefaultSymmetryMode(SymMode M);
 /// spelling reads as Off), else Off.
 SymMode defaultSymmetryMode();
 
-/// Process-wide orbit-cache counters over every symmetry-reduced run so
-/// far (reported by `fcsl-verify --stats`): cache probes, probe hits, how
-/// many canonicalizations actually changed the configuration (a proxy for
-/// orbit sizes > 1), how many applied a fresh-pointer renaming, how many
-/// k-ary orbit groups were formed, and the largest group seen.
+/// Process-wide symmetry counters over every symmetry-reduced run so far
+/// (reported by `fcsl-verify --stats`): canonicalize calls (orbit
+/// lookups), how many canonicalizations actually changed the
+/// configuration (a proxy for orbit sizes > 1), how many applied a
+/// fresh-pointer renaming, how many k-ary orbit groups were formed, and
+/// the largest group seen.
 struct SymmetryStats {
   uint64_t Lookups = 0;
-  uint64_t Hits = 0;
+  uint64_t Hits = 0; ///< always 0: there is no orbit cache to hit.
   uint64_t Changed = 0;
   uint64_t Renames = 0;   ///< canonicalizations that renamed fresh pointers.
   uint64_t Groups = 0;    ///< k-ary orbit groups formed at forks.

@@ -1,7 +1,6 @@
 //===- service/RequestQueue.cpp - Bounded session run queue ----------------===//
 //
-// Part of fcsl-cpp. See RequestQueue.h for the interface and the mode-key
-// gate argument.
+// Part of fcsl-cpp. See RequestQueue.h for the interface.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,19 +22,12 @@ bool RequestQueue::push(Job J) {
 
 std::optional<Job> RequestQueue::pop() {
   std::unique_lock<std::mutex> Lock(M);
-  CV.wait(Lock, [this] {
-    if (Closed && Q.empty())
-      return true;
-    // The gate: the FIFO head runs alongside the current runners only
-    // when it needs the same process-global modes they installed.
-    return !Q.empty() && (Running == 0 || Q.front().ModeKey == ActiveKey);
-  });
+  CV.wait(Lock, [this] { return Closed || !Q.empty(); });
   if (Q.empty())
     return std::nullopt; // closed and drained.
   Job J = std::move(Q.front());
   Q.pop_front();
   ++Running;
-  ActiveKey = J.ModeKey;
   return J;
 }
 
@@ -58,9 +50,4 @@ void RequestQueue::close() {
 void RequestQueue::waitDrained() {
   std::unique_lock<std::mutex> Lock(M);
   CV.wait(Lock, [this] { return Q.empty() && Running == 0; });
-}
-
-size_t RequestQueue::depth() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Q.size();
 }

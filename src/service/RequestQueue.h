@@ -9,16 +9,8 @@
 /// The daemon's run queue (DESIGN.md §15): a bounded FIFO of submitted
 /// sessions consumed by a pool of session workers. Submission is
 /// fail-loud — a full queue rejects the request immediately (the client
-/// gets an error Report) instead of buffering unboundedly.
-///
-/// The *mode-key gate*: the engine's POR/symmetry/cache modes are process
-/// globals (prog/Engine.h, cache/Store.h), so two sessions may run
-/// concurrently only when they resolve to the SAME mode triple. Each job
-/// carries a mode key; pop() releases the head job only when no job is
-/// running or the head's key matches every running job's (all runners
-/// share one key by induction). Requests under one mode — the common CI
-/// shape — parallelize fully; a mode switch drains before taking effect.
-/// Head-of-line blocking is the cost, FIFO fairness the reward.
+/// gets an error Report) instead of buffering unboundedly. Jobs carry
+/// their session's modes inside the closure, so any two may run at once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +18,6 @@
 #define FCSL_SERVICE_REQUEST_QUEUE_H
 
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -35,16 +26,9 @@
 namespace fcsl {
 namespace service {
 
-/// One scheduled unit of daemon work.
-struct Job {
-  /// Fingerprint of the resolved (POR, symmetry, cache) mode triple; jobs
-  /// run concurrently only with equal keys.
-  uint64_t ModeKey = 0;
-  /// Runs on a session worker. Installs the job's modes as the process
-  /// defaults (safe: the gate guarantees every concurrent runner agrees),
-  /// runs the session, and writes frames back to the client.
-  std::function<void()> Run;
-};
+/// One scheduled unit of daemon work: runs on a session worker, runs the
+/// session, and writes frames back to the client.
+using Job = std::function<void()>;
 
 class RequestQueue {
 public:
@@ -54,13 +38,12 @@ public:
   /// must reject the request loudly.
   bool push(Job J);
 
-  /// Blocks for the next runnable job (FIFO head, mode-gated). Returns
-  /// nullopt only when the queue is closed and empty — the worker exits.
-  /// Every popped job MUST be followed by done() exactly once.
+  /// Blocks for the FIFO head. Returns nullopt only when the queue is
+  /// closed and empty — the worker exits. Every popped job MUST be
+  /// followed by done() exactly once.
   std::optional<Job> pop();
 
-  /// Marks a popped job finished, releasing the gate for a waiting head
-  /// of a different mode key.
+  /// Marks a popped job finished (waitDrained counts running jobs).
   void done();
 
   /// Stops accepting pushes; pop() drains the backlog then returns
@@ -71,15 +54,12 @@ public:
   /// graceful-Shutdown drain).
   void waitDrained();
 
-  size_t depth() const;
-
 private:
-  mutable std::mutex M;
+  std::mutex M;
   std::condition_variable CV;
   std::deque<Job> Q;
   size_t Capacity;
   unsigned Running = 0;
-  uint64_t ActiveKey = 0;
   bool Closed = false;
 };
 

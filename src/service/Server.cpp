@@ -6,8 +6,6 @@
 
 #include "service/Server.h"
 
-#include "prog/Engine.h"
-#include "spec/Session.h"
 #include "structures/Suite.h"
 
 #include <future>
@@ -18,43 +16,19 @@ using namespace fcsl::dist;
 
 namespace {
 
-/// The daemon's startup mode defaults, captured once in start() — the
-/// resolution target for requests whose mode bytes are Default (0).
-/// Captured, not re-read: session workers install each request's modes as
-/// the process globals, so the globals drift with traffic.
-struct StartupModes {
-  PorMode Por = PorMode::Off;
-  SymMode Sym = SymMode::Off;
-  cache::CacheMode Cache = cache::CacheMode::Off;
-};
-
-StartupModes GStartup;
-
-/// A request's fully-resolved execution modes.
-struct ResolvedModes {
-  PorMode Por;
-  SymMode Sym;
-  cache::CacheMode Cache;
-  uint64_t key() const {
-    uint64_t K = fpString("fcsl-service-mode");
-    K = fpCombine(K, static_cast<uint64_t>(Por));
-    K = fpCombine(K, static_cast<uint64_t>(Sym));
-    K = fpCombine(K, static_cast<uint64_t>(Cache));
-    return K;
-  }
-};
-
-/// Resolves and validates a submit's mode bytes. False on an
-/// out-of-range byte (a confused or newer client — reject loudly).
-bool resolveModes(const SubmitSessionMsg &Req, ResolvedModes &Out) {
+/// Resolves and validates a submit's mode bytes against the daemon's
+/// startup defaults. False on an out-of-range byte (a confused or newer
+/// client — reject loudly).
+bool requestModes(const SubmitSessionMsg &Req, const ResolvedModes &Startup,
+                  ResolvedModes &Out) {
   if (Req.Por > static_cast<uint8_t>(PorMode::CheckDynamic) ||
       Req.Symmetry > static_cast<uint8_t>(SymMode::Check) ||
       Req.Cache > static_cast<uint8_t>(cache::CacheMode::Check))
     return false;
-  Out.Por = Req.Por == 0 ? GStartup.Por : static_cast<PorMode>(Req.Por);
-  Out.Sym = Req.Symmetry == 0 ? GStartup.Sym
+  Out.Por = Req.Por == 0 ? Startup.Por : static_cast<PorMode>(Req.Por);
+  Out.Sym = Req.Symmetry == 0 ? Startup.Sym
                               : static_cast<SymMode>(Req.Symmetry);
-  Out.Cache = Req.Cache == 0 ? GStartup.Cache
+  Out.Cache = Req.Cache == 0 ? Startup.Cache
                              : static_cast<cache::CacheMode>(Req.Cache);
   return true;
 }
@@ -110,13 +84,11 @@ Server::~Server() {
 std::string Server::endpoint() const { return L ? L->endpoint() : ""; }
 
 bool Server::start() {
-  // Resolve the startup defaults once (concrete, never Default) and warm
+  // Capture the startup defaults once (concrete, never Default) and warm
   // the store: opening it here loads the whole index before the first
   // request, so warm hits are pure in-memory serves from request one.
-  GStartup.Por = defaultPorMode();
-  GStartup.Sym = defaultSymmetryMode();
-  GStartup.Cache = cache::defaultCacheMode();
-  cache::activeStore();
+  Startup = ResolvedModes::defaults();
+  cache::activeStore(Startup.Cache);
 
   L = makeUnixListener(Opts.SocketPath);
   if (!L)
@@ -126,7 +98,7 @@ bool Server::start() {
   for (unsigned I = 0; I != Opts.Workers; ++I)
     SessionWorkers.emplace_back([this] {
       while (std::optional<Job> J = Queue.pop()) {
-        J->Run();
+        (*J)();
         Queue.done();
       }
     });
@@ -278,7 +250,7 @@ void Server::handleConnection(int Fd) {
         break;
       }
       ResolvedModes Modes;
-      if (!resolveModes(M->Submit, Modes)) {
+      if (!requestModes(M->Submit, Startup, Modes)) {
         Reject("invalid mode byte in submit");
         break;
       }
@@ -290,12 +262,12 @@ void Server::handleConnection(int Fd) {
 
       // The microsecond fast path: with a consulting cache mode and a
       // warm store, the whole report replays from the in-memory index —
-      // no engine, no queue, no mode installation (the flag fingerprint
-      // alone selects the right verdicts). Check mode must re-discharge,
-      // so it never takes this path.
+      // no engine, no queue (the flag fingerprint alone selects the right
+      // verdicts). Check mode must re-discharge, so it never takes this
+      // path.
       if (Modes.Cache == cache::CacheMode::Rw ||
           Modes.Cache == cache::CacheMode::Ro) {
-        if (cache::Store *St = cache::resolvedStore()) {
+        if (cache::Store *St = cache::activeStore(Modes.Cache)) {
           uint64_t FlagsFp = engineFlagsFingerprintFor(Modes.Por, Modes.Sym);
           VerificationSession Sess = Entry->MakeSession();
           if (std::optional<SessionReport> R = Sess.serveFromStore(
@@ -319,23 +291,17 @@ void Server::handleConnection(int Fd) {
       // Cold (or partially warm, or check-mode) path: schedule on the
       // run queue. The connection thread parks on the job's completion —
       // the worker owns the channel while the session runs, so Progress
-      // and Report frames never interleave with another read.
+      // and Report frames never interleave with another read. The
+      // session runs under the request's own modes, so it may overlap
+      // sessions under any other modes.
       std::promise<void> Done;
       std::future<void> DoneF = Done.get_future();
       SubmitSessionMsg Req = M->Submit;
-      Job J;
-      J.ModeKey = Modes.key();
-      J.Run = [this, &Ch, Req, Modes, Entry, T0, &Done] {
-        // Install the request's modes as the process defaults. Safe: the
-        // queue's mode-key gate guarantees every concurrently running
-        // session resolved to this same triple.
-        setDefaultPorMode(Modes.Por);
-        setDefaultSymmetryMode(Modes.Sym);
-        cache::setDefaultCacheMode(Modes.Cache);
+      Job J = [this, &Ch, Req, Modes, Entry, T0, &Done] {
         Stats.SessionsRun.fetch_add(1, std::memory_order_relaxed);
         VerificationSession Sess = Entry->MakeSession();
         SessionReport R =
-            Sess.run(Req.Jobs ? Req.Jobs : Opts.Jobs,
+            Sess.run(Modes, Req.Jobs ? Req.Jobs : Opts.Jobs,
                      progressSink(Ch, Req.WantProgress));
         Stats.RequestsServed.fetch_add(1, std::memory_order_relaxed);
         ReportMsg Out;

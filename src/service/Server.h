@@ -19,8 +19,10 @@
 ///     index (VerificationSession::serveFromStore) — microseconds, and
 ///     the engine is never invoked (the stats frame proves it).
 ///   - Everything else is scheduled on the bounded RequestQueue and run
-///     by session workers under the mode-key gate; Progress frames
-///     stream to the client as obligations complete.
+///     by session workers, each session under its request's own modes
+///     (VerificationSession::run takes them as an argument), so sessions
+///     under different modes run side by side; Progress frames stream to
+///     the client as obligations complete.
 ///   - Shutdown drains in-flight and queued sessions, acks, and exits.
 ///
 /// Per-request *shards* are deliberately unsupported: sharding forks
@@ -36,6 +38,7 @@
 #include "service/Listener.h"
 #include "service/Protocol.h"
 #include "service/RequestQueue.h"
+#include "spec/Session.h"
 
 #include <atomic>
 #include <chrono>
@@ -70,9 +73,10 @@ public:
   ~Server();
 
   /// Binds the listener and starts the accept loop and session workers.
-  /// The daemon's startup POR/symmetry/cache defaults are whatever the
-  /// process globals hold when start() runs (fcsl-serve sets them from
-  /// its flags); requests with Default mode bytes inherit them.
+  /// Captures the daemon's startup POR/symmetry/cache modes from the
+  /// process defaults as they stand when start() runs (fcsl-serve sets
+  /// them from its flags); requests with Default mode bytes inherit them.
+  /// Nothing the daemon does afterwards writes the process defaults.
   bool start();
 
   /// Blocks until a client's Shutdown (or requestShutdown()) completes
@@ -90,6 +94,8 @@ private:
   void handleConnection(int Fd);
 
   ServerOptions Opts;
+  /// The startup modes captured by start(); resolves Default mode bytes.
+  ResolvedModes Startup;
   std::unique_ptr<Listener> L;
   RequestQueue Queue;
   DaemonStats Stats;

@@ -54,6 +54,10 @@ uint64_t fcsl::engineFlagsFingerprint() {
   return engineFlagsFingerprintFor(defaultPorMode(), defaultSymmetryMode());
 }
 
+ResolvedModes ResolvedModes::defaults() {
+  return {defaultPorMode(), defaultSymmetryMode(), cache::defaultCacheMode()};
+}
+
 std::string fcsl::renderSessionReport(const SessionReport &R) {
   TextTable Table;
   Table.setHeader({"category", "obligations", "checks", "ms"});
@@ -89,17 +93,16 @@ uint64_t SessionReport::totalChecks() const {
   return Total;
 }
 
-void VerificationSession::addObligation(
-    ObCategory Category, std::string Name, const ObligationInputs &Inputs,
-    std::function<ObligationResult()> Run) {
+void VerificationSession::addObligation(ObCategory Category, std::string Name,
+                                        const ObligationInputs &Inputs,
+                                        DischargeFn Run) {
   assert(Run && "obligation needs a discharge function");
   Units.push_back(
       ProofUnit{Category, std::move(Name), Inputs.fp(), std::move(Run)});
 }
 
-void VerificationSession::addObligation(
-    ObCategory Category, std::string Name,
-    std::function<ObligationResult()> Run) {
+void VerificationSession::addObligation(ObCategory Category, std::string Name,
+                                        DischargeFn Run) {
   assert(Run && "obligation needs a discharge function");
   Units.push_back(ProofUnit{Category, std::move(Name), 0, std::move(Run)});
 }
@@ -181,7 +184,8 @@ void aggregateReport(SessionReport &Report,
 
 } // namespace
 
-SessionReport VerificationSession::run(unsigned Jobs,
+SessionReport VerificationSession::run(const ResolvedModes &Modes,
+                                       unsigned Jobs,
                                        const ProgressFn &Progress) const {
   SessionReport Report;
   Report.Program = Program;
@@ -189,14 +193,11 @@ SessionReport VerificationSession::run(unsigned Jobs,
   size_t N = Units.size();
   ProgressEmitter Emit(Progress, N);
 
-  // Resolve the cache policy once for the whole session, so every unit
-  // sees one consistent store and flags fingerprint.
-  cache::CacheMode Mode = cache::defaultCacheMode();
-  cache::Store *S =
-      Mode == cache::CacheMode::Off ? nullptr : cache::activeStore();
-  const uint64_t FlagsFp = engineFlagsFingerprint();
-  const bool Writes = S && (Mode == cache::CacheMode::Rw ||
-                            Mode == cache::CacheMode::Check);
+  // Every unit sees the one store and flags fingerprint of Modes.
+  cache::Store *S = cache::activeStore(Modes.Cache);
+  const uint64_t FlagsFp = engineFlagsFingerprintFor(Modes.Por, Modes.Sym);
+  const bool Writes = S && (Modes.Cache == cache::CacheMode::Rw ||
+                            Modes.Cache == cache::CacheMode::Check);
 
   // Phase 1 (serial): probe the store. A hit is replayed; under Check it
   // is *also* dispatched, and the fresh result must agree. Misses and
@@ -224,7 +225,7 @@ SessionReport VerificationSession::run(unsigned Jobs,
       Report.Cache.ReplayedUs += R->ElapsedUs;
       Results[I] = replay(*R);
       Emit.report(U, Results[I], 0.0);
-      if (Mode == cache::CacheMode::Check) {
+      if (Modes.Cache == cache::CacheMode::Check) {
         Hit[I] = R;
         ++Report.Cache.CheckRuns;
         ToRun.push_back(I);
@@ -250,7 +251,7 @@ SessionReport VerificationSession::run(unsigned Jobs,
   std::vector<double> FreshMs(ToRun.size(), 0.0);
   parallelFor(ToRun.size(), J, [&](size_t K) {
     Timer One;
-    Fresh[K] = Units[ToRun[K]].Run();
+    Fresh[K] = Units[ToRun[K]].Run(Modes);
     FreshMs[K] = One.elapsedMs();
     // Check-mode re-runs were already reported at probe time (as the
     // replayed hit); only genuinely fresh discharges stream here.

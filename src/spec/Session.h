@@ -18,11 +18,17 @@
 /// content fingerprint declared at registration from the interned
 /// artifacts it depends on (program fp, spec strings, concurroid fp,
 /// instance views, engine bounds — never session names or registration
-/// order). Together with the process's engine-flag fingerprint this forms
-/// the unit's ObligationKey, and `run()` is a scheduler over units: it
-/// probes the persistent verdict store (cache/Store.h) first, replays
-/// hits bit-identically (stored check counts and engine counters), and
-/// dispatches only the misses to the job pool. See DESIGN.md §13.
+/// order). Together with the fingerprint of the session's engine modes
+/// this forms the unit's ObligationKey, and `run()` is a scheduler over
+/// units: it probes the persistent verdict store (cache/Store.h) first,
+/// replays hits bit-identically (stored check counts and engine
+/// counters), and dispatches only the misses to the job pool. See
+/// DESIGN.md §13.
+///
+/// A session's POR, symmetry and cache modes are an argument of `run()`
+/// (ResolvedModes), handed on to every discharge closure — never read
+/// from process globals mid-run — so sessions under different modes can
+/// run side by side in one process (the daemon, DESIGN.md §15).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -116,6 +122,23 @@ struct ObligationResult {
   bool FromCache = false; ///< served from the store, not discharged.
 };
 
+/// A session's execution modes: the POR and symmetry modes its
+/// explorations run under, and how it consults the verdict store. Passed
+/// explicitly to VerificationSession::run and on to every discharge
+/// closure; closures that explore copy Por/Sym into their EngineOptions.
+struct ResolvedModes {
+  PorMode Por = PorMode::Off;
+  SymMode Sym = SymMode::Off;
+  cache::CacheMode Cache = cache::CacheMode::Off;
+
+  /// The process defaults (setDefault* / FCSL_POR, FCSL_SYMMETRY,
+  /// FCSL_CACHE), read once.
+  static ResolvedModes defaults();
+};
+
+/// A discharge closure: runs one obligation under the session's modes.
+using DischargeFn = std::function<ObligationResult(const ResolvedModes &)>;
+
 /// One first-class obligation: category and name for reporting, a content
 /// fingerprint for addressing, and the discharge closure. ContentFp == 0
 /// marks a legacy unkeyed unit — always discharged, never cached.
@@ -123,7 +146,7 @@ struct ProofUnit {
   ObCategory Category = ObCategory::Libs;
   std::string Name;
   uint64_t ContentFp = 0;
-  std::function<ObligationResult()> Run;
+  DischargeFn Run;
 
   bool keyed() const { return ContentFp != 0; }
   cache::ObligationKey key(uint64_t FlagsFp) const {
@@ -131,18 +154,15 @@ struct ProofUnit {
   }
 };
 
-/// The engine-relevant process-flag fingerprint: the *resolved* POR and
-/// symmetry modes. Jobs and Shards are deliberately excluded — results
-/// are bit-identical across both (PR 1 / PR 4 invariants), so a verdict
-/// computed at --shards=2 validly answers a --jobs=8 query. Bounds and
-/// interference are content-side (they vary per unit, not per process).
-uint64_t engineFlagsFingerprint();
-
-/// The same fingerprint for explicitly-resolved modes, without touching
-/// the process defaults. The verification daemon (src/service/) uses this
-/// to probe the store under a *request's* flags before deciding whether a
-/// session can be served from cache without running the engine.
+/// The engine-flag fingerprint of a session's POR and symmetry modes.
+/// Jobs and Shards are deliberately excluded — results are bit-identical
+/// across both, so a verdict computed at --shards=2 validly answers a
+/// --jobs=8 query. Bounds and interference are content-side (they vary
+/// per unit, not per session).
 uint64_t engineFlagsFingerprintFor(PorMode Por, SymMode Sym);
+
+/// engineFlagsFingerprintFor the process-default modes.
+uint64_t engineFlagsFingerprint();
 
 /// Per-category tallies.
 struct CategoryStats {
@@ -209,24 +229,29 @@ public:
   /// always aggregates in registration order. \p Inputs declares the
   /// unit's content (see ObligationInputs).
   void addObligation(ObCategory Category, std::string Name,
-                     const ObligationInputs &Inputs,
-                     std::function<ObligationResult()> Run);
+                     const ObligationInputs &Inputs, DischargeFn Run);
 
   /// Registers an unkeyed unit — always discharged, never cached. For
   /// obligations whose inputs cannot (yet) be fingerprinted.
-  void addObligation(ObCategory Category, std::string Name,
-                     std::function<ObligationResult()> Run);
+  void addObligation(ObCategory Category, std::string Name, DischargeFn Run);
 
-  /// Schedules every unit and reports. \p Jobs is the worker count for
-  /// concurrent discharge: 0 = the process default (see
+  /// Schedules every unit under \p Modes and reports. \p Jobs is the
+  /// worker count for concurrent discharge: 0 = the process default (see
   /// support/ThreadPool.h), 1 = serial. The scheduler first probes the
-  /// verdict store under the process CacheMode (cache/Store.h): hits are
-  /// replayed with their stored check counts and engine counters — so the
-  /// report is bit-identical to a cold run — and only misses (plus every
-  /// unit, under --cache=check) go to the job pool. Fresh verdicts of
-  /// keyed units are appended to the store in registration order.
-  /// \p Progress, when set, observes each obligation as it completes.
-  SessionReport run(unsigned Jobs = 0, const ProgressFn &Progress = {}) const;
+  /// verdict store under \p Modes (cache/Store.h): hits are replayed with
+  /// their stored check counts and engine counters — so the report is
+  /// bit-identical to a cold run — and only misses (plus every unit,
+  /// under --cache=check) go to the job pool, each discharged with
+  /// \p Modes. Fresh verdicts of keyed units are appended to the store in
+  /// registration order. \p Progress, when set, observes each obligation
+  /// as it completes.
+  SessionReport run(const ResolvedModes &Modes, unsigned Jobs = 0,
+                    const ProgressFn &Progress = {}) const;
+
+  /// run() under the process-default modes, read once at entry.
+  SessionReport run(unsigned Jobs = 0, const ProgressFn &Progress = {}) const {
+    return run(ResolvedModes::defaults(), Jobs, Progress);
+  }
 
   /// The daemon's microsecond fast path: when *every* unit is keyed and
   /// has a verdict in \p S under \p FlagsFp, builds the same report a

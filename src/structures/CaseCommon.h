@@ -234,14 +234,18 @@ inline ObligationInputs tripleInputs(const TripleCase &TC) {
   return In;
 }
 
-/// Registers a Main proof unit for \p TC.
+/// Registers a Main proof unit for \p TC, explored under the session's
+/// POR and symmetry modes.
 inline void addTriple(VerificationSession &Session, std::string Name,
                       TripleCase TC) {
   ObligationInputs In = tripleInputs(TC);
   auto Shared = std::make_shared<TripleCase>(std::move(TC));
   Session.addObligation(
-      ObCategory::Main, std::move(Name), In, [Shared]() {
+      ObCategory::Main, std::move(Name), In,
+      [Shared](const ResolvedModes &Modes) {
         EngineOptions Opts = Shared->Opts;
+        Opts.Por = Modes.Por;
+        Opts.Symmetry = Modes.Sym;
         if (Shared->Defs)
           Opts.Defs = Shared->Defs.get();
         return toObligation(

@@ -188,7 +188,8 @@ VerificationSession fcsl::makeCgAllocatorSession() {
       PCMVal::ofHeap(fullPool(AllocPoolSize))};
   Session.addObligation(
       ObCategory::Libs, "heap_pcm_laws",
-      pcmLawInputs(LawType, LawSample, 1).text("cancellative"), [LawSample] {
+      pcmLawInputs(LawType, LawSample, 1).text("cancellative"),
+      [LawSample](const ResolvedModes &) {
         PCMLawReport R = checkPCMLaws(*PCMType::heap(), LawSample);
         return lawObligation(R.allHold() && checkCancellativity(LawSample),
                              R.JoinsEvaluated);

@@ -178,7 +178,8 @@ VerificationSession fcsl::makeCgIncrementSession() {
     LawSample.push_back(PCMVal::ofNat(N));
   Session.addObligation(
       ObCategory::Libs, "nat_pcm_laws",
-      pcmLawInputs(LawType, LawSample, 1).text("cancellative"), [LawSample] {
+      pcmLawInputs(LawType, LawSample, 1).text("cancellative"),
+      [LawSample](const ResolvedModes &) {
         PCMLawReport R = checkPCMLaws(*PCMType::nat(), LawSample);
         return lawObligation(R.allHold() && checkCancellativity(LawSample),
                              R.JoinsEvaluated);

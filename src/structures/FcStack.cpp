@@ -56,7 +56,7 @@ VerificationSession fcsl::makeFcStackSession() {
                             .num(FcPush)
                             .num(FcPop)
                             .rev(1),
-                        [] {
+                        [](const ResolvedModes &) {
     auto FcR = [](int64_t Op, const Val &Arg, const Val &Res,
                   const HistEntry &G) {
       if (Op == FcPush)

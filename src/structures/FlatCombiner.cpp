@@ -739,7 +739,7 @@ VerificationSession fcsl::makeFlatCombinerSession() {
   }
   Session.addObligation(ObCategory::Libs, "fc_carrier_pcm_laws",
                         pcmLawInputs(LawType, LawSample, 1),
-                        [LawType, LawSample] {
+                        [LawType, LawSample](const ResolvedModes &) {
     PCMLawReport R = checkPCMLaws(*LawType, LawSample);
     return lawObligation(R.allHold(), R.JoinsEvaluated);
   });
@@ -747,7 +747,7 @@ VerificationSession fcsl::makeFlatCombinerSession() {
   Session.addObligation(ObCategory::Conc, "fc_metatheory",
                         sampleInputs(ObKind::Metatheory, *Case->C,
                                      *Samples, 1),
-                        [Case, Samples] {
+                        [Case, Samples](const ResolvedModes &) {
     return toObligation(checkConcurroidWellFormed(*Case->C, *Samples));
   });
 
@@ -762,7 +762,7 @@ VerificationSession fcsl::makeFlatCombinerSession() {
                         actionInputs(*Case->Publish, *Samples,
                                      PublishArgs, 1)
                             .text("wf"),
-                        [Case, Samples, PublishArgs] {
+                        [Case, Samples, PublishArgs](const ResolvedModes &) {
     return toObligation(
         checkActionWellFormed(*Case->Publish, *Samples, PublishArgs));
   });
@@ -771,7 +771,7 @@ VerificationSession fcsl::makeFlatCombinerSession() {
                             .text(Case->ReleaseFc->name())
                             .num(Case->ReleaseFc->arity())
                             .text("wf"),
-                        [Case, Samples] {
+                        [Case, Samples](const ResolvedModes &) {
     MetaReport R;
     R.absorb(checkActionWellFormed(*Case->TryLockFc, *Samples, {{}}));
     R.absorb(checkActionWellFormed(*Case->ReleaseFc, *Samples, {{}}));
@@ -781,7 +781,7 @@ VerificationSession fcsl::makeFlatCombinerSession() {
                         actionInputs(*Case->CombineSlot, *Samples,
                                      SlotArgs, 1)
                             .text("wf"),
-                        [Case, Samples, SlotArgs] {
+                        [Case, Samples, SlotArgs](const ResolvedModes &) {
     return toObligation(
         checkActionWellFormed(*Case->CombineSlot, *Samples, SlotArgs));
   });
@@ -789,7 +789,7 @@ VerificationSession fcsl::makeFlatCombinerSession() {
                         actionInputs(*Case->TryCollect, *Samples,
                                      SlotArgs, 1)
                             .text("wf"),
-                        [Case, Samples, SlotArgs] {
+                        [Case, Samples, SlotArgs](const ResolvedModes &) {
     return toObligation(
         checkActionWellFormed(*Case->TryCollect, *Samples, SlotArgs));
   });
@@ -797,7 +797,7 @@ VerificationSession fcsl::makeFlatCombinerSession() {
   Session.addObligation(ObCategory::Stab, "my_slot_stays_mine",
                         stabilityInputs(*Case->C, "slot 1 is mine",
                                         *Samples, 1),
-                        [Case, Samples] {
+                        [Case, Samples](const ResolvedModes &) {
     Label Fc = Case->Fc;
     Ptr S1 = Case->Slot1;
     Assertion MySlot("slot 1 is mine", [Fc, S1](const View &S) {
@@ -808,7 +808,7 @@ VerificationSession fcsl::makeFlatCombinerSession() {
   Session.addObligation(ObCategory::Stab, "collected_history_stable",
                         stabilityInputs(*Case->C, "stamp 1 ascribed to me",
                                         *Samples, 1),
-                        [Case, Samples] {
+                        [Case, Samples](const ResolvedModes &) {
     Label Fc = Case->Fc;
     Assertion MyHist("stamp 1 ascribed to me", [Fc](const View &S) {
       return histOf(S.self(Fc)).contains(1);
@@ -818,7 +818,7 @@ VerificationSession fcsl::makeFlatCombinerSession() {
   Session.addObligation(ObCategory::Stab, "done_result_preserved",
                         stabilityInputs(*Case->C, "my Done slot is frozen",
                                         *Samples, 1),
-                        [Case, Samples] {
+                        [Case, Samples](const ResolvedModes &) {
     // Once my request is Done with a result, interference cannot alter it
     // (only I may collect my slot).
     Label Fc = Case->Fc;

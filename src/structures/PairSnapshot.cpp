@@ -264,7 +264,7 @@ VerificationSession fcsl::makePairSnapshotSession() {
   }
   Session.addObligation(ObCategory::Libs, "snapshot_hist_pcm_laws",
                         pcmLawInputs(PCMType::hist(), LawSample, 1),
-                        [LawSample] {
+                        [LawSample](const ResolvedModes &) {
     PCMLawReport R = checkPCMLaws(*PCMType::hist(), LawSample);
     return lawObligation(R.allHold(), R.JoinsEvaluated);
   });
@@ -272,7 +272,7 @@ VerificationSession fcsl::makePairSnapshotSession() {
   Session.addObligation(ObCategory::Conc, "readpair_metatheory",
                         sampleInputs(ObKind::Metatheory, *Case->C,
                                      *Samples, 1),
-                        [Case, Samples] {
+                        [Case, Samples](const ResolvedModes &) {
     return toObligation(checkConcurroidWellFormed(*Case->C, *Samples));
   });
 
@@ -282,7 +282,7 @@ VerificationSession fcsl::makePairSnapshotSession() {
                             .text(Case->ReadY->name())
                             .num(Case->ReadY->arity())
                             .text("wf"),
-                        [Case, Samples] {
+                        [Case, Samples](const ResolvedModes &) {
     MetaReport R;
     R.absorb(checkActionWellFormed(*Case->ReadX, *Samples, {{}}));
     R.absorb(checkActionWellFormed(*Case->ReadY, *Samples, {{}}));
@@ -293,7 +293,7 @@ VerificationSession fcsl::makePairSnapshotSession() {
                             .text(Case->WriteY->name())
                             .num(Case->WriteY->arity())
                             .text("wf"),
-                        [Case, Samples, WriteArgs] {
+                        [Case, Samples, WriteArgs](const ResolvedModes &) {
     MetaReport R;
     R.absorb(checkActionWellFormed(*Case->WriteX, *Samples, WriteArgs));
     R.absorb(checkActionWellFormed(*Case->WriteY, *Samples, WriteArgs));
@@ -303,7 +303,7 @@ VerificationSession fcsl::makePairSnapshotSession() {
   Session.addObligation(ObCategory::Stab, "versions_monotone",
                         stabilityInputs(*Case->C, "versions are monotone",
                                         *Samples, 1),
-                        [Case, Samples] {
+                        [Case, Samples](const ResolvedModes &) {
     Label Rp = Case->Rp;
     Ptr PX = Case->CellX, PY = Case->CellY;
     return toObligation(checkRelationStability(
@@ -322,7 +322,7 @@ VerificationSession fcsl::makePairSnapshotSession() {
                             *Case->C,
                             "unchanged version implies unchanged value",
                             *Samples, 1),
-                        [Case, Samples] {
+                        [Case, Samples](const ResolvedModes &) {
     // The key reader lemma: if x's version is unchanged, so is its value.
     Label Rp = Case->Rp;
     Ptr PX = Case->CellX;

@@ -42,7 +42,7 @@ VerificationSession fcsl::makeProdConsSession() {
                         ObligationInputs(ObKind::Check)
                             .text("history_classification")
                             .rev(1),
-                        [] {
+                        [](const ResolvedModes &) {
     ObligationResult O;
     std::vector<HistEntry> Pushes, Pops;
     Val S0 = Val::unit();

@@ -78,7 +78,7 @@ VerificationSession fcsl::makeSeqStackSession() {
     ListIn.mix(codecFp(treiberState(*Case, Elems, 0, 0)));
   ListIn.rev(1);
   Session.addObligation(ObCategory::Libs, "list_abstraction_lemma", ListIn,
-                        [Case, Layouts] {
+                        [Case, Layouts](const ResolvedModes &) {
     ObligationResult O;
     for (const std::vector<int64_t> &Elems : Layouts) {
       GlobalState GS = treiberState(*Case, Elems, 0, 0);

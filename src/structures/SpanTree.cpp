@@ -410,7 +410,7 @@ VerificationSession fcsl::makeSpanTreeSession() {
   Session.addObligation(
       ObCategory::Libs, "ptrset_pcm_laws",
       pcmLawInputs(PCMType::ptrSet(), LawSample, 1).text("cancellative"),
-      [LawSample] {
+      [LawSample](const ResolvedModes &) {
         PCMLawReport R = checkPCMLaws(*PCMType::ptrSet(), LawSample);
         return lawObligation(R.allHold() && checkCancellativity(LawSample),
                              R.JoinsEvaluated);
@@ -423,7 +423,7 @@ VerificationSession fcsl::makeSpanTreeSession() {
                             .num(60)
                             .num(5)
                             .rev(1),
-                        [] {
+                        [](const ResolvedModes &) {
     // Sweep the lemma over random graphs and candidate subtree pairs.
     Rng R(0xfc51);
     ObligationResult O;
@@ -453,7 +453,7 @@ VerificationSession fcsl::makeSpanTreeSession() {
                             .num(60)
                             .num(5)
                             .rev(1),
-                        [] {
+                        [](const ResolvedModes &) {
     Rng R(0x51ab);
     ObligationResult O;
     for (unsigned Iter = 0; Iter < 60; ++Iter) {
@@ -473,7 +473,7 @@ VerificationSession fcsl::makeSpanTreeSession() {
   Session.addObligation(ObCategory::Conc, "spantree_metatheory",
                         sampleInputs(ObKind::Metatheory, *Case->Open,
                                      *Samples, 1),
-                        [Case, Samples] {
+                        [Case, Samples](const ResolvedModes &) {
     return toObligation(checkConcurroidWellFormed(*Case->Open, *Samples));
   });
 
@@ -485,14 +485,14 @@ VerificationSession fcsl::makeSpanTreeSession() {
   Session.addObligation(ObCategory::Acts, "trymark_wf",
                         actionInputs(*Case->TryMark, *Samples, NodeArgs, 1)
                             .text("wf"),
-                        [Case, Samples, NodeArgs] {
+                        [Case, Samples, NodeArgs](const ResolvedModes &) {
     return toObligation(
         checkActionWellFormed(*Case->TryMark, *Samples, NodeArgs));
   });
   Session.addObligation(ObCategory::Acts, "trymark_total_on_nodes",
                         actionInputs(*Case->TryMark, *Samples, NodeArgs, 1)
                             .text("total"),
-                        [Case, Samples, NodeArgs] {
+                        [Case, Samples, NodeArgs](const ResolvedModes &) {
     Label Sp = Case->Sp;
     return toObligation(checkActionTotality(
         *Case->TryMark, *Samples, NodeArgs,
@@ -506,7 +506,7 @@ VerificationSession fcsl::makeSpanTreeSession() {
                             .text(Case->ReadChildR->name())
                             .num(Case->ReadChildR->arity())
                             .text("wf"),
-                        [Case, Samples, NodeArgs] {
+                        [Case, Samples, NodeArgs](const ResolvedModes &) {
     MetaReport R;
     R.absorb(checkActionWellFormed(*Case->ReadChildL, *Samples, NodeArgs));
     R.absorb(checkActionWellFormed(*Case->ReadChildR, *Samples, NodeArgs));
@@ -517,7 +517,7 @@ VerificationSession fcsl::makeSpanTreeSession() {
                             .text(Case->NullifyR->name())
                             .num(Case->NullifyR->arity())
                             .text("wf"),
-                        [Case, Samples, NodeArgs] {
+                        [Case, Samples, NodeArgs](const ResolvedModes &) {
     MetaReport R;
     R.absorb(checkActionWellFormed(*Case->NullifyL, *Samples, NodeArgs));
     R.absorb(checkActionWellFormed(*Case->NullifyR, *Samples, NodeArgs));
@@ -529,13 +529,13 @@ VerificationSession fcsl::makeSpanTreeSession() {
   Session.addObligation(ObCategory::Stab, "node_in_dom_stable",
                         stabilityInputs(*Case->Open, NodeInDom.name(),
                                         *Samples, 1),
-                        [Case, Samples, NodeInDom] {
+                        [Case, Samples, NodeInDom](const ResolvedModes &) {
     return toObligation(checkStability(NodeInDom, *Case->Open, *Samples));
   });
   Session.addObligation(ObCategory::Stab, "subgraph_steps",
                         stabilityInputs(*Case->Open, "subgraph",
                                         *Samples, 1),
-                        [Case, Samples] {
+                        [Case, Samples](const ResolvedModes &) {
     // Lemma subgraph_steps: env_steps s1 s2 -> subgraph g1 g2.
     Label Sp = Case->Sp;
     return toObligation(checkRelationStability(
@@ -548,7 +548,7 @@ VerificationSession fcsl::makeSpanTreeSession() {
                         stabilityInputs(*Case->Open,
                                         "node 1 is self-marked",
                                         *Samples, 1),
-                        [Case, Samples] {
+                        [Case, Samples](const ResolvedModes &) {
     Label Sp = Case->Sp;
     Assertion Mine("node 1 is self-marked", [Sp](const View &S) {
       return S.self(Sp).getPtrSet().count(Ptr(1)) != 0;
@@ -573,7 +573,7 @@ VerificationSession fcsl::makeSpanTreeSession() {
     }
   SpanTpIn.rev(1);
   Session.addObligation(ObCategory::Main, "span_tp_open_world", SpanTpIn,
-                        [Case] {
+                        [Case](const ResolvedModes &Modes) {
     VerifyResult Sum;
     EngineCounters Counters;
     Heap G = threeNodeGraph();
@@ -596,6 +596,8 @@ VerificationSession fcsl::makeSpanTreeSession() {
         Opts.Ambient = Case->Open;
         Opts.EnvInterference = true;
         Opts.Defs = &Case->Defs;
+        Opts.Por = Modes.Por;
+        Opts.Symmetry = Modes.Sym;
         VerifyResult R = verifyTriple(
             Main, S, {VerifyInstance{spanOpenState(*Case, G, EnvMarked),
                                      {}}},
@@ -633,7 +635,8 @@ VerificationSession fcsl::makeSpanTreeSession() {
     SpanRootIn.mix(codecFp(spanRootState(*Case, G)));
   SpanRootIn.rev(1);
   Session.addObligation(ObCategory::Main, "span_root_spanning_tree",
-                        SpanRootIn, [Case, RootGraphs] {
+                        SpanRootIn,
+                        [Case, RootGraphs](const ResolvedModes &Modes) {
     uint64_t Checks = 0;
     EngineCounters Counters;
     const std::vector<Heap> &Graphs = RootGraphs;
@@ -675,6 +678,8 @@ VerificationSession fcsl::makeSpanTreeSession() {
       Opts.Ambient = Case->PrivOnly;
       Opts.EnvInterference = false;
       Opts.Defs = &Case->Defs;
+      Opts.Por = Modes.Por;
+      Opts.Symmetry = Modes.Sym;
       VerifyResult VR = verifyTriple(
           Main, S, {VerifyInstance{spanRootState(*Case, G), {}}}, Opts);
       Checks += VR.ConfigsExplored;

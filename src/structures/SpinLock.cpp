@@ -392,7 +392,7 @@ VerificationSession fcsl::makeSpinLockSession() {
   Session.addObligation(
       ObCategory::Libs, "mutex_x_nat_pcm_laws",
       pcmLawInputs(LawType, LawSample, 1).text("cancellative"),
-      [LawType, LawSample] {
+      [LawType, LawSample](const ResolvedModes &) {
         PCMLawReport R = checkPCMLaws(*LawType, LawSample);
         return lawObligation(R.allHold() && checkCancellativity(LawSample),
                              R.JoinsEvaluated);
@@ -401,7 +401,7 @@ VerificationSession fcsl::makeSpinLockSession() {
   // --- Conc: metatheory of the entangled concurroid ---------------------
   Session.addObligation(ObCategory::Conc, "clock_metatheory",
                         sampleInputs(ObKind::Metatheory, *C, *Samples, 1),
-                        [C, Samples] {
+                        [C, Samples](const ResolvedModes &) {
     return toObligation(checkConcurroidWellFormed(*C, *Samples));
   });
 
@@ -420,33 +420,33 @@ VerificationSession fcsl::makeSpinLockSession() {
 
   Session.addObligation(ObCategory::Acts, "try_lock_wf",
                         actionInputs(*P.TryLock, *Samples, {{}}, 1).text("wf"),
-                        [P, Samples] {
+                        [P, Samples](const ResolvedModes &) {
     return toObligation(checkActionWellFormed(*P.TryLock, *Samples, {{}}));
   });
   Session.addObligation(
       ObCategory::Acts, "try_lock_total",
       actionInputs(*P.TryLock, *Samples, {{}}, 1).text("total"),
-      [P, Samples] {
+      [P, Samples](const ResolvedModes &) {
         return toObligation(checkActionTotality(
             *P.TryLock, *Samples, {{}},
             [](const View &, const ActionArgs &) { return true; }));
       });
   Session.addObligation(ObCategory::Acts, "unlock_wf",
                         actionInputs(*Unlock, *Samples, {{}}, 1).text("wf"),
-                        [Unlock, Samples] {
+                        [Unlock, Samples](const ResolvedModes &) {
     return toObligation(checkActionWellFormed(*Unlock, *Samples, {{}}));
   });
 
   // --- Stab: key assertions stable under interference -------------------
   Session.addObligation(ObCategory::Stab, "holding_is_stable",
                         stabilityInputs(*C, "I hold the lock", *Samples, 1),
-                        [C, P, Samples] {
+                        [C, P, Samples](const ResolvedModes &) {
     Assertion Holding("I hold the lock", P.HoldsLock);
     return toObligation(checkStability(Holding, *C, *Samples));
   });
   Session.addObligation(ObCategory::Stab, "client_self_stable",
                         stabilityInputs(*C, "client self is 1", *Samples, 1),
-                        [C, P, Samples] {
+                        [C, P, Samples](const ResolvedModes &) {
     // My contribution is mine alone: interference cannot change it.
     Assertion SelfFixed(
         "client self is 1",
@@ -455,7 +455,7 @@ VerificationSession fcsl::makeSpinLockSession() {
   });
   Session.addObligation(ObCategory::Stab, "unheld_resource_coherent",
                         stabilityInputs(*C, "coherence", *Samples, 1),
-                        [C, Samples] {
+                        [C, Samples](const ResolvedModes &) {
     return toObligation(checkStability(
         Assertion("coherence", [C](const View &S) { return C->coherent(S); }),
         *C, *Samples));

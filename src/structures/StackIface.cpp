@@ -118,7 +118,8 @@ StackProtocol fcsl::fcStackProtocol() {
 }
 
 ObligationResult fcsl::verifyUnifiedPushPair(const StackProtocol &P,
-                                             int64_t A, int64_t B) {
+                                             int64_t A, int64_t B,
+                                             const ResolvedModes &Modes) {
   Spec S;
   S.Name = P.Name + "/unified_push_pair";
   S.C = P.C;
@@ -151,12 +152,15 @@ ObligationResult fcsl::verifyUnifiedPushPair(const StackProtocol &P,
   Opts.Ambient = P.C;
   Opts.EnvInterference = false;
   Opts.Defs = P.Defs.get();
+  Opts.Por = Modes.Por;
+  Opts.Symmetry = Modes.Sym;
   return toObligation(
       verifyTriple(Main, S, {VerifyInstance{P.Initial, {}}}, Opts));
 }
 
 ObligationResult fcsl::verifyUnifiedPushPop(const StackProtocol &P,
-                                            int64_t V) {
+                                            int64_t V,
+                                            const ResolvedModes &Modes) {
   Spec S;
   S.Name = P.Name + "/unified_push_pop";
   S.C = P.C;
@@ -187,6 +191,8 @@ ObligationResult fcsl::verifyUnifiedPushPop(const StackProtocol &P,
   Opts.Ambient = P.C;
   Opts.EnvInterference = false;
   Opts.Defs = P.Defs.get();
+  Opts.Por = Modes.Por;
+  Opts.Symmetry = Modes.Sym;
   return toObligation(
       verifyTriple(Main, S, {VerifyInstance{P.Initial, {}}}, Opts));
 }
@@ -224,21 +230,23 @@ VerificationSession fcsl::makeStackIfaceSession() {
 
   Session.addObligation(ObCategory::Main, "push_pair_treiber",
                         unifiedInputs(*Treiber, "push_pair", {1, 2}),
-                        [Treiber] {
-    return verifyUnifiedPushPair(*Treiber, 1, 2);
+                        [Treiber](const ResolvedModes &Modes) {
+    return verifyUnifiedPushPair(*Treiber, 1, 2, Modes);
   });
   Session.addObligation(ObCategory::Main, "push_pair_fc",
-                        unifiedInputs(*Fc, "push_pair", {1, 2}), [Fc] {
-    return verifyUnifiedPushPair(*Fc, 1, 2);
+                        unifiedInputs(*Fc, "push_pair", {1, 2}),
+                        [Fc](const ResolvedModes &Modes) {
+    return verifyUnifiedPushPair(*Fc, 1, 2, Modes);
   });
   Session.addObligation(ObCategory::Main, "push_pop_treiber",
                         unifiedInputs(*Treiber, "push_pop", {9}),
-                        [Treiber] {
-    return verifyUnifiedPushPop(*Treiber, 9);
+                        [Treiber](const ResolvedModes &Modes) {
+    return verifyUnifiedPushPop(*Treiber, 9, Modes);
   });
   Session.addObligation(ObCategory::Main, "push_pop_fc",
-                        unifiedInputs(*Fc, "push_pop", {9}), [Fc] {
-    return verifyUnifiedPushPop(*Fc, 9);
+                        unifiedInputs(*Fc, "push_pop", {9}),
+                        [Fc](const ResolvedModes &Modes) {
+    return verifyUnifiedPushPop(*Fc, 9, Modes);
   });
   return Session;
 }

@@ -62,13 +62,17 @@ StackProtocol fcStackProtocol();
 
 /// The unified client theorem, stated once against StackProtocol:
 /// par(s_push(tokL, A), s_push(tokR, B)) records entries for both A and
-/// B in the joined self history. Returns the verification outcome.
-ObligationResult verifyUnifiedPushPair(const StackProtocol &P, int64_t A,
-                                       int64_t B);
+/// B in the joined self history, explored under \p Modes' POR and
+/// symmetry modes. Returns the verification outcome.
+ObligationResult
+verifyUnifiedPushPair(const StackProtocol &P, int64_t A, int64_t B,
+                      const ResolvedModes &Modes = ResolvedModes::defaults());
 
 /// The unified push/pop client: par(s_push(tokL, V), s_pop(tokR)); the
 /// pop returns V or reports empty, and the push entry is always recorded.
-ObligationResult verifyUnifiedPushPop(const StackProtocol &P, int64_t V);
+ObligationResult
+verifyUnifiedPushPop(const StackProtocol &P, int64_t V,
+                     const ResolvedModes &Modes = ResolvedModes::defaults());
 
 /// The "Abstract stack" extension row (not in the paper's Table 1; see
 /// DESIGN.md section on extensions).

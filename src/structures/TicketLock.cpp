@@ -581,7 +581,7 @@ VerificationSession fcsl::makeTicketLockSession() {
   Session.addObligation(
       ObCategory::Libs, "ticketset_x_nat_pcm_laws",
       pcmLawInputs(LawType, LawSample, 1).text("cancellative"),
-      [LawType, LawSample] {
+      [LawType, LawSample](const ResolvedModes &) {
         PCMLawReport R = checkPCMLaws(*LawType, LawSample);
         return lawObligation(R.allHold() && checkCancellativity(LawSample),
                              R.JoinsEvaluated);
@@ -589,7 +589,7 @@ VerificationSession fcsl::makeTicketLockSession() {
 
   Session.addObligation(ObCategory::Conc, "tlock_metatheory",
                         sampleInputs(ObKind::Metatheory, *C, *Samples, 1),
-                        [C, Samples] {
+                        [C, Samples](const ResolvedModes &) {
     return toObligation(checkConcurroidWellFormed(*C, *Samples));
   });
 
@@ -610,26 +610,26 @@ VerificationSession fcsl::makeTicketLockSession() {
 
   Session.addObligation(ObCategory::Acts, "unlock_wf",
                         actionInputs(*Unlock, *Samples, {{}}, 1).text("wf"),
-                        [Unlock, Samples] {
+                        [Unlock, Samples](const ResolvedModes &) {
     return toObligation(checkActionWellFormed(*Unlock, *Samples, {{}}));
   });
   Session.addObligation(
       ObCategory::Acts, "unlock_corresponds",
       actionInputs(*Unlock, *Samples, {{}}, 1).text("corresponds"),
-      [Unlock, Samples] {
+      [Unlock, Samples](const ResolvedModes &) {
         return toObligation(
             checkActionCorrespondence(*Unlock, *Samples, {{}}));
       });
 
   Session.addObligation(ObCategory::Stab, "serving_me_is_stable",
                         stabilityInputs(*C, "the lock serves me", *Samples, 1),
-                        [C, P, Samples] {
+                        [C, P, Samples](const ResolvedModes &) {
     Assertion Holding("the lock serves me", P.HoldsLock);
     return toObligation(checkStability(Holding, *C, *Samples));
   });
   Session.addObligation(ObCategory::Stab, "my_ticket_stays_mine",
                         stabilityInputs(*C, "I hold ticket 2", *Samples, 1),
-                        [C, Samples] {
+                        [C, Samples](const ResolvedModes &) {
     Assertion MyTicket("I hold ticket 2", [](const View &S) {
       return S.hasLabel(LkLbl) && holdsTicket(S.self(LkLbl), 2);
     });
@@ -638,7 +638,7 @@ VerificationSession fcsl::makeTicketLockSession() {
   Session.addObligation(
       ObCategory::Stab, "owner_only_grows",
       stabilityInputs(*C, "owner/next are monotone", *Samples, 1),
-      [C, Samples] {
+      [C, Samples](const ResolvedModes &) {
         return toObligation(checkRelationStability(
             [](const View &Seed, const View &S) {
               std::optional<TLockCells> Before =

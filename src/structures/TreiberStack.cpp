@@ -485,7 +485,7 @@ VerificationSession fcsl::makeTreiberSession() {
   Session.addObligation(
       ObCategory::Libs, "hist_pcm_laws",
       pcmLawInputs(PCMType::hist(), LawSample, 1).text("cancellative"),
-      [LawSample] {
+      [LawSample](const ResolvedModes &) {
         PCMLawReport R = checkPCMLaws(*PCMType::hist(), LawSample);
         return lawObligation(R.allHold() && checkCancellativity(LawSample),
                              R.JoinsEvaluated);
@@ -494,7 +494,7 @@ VerificationSession fcsl::makeTreiberSession() {
   Session.addObligation(ObCategory::Conc, "treiber_metatheory",
                         sampleInputs(ObKind::Metatheory, *Case->C,
                                      *Samples, 1),
-                        [Case, Samples] {
+                        [Case, Samples](const ResolvedModes &) {
     return toObligation(checkConcurroidWellFormed(*Case->C, *Samples));
   });
 
@@ -508,21 +508,21 @@ VerificationSession fcsl::makeTreiberSession() {
   Session.addObligation(ObCategory::Acts, "read_head_wf",
                         actionInputs(*Case->ReadHead, *Samples, {{}}, 1)
                             .text("wf"),
-                        [Case, Samples] {
+                        [Case, Samples](const ResolvedModes &) {
     return toObligation(
         checkActionWellFormed(*Case->ReadHead, *Samples, {{}}));
   });
   Session.addObligation(ObCategory::Acts, "try_push_wf",
                         actionInputs(*Case->TryPush, *Samples, PushArgs, 1)
                             .text("wf"),
-                        [Case, Samples, PushArgs] {
+                        [Case, Samples, PushArgs](const ResolvedModes &) {
     return toObligation(
         checkActionWellFormed(*Case->TryPush, *Samples, PushArgs));
   });
   Session.addObligation(ObCategory::Acts, "try_pop_wf",
                         actionInputs(*Case->TryPop, *Samples, PopArgs, 1)
                             .text("wf"),
-                        [Case, Samples, PopArgs] {
+                        [Case, Samples, PopArgs](const ResolvedModes &) {
     return toObligation(
         checkActionWellFormed(*Case->TryPop, *Samples, PopArgs));
   });
@@ -531,7 +531,7 @@ VerificationSession fcsl::makeTreiberSession() {
                         stabilityInputs(*Case->C,
                                         "my history contains stamp 1",
                                         *Samples, 1),
-                        [Case, Samples] {
+                        [Case, Samples](const ResolvedModes &) {
     Label Tr = Case->Tr;
     Assertion MyHist("my history contains stamp 1", [Tr](const View &S) {
       return S.self(Tr).getHist().contains(1);
@@ -542,7 +542,7 @@ VerificationSession fcsl::makeTreiberSession() {
                         stabilityInputs(*Case->C,
                                         "the combined history is append-only",
                                         *Samples, 1),
-                        [Case, Samples] {
+                        [Case, Samples](const ResolvedModes &) {
     Label Tr = Case->Tr;
     return toObligation(checkRelationStability(
         [Tr](const View &Seed, const View &S) {

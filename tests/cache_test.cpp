@@ -80,7 +80,7 @@ VerificationSession toySession(uint64_t InputFp, uint64_t Checks,
   VerificationSession S("Toy");
   S.addObligation(ObCategory::Libs, "toy_lemma",
                   ObligationInputs(ObKind::Check).mix(InputFp).rev(1),
-                  [Checks, Passes] {
+                  [Checks, Passes](const ResolvedModes &) {
                     ObligationResult O;
                     O.Passed = Passes;
                     O.Checks = Checks;
@@ -298,7 +298,9 @@ TEST_F(CacheTest, EditingADeclaredInputInvalidates) {
   VerificationSession Bumped("Toy");
   Bumped.addObligation(ObCategory::Libs, "toy_lemma",
                        ObligationInputs(ObKind::Check).mix(0xaaaa).rev(2),
-                       [] { return ObligationResult{}; });
+                       [](const ResolvedModes &) {
+                         return ObligationResult{};
+                       });
   SessionReport Rev = Bumped.run();
   EXPECT_EQ(Rev.Cache.Hits, 0u);
   EXPECT_EQ(Rev.Cache.Misses, 1u);

@@ -6,10 +6,11 @@
 // served session report is bit-identical to a direct in-process run (the
 // wire codec, the scheduler, and the mode plumbing add nothing and lose
 // nothing); a warm obligation store answers whole sessions without the
-// engine ever running; concurrent clients are both served; malformed and
+// engine ever running; concurrent clients are both served, also when
+// their sessions run under different modes at once; malformed and
 // unknown frames are rejected loudly without killing the daemon; and a
 // graceful Shutdown drains in-flight sessions before acking. Part of the
-// ASan stage of scripts/verify.sh.
+// TSan and ASan stages of scripts/verify.sh.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,8 +25,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdio>
+#include <mutex>
 #include <cstring>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -180,9 +183,8 @@ TEST_F(ServiceTest, WarmStoreServesWithoutTheEngine) {
   EXPECT_FALSE(Cold->ServedFromCache);
   EXPECT_EQ(Cold->Report.Cache.Stores, Cold->Report.totalObligations());
 
-  // An engine-backed cache-off request flips the process default cache
-  // mode to Off; the warm path must keep serving from the resolved store
-  // regardless of what mode the last worker installed.
+  // An engine-backed cache-off request in between must not stop the warm
+  // path from serving out of the process store.
   std::optional<ReportMsg> Uncached =
       Client.submit("CG increment", PorOffB, SymOffB, CacheOffB);
   ASSERT_TRUE(Uncached && Uncached->Ok) << Client.error();
@@ -249,6 +251,91 @@ TEST_F(ServiceTest, ConcurrentClientsAreBothServed) {
   B.join();
   EXPECT_EQ(Failures.load(), 0);
   EXPECT_EQ(Daemon->stats().RequestsServed.load(), 2u);
+}
+
+TEST_F(ServiceTest, MixedModeSessionsRunSideBySide) {
+  // Two clients send engine-backed submits (cache off) across all four
+  // POR off/dynamic x symmetry off/on pairs, interleaved with warm rw
+  // serves. Sessions under different modes overlap on the two workers;
+  // every reply must still equal the direct run under its own modes.
+  // Spanning tree's Main shrinks under dynamic POR, CG increment's under
+  // symmetry, so a session run under the wrong modes reports different
+  // check counts.
+  const std::array<const char *, 2> Names = {"Spanning tree",
+                                             "CG increment"};
+  const std::array<std::pair<uint8_t, uint8_t>, 4> ModeBytes = {
+      {{PorOffB, SymOffB},
+       {PorOffB, SymOnB},
+       {PorDynamicB, SymOffB},
+       {PorDynamicB, SymOnB}}};
+  const std::vector<CaseEntry> Cases = allCaseStudies();
+  std::vector<VerificationSession> Sessions;
+  for (const char *Name : Names)
+    for (const CaseEntry &Case : Cases)
+      if (Case.Name == Name)
+        Sessions.push_back(Case.MakeSession());
+  ASSERT_EQ(Sessions.size(), Names.size());
+
+  // Direct runs under explicit modes; the process defaults stay Off.
+  // Warm goldens are second rw passes over a store the first one filled.
+  std::array<std::array<SessionReport, 4>, 2> EngineGolden;
+  std::array<SessionReport, 2> WarmGolden;
+  for (size_t S = 0; S != Names.size(); ++S) {
+    for (size_t M = 0; M != ModeBytes.size(); ++M)
+      EngineGolden[S][M] = Sessions[S].run(
+          {static_cast<PorMode>(ModeBytes[M].first),
+           static_cast<SymMode>(ModeBytes[M].second), cache::CacheMode::Off});
+    ResolvedModes Rw{PorMode::Off, SymMode::Off, cache::CacheMode::Rw};
+    Sessions[S].run(Rw);
+    WarmGolden[S] = Sessions[S].run(Rw);
+    ASSERT_EQ(WarmGolden[S].Cache.Hits, WarmGolden[S].totalObligations());
+  }
+  EXPECT_NE(encodedScrubbed(EngineGolden[0][0]),
+            encodedScrubbed(EngineGolden[0][2]));
+  EXPECT_NE(encodedScrubbed(EngineGolden[1][0]),
+            encodedScrubbed(EngineGolden[1][1]));
+
+  startDaemon(/*Workers=*/2);
+  constexpr unsigned Rounds = 8;
+  std::mutex FailMutex;
+  std::vector<std::string> Failures;
+  auto Client = [&](unsigned C) {
+    auto Fail = [&](std::string Why) {
+      std::lock_guard<std::mutex> Lock(FailMutex);
+      Failures.push_back("client " + std::to_string(C) + ": " + Why);
+    };
+    ServiceClient Cl(socketPath());
+    if (!Cl.ok())
+      return Fail(Cl.error());
+    for (unsigned I = 0; I != Rounds; ++I) {
+      size_t S = I % Names.size();
+      size_t M = (I + 2 * C) % ModeBytes.size();
+      std::optional<ReportMsg> R = Cl.submit(
+          Names[S], ModeBytes[M].first, ModeBytes[M].second, CacheOffB);
+      if (!R || !R->Ok || R->ServedFromCache ||
+          encodedScrubbed(R->Report) != encodedScrubbed(EngineGolden[S][M]))
+        Fail(std::string("engine ") + Names[S] + " mode " +
+             std::to_string(M) + (R ? " " + R->Error : " " + Cl.error()));
+      size_t W = (I + C) % Names.size();
+      R = Cl.submit(Names[W], PorOffB, SymOffB, CacheRwB);
+      if (!R || !R->Ok || !R->ServedFromCache ||
+          encodedScrubbed(R->Report) != encodedScrubbed(WarmGolden[W]))
+        Fail(std::string("warm ") + Names[W] +
+             (R ? " " + R->Error : " " + Cl.error()));
+    }
+  };
+  std::thread A(Client, 0u);
+  std::thread B(Client, 1u);
+  A.join();
+  B.join();
+  for (const std::string &F : Failures)
+    ADD_FAILURE() << F;
+  EXPECT_EQ(Daemon->stats().SessionsRun.load(), 2u * Rounds);
+  EXPECT_EQ(Daemon->stats().ServedFromCache.load(), 2u * Rounds);
+  // The daemon never wrote the process defaults.
+  EXPECT_EQ(defaultPorMode(), PorMode::Off);
+  EXPECT_EQ(defaultSymmetryMode(), SymMode::Off);
+  EXPECT_EQ(cache::defaultCacheMode(), cache::CacheMode::Off);
 }
 
 TEST_F(ServiceTest, MalformedAndUnknownFramesAreRejectedLoudly) {

@@ -16,6 +16,7 @@
 #include "dist/Coordinator.h"
 #include "prog/Engine.h"
 #include "state/PtrCanon.h"
+#include "structures/CgIncrement.h"
 #include "structures/Suite.h"
 #include "support/Codec.h"
 
@@ -260,13 +261,32 @@ TEST(SymmetryTest, NestedParTreeCollapsesFactorialOrbits) {
   // plus mirror-terminal short-circuiting reaches 5).
   EXPECT_EQ(Full.ConfigsExplored, 65u);
   EXPECT_EQ(Canon.ConfigsExplored, 5u);
-  // The canonicalizer actually rewrote configurations (orbit-cache proxy),
+  // The canonicalizer actually rewrote configurations (orbit-size proxy),
   // and the flattened par spine was detected as one 4-ary group.
   SymmetryStats Stats = symmetryStats();
   EXPECT_GT(Stats.Lookups, 0u);
   EXPECT_GT(Stats.Changed, 0u);
   EXPECT_GT(Stats.Groups, 0u);
   EXPECT_GE(Stats.GroupPeak, 4u);
+}
+
+TEST(SymmetryTest, CgIncrementSessionHoldsItsOrbitRatioFloor) {
+  // The CG increment session's 3-ary par spine folds its 3! schedules:
+  // its canonical space must stay at most 0.70 of the full one (0.594
+  // today). Each run names its modes, so no process default is touched.
+  VerificationSession Session = makeCgIncrementSession();
+  auto ConfigsUnder = [&Session](SymMode Sym) {
+    uint64_t Before = totalConfigsExplored();
+    SessionReport R =
+        Session.run({PorMode::Off, Sym, cache::CacheMode::Off}, /*Jobs=*/1);
+    EXPECT_TRUE(R.AllPassed) << symModeName(Sym);
+    return totalConfigsExplored() - Before;
+  };
+  uint64_t Full = ConfigsUnder(SymMode::Off);
+  uint64_t Canonical = ConfigsUnder(SymMode::On);
+  ASSERT_GT(Full, 0u);
+  EXPECT_LE(static_cast<double>(Canonical) / static_cast<double>(Full), 0.70)
+      << Canonical << " canonical vs " << Full << " full configurations";
 }
 
 TEST(SymmetryTest, AsymmetricSiblingsAreLeftAlone) {

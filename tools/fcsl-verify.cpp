@@ -107,9 +107,8 @@ int usage() {
 struct CaseSymRecord {
   std::string Name;
   uint64_t Configs = 0; ///< configs explored by this session's runs.
-  uint64_t Lookups = 0; ///< orbit-cache probes.
-  uint64_t Hits = 0;    ///< probes answered from the cache.
-  uint64_t Changed = 0; ///< probes whose config was rewritten.
+  uint64_t Lookups = 0; ///< canonicalize calls.
+  uint64_t Changed = 0; ///< calls whose config was rewritten.
   uint64_t Renames = 0; ///< rewrites that renamed fresh pointers.
   uint64_t Groups = 0;  ///< k-ary orbit groups formed at forks.
 };
@@ -130,7 +129,7 @@ struct CaseCacheRecord {
 std::vector<CaseCacheRecord> CachePerCase;
 bool CollectCachePerCase = false;
 
-/// Runs one session, recording its orbit-cache and obligation-cache deltas
+/// Runs one session, recording its symmetry and obligation-cache deltas
 /// when asked.
 SessionReport runCase(const CaseEntry &Case) {
   if (!CollectSymPerCase && !CollectCachePerCase)
@@ -143,8 +142,7 @@ SessionReport runCase(const CaseEntry &Case) {
     SymmetryStats After = symmetryStats();
     SymPerCase.push_back(CaseSymRecord{
         Case.Name, totalConfigsExplored() - ConfigsBefore,
-        After.Lookups - SymBefore.Lookups, After.Hits - SymBefore.Hits,
-        After.Changed - SymBefore.Changed,
+        After.Lookups - SymBefore.Lookups, After.Changed - SymBefore.Changed,
         After.Renames - SymBefore.Renames,
         After.Groups - SymBefore.Groups});
   }
@@ -186,27 +184,18 @@ void printStats() {
 
   SymmetryStats Sym = symmetryStats();
   if (Sym.Lookups > 0) {
-    // The hit rate is measured against post-rename canonical fingerprints:
-    // canonicalize() stores a second entry keyed by the canonical hash, so
-    // arrivals already in canonical form (the common case once renaming
-    // changed fingerprints) still count as hits here.
-    std::printf("orbit cache: %llu lookups, %llu hits (%.1f%%), %llu "
-                "canonicalized, %llu pointer-renamed; %llu k-ary groups "
-                "(peak size %llu)\n",
+    std::printf("orbit lookups: %llu, %llu canonicalized, %llu "
+                "pointer-renamed; %llu k-ary groups (peak size %llu)\n",
                 static_cast<unsigned long long>(Sym.Lookups),
-                static_cast<unsigned long long>(Sym.Hits),
-                100.0 * static_cast<double>(Sym.Hits) /
-                    static_cast<double>(Sym.Lookups),
                 static_cast<unsigned long long>(Sym.Changed),
                 static_cast<unsigned long long>(Sym.Renames),
                 static_cast<unsigned long long>(Sym.Groups),
                 static_cast<unsigned long long>(Sym.GroupPeak));
     if (!SymPerCase.empty()) {
       TextTable Orbits;
-      Orbits.setHeader({"structure", "configs", "lookups", "hit rate",
-                        "canonicalized", "renamed", "groups",
-                        "est. orbit size"});
-      for (unsigned I = 1; I <= 7; ++I)
+      Orbits.setHeader({"structure", "configs", "lookups", "canonicalized",
+                        "renamed", "groups", "est. orbit size"});
+      for (unsigned I = 1; I <= 6; ++I)
         Orbits.setRightAligned(I);
       for (const CaseSymRecord &R : SymPerCase) {
         // With orbits of mean size k, k-1 of every k probed raw configs
@@ -216,13 +205,8 @@ void printStats() {
                          ? static_cast<double>(R.Lookups) /
                                static_cast<double>(R.Lookups - R.Changed)
                          : 1.0;
-        double HitRate = R.Lookups
-                             ? 100.0 * static_cast<double>(R.Hits) /
-                                   static_cast<double>(R.Lookups)
-                             : 0.0;
         Orbits.addRow({R.Name, std::to_string(R.Configs),
                        std::to_string(R.Lookups),
-                       formatString("%.1f%%", HitRate),
                        std::to_string(R.Changed), std::to_string(R.Renames),
                        std::to_string(R.Groups),
                        formatString("%.2f", Est)});
