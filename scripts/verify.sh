@@ -17,6 +17,11 @@
 #      symmetry tests run under it, along with the dist wire, cache and
 #      service tests, since those layers do the pointer-identity, raw-byte
 #      and pointer-renaming manipulation where memory bugs would hide.
+#      The engine, parallel-engine, dynamic-POR and trace tests run too:
+#      configurations are handles into hash-cons tables each exploration
+#      frees with its visited set, edited copy-on-write, and failure
+#      traces are rendered through parent nodes, so a handle that outlives
+#      its table or a stale private copy would show up there.
 #      The decoders must stay fail-soft: malformed frames, including the
 #      retired tag-2 frontier batch, are rejected and never crash.
 #   4. POR oracle: fcsl-verify --por=check runs every Table-1 session
@@ -125,15 +130,20 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   echo "== asan+ubsan: configure + build (build-asan/) =="
   cmake -B build-asan -S . -DFCSL_SANITIZE=address,undefined >/dev/null
   cmake --build build-asan -j "$(nproc)" --target intern_test codec_test \
-    --target dist_test cache_test service_test symmetry_test
+    --target dist_test cache_test service_test symmetry_test engine_test \
+    --target parallel_engine_test por_dynamic_test trace_test
 
-  echo "== asan+ubsan: checking intern arena, codec, dist wire, cache, service, symmetry =="
+  echo "== asan+ubsan: checking intern arena, codec, dist wire, cache, service, symmetry, engine =="
   ./build-asan/tests/intern_test
   ./build-asan/tests/codec_test
   ./build-asan/tests/dist_test
   ./build-asan/tests/cache_test
   ./build-asan/tests/service_test
   ./build-asan/tests/symmetry_test
+  ./build-asan/tests/engine_test
+  ./build-asan/tests/parallel_engine_test
+  ./build-asan/tests/por_dynamic_test
+  ./build-asan/tests/trace_test
 fi
 
 if [[ "$RUN_POR" == 1 ]]; then

@@ -165,7 +165,6 @@ ShardCommand SocketShardIo::pump(const ShardStatus &Status,
       bool BatchBad = !Dict || !Dict->feedDefs(B.Defs.data(), B.Defs.size());
       for (size_t I = 0; I != B.Configs.size(); ++I) {
         ShardDelivery Delivery;
-        Delivery.Fp = I < B.Fps.size() ? B.Fps[I] : 0;
         if (BatchBad) {
           Delivery.Malformed = true;
         } else {

@@ -327,7 +327,72 @@ struct ThreadCtx {
     for (const Frame &F : Stack)
       F.hashInto(Seed);
   }
+
+  /// Approximate retained bytes (see GlobalState::approxBytes).
+  size_t approxBytes() const {
+    size_t Bytes = sizeof(ThreadCtx);
+    for (const Frame &F : Stack)
+      Bytes += F.approxBytes();
+    return Bytes;
+  }
 };
+
+/// A value hash-consed into a ConsTable, with the content hash it is
+/// filed under.
+template <typename T> struct Consed {
+  T Value;
+  size_t Hash = 0;
+};
+
+/// One exploration's hash-cons table for \p T (thread contexts or global
+/// states). Structurally equal values share one entry, so configurations
+/// hold handles and compare them by address. The table belongs to one
+/// Explorer and dies with its visited set: a Frame holds the session's
+/// `const Prog *` addresses, so a process-wide table would keep one copy
+/// of every state of every session a long-lived daemon ever ran. Striped
+/// like the visited set (one stripe for a serial run, so tiny explorations
+/// pay no set-up cost); entries have stable addresses.
+template <typename T> class ConsTable {
+public:
+  void init(unsigned NumStripes) { Stripes = std::vector<Stripe>(NumStripes); }
+
+  /// The canonical entry equal to \p V, whose content hash is \p H.
+  const Consed<T> *intern(T &&V, size_t H) {
+    Stripe &S = Stripes[H % Stripes.size()];
+    std::lock_guard<std::mutex> Lock(S.M);
+    return &*S.Set.insert(Consed<T>{std::move(V), H}).first;
+  }
+
+  /// Approximate retained bytes of every entry, each counted once; 16
+  /// bytes per entry are the hash-set node (next pointer + cached hash).
+  uint64_t approxBytes() {
+    uint64_t Bytes = 0;
+    for (Stripe &S : Stripes) {
+      std::lock_guard<std::mutex> Lock(S.M);
+      for (const Consed<T> &E : S.Set)
+        Bytes += E.Value.approxBytes() + sizeof(size_t) + 16;
+    }
+    return Bytes;
+  }
+
+private:
+  struct HashOf {
+    size_t operator()(const Consed<T> &E) const { return E.Hash; }
+  };
+  struct SameValue {
+    bool operator()(const Consed<T> &A, const Consed<T> &B) const {
+      return A.Value == B.Value;
+    }
+  };
+  struct Stripe {
+    std::mutex M;
+    std::unordered_set<Consed<T>, HashOf, SameValue> Set;
+  };
+  std::vector<Stripe> Stripes;
+};
+
+using CtxRef = const Consed<ThreadCtx> *;
+using GSRef = const Consed<GlobalState> *;
 
 /// One suppressed scheduling alternative under partial-order reduction: a
 /// step that was already explored at an ancestor configuration and has
@@ -457,20 +522,166 @@ std::set<Ptr> collectPinnedPtrs(const ProgRef &Root,
   return Pinned;
 }
 
-/// A whole configuration: instrumented state plus all thread stacks. The
-/// sleep set and the trailing-env close mask ride along as *payload*, not
-/// identity: they are merged into the visited node on every revisit (the
-/// sleep sets intersect, the masks union — see insertLocal), so the same
-/// raw configuration is never split into several visited entries just
+/// One thread of a configuration: its id and its context, a frozen handle
+/// or the configuration's private copy while it is being edited.
+struct ThreadSlot {
+  ThreadId Id = 0;
+  CtxRef Ctx = nullptr;
+
+  const ThreadCtx &ctx() const { return Ctx->Value; }
+  friend bool operator==(const ThreadSlot &A, const ThreadSlot &B) {
+    return A.Id == B.Id && A.Ctx == B.Ctx;
+  }
+};
+
+/// A whole configuration: a global-state handle plus the threads sorted by
+/// id, each a context handle. Both kinds of handle point into the
+/// exploration's ConsTables, so copying a configuration copies handles,
+/// not trees, and a step that rewrites one thread leaves the others
+/// shared. Edits are copy-on-write: mutGS()/mutThread() hand out a private
+/// copy, and freeze() interns the dirty parts once and computes the
+/// hashes. Identity (operator==, Hash) is only meaningful when frozen.
+///
+/// The sleep set and the trailing-env close mask ride along as *payload*,
+/// not identity: they are merged into the visited node on every revisit
+/// (the sleep sets intersect, the masks union — see insertLocal), so the
+/// same raw configuration is never split into several visited entries just
 /// because different paths put different steps to sleep. The merge is
 /// monotone over a finite lattice, so the fixpoint — and with it the
 /// reachable node set and every counter — stays schedule-independent
-/// across worker counts. The deep hash is computed once (`rehash`) when
-/// the configuration is frozen for insertion into the visited set, so
-/// probes and table rehashes never recompute it.
-struct Config {
-  GlobalState GS;
-  std::map<ThreadId, ThreadCtx> Threads;
+/// across worker counts.
+class Config {
+public:
+  Config() = default;
+  Config(Config &&) = default;
+  Config &operator=(Config &&) = default;
+  /// Copies the handles; private copies are duplicated, not shared.
+  Config(const Config &O)
+      : Sleep(O.Sleep), EnvCloseMask(O.EnvCloseMask), Hash(O.Hash),
+        GSHash(O.GSHash), GS(O.GS), Threads(O.Threads) {
+    if (O.GSScratch) {
+      GSScratch = std::make_unique<Consed<GlobalState>>(*O.GSScratch);
+      GS = GSScratch.get();
+    }
+    for (const std::unique_ptr<Consed<ThreadCtx>> &P : O.Scratch) {
+      Scratch.push_back(std::make_unique<Consed<ThreadCtx>>(*P));
+      for (ThreadSlot &S : Threads)
+        if (S.Ctx == P.get())
+          S.Ctx = Scratch.back().get();
+    }
+  }
+
+  const GlobalState &gs() const { return GS->Value; }
+  /// The frozen global-state handle.
+  GSRef gsRef() const {
+    assert(!GSScratch && "global state not frozen");
+    return GS;
+  }
+  GlobalState &mutGS() {
+    if (!GSScratch) {
+      GSScratch = GS ? std::make_unique<Consed<GlobalState>>(*GS)
+                     : std::make_unique<Consed<GlobalState>>();
+      GS = GSScratch.get();
+    }
+    return GSScratch->Value;
+  }
+
+  const std::vector<ThreadSlot> &threads() const { return Threads; }
+  const ThreadCtx *findThread(ThreadId T) const {
+    auto It = slot(T);
+    return It != Threads.end() && It->Id == T ? &It->ctx() : nullptr;
+  }
+  const ThreadCtx &thread(ThreadId T) const {
+    const ThreadCtx *Ctx = findThread(T);
+    assert(Ctx && "no such thread");
+    return *Ctx;
+  }
+  /// Thread \p T's private copy. References stay valid until the thread
+  /// is erased or the configuration frozen.
+  ThreadCtx &mutThread(ThreadId T) {
+    auto It = Threads.begin() + (slot(T) - Threads.cbegin());
+    assert(It != Threads.end() && It->Id == T && "no such thread");
+    if (Consed<ThreadCtx> *Own = scratchOf(It->Ctx))
+      return Own->Value;
+    Scratch.push_back(std::make_unique<Consed<ThreadCtx>>(*It->Ctx));
+    It->Ctx = Scratch.back().get();
+    return Scratch.back()->Value;
+  }
+  void addThread(ThreadId T, ThreadCtx Ctx) {
+    auto It = slot(T);
+    assert((It == Threads.end() || It->Id != T) && "duplicate thread id");
+    Scratch.push_back(
+        std::make_unique<Consed<ThreadCtx>>(Consed<ThreadCtx>{std::move(Ctx)}));
+    Threads.insert(It, ThreadSlot{T, Scratch.back().get()});
+  }
+  void eraseThread(ThreadId T) {
+    auto It = slot(T);
+    assert(It != Threads.end() && It->Id == T && "no such thread");
+    CtxRef Ctx = It->Ctx;
+    Threads.erase(It);
+    for (auto S = Scratch.begin(); S != Scratch.end(); ++S)
+      if (S->get() == Ctx) {
+        Scratch.erase(S);
+        break;
+      }
+  }
+  /// Re-keys the threads through the injective renaming \p Rel (threads
+  /// absent from it keep their id); contexts move without copying.
+  void renameThreadIds(const std::map<ThreadId, ThreadId> &Rel) {
+    for (ThreadSlot &S : Threads) {
+      auto It = Rel.find(S.Id);
+      if (It != Rel.end())
+        S.Id = It->second;
+    }
+    std::sort(Threads.begin(), Threads.end(),
+              [](const ThreadSlot &A, const ThreadSlot &B) {
+                return A.Id < B.Id;
+              });
+  }
+
+  /// Interns every dirty part into the tables and recomputes the hashes.
+  /// Hash combines the parts' cached *content* hashes, never handle
+  /// addresses: it is the dedup fingerprint shards exchange, so it must be
+  /// the same in every process.
+  void freeze(ConsTable<GlobalState> &GSTable,
+              ConsTable<ThreadCtx> &CtxTable) {
+    if (GSScratch) {
+      size_t H = std::hash<GlobalState>{}(GSScratch->Value);
+      GS = GSTable.intern(std::move(GSScratch->Value), H);
+      GSScratch.reset();
+    }
+    for (ThreadSlot &S : Threads)
+      if (Consed<ThreadCtx> *Own = scratchOf(S.Ctx)) {
+        size_t H = 0;
+        Own->Value.hashInto(H);
+        S.Ctx = CtxTable.intern(std::move(Own->Value), H);
+      }
+    Scratch.clear();
+    GSHash = GS->Hash;
+    size_t Seed = GSHash;
+    hashValue(Seed, Threads.size());
+    for (const ThreadSlot &S : Threads) {
+      hashValue(Seed, S.Id);
+      hashCombine(Seed, S.Ctx->Hash);
+    }
+    Hash = Seed;
+  }
+
+  /// The configuration without its payload: the key of a frozen identity.
+  Config identity() const {
+    assert(!GSScratch && Scratch.empty() && "identity of an unfrozen config");
+    Config Id;
+    Id.GS = GS;
+    Id.Threads = Threads;
+    Id.Hash = Hash;
+    Id.GSHash = GSHash;
+    return Id;
+  }
+
+  friend bool operator==(const Config &A, const Config &B) {
+    return A.GS == B.GS && A.Threads == B.Threads;
+  }
+
   std::vector<SleepEntry> Sleep; ///< sorted by sleepLess.
   /// POR only, and only ever nonzero on *terminal* configurations: bit i
   /// licenses trailing applications of the ambient's i-th transition at
@@ -483,52 +694,70 @@ struct Config {
   /// step. Dependent transitions stay unlicensed: firing them after `a`
   /// would invent terminals the full exploration never reaches.
   uint32_t EnvCloseMask = 0;
-  size_t Hash = 0; ///< cached; valid after rehash().
-  /// Hash of the shared global state alone, cached by the same rehash().
-  /// Multi-process sharding partitions on THIS value, not on Hash:
-  /// configs differing only in thread-local control state co-locate, so
-  /// the many successors produced by pure/local steps never cross a
-  /// shard boundary (locality-preserving ownership). Still a pure
+  size_t Hash = 0; ///< valid after freeze().
+  /// Hash of the global state alone (std::hash<GlobalState>), cached by
+  /// the same freeze(). Multi-process sharding partitions on THIS value,
+  /// not on Hash: configs differing only in thread-local control state
+  /// co-locate, so the many successors produced by pure/local steps never
+  /// cross a shard boundary (locality-preserving ownership). Still a pure
   /// function of config identity — same config, same owner, in every
   /// process — which is all dedup parity needs.
   size_t GSHash = 0;
 
-  friend bool operator==(const Config &A, const Config &B) {
-    return A.GS == B.GS && A.Threads == B.Threads;
+private:
+  std::vector<ThreadSlot>::const_iterator slot(ThreadId T) const {
+    return std::lower_bound(
+        Threads.begin(), Threads.end(), T,
+        [](const ThreadSlot &S, ThreadId Id) { return S.Id < Id; });
+  }
+  Consed<ThreadCtx> *scratchOf(CtxRef Ctx) const {
+    for (const std::unique_ptr<Consed<ThreadCtx>> &P : Scratch)
+      if (P.get() == Ctx)
+        return P.get();
+    return nullptr;
   }
 
-  void rehash() {
-    size_t Seed = 0;
-    GS.hashInto(Seed);
-    GSHash = Seed;
-    hashValue(Seed, Threads.size());
-    for (const auto &Entry : Threads) {
-      hashValue(Seed, Entry.first);
-      Entry.second.hashInto(Seed);
-    }
-    Hash = Seed;
-  }
+  GSRef GS = nullptr;
+  std::vector<ThreadSlot> Threads; ///< sorted by id.
+  std::unique_ptr<Consed<GlobalState>> GSScratch; ///< GS's private copy.
+  std::vector<std::unique_ptr<Consed<ThreadCtx>>> Scratch; ///< thread copies.
+};
 
-  /// Approximate retained bytes of this configuration in the visited set
-  /// (container overhead only — interned nodes are shared arena-wide).
-  size_t approxBytes() const {
-    constexpr size_t MapNode = 48;
-    size_t Bytes = GS.approxBytes();
-    for (const auto &Entry : Threads) {
-      Bytes += MapNode + sizeof(ThreadId) + sizeof(ThreadCtx);
-      for (const Frame &F : Entry.second.Stack)
-        Bytes += F.approxBytes();
-    }
-    Bytes += Sleep.size() * sizeof(const Footprint *);
-    return Bytes;
+/// The scheduling step that produced a visited node, kept as a code and
+/// rendered to text only when a failure trace needs it (renderStep): a
+/// thread step is the thread, its Act node and the outcome's result (the
+/// arguments are re-evaluated from the parent node's frame); an env step
+/// is the ambient transition's index. Mirror marks the symmetric-join
+/// extras of a step (see resolveGroup).
+struct StepCode {
+  enum class Kind : uint8_t { None, Thread, Env };
+  Kind K = Kind::None;
+  bool Mirror = false;
+  ThreadId T = 0;
+  const Prog *ActNode = nullptr;
+  size_t EnvIdx = 0;
+  Val Result;
+
+  static StepCode thread(ThreadId T, const Prog *ActNode, Val Result) {
+    StepCode S;
+    S.K = Kind::Thread;
+    S.T = T;
+    S.ActNode = ActNode;
+    S.Result = std::move(Result);
+    return S;
+  }
+  static StepCode env(size_t Idx) {
+    StepCode S;
+    S.K = Kind::Env;
+    S.EnvIdx = Idx;
+    return S;
   }
 };
 
 /// A visited configuration plus the provenance needed to reconstruct a
-/// counterexample schedule: the parent it was reached from and the
-/// human-readable scheduling step. Nodes live in node-based hash sets, so
-/// their addresses are stable and parent chains stay valid across
-/// insertions from any worker.
+/// counterexample schedule: the parent it was reached from and the step
+/// code. Nodes live in node-based hash sets, so their addresses are stable
+/// and parent chains stay valid across insertions from any worker.
 ///
 /// Under partial-order reduction the node also carries mutable *wake
 /// state*, guarded by the owning visited-set stripe's mutex: the merged
@@ -536,16 +765,21 @@ struct Config {
 /// trailing-env close mask (union), the set of candidate steps already
 /// executed here (so step counters count once per step across wakeup
 /// replays), and the queueing flags that coalesce replays. Identity
-/// (NodeHash/NodeEq) deliberately excludes all of it.
+/// (NodeHash/NodeEq) deliberately excludes all of it; the config's own
+/// payload is moved into the wake state on insertion.
 struct Node {
   Config C;
   const Node *Parent = nullptr;
-  std::string Step; ///< empty for the initial configuration.
+  StepCode Step; ///< Kind::None for seeds and configs from peer shards.
   mutable std::vector<SleepEntry> Sleep{}; ///< merged; sorted by sleepLess.
   mutable uint32_t CloseMask = 0;        ///< merged trailing-env licenses.
   mutable std::vector<uint64_t> Executed{}; ///< sorted candidate keys.
   mutable bool InQueue = false;      ///< queued for (re-)expansion.
   mutable bool ExpandedOnce = false; ///< has consumed its config ticket.
+};
+
+struct ConfigHash {
+  size_t operator()(const Config &C) const { return C.Hash; }
 };
 
 struct NodeHash {
@@ -555,6 +789,31 @@ struct NodeHash {
 struct NodeEq {
   bool operator()(const Node &A, const Node &B) const { return A.C == B.C; }
 };
+
+/// Evaluates an Act frame's arguments.
+std::vector<Val> evalArgs(const Frame &Top) {
+  std::vector<Val> Args;
+  Args.reserve(Top.Node->args().size());
+  for (const ExprRef &E : Top.Node->args())
+    Args.push_back(E->eval(Top.Env));
+  return Args;
+}
+
+/// The trace text of thread \p T applying \p A to \p Args; with a
+/// \p Result, "-> result" follows.
+std::string threadStepText(ThreadId T, const AtomicAction &A,
+                           const std::vector<Val> &Args,
+                           const Val *Result) {
+  std::string ArgText;
+  for (size_t I = 0, Sz = Args.size(); I != Sz; ++I)
+    ArgText += (I ? ", " : "") + Args[I].toString();
+  std::string Text =
+      formatString("thread %llu: %s(%s)", static_cast<unsigned long long>(T),
+                   A.name().c_str(), ArgText.c_str());
+  if (Result)
+    Text += " -> " + Result->toString();
+  return Text;
+}
 
 /// The exploration driver.
 class Explorer {
@@ -588,10 +847,10 @@ public:
       PinnedPtrs = collectPinnedPtrs(Root, Initial, InitialEnv, Opts.Defs);
 
     Config C0;
-    C0.GS = Initial;
+    C0.mutGS() = Initial;
     ThreadCtx Main;
     Main.Stack.push_back(runFrame(Root.get(), InitialEnv));
-    C0.Threads.emplace(rootThread(), std::move(Main));
+    C0.addThread(rootThread(), std::move(Main));
 
     // Under symmetry, normalization of the seed can already cross a
     // symmetric join (a par of pure branches), in which case the mirrored
@@ -616,6 +875,8 @@ public:
         std::min<uint64_t>(Opts.MaxConfigs, 1u << 16));
     for (Shard &S : Shards)
       S.Set.reserve(Reserve / NumShards + 1);
+    GSTable.init(NumShards);
+    CtxTable.init(NumShards);
     Workers.clear();
     for (unsigned I = 0; I != Jobs; ++I)
       Workers.push_back(std::make_unique<Worker>());
@@ -627,7 +888,7 @@ public:
     for (Config &X : Extras)
       Seeds.push_back(std::move(X));
     for (Config &Seed : Seeds) {
-      Seed.rehash();
+      freeze(Seed);
       // Canonicalize before the ownership decision so a whole orbit maps
       // to one shard (enqueue would also canonicalize, but the dist seed
       // path below bypasses it).
@@ -638,9 +899,9 @@ public:
         // counter parity with the in-process engine. Ownership is the
         // process-stable global-state hash, same as enqueue.
         if (static_cast<unsigned>(Seed.GSHash % DistN) == DistId)
-          insertLocal(std::move(Seed), nullptr, "", *Workers[0]);
+          insertLocal(std::move(Seed), nullptr, {}, *Workers[0]);
       } else {
-        enqueue(std::move(Seed), nullptr, "", *Workers[0]);
+        enqueue(std::move(Seed), nullptr, {}, *Workers[0]);
       }
     }
 
@@ -694,12 +955,18 @@ public:
     Res.Terminals.assign(Merged.begin(), Merged.end());
 
     // The visited set only grows, so its final size is the run's peak.
-    uint64_t Nodes = 0, Bytes = 0;
+    // Each node counts its handle vector and wake state; the contexts and
+    // global states it points to count once, as table entries.
+    uint64_t Nodes = 0;
+    uint64_t Bytes = GSTable.approxBytes() + CtxTable.approxBytes();
     for (Shard &S : Shards) {
       Nodes += S.Set.size();
       // 16 bytes: the hash-set node (next pointer + cached hash).
       for (const Node &N : S.Set)
-        Bytes += sizeof(Node) + N.Step.capacity() + N.C.approxBytes() + 16;
+        Bytes += sizeof(Node) + 16 +
+                 N.C.threads().capacity() * sizeof(ThreadSlot) +
+                 N.Sleep.capacity() * sizeof(SleepEntry) +
+                 N.Executed.capacity() * sizeof(uint64_t);
     }
     Res.VisitedNodes = Nodes;
     Res.VisitedBytes = Bytes;
@@ -711,11 +978,13 @@ public:
                         const VarEnv &InitialEnv, uint64_t Seed,
                         uint64_t MaxSteps) {
     SimResult Sim;
+    // The walk never freezes: the configuration stays a private copy, and
+    // erased threads free theirs, so memory is bounded by the live state.
     Config C;
-    C.GS = Initial;
+    C.mutGS() = Initial;
     ThreadCtx Main;
     Main.Stack.push_back(runFrame(Root.get(), InitialEnv));
-    C.Threads.emplace(rootThread(), std::move(Main));
+    C.addThread(rootThread(), std::move(Main));
     Rng Random(Seed);
 
     auto FailOut = [&](std::string Note) {
@@ -729,19 +998,19 @@ public:
       return FailOut(std::move(Err));
 
     for (Sim.Steps = 0; Sim.Steps < MaxSteps; ++Sim.Steps) {
-      const ThreadCtx &MainCtx = C.Threads.at(rootThread());
+      const ThreadCtx &MainCtx = C.thread(rootThread());
       if (MainCtx.Done) {
         Sim.Terminated = true;
         Sim.Result = *MainCtx.Done;
-        Sim.FinalView = C.GS.viewFor(rootThread());
+        Sim.FinalView = C.gs().viewFor(rootThread());
         return Sim;
       }
 
       // One candidate per runnable thread, plus one for the environment.
       std::vector<ThreadId> Runnable;
-      for (const auto &Entry : C.Threads)
-        if (!Entry.second.Done && !Entry.second.Waiting)
-          Runnable.push_back(Entry.first);
+      for (const ThreadSlot &S : C.threads())
+        if (!S.ctx().Done && !S.ctx().Waiting)
+          Runnable.push_back(S.Id);
       bool WithEnv = Opts.EnvInterference && Opts.Ambient;
       size_t Choices = Runnable.size() + (WithEnv ? 1 : 0);
       if (Choices == 0)
@@ -750,12 +1019,10 @@ public:
 
       if (Pick < Runnable.size()) {
         ThreadId T = Runnable[Pick];
-        const Frame &Top = C.Threads.at(T).Stack.back();
+        const Frame &Top = C.thread(T).Stack.back();
         const AtomicAction &A = *Top.Node->action();
-        std::vector<Val> Args;
-        for (const ExprRef &E : Top.Node->args())
-          Args.push_back(E->eval(Top.Env));
-        View Pre = C.GS.viewFor(T);
+        std::vector<Val> Args = evalArgs(Top);
+        View Pre = C.gs().viewFor(T);
         std::optional<std::vector<ActOutcome>> Outcomes =
             A.step(Pre, Args);
         if (!Outcomes)
@@ -764,17 +1031,17 @@ public:
                            A.name().c_str()));
         const ActOutcome &O =
             (*Outcomes)[Random.nextBelow(Outcomes->size())];
-        C.GS.applyThread(T, Pre, O.Post);
+        C.mutGS().applyThread(T, Pre, O.Post);
         if (Opts.CheckStepCoherence && Opts.Ambient &&
-            !Opts.Ambient->coherent(C.GS.viewFor(T)))
+            !Opts.Ambient->coherent(C.gs().viewFor(T)))
           return FailOut(formatString("action %s broke coherence",
                                       A.name().c_str()));
-        C.Threads.at(T).Stack.pop_back();
+        C.mutThread(T).Stack.pop_back();
         if (!deliver(C, T, O.Result, Err) || !normalize(C, Err))
           return FailOut(std::move(Err));
       } else {
         // One random environment step (if any is enabled).
-        View EnvView = C.GS.viewForEnv();
+        View EnvView = C.gs().viewForEnv();
         std::vector<View> Posts;
         for (const Transition &T : Opts.Ambient->transitions()) {
           if (!isEnvStep(T))
@@ -784,8 +1051,8 @@ public:
               Posts.push_back(Post);
         }
         if (!Posts.empty())
-          C.GS.applyEnv(EnvView,
-                        Posts[Random.nextBelow(Posts.size())]);
+          C.mutGS().applyEnv(EnvView,
+                             Posts[Random.nextBelow(Posts.size())]);
       }
     }
     return Sim; // Budget exhausted without termination.
@@ -820,7 +1087,7 @@ private:
   /// Delivers \p Value to thread \p T's continuation, unwinding HideExit
   /// frames. Returns false on an engine-level failure, with \p Err set.
   bool deliver(Config &C, ThreadId T, Val Value, std::string &Err) {
-    ThreadCtx &Ctx = C.Threads.at(T);
+    ThreadCtx &Ctx = C.mutThread(T);
     while (true) {
       if (Ctx.Stack.empty()) {
         Ctx.Done = std::move(Value);
@@ -841,11 +1108,12 @@ private:
         // caller's private heap; hidden auxiliary state is discarded
         // (it was logical-only).
         const HideSpec &Spec = F.Node->hideSpec();
-        Heap Hidden = C.GS.removeLabel(Spec.Hidden);
-        Heap Mine = C.GS.selfOf(Spec.Pv, T).getHeap();
+        GlobalState &GS = C.mutGS();
+        Heap Hidden = GS.removeLabel(Spec.Hidden);
+        Heap Mine = GS.selfOf(Spec.Pv, T).getHeap();
         std::optional<Heap> Joined = Heap::join(Mine, Hidden);
         assert(Joined && "hidden heap clashes with the private heap");
-        C.GS.setSelf(Spec.Pv, T, PCMVal::ofHeap(std::move(*Joined)));
+        GS.setSelf(Spec.Pv, T, PCMVal::ofHeap(std::move(*Joined)));
         continue; // Keep delivering the same value outward.
       }
       case Frame::Kind::Run:
@@ -887,7 +1155,7 @@ private:
   void symFork(Config &C, ThreadId T, const Prog *Node, const Prog *&Left,
                const Prog *&Right, ThreadId &LG, ThreadId &RG,
                FormingMap &Groups) {
-    ThreadCtx &Ctx = C.Threads.at(T);
+    ThreadCtx &Ctx = C.mutThread(T);
     ThreadId G = 0;
     if (Ctx.SymGroup != 0 && Ctx.SymGroup != T) {
       // Interior of a spine whose root opened a flat group earlier in
@@ -938,8 +1206,8 @@ private:
         return false;
       }
       std::vector<std::pair<Label, PCMVal>> Sig;
-      for (Label L : C.GS.labels())
-        Sig.emplace_back(L, C.GS.selfOf(L, Id));
+      for (Label L : C.gs().labels())
+        Sig.emplace_back(L, C.gs().selfOf(L, Id));
       if (!F.HaveSig) {
         F.HaveSig = true;
         F.Sig = std::move(Sig);
@@ -964,29 +1232,28 @@ private:
   void dissolveGroup(Config &C, ThreadId G, FormingMap &Groups) {
     Groups.erase(G);
     std::vector<ThreadId> Members;
-    for (const auto &Entry : C.Threads)
-      if (Entry.second.SymGroup == G)
-        Members.push_back(Entry.first);
+    for (const ThreadSlot &S : C.threads())
+      if (S.ctx().SymGroup == G)
+        Members.push_back(S.Id);
     for (ThreadId M : Members)
-      C.Threads.at(M).SymGroup = 0;
+      C.mutThread(M).SymGroup = 0;
     for (ThreadId M : Members) {
-      auto LIt = C.Threads.find(leftChild(M));
-      auto RIt = C.Threads.find(rightChild(M));
-      if (LIt == C.Threads.end() || RIt == C.Threads.end())
+      const ThreadCtx *L = C.findThread(leftChild(M));
+      const ThreadCtx *R = C.findThread(rightChild(M));
+      if (!L || !R)
         continue;
-      const ThreadCtx &L = LIt->second, &R = RIt->second;
-      if (L.SymGroup != 0 || R.SymGroup != 0 || L.Waiting || R.Waiting ||
-          L.Done || R.Done || !(L.Stack == R.Stack))
+      if (L->SymGroup != 0 || R->SymGroup != 0 || L->Waiting ||
+          R->Waiting || L->Done || R->Done || !(L->Stack == R->Stack))
         continue;
       bool EqualSelves = true;
-      for (Label Lb : C.GS.labels())
-        if (!(C.GS.selfOf(Lb, LIt->first) ==
-              C.GS.selfOf(Lb, RIt->first))) {
+      for (Label Lb : C.gs().labels())
+        if (!(C.gs().selfOf(Lb, leftChild(M)) ==
+              C.gs().selfOf(Lb, rightChild(M)))) {
           EqualSelves = false;
           break;
         }
       if (EqualSelves)
-        C.Threads.at(M).SymGroup = M;
+        C.mutThread(M).SymGroup = M;
     }
   }
 
@@ -1004,13 +1271,13 @@ private:
   void layoutGroup(const Config &C, ThreadId G, ThreadId X,
                    GroupLayout &L) const {
     for (ThreadId Ch : {leftChild(X), rightChild(X)}) {
-      auto It = C.Threads.find(Ch);
-      if (It == C.Threads.end()) {
+      const ThreadCtx *Ctx = C.findThread(Ch);
+      if (!Ctx) {
         L.Complete = false;
         return;
       }
-      if (It->second.SymGroup == G) {
-        if (!It->second.Waiting) {
+      if (Ctx->SymGroup == G) {
+        if (!Ctx->Waiting) {
           L.Complete = false;
           return;
         }
@@ -1045,7 +1312,7 @@ private:
     std::vector<Val> Vals;
     Vals.reserve(L.Slots.size());
     for (ThreadId S : L.Slots) {
-      const ThreadCtx &Ctx = C.Threads.at(S);
+      const ThreadCtx &Ctx = C.thread(S);
       if (!Ctx.Done)
         return true; // A slot is still running: keep waiting.
       Vals.push_back(*Ctx.Done);
@@ -1061,7 +1328,7 @@ private:
     std::function<std::unique_ptr<ShapeNode>(ThreadId)> ShapeOf =
         [&](ThreadId X) -> std::unique_ptr<ShapeNode> {
       auto N = std::make_unique<ShapeNode>();
-      if (X == G || C.Threads.at(X).SymGroup == G) {
+      if (X == G || C.thread(X).SymGroup == G) {
         N->L = ShapeOf(leftChild(X));
         N->R = ShapeOf(rightChild(X));
       } else {
@@ -1082,12 +1349,12 @@ private:
     Pairs.push_back(G);
     std::sort(Pairs.begin(), Pairs.end(), std::greater<ThreadId>());
     for (ThreadId X : Pairs)
-      C.GS.joinChildren(X, leftChild(X), rightChild(X));
+      C.mutGS().joinChildren(X, leftChild(X), rightChild(X));
     for (ThreadId X : L.Interiors)
-      C.Threads.erase(X);
+      C.eraseThread(X);
     for (ThreadId S : L.Slots)
-      C.Threads.erase(S);
-    ThreadCtx &RCtx = C.Threads.at(G);
+      C.eraseThread(S);
+    ThreadCtx &RCtx = C.mutThread(G);
     RCtx.Waiting = false;
     RCtx.SymGroup = 0;
 
@@ -1137,53 +1404,54 @@ private:
       Progress = false;
       // Collect ids first: admin steps add/remove threads.
       std::vector<ThreadId> Ids;
-      Ids.reserve(C.Threads.size());
-      for (const auto &Entry : C.Threads)
-        Ids.push_back(Entry.first);
+      Ids.reserve(C.threads().size());
+      for (const ThreadSlot &S : C.threads())
+        Ids.push_back(S.Id);
 
       for (ThreadId T : Ids) {
-        auto It = C.Threads.find(T);
-        if (It == C.Threads.end())
+        // Read through the shared context; only a thread that takes an
+        // administrative step gets a private copy.
+        const ThreadCtx *Cur = C.findThread(T);
+        if (!Cur)
           continue; // Joined away meanwhile.
-        ThreadCtx &Ctx = It->second;
 
-        if (Ctx.Done)
+        if (Cur->Done)
           continue;
 
-        if (Ctx.Waiting) {
-          if (Ctx.SymGroup != 0) {
+        if (Cur->Waiting) {
+          if (Cur->SymGroup != 0) {
             // Orbit-group member: interiors of the spine never join on
             // their own, and the root joins the whole group at once, but
             // only when every leaf slot has finished (resolveGroup).
-            if (T != Ctx.SymGroup)
+            if (T != Cur->SymGroup)
               continue;
             if (!resolveGroup(C, T, Err, Extra, Progress))
               return false;
             continue;
           }
-          auto LeftIt = C.Threads.find(leftChild(T));
-          auto RightIt = C.Threads.find(rightChild(T));
-          assert(LeftIt != C.Threads.end() && RightIt != C.Threads.end() &&
-                 "waiting thread lost its children");
-          if (!LeftIt->second.Done || !RightIt->second.Done)
+          const ThreadCtx *L = C.findThread(leftChild(T));
+          const ThreadCtx *R = C.findThread(rightChild(T));
+          assert(L && R && "waiting thread lost its children");
+          if (!L->Done || !R->Done)
             continue;
-          Val Result = Val::pair(*LeftIt->second.Done,
-                                 *RightIt->second.Done);
-          C.GS.joinChildren(T, leftChild(T), rightChild(T));
-          C.Threads.erase(leftChild(T));
-          C.Threads.erase(rightChild(T));
-          ThreadCtx &JCtx = C.Threads.at(T);
-          JCtx.Waiting = false;
+          Val Result = Val::pair(*L->Done, *R->Done);
+          C.mutGS().joinChildren(T, leftChild(T), rightChild(T));
+          C.eraseThread(leftChild(T));
+          C.eraseThread(rightChild(T));
+          C.mutThread(T).Waiting = false;
           if (!deliver(C, T, std::move(Result), Err))
             return false;
           Progress = true;
           continue;
         }
 
-        assert(!Ctx.Stack.empty() && "running thread with empty stack");
+        assert(!Cur->Stack.empty() && "running thread with empty stack");
+        if (Cur->Stack.back().K != Frame::Kind::Run ||
+            Cur->Stack.back().Node->kind() == Prog::Kind::Act)
+          continue; // BindCont/HideExit only surface via deliver; an Act
+                    // is a scheduling point, handled by expand().
+        ThreadCtx &Ctx = C.mutThread(T);
         Frame &Top = Ctx.Stack.back();
-        if (Top.K != Frame::Kind::Run)
-          continue; // BindCont/HideExit only surface via deliver.
         const Prog *Node = Top.Node;
 
         switch (Node->kind()) {
@@ -1196,7 +1464,7 @@ private:
           break;
         }
         case Prog::Kind::Act:
-          break; // Scheduling point; handled by expand().
+          break; // Unreachable: filtered above.
         case Prog::Kind::Bind: {
           Frame Cont;
           Cont.K = Frame::Kind::BindCont;
@@ -1240,11 +1508,11 @@ private:
           const Prog *Right = Node->right().get();
           std::map<Label, std::pair<PCMVal, PCMVal>> Splits;
           if (const SplitFn &Split = Node->split())
-            Splits = Split(C.GS.viewFor(T));
+            Splits = Split(C.gs().viewFor(T));
           VarEnv Env = std::move(Top.Env);
           Ctx.Stack.pop_back();
           Ctx.Waiting = true;
-          C.GS.fork(T, leftChild(T), rightChild(T), Splits);
+          C.mutGS().fork(T, leftChild(T), rightChild(T), Splits);
           ThreadId LG = 0, RG = 0;
           if (SymOn)
             symFork(C, T, Node, Left, Right, LG, RG, Groups);
@@ -1253,14 +1521,14 @@ private:
           R.SymGroup = RG;
           L.Stack.push_back(runFrame(Left, Env));
           R.Stack.push_back(runFrame(Right, std::move(Env)));
-          C.Threads.emplace(leftChild(T), std::move(L));
-          C.Threads.emplace(rightChild(T), std::move(R));
+          C.addThread(leftChild(T), std::move(L));
+          C.addThread(rightChild(T), std::move(R));
           Progress = true;
           break;
         }
         case Prog::Kind::Hide: {
           const HideSpec &Spec = Node->hideSpec();
-          View Pre = C.GS.viewFor(T);
+          View Pre = C.gs().viewFor(T);
           const Heap &Mine = Pre.self(Spec.Pv).getHeap();
           std::optional<Heap> Donation = Spec.ChooseDonation(Mine);
           if (!Donation) {
@@ -1277,12 +1545,12 @@ private:
                   "heap";
             return false;
           }
-          C.GS.setSelf(Spec.Pv, T, std::move(*Rest));
-          C.GS.addLabel(Spec.Hidden, Spec.SelfType, std::move(*Donation),
-                        Spec.SelfType->unit(), /*EnvClosed=*/true);
-          C.GS.setSelf(Spec.Hidden, T, Spec.InitSelf);
-          if (Spec.Installed &&
-              !Spec.Installed->coherent(C.GS.viewFor(T))) {
+          GlobalState &GS = C.mutGS();
+          GS.setSelf(Spec.Pv, T, std::move(*Rest));
+          GS.addLabel(Spec.Hidden, Spec.SelfType, std::move(*Donation),
+                      Spec.SelfType->unit(), /*EnvClosed=*/true);
+          GS.setSelf(Spec.Hidden, T, Spec.InitSelf);
+          if (Spec.Installed && !Spec.Installed->coherent(GS.viewFor(T))) {
             Err = "hide: the decorated donation does not establish the "
                   "installed concurroid's coherence";
             return false;
@@ -1304,34 +1572,36 @@ private:
     return true;
   }
 
-  /// Lowers an in-memory configuration to its portable form: program
-  /// pointers become ProgTable indices, which are identical in every
-  /// process that built the same program (the coordinator forks workers,
-  /// so the table — and even the pointers — match exactly). Consumes the
-  /// config: a lowered config is about to be shipped and die, so the
-  /// variable environments and the global state move instead of copying
-  /// (the conversions bracket every exchange — they must stay cheap).
-  FrontierConfig toFrontier(Config &&C) const {
+  /// Lowers a frozen configuration to its portable form: program pointers
+  /// become ProgTable indices, which are identical in every process that
+  /// built the same program (the coordinator forks workers, so the table —
+  /// and even the pointers — match exactly). The contexts and the global
+  /// state are shared table entries, so they are copied out; threads go
+  /// out in ascending id order, the order fromFrontier requires.
+  FrontierConfig toFrontier(const Config &C) const {
     FrontierConfig F;
-    F.GS = std::move(C.GS);
-    for (auto &Entry : C.Threads) {
+    F.GS = C.gs();
+    F.Threads.reserve(C.threads().size());
+    for (const ThreadSlot &S : C.threads()) {
+      const ThreadCtx &Ctx = S.ctx();
       FrontierThread T;
-      T.Id = Entry.first;
-      T.Waiting = Entry.second.Waiting;
-      T.SymGroup = Entry.second.SymGroup;
-      T.Done = std::move(Entry.second.Done);
-      for (Frame &Fr : Entry.second.Stack) {
+      T.Id = S.Id;
+      T.Waiting = Ctx.Waiting;
+      T.SymGroup = Ctx.SymGroup;
+      T.Done = Ctx.Done;
+      T.Frames.reserve(Ctx.Stack.size());
+      for (const Frame &Fr : Ctx.Stack) {
         FrontierFrame FF;
         FF.Kind = static_cast<uint8_t>(Fr.K);
         FF.Node = Fr.Node ? PT->indexOf(Fr.Node) : ProgTable::NoProg;
         FF.Rest = Fr.Rest ? PT->indexOf(Fr.Rest) : ProgTable::NoProg;
-        FF.Var = std::move(Fr.Var);
-        FF.Env = std::move(Fr.Env);
+        FF.Var = Fr.Var;
+        FF.Env = Fr.Env;
         T.Frames.push_back(std::move(FF));
       }
       F.Threads.push_back(std::move(T));
     }
-    for (SleepEntry &S : C.Sleep) {
+    for (const SleepEntry &S : C.Sleep) {
       FrontierSleep FS;
       FS.IsEnv = S.IsEnv;
       FS.T = S.T;
@@ -1357,11 +1627,12 @@ private:
     return false;
   }
 
-  /// The inverse lift, also consuming its argument for the same reason.
-  /// A received config comes from another process, so every index it
-  /// carries is checked before use: program references must be in the
-  /// table and fit their frame kind, a thread sleep entry must name an
-  /// Act node, and an env sleep entry an env step of the ambient. The
+  /// The inverse lift, consuming its argument; the result is unfrozen. A
+  /// received config comes from another process, so everything it carries
+  /// is checked before use: thread ids must be strictly ascending (a
+  /// duplicate would otherwise drop a thread), program references must be
+  /// in the table and fit their frame kind, a thread sleep entry must name
+  /// an Act node, and an env sleep entry an env step of the ambient. The
   /// sleep footprints are re-derived from those steps, never taken from
   /// the wire. Returns false, leaving \p C partly built, on any violation.
   bool fromFrontier(FrontierConfig &&F, Config &C) const {
@@ -1374,8 +1645,10 @@ private:
       Out = PT->progAt(I);
       return true;
     };
-    C.GS = std::move(F.GS);
+    C.mutGS() = std::move(F.GS);
     for (FrontierThread &T : F.Threads) {
+      if (!C.threads().empty() && T.Id <= C.threads().back().Id)
+        return false;
       ThreadCtx Ctx;
       Ctx.Waiting = T.Waiting;
       Ctx.SymGroup = T.SymGroup;
@@ -1392,7 +1665,7 @@ private:
         Fr.Env = std::move(FF.Env);
         Ctx.Stack.push_back(std::move(Fr));
       }
-      C.Threads.emplace(T.Id, std::move(Ctx));
+      C.addThread(T.Id, std::move(Ctx));
     }
     for (FrontierSleep &FS : F.Sleep) {
       SleepEntry S;
@@ -1459,13 +1732,12 @@ private:
   /// children recursively. Content-based (never reads thread ids), so the
   /// order is invariant under the relabeling swapSubtrees performs.
   int cmpThread(const Config &C, ThreadId A, ThreadId B) const {
-    auto AIt = C.Threads.find(A), BIt = C.Threads.find(B);
-    bool AHas = AIt != C.Threads.end(), BHas = BIt != C.Threads.end();
-    if (AHas != BHas)
-      return AHas ? -1 : 1;
-    if (!AHas)
+    const ThreadCtx *XP = C.findThread(A), *YP = C.findThread(B);
+    if (!XP != !YP)
+      return XP ? -1 : 1;
+    if (!XP)
       return 0; // Neither exists, so neither has children.
-    const ThreadCtx &X = AIt->second, &Y = BIt->second;
+    const ThreadCtx &X = *XP, &Y = *YP;
     if (X.Done.has_value() != Y.Done.has_value())
       return X.Done.has_value() ? -1 : 1;
     if (X.Done) {
@@ -1486,8 +1758,8 @@ private:
       if (Cmp != 0)
         return Cmp;
     }
-    for (Label L : C.GS.labels()) {
-      int Cmp = C.GS.selfOf(L, A).compare(C.GS.selfOf(L, B));
+    for (Label L : C.gs().labels()) {
+      int Cmp = C.gs().selfOf(L, A).compare(C.gs().selfOf(L, B));
       if (Cmp != 0)
         return Cmp;
     }
@@ -1550,28 +1822,23 @@ private:
       }
     };
     std::map<ThreadId, ThreadId> Rel;
-    for (const auto &Entry : C.Threads) {
-      ThreadId M = MapId(Entry.first);
-      if (M != Entry.first)
-        Rel.emplace(Entry.first, M);
+    for (const ThreadSlot &S : C.threads()) {
+      ThreadId M = MapId(S.Id);
+      if (M != S.Id)
+        Rel.emplace(S.Id, M);
     }
     if (Rel.empty())
       return;
-    std::map<ThreadId, ThreadCtx> Renamed;
-    for (auto &Entry : C.Threads) {
-      auto It = Rel.find(Entry.first);
-      Renamed.emplace(It == Rel.end() ? Entry.first : It->second,
-                      std::move(Entry.second));
-    }
-    C.Threads = std::move(Renamed);
-    for (auto &Entry : C.Threads) {
-      if (Entry.second.SymGroup == 0)
+    C.renameThreadIds(Rel);
+    for (size_t I = 0, N = C.threads().size(); I != N; ++I) {
+      const ThreadSlot &S = C.threads()[I];
+      if (S.ctx().SymGroup == 0)
         continue;
-      auto It = Rel.find(Entry.second.SymGroup);
+      auto It = Rel.find(S.ctx().SymGroup);
       if (It != Rel.end())
-        Entry.second.SymGroup = It->second;
+        C.mutThread(S.Id).SymGroup = It->second;
     }
-    C.GS.renameThreads(Rel);
+    C.mutGS().renameThreads(Rel);
     bool SleepChanged = false;
     for (SleepEntry &E : C.Sleep) {
       if (E.IsEnv)
@@ -1619,9 +1886,9 @@ private:
   /// order. Returns true when the configuration changed.
   bool canonicalizeConfig(Config &C) const {
     std::vector<ThreadId> Roots;
-    for (const auto &Entry : C.Threads)
-      if (Entry.second.Waiting && Entry.second.SymGroup == Entry.first)
-        Roots.push_back(Entry.first);
+    for (const ThreadSlot &S : C.threads())
+      if (S.ctx().Waiting && S.ctx().SymGroup == S.Id)
+        Roots.push_back(S.Id);
     std::sort(Roots.begin(), Roots.end(), std::greater<ThreadId>());
     bool Changed = false;
     for (ThreadId G : Roots)
@@ -1644,9 +1911,9 @@ private:
     // name heap cells, the rename pass repeats the identical traversal to
     // number them in first-visit order.
     auto VisitAll = [&Canon, &C] {
-      Canon.visit(C.GS);
-      for (const auto &Entry : C.Threads) {
-        const ThreadCtx &Ctx = Entry.second;
+      Canon.visit(C.gs());
+      for (const ThreadSlot &S : C.threads()) {
+        const ThreadCtx &Ctx = S.ctx();
         for (const Frame &F : Ctx.Stack)
           for (const auto &Binding : F.Env)
             Canon.visit(Binding.second);
@@ -1660,9 +1927,21 @@ private:
     if (Canon.identity())
       return false;
     const std::map<Ptr, Ptr> &M = Canon.mapping();
-    C.GS.renamePtrs(M);
-    for (auto &Entry : C.Threads) {
-      ThreadCtx &Ctx = Entry.second;
+    C.mutGS().renamePtrs(M);
+    // Only threads whose values actually move get a private copy.
+    auto Moves = [&M](const ThreadCtx &Ctx) {
+      if (Ctx.Done && Ctx.Done->renamePtrs(M) != *Ctx.Done)
+        return true;
+      for (const Frame &F : Ctx.Stack)
+        for (const auto &Binding : F.Env)
+          if (Binding.second.renamePtrs(M) != Binding.second)
+            return true;
+      return false;
+    };
+    for (size_t I = 0, N = C.threads().size(); I != N; ++I) {
+      if (!Moves(C.threads()[I].ctx()))
+        continue;
+      ThreadCtx &Ctx = C.mutThread(C.threads()[I].Id);
       for (Frame &F : Ctx.Stack)
         for (auto &Binding : F.Env)
           Binding.second = Binding.second.renamePtrs(M);
@@ -1673,8 +1952,8 @@ private:
   }
 
   /// Canonicalizes \p C in place: rewrites it to its orbit representative,
-  /// a deterministic function of the raw config. Requires C.rehash() to
-  /// have been called; re-hashes when the config changes.
+  /// a deterministic function of the raw config. Requires \p C frozen;
+  /// re-freezes it when it changes.
   ///
   /// The representative is a bounded fixpoint of slot sorting and fresh-
   /// pointer renumbering: renaming can change slot ranks and re-sorting
@@ -1699,7 +1978,7 @@ private:
     if (AnyRenamed)
       OrbitRenamesCounter.fetch_add(1, std::memory_order_relaxed);
     if (Changed) {
-      C.rehash();
+      freeze(C);
       OrbitChangedCounter.fetch_add(1, std::memory_order_relaxed);
     }
   }
@@ -1712,8 +1991,8 @@ private:
   /// *re-execution* (see expandPor): the edge was already produced and
   /// counted once, so it must not count a second dedup hit — that keeps
   /// DedupHits a function of the first-execution edge set, which is
-  /// schedule-independent. Requires C.rehash() to have been called.
-  void enqueue(Config C, const Node *Parent, std::string Step, Worker &W,
+  /// schedule-independent. Requires \p C frozen.
+  void enqueue(Config C, const Node *Parent, StepCode Step, Worker &W,
                bool Counts = true) {
     // Canonicalize BEFORE dedup and shard routing: the canonical identity
     // hash is what ownership is derived from, so `Hash % N` dedups whole
@@ -1730,16 +2009,18 @@ private:
       unsigned Owner = static_cast<unsigned>(C.GSHash % DistN);
       if (Owner != DistId) {
         std::lock_guard<std::mutex> Lock(IoMutex);
-        // Sender-side fingerprint filter: the owner performs exactly one
-        // visited-set insert per fingerprint; every further copy of the
-        // same identity only contributes a dedup hit plus (under POR) a
-        // wake-payload merge. A re-send whose payload the owner has
-        // provably already absorbed — its sleep set contains the
-        // intersection of everything shipped, its close mask adds no new
-        // bits — would be a no-op there, so it is swallowed here and the
-        // dedup hit booked locally. FIFO delivery guarantees the first
-        // copy reaches the owner before any suppressed edge would have.
-        auto [It, FirstSend] = Shipped.try_emplace(Fp);
+        // Sender-side filter: the owner performs exactly one visited-set
+        // insert per identity; every further copy of the same identity
+        // only contributes a dedup hit plus (under POR) a wake-payload
+        // merge. A re-send whose payload the owner has provably already
+        // absorbed — its sleep set contains the intersection of
+        // everything shipped, its close mask adds no new bits — would be
+        // a no-op there, so it is swallowed here and the dedup hit booked
+        // locally. FIFO delivery guarantees the first copy reaches the
+        // owner before any suppressed edge would have. The filter keys on
+        // the frozen identity, not the fingerprint: two configs whose
+        // hashes collide must both ship.
+        auto [It, FirstSend] = Shipped.try_emplace(C.identity());
         if (!FirstSend) {
           bool NoOp = true;
           if (PorOn) {
@@ -1768,7 +2049,7 @@ private:
           It->second.MaskUpper = C.EnvCloseMask;
         }
         SentConfigs.fetch_add(1, std::memory_order_relaxed);
-        FrontierConfig FC = toFrontier(std::move(C));
+        FrontierConfig FC = toFrontier(C);
         FC.Counts = Counts;
         Io->send(Owner, std::move(FC), Fp);
         return;
@@ -1777,7 +2058,7 @@ private:
     insertLocal(std::move(C), Parent, std::move(Step), W, Counts);
   }
 
-  void insertLocal(Config C, const Node *Parent, std::string Step, Worker &W,
+  void insertLocal(Config C, const Node *Parent, StepCode Step, Worker &W,
                    bool Counts = true) {
     // The incoming wake payload, preserved across the move below: on a
     // revisit it is merged into the visited node — the sleep sets
@@ -1786,9 +2067,9 @@ private:
     // reaches the same least fixpoint; a merge that changed the node's
     // wake state re-queues it for re-expansion (a "wakeup": steps a
     // previous visit suppressed are now permitted here).
-    assert(C.GSHash == std::hash<GlobalState>{}(C.GS) &&
+    assert(C.GSHash == C.gsRef()->Hash &&
            "visited config carries a stale global-state hash");
-    std::vector<SleepEntry> InSleep = C.Sleep;
+    std::vector<SleepEntry> InSleep = std::move(C.Sleep);
     uint32_t InMask = C.EnvCloseMask;
     Shard &S = Shards[C.Hash % NumShards];
     const Node *Target = nullptr;
@@ -2029,17 +2310,9 @@ private:
                    "shard");
         continue;
       }
-      // The wire carries the sender's identity hash; the hash function
-      // is process-stable and the fleet is one forked binary, so adopt
-      // it rather than re-walking the thread stacks. The global-state
-      // hash is not on the wire; it keys the env-step graph, so compute
-      // it here.
-      if (Delivery.Fp != 0) {
-        C.Hash = Delivery.Fp;
-        C.GSHash = std::hash<GlobalState>{}(C.GS);
-      } else {
-        C.rehash();
-      }
+      // Interning the received parts computes the identity hash from
+      // their contents, which reproduces the sender's fingerprint.
+      freeze(C);
       // Senders ship canonical forms; canonicalizing again is an
       // idempotent no-op kept as a safety net for mixed-version peers.
       canonicalize(C);
@@ -2047,7 +2320,7 @@ private:
       // this point reports the local schedule suffix only. The sender's
       // Counts flag rides along so dedup accounting keeps parity with
       // the in-process engine (see enqueue).
-      insertLocal(std::move(C), nullptr, "",
+      insertLocal(std::move(C), nullptr, {},
                   *Workers[NextWorker++ % Workers.size()], Counts);
     }
 
@@ -2073,12 +2346,30 @@ private:
       if (!FailingStep.empty())
         Steps.push_back(std::move(FailingStep));
       for (const Node *Cur = At; Cur; Cur = Cur->Parent)
-        if (!Cur->Step.empty())
-          Steps.push_back(Cur->Step);
+        if (Cur->Step.K != StepCode::Kind::None)
+          Steps.push_back(renderStep(*Cur));
       Res.FailureTrace.assign(Steps.rbegin(), Steps.rend());
     }
     Abort.store(true, std::memory_order_release);
   }
+
+  /// The trace text of the step that produced \p N. A thread step's
+  /// arguments are re-evaluated from its frame in the parent node, which
+  /// the visited set keeps alive for the whole run.
+  std::string renderStep(const Node &N) const {
+    const StepCode &S = N.Step;
+    if (S.K == StepCode::Kind::Env)
+      return "env: " + Opts.Ambient->transitions()[S.EnvIdx].name();
+    assert(N.Parent && "a thread step without a parent node");
+    const Frame &Top = N.Parent->C.thread(S.T).Stack.back();
+    assert(Top.Node == S.ActNode && "step code disagrees with its parent");
+    std::string Text = threadStepText(S.T, *S.ActNode->action(),
+                                      evalArgs(Top), &S.Result);
+    return S.Mirror ? Text + " [sym-mirror]" : Text;
+  }
+
+  /// Freezes \p C into this exploration's tables.
+  void freeze(Config &C) { C.freeze(GSTable, CtxTable); }
 
   /// The static-footprint universe for partial-order reduction: the
   /// footprints of every atomic action syntactically reachable from the
@@ -2188,7 +2479,7 @@ private:
   /// once by expandEnvNode under EnvMutex and published by Expanded,
   /// after which it is read without the lock.
   struct EnvNode {
-    GlobalState GS;
+    GSRef GS = nullptr;
     std::atomic<bool> Expanded{false};
     /// Some enabled transition has no dynamic footprint here. The other
     /// step data is then left empty: every closure reaching this node is
@@ -2204,38 +2495,34 @@ private:
   };
 
   /// Every global state reached by env-only steps in one exploration,
-  /// each expanded once, indexed by Config::GSHash. Nodes hold raw
-  /// pointers to each other, so the graph is bounded by replacing it
-  /// wholesale (see envNode): a closure computation holds its own
-  /// reference to the graph it walks, and closures are handed out as
+  /// each expanded once, indexed by its handle in the global-state table.
+  /// Nodes hold raw pointers to each other, so the graph is bounded by
+  /// replacing it wholesale (see envNode): a closure computation holds its
+  /// own reference to the graph it walks, and closures are handed out as
   /// shared pointers, so neither can dangle.
   struct EnvGraph {
     std::deque<EnvNode> Nodes;
-    std::unordered_multimap<size_t, EnvNode *> Index;
+    std::unordered_map<GSRef, EnvNode *> Index;
   };
 
-  /// The node for \p GS (hash \p H) in \p G, or null. Caller holds
-  /// EnvMutex.
-  static EnvNode *findEnvNode(EnvGraph &G, const GlobalState &GS, size_t H) {
-    auto [It, End] = G.Index.equal_range(H);
-    for (; It != End; ++It)
-      if (It->second->GS == GS)
-        return It->second;
-    return nullptr;
+  /// The node for \p GS in \p G, or null. Caller holds EnvMutex.
+  static EnvNode *findEnvNode(EnvGraph &G, GSRef GS) {
+    auto It = G.Index.find(GS);
+    return It == G.Index.end() ? nullptr : It->second;
   }
 
   /// The node for \p GS in \p G, created when missing. Caller holds
   /// EnvMutex. Creating a node in the current graph when it is full
   /// starts a fresh graph for later lookups; \p G itself lives on for
   /// as long as a closure computation still walks it.
-  EnvNode *envNode(EnvGraph &G, GlobalState &&GS, size_t H) {
-    if (EnvNode *N = findEnvNode(G, GS, H))
+  EnvNode *envNode(EnvGraph &G, GSRef GS) {
+    if (EnvNode *N = findEnvNode(G, GS))
       return N;
     if (&G == EnvG.get() && G.Nodes.size() >= EnvGraphCap)
       EnvG = std::make_shared<EnvGraph>();
     EnvNode &N = G.Nodes.emplace_back();
-    N.GS = std::move(GS);
-    G.Index.emplace(H, &N);
+    N.GS = GS;
+    G.Index.emplace(GS, &N);
     return &N;
   }
 
@@ -2246,8 +2533,8 @@ private:
   void expandEnvNode(EnvGraph &G, EnvNode &N) {
     bool Unknown = false;
     std::vector<Footprint> Fps;
-    std::vector<std::pair<size_t, GlobalState>> Next;
-    View EnvView = N.GS.viewForEnv();
+    std::vector<GSRef> Next;
+    View EnvView = N.GS->Value.viewForEnv();
     for (const Transition &T : Opts.Ambient->transitions()) {
       if (!isEnvStep(T))
         continue;
@@ -2266,17 +2553,17 @@ private:
       for (const View &Post : Posts) {
         if (!Opts.Ambient->coherent(Post))
           continue;
-        GlobalState NG = N.GS;
+        GlobalState NG = N.GS->Value;
         NG.applyEnv(EnvView, Post);
         size_t H = std::hash<GlobalState>{}(NG);
-        Next.emplace_back(H, std::move(NG));
+        Next.push_back(GSTable.intern(std::move(NG), H));
       }
     }
     std::lock_guard<std::mutex> Lock(EnvMutex);
     if (N.Expanded)
       return;
-    for (auto &[H, NG] : Next) {
-      EnvNode *S = envNode(G, std::move(NG), H);
+    for (GSRef NG : Next) {
+      EnvNode *S = envNode(G, NG);
       if (std::find(N.Succs.begin(), N.Succs.end(), S) == N.Succs.end())
         N.Succs.push_back(S);
     }
@@ -2308,15 +2595,12 @@ private:
       std::lock_guard<std::mutex> Lock(EnvMutex);
       if (!EnvG)
         EnvG = std::make_shared<EnvGraph>();
-      Root = findEnvNode(*EnvG, C.GS, C.GSHash);
+      Root = findEnvNode(*EnvG, C.gsRef());
       if (Root && Root->Closure)
         return Root->Closure;
       G = EnvG;
-    }
-    if (!Root) {
-      GlobalState GS = C.GS;
-      std::lock_guard<std::mutex> Lock(EnvMutex);
-      Root = envNode(*G, std::move(GS), C.GSHash);
+      if (!Root)
+        Root = envNode(*G, C.gsRef());
     }
     auto R = std::make_shared<EnvClosure>();
     R->Ok = true;
@@ -2355,28 +2639,24 @@ private:
   /// One successor built by a thread's action step, before enqueueing.
   struct BuiltSucc {
     Config Next;
-    std::string Step;
+    /// Step.Mirror marks a symmetry join-expansion extra: the swapped pair
+    /// order of a symmetric join. Excluded from ActionSteps (it is the
+    /// same action step).
+    StepCode Step;
     bool LabelsChanged; ///< the admin cascade installed/uninstalled a label.
-    bool Mirror = false; ///< symmetry join-expansion extra: the swapped
-                         ///< pair order of a symmetric join. Excluded from
-                         ///< ActionSteps (it is the same action step).
   };
 
   /// Builds every successor of thread \p T's pending action (all
   /// outcomes), without counting or enqueueing. Returns false when a
   /// safety failure was published (the run is aborting).
-  bool buildThreadSuccessors(const Node &N, ThreadId T, const View &Pre,
-                             const AtomicAction &A,
-                             const std::vector<Val> &Args,
-                             const std::string &ArgText,
+  bool buildThreadSuccessors(const Node &N, ThreadId T, const Prog *ActNode,
+                             const View &Pre, const std::vector<Val> &Args,
                              std::vector<BuiltSucc> &Out) {
     const Config &C = N.C;
+    const AtomicAction &A = *ActNode->action();
     std::optional<std::vector<ActOutcome>> Outcomes = A.step(Pre, Args);
     if (!Outcomes) {
-      failGlobal(&N,
-                 formatString("thread %llu: %s(%s)  <-- UNSAFE",
-                              static_cast<unsigned long long>(T),
-                              A.name().c_str(), ArgText.c_str()),
+      failGlobal(&N, threadStepText(T, A, Args, nullptr) + "  <-- UNSAFE",
                  formatString("action %s is unsafe in the reached state "
                               "(thread %llu):\n%s",
                               A.name().c_str(),
@@ -2385,38 +2665,36 @@ private:
       return false;
     }
     for (const ActOutcome &O : *Outcomes) {
-      std::string Step = formatString(
-          "thread %llu: %s(%s) -> %s",
-          static_cast<unsigned long long>(T), A.name().c_str(),
-          ArgText.c_str(), O.Result.toString().c_str());
       Config Next = C;
-      Next.GS.applyThread(T, Pre, O.Post);
+      Next.mutGS().applyThread(T, Pre, O.Post);
       if (Opts.CheckStepCoherence && Opts.Ambient &&
-          !Opts.Ambient->coherent(Next.GS.viewFor(T))) {
-        failGlobal(&N, Step + "  <-- BREAKS COHERENCE",
+          !Opts.Ambient->coherent(Next.gs().viewFor(T))) {
+        failGlobal(&N,
+                   threadStepText(T, A, Args, &O.Result) +
+                       "  <-- BREAKS COHERENCE",
                    formatString("action %s broke coherence of %s",
                                 A.name().c_str(),
                                 Opts.Ambient->name().c_str()));
         return false;
       }
-      Next.Threads.at(T).Stack.pop_back();
+      Next.mutThread(T).Stack.pop_back();
       std::string Err;
       std::vector<Config> Extras;
       if (!deliver(Next, T, O.Result, Err) ||
           !normalize(Next, Err, SymOn ? &Extras : nullptr)) {
-        failGlobal(&N, Step + "  <-- FAILS DURING UNWINDING",
+        failGlobal(&N,
+                   threadStepText(T, A, Args, &O.Result) +
+                       "  <-- FAILS DURING UNWINDING",
                    std::move(Err));
         return false;
       }
-      bool LabelsChanged = Next.GS.labels() != C.GS.labels();
-      std::string MirrorStep =
-          Extras.empty() ? std::string() : Step + " [sym-mirror]";
-      Out.push_back(BuiltSucc{std::move(Next), std::move(Step),
-                              LabelsChanged, /*Mirror=*/false});
+      StepCode Step = StepCode::thread(T, ActNode, O.Result);
+      bool LabelsChanged = Next.gs().labels() != C.gs().labels();
+      Out.push_back(BuiltSucc{std::move(Next), Step, LabelsChanged});
+      Step.Mirror = true;
       for (Config &X : Extras) {
-        bool XLabelsChanged = X.GS.labels() != C.GS.labels();
-        Out.push_back(BuiltSucc{std::move(X), MirrorStep, XLabelsChanged,
-                                /*Mirror=*/true});
+        bool XLabelsChanged = X.gs().labels() != C.gs().labels();
+        Out.push_back(BuiltSucc{std::move(X), Step, XLabelsChanged});
       }
     }
     return true;
@@ -2433,10 +2711,10 @@ private:
   /// worker schedule.
   void expandPor(const Node &N, const WakeSnapshot &Snap, Worker &W) {
     const Config &C = N.C;
-    const ThreadCtx &Main = C.Threads.at(rootThread());
+    const ThreadCtx &Main = C.thread(rootThread());
     if (Main.Done) {
       W.Terminals.insert(
-          Terminal{*Main.Done, C.GS.viewFor(rootThread())});
+          Terminal{*Main.Done, C.gs().viewFor(rootThread())});
       // A terminal must keep stepping the env transitions its last action
       // commutes with: the reduction may have explored that action before
       // a postponed env step, and once the program terminates the
@@ -2455,7 +2733,6 @@ private:
       const Prog *ActNode = nullptr;
       const AtomicAction *A = nullptr;
       std::vector<Val> Args;
-      std::string ArgText;
       View Pre;
       size_t EnvIdx = 0;
       const Transition *Tr = nullptr;
@@ -2485,9 +2762,9 @@ private:
     };
 
     std::vector<Candidate> Cands;
-    for (const auto &Entry : C.Threads) {
-      ThreadId T = Entry.first;
-      const ThreadCtx &Ctx = Entry.second;
+    for (const ThreadSlot &S : C.threads()) {
+      ThreadId T = S.Id;
+      const ThreadCtx &Ctx = S.ctx();
       if (Ctx.Done || Ctx.Waiting)
         continue;
       assert(!Ctx.Stack.empty());
@@ -2499,19 +2776,15 @@ private:
       K.T = T;
       K.ActNode = Top.Node;
       K.A = Top.Node->action().get();
-      K.Args.reserve(Top.Node->args().size());
-      for (const ExprRef &E : Top.Node->args())
-        K.Args.push_back(E->eval(Top.Env));
-      for (size_t I = 0, Sz = K.Args.size(); I != Sz; ++I)
-        K.ArgText += (I ? ", " : "") + K.Args[I].toString();
-      K.Pre = C.GS.viewFor(T);
+      K.Args = evalArgs(Top);
+      K.Pre = C.gs().viewFor(T);
       K.Fp = K.A->footprint(K.Pre, K.Args);
       K.Sleeping = SleepingThread(T);
       Cands.push_back(std::move(K));
     }
     View EnvView;
     if (Opts.EnvInterference && Opts.Ambient) {
-      EnvView = C.GS.viewForEnv();
+      EnvView = C.gs().viewForEnv();
       const std::vector<Transition> &Ts = Opts.Ambient->transitions();
       for (size_t I = 0, Sz = Ts.size(); I != Sz; ++I) {
         if (!isEnvStep(Ts[I]))
@@ -2629,14 +2902,13 @@ private:
         DynAmple = true;
       }
       std::vector<BuiltSucc> Succ;
-      if (!buildThreadSuccessors(N, K.T, K.Pre, *K.A, K.Args, K.ArgText,
-                                 Succ))
+      if (!buildThreadSuccessors(N, K.T, K.ActNode, K.Pre, K.Args, Succ))
         return;
       bool LabelsChanged = false;
       bool TerminalSucc = false;
       for (const BuiltSucc &B : Succ) {
         LabelsChanged |= B.LabelsChanged;
-        TerminalSucc |= B.Next.Threads.at(rootThread()).Done.has_value();
+        TerminalSucc |= B.Next.thread(rootThread()).Done.has_value();
       }
       if (LabelsChanged)
         break;
@@ -2655,27 +2927,24 @@ private:
           NextSleep.push_back(E);
       if (Fresh)
         for (const BuiltSucc &B : Succ)
-          if (!B.Mirror)
+          if (!B.Step.Mirror)
             ++W.ActionSteps;
       for (BuiltSucc &B : Succ) {
+        const std::optional<Val> &Done = B.Next.thread(rootThread()).Done;
         B.Next.Sleep = NextSleep;
         // License trailing-env closure on terminal successors: postponed
         // independent env transitions still commute before this step.
-        B.Next.EnvCloseMask =
-            B.Next.Threads.at(rootThread()).Done.has_value()
-                ? CloseMask(K.Fp)
-                : 0;
+        B.Next.EnvCloseMask = Done ? CloseMask(K.Fp) : 0;
         // Terminal mirror extras with no trailing-env closure left to run
         // are pure records: register the terminal directly instead of
         // enqueueing, so permutation extras never inflate the visited set.
-        if (B.Mirror && B.Next.Threads.at(rootThread()).Done &&
-            B.Next.EnvCloseMask == 0) {
-          W.Terminals.insert(Terminal{*B.Next.Threads.at(rootThread()).Done,
-                                      B.Next.GS.viewFor(rootThread())});
+        if (B.Step.Mirror && Done && B.Next.EnvCloseMask == 0) {
+          W.Terminals.insert(
+              Terminal{*Done, B.Next.gs().viewFor(rootThread())});
           continue;
         }
-        B.Next.rehash();
-        enqueue(std::move(B.Next), &N, std::move(B.Step), W, Fresh);
+        freeze(B.Next);
+        enqueue(std::move(B.Next), &N, B.Step, W, Fresh);
       }
       return;
     }
@@ -2711,8 +2980,7 @@ private:
       };
       if (!K.IsEnv) {
         std::vector<BuiltSucc> Succ;
-        if (!buildThreadSuccessors(N, K.T, K.Pre, *K.A, K.Args, K.ArgText,
-                                   Succ))
+        if (!buildThreadSuccessors(N, K.T, K.ActNode, K.Pre, K.Args, Succ))
           return;
         bool LabelsChanged = false;
         for (const BuiltSucc &B : Succ)
@@ -2721,25 +2989,22 @@ private:
           ComputeSleep();
         if (Fresh)
           for (const BuiltSucc &B : Succ)
-            if (!B.Mirror)
+            if (!B.Step.Mirror)
               ++W.ActionSteps;
         for (BuiltSucc &B : Succ) {
+          const std::optional<Val> &Done = B.Next.thread(rootThread()).Done;
           B.Next.Sleep = NextSleep;
           B.Next.EnvCloseMask =
-              (!LabelsChanged &&
-               B.Next.Threads.at(rootThread()).Done.has_value())
-                  ? CloseMask(K.Fp)
-                  : 0;
+              (!LabelsChanged && Done) ? CloseMask(K.Fp) : 0;
           // See the ample path above: closure-free terminal mirrors are
           // recorded directly rather than explored.
-          if (B.Mirror && B.Next.Threads.at(rootThread()).Done &&
-              B.Next.EnvCloseMask == 0) {
-            W.Terminals.insert(Terminal{*B.Next.Threads.at(rootThread()).Done,
-                                        B.Next.GS.viewFor(rootThread())});
+          if (B.Step.Mirror && Done && B.Next.EnvCloseMask == 0) {
+            W.Terminals.insert(
+                Terminal{*Done, B.Next.gs().viewFor(rootThread())});
             continue;
           }
-          B.Next.rehash();
-          enqueue(std::move(B.Next), &N, std::move(B.Step), W, Fresh);
+          freeze(B.Next);
+          enqueue(std::move(B.Next), &N, B.Step, W, Fresh);
         }
         if (!LabelsChanged && StaticFpOf(K).known())
           Taken.push_back(ToSleepEntry(K));
@@ -2751,13 +3016,13 @@ private:
           if (Fresh)
             ++W.EnvSteps;
           Config Next = C;
-          Next.GS.applyEnv(EnvView, Post);
+          Next.mutGS().applyEnv(EnvView, Post);
           Next.Sleep = NextSleep;
           // Trailing-env steps at a terminal stay terminal; the merged
           // close mask keeps licensing further commuting transitions.
           Next.EnvCloseMask = Main.Done ? Snap.CloseMask : 0;
-          Next.rehash();
-          enqueue(std::move(Next), &N, "env: " + K.Tr->name(), W, Fresh);
+          freeze(Next);
+          enqueue(std::move(Next), &N, StepCode::env(K.EnvIdx), W, Fresh);
         }
         if (StaticFpOf(K).known())
           Taken.push_back(ToSleepEntry(K));
@@ -2771,17 +3036,17 @@ private:
       return expandPor(N, Snap, W);
 
     const Config &C = N.C;
-    const ThreadCtx &Main = C.Threads.at(rootThread());
+    const ThreadCtx &Main = C.thread(rootThread());
     if (Main.Done) {
       W.Terminals.insert(
-          Terminal{*Main.Done, C.GS.viewFor(rootThread())});
+          Terminal{*Main.Done, C.gs().viewFor(rootThread())});
       return;
     }
 
     // Thread action steps.
-    for (const auto &Entry : C.Threads) {
-      ThreadId T = Entry.first;
-      const ThreadCtx &Ctx = Entry.second;
+    for (const ThreadSlot &S : C.threads()) {
+      ThreadId T = S.Id;
+      const ThreadCtx &Ctx = S.ctx();
       if (Ctx.Done || Ctx.Waiting)
         continue;
       assert(!Ctx.Stack.empty());
@@ -2789,54 +3054,46 @@ private:
       assert(Top.K == Frame::Kind::Run &&
              Top.Node->kind() == Prog::Kind::Act &&
              "normalized thread must sit at an atomic action");
-      const AtomicAction &A = *Top.Node->action();
-      std::vector<Val> Args;
-      Args.reserve(Top.Node->args().size());
-      for (const ExprRef &E : Top.Node->args())
-        Args.push_back(E->eval(Top.Env));
-      std::string ArgText;
-      for (size_t I = 0, Sz = Args.size(); I != Sz; ++I)
-        ArgText += (I ? ", " : "") + Args[I].toString();
-
-      View Pre = C.GS.viewFor(T);
+      View Pre = C.gs().viewFor(T);
       std::vector<BuiltSucc> Succ;
-      if (!buildThreadSuccessors(N, T, Pre, A, Args, ArgText, Succ))
+      if (!buildThreadSuccessors(N, T, Top.Node, Pre, evalArgs(Top), Succ))
         return;
       for (BuiltSucc &B : Succ) {
-        if (!B.Mirror)
+        if (!B.Step.Mirror)
           ++W.ActionSteps;
         // A mirror extra that is already terminal has no behavior left:
         // expanding it would only record its terminal and stop (without
         // POR a terminal takes no further steps). Record it directly so
         // the k! - 1 regenerated value assignments of an orbit group
         // never inflate the visited set or the config count.
-        if (B.Mirror) {
-          const ThreadCtx &MMain = B.Next.Threads.at(rootThread());
+        if (B.Step.Mirror) {
+          const ThreadCtx &MMain = B.Next.thread(rootThread());
           if (MMain.Done) {
             W.Terminals.insert(
-                Terminal{*MMain.Done, B.Next.GS.viewFor(rootThread())});
+                Terminal{*MMain.Done, B.Next.gs().viewFor(rootThread())});
             continue;
           }
         }
-        B.Next.rehash();
-        enqueue(std::move(B.Next), &N, std::move(B.Step), W);
+        freeze(B.Next);
+        enqueue(std::move(B.Next), &N, B.Step, W);
       }
     }
 
     // Environment interference steps.
     if (Opts.EnvInterference && Opts.Ambient) {
-      View EnvView = C.GS.viewForEnv();
-      for (const Transition &T : Opts.Ambient->transitions()) {
-        if (!isEnvStep(T))
+      View EnvView = C.gs().viewForEnv();
+      const std::vector<Transition> &Ts = Opts.Ambient->transitions();
+      for (size_t I = 0, Sz = Ts.size(); I != Sz; ++I) {
+        if (!isEnvStep(Ts[I]))
           continue;
-        for (const View &Post : T.successors(EnvView)) {
+        for (const View &Post : Ts[I].successors(EnvView)) {
           if (!Opts.Ambient->coherent(Post))
             continue;
           ++W.EnvSteps;
           Config Next = C;
-          Next.GS.applyEnv(EnvView, Post);
-          Next.rehash();
-          enqueue(std::move(Next), &N, "env: " + T.name(), W);
+          Next.mutGS().applyEnv(EnvView, Post);
+          freeze(Next);
+          enqueue(std::move(Next), &N, StepCode::env(I), W);
         }
       }
     }
@@ -2860,6 +3117,11 @@ private:
   static constexpr size_t EnvGraphCap = 1u << 16;
   std::mutex EnvMutex;
   std::shared_ptr<EnvGraph> EnvG;
+
+  /// The hash-cons tables every frozen configuration of this exploration
+  /// points into (see ConsTable); they outlive the visited set below.
+  ConsTable<GlobalState> GSTable;
+  ConsTable<ThreadCtx> CtxTable;
 
   unsigned NumShards = 1;
   std::vector<Shard> Shards;
@@ -2887,7 +3149,7 @@ private:
     std::vector<SleepEntry> SleepLower;
     uint32_t MaskUpper = 0;
   };
-  std::unordered_map<uint64_t, ShippedState> Shipped;
+  std::unordered_map<Config, ShippedState, ConfigHash> Shipped;
 };
 
 } // namespace

@@ -203,7 +203,9 @@ struct RunResult {
   uint64_t EnvSteps = 0;
   uint64_t DedupHits = 0;
   /// Final (= peak, the set only grows) visited-set size for this run.
-  /// Bytes are an approximation of container overhead; interned nodes are
+  /// Bytes approximate the retained memory: each visited node with its
+  /// handle vector, plus each entry of the run's thread-context and
+  /// global-state tables once. Interned values (Val, Heap, ...) are
   /// shared process-wide and counted by support/Intern.h, not here.
   uint64_t VisitedNodes = 0;
   uint64_t VisitedBytes = 0;
@@ -371,11 +373,6 @@ enum class ShardCommand : uint8_t {
 /// dropping work.
 struct ShardDelivery {
   FrontierConfig Config;
-  /// The sender's dedup fingerprint for this config (the full identity
-  /// hash it computed before shipping). Every process runs the same
-  /// forked binary, so the receiver adopts it instead of re-walking the
-  /// whole structure to recompute it; 0 means "absent — recompute".
-  uint64_t Fp = 0;
   bool Malformed = false;
 };
 

@@ -610,6 +610,48 @@ TEST(DistEngine, DictWireMatchesInProcessUnderReductions) {
   }
 }
 
+TEST(DistEngine, DiamondTwoGoldenHoldsAcrossJobsAndShards) {
+  // The closed-world diamond-2 space at jobs 1 and 4 and over two shard
+  // processes: the same golden counters everywhere. Visited memory is
+  // handles into the exploration's own hash-cons tables, so it stays
+  // under 1 KB per config, and those tables are per run: a second
+  // identical exploration adds nothing to the process-wide intern arenas.
+  SpanTreeCase Case = makeSpanTreeCase(1, 2);
+  EngineOptions Opts;
+  Opts.Ambient = Case.PrivOnly;
+  Opts.EnvInterference = false;
+  Opts.Defs = &Case.Defs;
+  ProgRef Main = makeSpanRootProg(Case, Ptr(1));
+  GlobalState S0 = spanRootState(Case, diamondOf(2));
+  auto ExpectGolden = [](const RunResult &R) {
+    ASSERT_TRUE(R.complete()) << R.FailureNote;
+    EXPECT_EQ(R.ConfigsExplored, 1475u);
+    EXPECT_EQ(R.ActionSteps, 3775u);
+    EXPECT_EQ(R.Terminals.size(), 4u);
+  };
+
+  Opts.Jobs = 1;
+  RunResult Base = explore(Main, S0, Opts);
+  ExpectGolden(Base);
+  EXPECT_LE(Base.VisitedBytes, 1024 * Base.ConfigsExplored)
+      << Base.VisitedBytes << " visited bytes";
+  uint64_t ArenaNodes = internStats().totalNodes();
+  RunResult Again = explore(Main, S0, Opts);
+  EXPECT_EQ(internStats().totalNodes(), ArenaNodes);
+  EXPECT_EQ(Again.counters(), Base.counters());
+
+  Opts.Jobs = 4;
+  RunResult J4 = explore(Main, S0, Opts);
+  ExpectGolden(J4);
+  EXPECT_EQ(J4.counters(), Base.counters());
+  EXPECT_LE(J4.VisitedBytes, 1024 * J4.ConfigsExplored);
+
+  Opts.Jobs = 1;
+  RunResult Sharded = distributedExplore(Main, S0, Opts, {}, 2);
+  ExpectGolden(Sharded);
+  EXPECT_EQ(Sharded.counters(), Base.counters());
+}
+
 TEST(DistEngine, DictWireBytesStayBelowTheStandaloneFloor) {
   // The deleted standalone encoding shipped 817,883 bytes on diamond-2
   // at 2 shards in its last bench_statespace measurement; the dictionary
@@ -719,7 +761,7 @@ public:
                     std::vector<ShardDelivery> &Incoming) override {
     if (!Script.empty()) {
       for (FrontierConfig &FC : Script)
-        Incoming.push_back(ShardDelivery{std::move(FC), 0, false});
+        Incoming.push_back(ShardDelivery{std::move(FC), false});
       Script.clear();
       return ShardCommand::Continue;
     }
@@ -783,6 +825,11 @@ TEST(DistEngine, MalformedFrontierConfigFailsShardLoudly) {
            }},
           {"frame kind", [](FrontierConfig &F) {
              F.Threads.front().Frames.front().Kind = 7;
+           }},
+          // Thread ids must be strictly ascending: a repeated id would
+          // otherwise drop a thread and explore a config that never was.
+          {"duplicate thread id", [](FrontierConfig &F) {
+             F.Threads.insert(F.Threads.begin() + 1, F.Threads.front());
            }},
           // Index 0 is the root `call pop`: a program node, not an Act.
           {"sleep act node", [&](FrontierConfig &F) {
