@@ -115,6 +115,8 @@ struct SweepRow {
   double StatesPerSec = 0.0;
   double Speedup = 1.0;
   bool Identical = true; ///< terminals + verdict match the Jobs=1 run.
+  uint64_t MemoHits = 0;    ///< thread steps served from the step memo.
+  uint64_t MemoEntries = 0; ///< (thread, context, state) keys recorded.
 };
 
 struct SymRow {
@@ -290,8 +292,9 @@ int main() {
 
     TextTable SweepTable;
     SweepTable.setHeader({"jobs", "effective", "configs", "time (ms)",
-                          "states/sec", "speedup", "identical"});
-    for (unsigned I = 0; I <= 5; ++I)
+                          "states/sec", "speedup", "memo hits",
+                          "memo entries", "identical"});
+    for (unsigned I = 0; I <= 7; ++I)
       SweepTable.setRightAligned(I);
 
     RunResult Base;
@@ -324,6 +327,8 @@ int main() {
       Row.Configs = R.ConfigsExplored;
       Row.StatesPerSec = Ms > 0 ? R.ConfigsExplored * 1000.0 / Ms : 0;
       Row.Speedup = Ms > 0 ? BaseMs / Ms : 1.0;
+      Row.MemoHits = R.StepMemoHits;
+      Row.MemoEntries = R.StepMemoEntries;
       Row.Identical = R.Safe == Base.Safe &&
                       R.Exhausted == Base.Exhausted &&
                       R.ConfigsExplored == Base.ConfigsExplored &&
@@ -336,6 +341,8 @@ int main() {
                          formatString("%.1f", Row.Ms),
                          formatString("%.0f", Row.StatesPerSec),
                          formatString("%.2fx", Row.Speedup),
+                         std::to_string(Row.MemoHits),
+                         std::to_string(Row.MemoEntries),
                          Row.Identical ? "yes" : "NO"});
     }
     std::printf("%s\n", SweepTable.render().c_str());
@@ -798,10 +805,13 @@ int main() {
                    "    {\"jobs\": %u, \"effective_jobs\": %u, "
                    "\"ms\": %.2f, \"configs\": %llu, "
                    "\"states_per_sec\": %.0f, \"speedup\": %.3f, "
-                   "\"identical\": %s}%s\n",
+                   "\"step_memo_hits\": %llu, "
+                   "\"step_memo_entries\": %llu, \"identical\": %s}%s\n",
                    R.Jobs, R.Effective, R.Ms,
                    static_cast<unsigned long long>(R.Configs),
                    R.StatesPerSec, R.Speedup,
+                   static_cast<unsigned long long>(R.MemoHits),
+                   static_cast<unsigned long long>(R.MemoEntries),
                    R.Identical ? "true" : "false",
                    I + 1 == Sweep.size() ? "" : ",");
     }

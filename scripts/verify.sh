@@ -44,8 +44,12 @@
 #   6. Shards: fcsl-verify --shards=2 verify all must print the same
 #      report as --shards=1 (modulo timings), with POR off and on — the
 #      multi-process partitioned exploration (src/dist/) is bit-identical
-#      to the in-process engine. Frontier frames between shards use the
-#      dictionary-streamed protocol, the only wire encoding.
+#      to the in-process engine. --shards=3 with POR off must match too:
+#      there one owner receives from two senders, so duplicate configs
+#      reach it along two paths and only its own dedup stands between
+#      them and the counters (the hub relays every config). Frontier
+#      frames between shards use the dictionary-streamed protocol, the
+#      only wire encoding.
 #   7. Cache: a cold run against an empty obligation store and a warm
 #      rerun must print byte-identical reports (modulo timings), the warm
 #      run must be 100% hits, and --cache=check — which re-discharges
@@ -201,7 +205,7 @@ if [[ "$RUN_SYMMETRY" == 1 ]]; then
 fi
 
 if [[ "$RUN_SHARDS" == 1 ]]; then
-  echo "== shards: sharded exploration vs in-process, por off and on =="
+  echo "== shards: sharded vs in-process (por off/on at 2 shards, off at 3) =="
   cmake --build build -j "$(nproc)" --target fcsl-verify
   # The report must be byte-identical once timings (and the column
   # padding they widen) are stripped.
@@ -215,6 +219,15 @@ if [[ "$RUN_SHARDS" == 1 ]]; then
       || { echo "shards=2 diverged from shards=1 (por=$Por)" >&2; exit 1; }
     echo "   por=$Por: shards=2 identical to shards=1"
   done
+  # Three shards: an owner with two senders gets the duplicates both of
+  # them ship, and must count each as the in-process engine does.
+  ./build/tools/fcsl-verify --por=off --shards=1 verify all \
+    | sed -E "$Normalize" > build/verify-shards-1.txt
+  ./build/tools/fcsl-verify --por=off --shards=3 verify all \
+    | sed -E "$Normalize" > build/verify-shards-3.txt
+  diff build/verify-shards-1.txt build/verify-shards-3.txt \
+    || { echo "shards=3 diverged from shards=1 (por=off)" >&2; exit 1; }
+  echo "   por=off: shards=3 identical to shards=1"
 fi
 
 if [[ "$RUN_CACHE" == 1 ]]; then

@@ -26,7 +26,6 @@
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#include <unordered_set>
 
 using namespace fcsl;
 using namespace fcsl::dist;
@@ -214,19 +213,7 @@ RunResult dist::distributedExplore(const ProgRef &Root,
   bool DrainExhausted = false;
   std::string LostShardNote;
   uint64_t Messages = 0, Bytes = 0, Configs = 0, CacheMerged = 0;
-  uint64_t DroppedDupes = 0;
   std::array<uint64_t, 16> RecvFrames{}, RecvBytes{};
-
-  // Fleet-wide relay dedup, sound exactly when the reduction mode is Off:
-  // without POR there is no wake payload to merge and no Counts=false
-  // edges, so the owner's handling of the second copy of a fingerprint is
-  // always "count one dedup hit, discard". The hub can do that itself and
-  // drop the relay; together with the engine's sender-side filter this
-  // guarantees each distinct config crosses the wire at most once
-  // fleet-wide (exchanged <= explored). Under POR a duplicate may carry a
-  // payload the owner still needs, so the hub relays everything.
-  const bool FleetDedup = RunOpts.Por == PorMode::Off;
-  std::unordered_set<uint64_t> RelayedFps;
 
   auto QueueFrame = [&](WorkerCh &W, std::vector<uint8_t> Frame) {
     if (W.Eof)
@@ -329,40 +316,21 @@ RunResult dist::distributedExplore(const ProgRef &Root,
       return;
     size_t Count = P->Fps.size();
     W.RecvFromConfigs += Count;
-    size_t Kept = Count;
-    std::vector<bool> Keep;
-    if (FleetDedup && Count != 0) {
-      Keep.assign(Count, true);
-      Kept = 0;
-      for (size_t I = 0; I != Count; ++I) {
-        if (RelayedFps.insert(P->Fps[I]).second)
-          ++Kept;
-        else
-          Keep[I] = false;
-      }
-      DroppedDupes += Count - Kept;
-    }
     // After a drain decision, relaying more work would only delay the
     // fleet's shutdown; the delivery counters still balance because the
     // destination never learns about the dropped configs.
     if (Draining || P->Dest >= Workers.size() || Workers[P->Dest].Eof)
       return;
-    // An emptied frame still carries its definition stream, which later
-    // frames on the connection reference — it must flow.
-    std::vector<uint8_t> Frame;
-    if (Kept == Count) {
-      Frame = frameFromPayload(Payload);
-    } else {
-      std::optional<std::vector<uint8_t>> Filtered =
-          filterBatchFrame(Payload, Keep);
-      if (!Filtered)
-        return;
-      Frame = std::move(*Filtered);
-    }
-    Workers[P->Dest].RelayedToConfigs += Kept;
+    // Every config is relayed, duplicates included: the owner dedups on
+    // the frozen identity and counts the hit, and each sender already
+    // ships an identity at most once unless its payload grew. Dropping
+    // duplicates here would have to key on the fingerprint, and a
+    // fingerprint collision would then drop a distinct config.
+    std::vector<uint8_t> Frame = frameFromPayload(Payload);
+    Workers[P->Dest].RelayedToConfigs += Count;
     ++Messages;
     Bytes += Frame.size();
-    Configs += Kept;
+    Configs += Count;
     QueueFrame(Workers[P->Dest], std::move(Frame));
   };
 
@@ -539,10 +507,6 @@ RunResult dist::distributedExplore(const ProgRef &Root,
     Merged.insert(V.Terminals.begin(), V.Terminals.end());
   }
   Out.Terminals.assign(Merged.begin(), Merged.end());
-  // Duplicates the hub dropped are exactly the dedup hits their owners
-  // would have counted (FleetDedup is only active when the counter-parity
-  // argument holds — see HandlePayload).
-  Out.DedupHits += DroppedDupes;
   if (!LostShardNote.empty() && !FailPicked)
     Out.FailureNote = LostShardNote;
 
@@ -554,7 +518,6 @@ RunResult dist::distributedExplore(const ProgRef &Root,
     FleetTotals.Bytes += Bytes;
     FleetTotals.Configs += Configs;
     FleetTotals.CacheRecordsMerged += CacheMerged;
-    FleetTotals.RelayDroppedDupes += DroppedDupes;
     for (size_t I = 0; I != RecvFrames.size(); ++I) {
       FleetTotals.RecvFrames[I] += RecvFrames[I];
       FleetTotals.RecvBytes[I] += RecvBytes[I];

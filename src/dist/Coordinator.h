@@ -61,10 +61,6 @@ struct FleetStats {
   uint64_t Bytes = 0;    ///< relayed frame bytes.
   uint64_t CacheRecordsMerged = 0; ///< worker cache records folded into
                                    ///< the hub's obligation store.
-  /// Duplicate configs the hub dropped instead of relaying (fleet-wide
-  /// fingerprint dedup, active when the reduction mode is Off — each drop
-  /// is booked as the dedup hit the owner would have counted).
-  uint64_t RelayDroppedDupes = 0;
   /// Frames/bytes the hub received, indexed by MsgType tag (1 ..
   /// MaxKnownMsgTag; index 0 unused). The full wire table `--stats`
   /// prints.

@@ -380,28 +380,6 @@ std::optional<BatchPeek> dist::peekBatch(const std::vector<uint8_t> &Payload) {
   return P;
 }
 
-std::optional<std::vector<uint8_t>>
-dist::filterBatchFrame(const std::vector<uint8_t> &Payload,
-                       const std::vector<bool> &Keep) {
-  std::optional<WireMsg> M = decodeFrame(Payload);
-  if (!M || M->Type != MsgType::FrontierBatchDict)
-    return std::nullopt;
-  FrontierBatchMsg &B = M->Batch;
-  if (Keep.size() != B.Configs.size() || B.Fps.size() != B.Configs.size())
-    return std::nullopt;
-  FrontierBatchMsg Out;
-  Out.Dest = B.Dest;
-  Out.Src = B.Src;
-  Out.Defs = std::move(B.Defs); // definitions survive filtering, always.
-  for (size_t I = 0, N = B.Configs.size(); I != N; ++I) {
-    if (!Keep[I])
-      continue;
-    Out.Fps.push_back(B.Fps[I]);
-    Out.Configs.push_back(std::move(B.Configs[I]));
-  }
-  return frameBatch(Out);
-}
-
 std::vector<uint8_t>
 dist::frameFromPayload(const std::vector<uint8_t> &Payload) {
   std::vector<uint8_t> Frame;

@@ -387,15 +387,6 @@ struct BatchPeek {
 };
 std::optional<BatchPeek> peekBatch(const std::vector<uint8_t> &Payload);
 
-/// Rebuilds a complete frame (length prefix + payload) from a batch frame
-/// payload, keeping only the configs whose \p Keep bit is set. The
-/// definition stream is ALWAYS kept — later frames on the connection
-/// reference it. Returns nullopt on malformation or a
-/// Keep size mismatch.
-std::optional<std::vector<uint8_t>>
-filterBatchFrame(const std::vector<uint8_t> &Payload,
-                 const std::vector<bool> &Keep);
-
 /// Wraps a frame payload back into a complete wire frame (length prefix +
 /// payload) for raw relay.
 std::vector<uint8_t> frameFromPayload(const std::vector<uint8_t> &Payload);

@@ -587,6 +587,13 @@ public:
   }
 
   const std::vector<ThreadSlot> &threads() const { return Threads; }
+  /// Thread \p T's frozen context handle.
+  CtxRef ctxRef(ThreadId T) const {
+    auto It = slot(T);
+    assert(It != Threads.end() && It->Id == T && !scratchOf(It->Ctx) &&
+           "no such frozen thread");
+    return It->Ctx;
+  }
   const ThreadCtx *findThread(ThreadId T) const {
     auto It = slot(T);
     return It != Threads.end() && It->Id == T ? &It->ctx() : nullptr;
@@ -657,14 +664,29 @@ public:
         S.Ctx = CtxTable.intern(std::move(Own->Value), H);
       }
     Scratch.clear();
-    GSHash = GS->Hash;
-    size_t Seed = GSHash;
-    hashValue(Seed, Threads.size());
-    for (const ThreadSlot &S : Threads) {
-      hashValue(Seed, S.Id);
-      hashCombine(Seed, S.Ctx->Hash);
-    }
-    Hash = Seed;
+    rehash();
+  }
+
+  /// The frozen successor of the frozen \p Parent whose global state is
+  /// \p GS and whose threads are the parent's with the \p N slots at
+  /// \p Slots (sorted by id) replacing or joining them. Hashed from the
+  /// parts' cached content hashes like freeze(), so it equals what
+  /// building and freezing the same successor would produce.
+  static Config successor(const Config &Parent, GSRef GS,
+                          const ThreadSlot *Slots, size_t N) {
+    assert(!Parent.GSScratch && Parent.Scratch.empty() &&
+           "successor of an unfrozen config");
+    Config C;
+    C.GS = GS;
+    C.Threads.reserve(Parent.Threads.size() + N);
+    // On equal ids set_union copies from the first range: updates win.
+    std::set_union(Slots, Slots + N, Parent.Threads.begin(),
+                   Parent.Threads.end(), std::back_inserter(C.Threads),
+                   [](const ThreadSlot &A, const ThreadSlot &B) {
+                     return A.Id < B.Id;
+                   });
+    C.rehash();
+    return C;
   }
 
   /// The configuration without its payload: the key of a frozen identity.
@@ -705,6 +727,17 @@ public:
   size_t GSHash = 0;
 
 private:
+  /// Recomputes Hash and GSHash from the frozen parts' content hashes.
+  void rehash() {
+    GSHash = GS->Hash;
+    size_t Seed = GSHash;
+    hashValue(Seed, Threads.size());
+    for (const ThreadSlot &S : Threads) {
+      hashValue(Seed, S.Id);
+      hashCombine(Seed, S.Ctx->Hash);
+    }
+    Hash = Seed;
+  }
   std::vector<ThreadSlot>::const_iterator slot(ThreadId T) const {
     return std::lower_bound(
         Threads.begin(), Threads.end(), T,
@@ -788,6 +821,145 @@ struct NodeHash {
 
 struct NodeEq {
   bool operator()(const Node &A, const Node &B) const { return A.C == B.C; }
+};
+
+/// One outcome of a memoized thread step (see StepMemo): the successor's
+/// global state, the thread slots it replaces or adds in the parent (the
+/// stepping thread's new context and every thread forked under it, sorted
+/// by id), the action's result and whether the label set changed.
+struct MemoOutcome {
+  GSRef GS = nullptr;
+  const ThreadSlot *Slots = nullptr;
+  uint32_t NumSlots = 0;
+  bool LabelsChanged = false;
+  Val Result;
+};
+
+/// Append-only storage with stable element addresses: elements are copied
+/// into chunks that never move, so a reader may keep a pointer after the
+/// owner's lock is released.
+template <typename T> class ChunkArena {
+public:
+  const T *copy(const T *Src, size_t N) {
+    if (Chunks.empty() || Used + N > Cap) {
+      Cap = std::max<size_t>({N, 16, std::min<size_t>(2 * Cap, 4096)});
+      Chunks.push_back(std::make_unique<T[]>(Cap));
+      Capacity += Cap;
+      Used = 0;
+    }
+    T *Dst = Chunks.back().get() + Used;
+    std::copy(Src, Src + N, Dst);
+    Used += N;
+    return Dst;
+  }
+  uint64_t approxBytes() const { return Capacity * sizeof(T); }
+
+private:
+  std::vector<std::unique_ptr<T[]>> Chunks;
+  size_t Cap = 0;  ///< size of the last chunk.
+  size_t Used = 0; ///< elements used in the last chunk.
+  uint64_t Capacity = 0;
+};
+
+/// One exploration's thread-step memo (DESIGN.md §16). A thread's atomic
+/// step reads only its own context and the global state, so its outcomes
+/// are a function of (thread id, context handle, global-state handle):
+/// the memo maps that key to the outcome list recorded the first time the
+/// step ran, and a later step with the same key rebuilds its successors
+/// from handles instead of re-running the action, the coherence check,
+/// deliver and normalize. Striped like the ConsTables; an entry is
+/// immutable once published, so a reader uses it after the stripe lock is
+/// released, and two workers that both miss one key record the same
+/// outcomes (the second insert is dropped).
+class StepMemo {
+public:
+  struct Key {
+    ThreadId T = 0;
+    CtxRef Ctx = nullptr;
+    GSRef GS = nullptr;
+    friend bool operator==(const Key &A, const Key &B) {
+      return A.T == B.T && A.Ctx == B.Ctx && A.GS == B.GS;
+    }
+  };
+  /// A recorded outcome list.
+  struct Outcomes {
+    const MemoOutcome *First = nullptr;
+    uint32_t N = 0;
+    const MemoOutcome *begin() const { return First; }
+    const MemoOutcome *end() const { return First + N; }
+  };
+
+  void init(unsigned NumStripes) { Stripes = std::vector<Stripe>(NumStripes); }
+
+  /// The outcomes recorded for \p K, if any.
+  std::optional<Outcomes> find(const Key &K) {
+    Stripe &S = stripeOf(K);
+    std::lock_guard<std::mutex> Lock(S.M);
+    auto It = S.Map.find(K);
+    if (It == S.Map.end())
+      return std::nullopt;
+    return It->second;
+  }
+
+  /// Records \p Outs for \p K. \p Slots holds the outcomes' slot runs
+  /// back to back, in outcome order, NumSlots each; every outcome is
+  /// pointed at its run in the stripe's copy.
+  void insert(const Key &K, std::vector<MemoOutcome> Outs,
+              const std::vector<ThreadSlot> &Slots) {
+    Stripe &S = stripeOf(K);
+    std::lock_guard<std::mutex> Lock(S.M);
+    if (S.Map.count(K))
+      return;
+    const ThreadSlot *Run = S.SlotArena.copy(Slots.data(), Slots.size());
+    for (MemoOutcome &O : Outs) {
+      O.Slots = Run;
+      Run += O.NumSlots;
+    }
+    const MemoOutcome *First = S.OutcomeArena.copy(Outs.data(), Outs.size());
+    S.Map.emplace(K, Outcomes{First, static_cast<uint32_t>(Outs.size())});
+  }
+
+  uint64_t entries() {
+    uint64_t N = 0;
+    for (Stripe &S : Stripes) {
+      std::lock_guard<std::mutex> Lock(S.M);
+      N += S.Map.size();
+    }
+    return N;
+  }
+
+  /// Approximate retained bytes: the arenas plus, per entry, its hash-map
+  /// node (key and value, plus 16 bytes of next pointer and cached hash).
+  uint64_t approxBytes() {
+    uint64_t Bytes = 0;
+    for (Stripe &S : Stripes) {
+      std::lock_guard<std::mutex> Lock(S.M);
+      Bytes += S.OutcomeArena.approxBytes() + S.SlotArena.approxBytes() +
+               S.Map.size() * (sizeof(Key) + sizeof(Outcomes) + 16);
+    }
+    return Bytes;
+  }
+
+private:
+  static size_t hashOf(const Key &K) {
+    size_t H = K.GS->Hash;
+    hashCombine(H, K.Ctx->Hash);
+    hashValue(H, K.T);
+    return H;
+  }
+  struct KeyHash {
+    size_t operator()(const Key &K) const { return hashOf(K); }
+  };
+  struct Stripe {
+    std::mutex M;
+    std::unordered_map<Key, Outcomes, KeyHash> Map;
+    ChunkArena<MemoOutcome> OutcomeArena;
+    ChunkArena<ThreadSlot> SlotArena;
+  };
+  Stripe &stripeOf(const Key &K) {
+    return Stripes[hashOf(K) % Stripes.size()];
+  }
+  std::vector<Stripe> Stripes;
 };
 
 /// Evaluates an Act frame's arguments.
@@ -877,6 +1049,7 @@ public:
       S.Set.reserve(Reserve / NumShards + 1);
     GSTable.init(NumShards);
     CtxTable.init(NumShards);
+    Memo.init(NumShards);
     Workers.clear();
     for (unsigned I = 0; I != Jobs; ++I)
       Workers.push_back(std::make_unique<Worker>());
@@ -950,15 +1123,19 @@ public:
       Res.ActionSteps += W->ActionSteps;
       Res.EnvSteps += W->EnvSteps;
       Res.DedupHits += W->DedupHits;
+      Res.StepMemoHits += W->StepMemoHits;
       Merged.insert(W->Terminals.begin(), W->Terminals.end());
     }
     Res.Terminals.assign(Merged.begin(), Merged.end());
 
     // The visited set only grows, so its final size is the run's peak.
     // Each node counts its handle vector and wake state; the contexts and
-    // global states it points to count once, as table entries.
+    // global states it points to count once, as table entries, and the
+    // thread-step memo counts its entries and outcome arrays.
     uint64_t Nodes = 0;
-    uint64_t Bytes = GSTable.approxBytes() + CtxTable.approxBytes();
+    uint64_t Bytes = GSTable.approxBytes() + CtxTable.approxBytes() +
+                     Memo.approxBytes();
+    Res.StepMemoEntries = Memo.entries();
     for (Shard &S : Shards) {
       Nodes += S.Set.size();
       // 16 bytes: the hash-set node (next pointer + cached hash).
@@ -1073,6 +1250,7 @@ private:
     uint64_t ActionSteps = 0;
     uint64_t EnvSteps = 0;
     uint64_t DedupHits = 0;
+    uint64_t StepMemoHits = 0;
     std::set<Terminal> Terminals;
   };
 
@@ -2646,31 +2824,97 @@ private:
     bool LabelsChanged; ///< the admin cascade installed/uninstalled a label.
   };
 
+  /// The slots of \p Next, a successor of thread \p T's step from
+  /// \p Parent (both frozen), that a memo outcome records: T's slot and
+  /// every slot the parent lacks, appended to \p Out in id order. Returns
+  /// false when the outcome is not memoizable: a parent thread other than
+  /// T lost its slot or changed its handle, or T is gone or Done (whether
+  /// a Done thread's parent joins depends on its sibling, which the key
+  /// does not contain).
+  static bool memoSlots(const Config &Parent, const Config &Next, ThreadId T,
+                        std::vector<ThreadSlot> &Out) {
+    const std::vector<ThreadSlot> &Old = Parent.threads();
+    const std::vector<ThreadSlot> &New = Next.threads();
+    size_t J = 0;
+    for (const ThreadSlot &P : Old) {
+      for (; J != New.size() && New[J].Id < P.Id; ++J)
+        Out.push_back(New[J]);
+      if (J == New.size() || New[J].Id != P.Id)
+        return false;
+      if (P.Id == T) {
+        if (New[J].ctx().Done)
+          return false;
+        Out.push_back(New[J]);
+      } else if (New[J].Ctx != P.Ctx) {
+        return false;
+      }
+      ++J;
+    }
+    Out.insert(Out.end(), New.begin() + J, New.end());
+    return true;
+  }
+
   /// Builds every successor of thread \p T's pending action (all
   /// outcomes), without counting or enqueueing. Returns false when a
-  /// safety failure was published (the run is aborting).
-  bool buildThreadSuccessors(const Node &N, ThreadId T, const Prog *ActNode,
-                             const View &Pre, const std::vector<Val> &Args,
-                             std::vector<BuiltSucc> &Out) {
+  /// safety failure was published (the run is aborting). \p Pre and
+  /// \p Args, T's view and evaluated arguments, are computed here when
+  /// null and the step has to run.
+  ///
+  /// Without symmetry the step goes through the thread-step memo: a hit
+  /// rebuilds the recorded successors from handles; a miss runs the step,
+  /// freezes its successors and records them when every outcome is
+  /// memoizable (see memoSlots). The recorded outcomes passed the same
+  /// deterministic checks on identical inputs, so a hit yields exactly
+  /// the successors a re-run would.
+  bool buildThreadSuccessors(const Node &N, ThreadId T, Worker &W,
+                             std::vector<BuiltSucc> &Out,
+                             const View *Pre = nullptr,
+                             const std::vector<Val> *Args = nullptr) {
     const Config &C = N.C;
+    const Frame &Top = C.thread(T).Stack.back();
+    const Prog *ActNode = Top.Node;
+    const StepMemo::Key Key{T, C.ctxRef(T), C.gsRef()};
+    if (!SymOn)
+      if (std::optional<StepMemo::Outcomes> Hit = Memo.find(Key)) {
+        ++W.StepMemoHits;
+        for (const MemoOutcome &O : *Hit)
+          Out.push_back(BuiltSucc{
+              Config::successor(C, O.GS, O.Slots, O.NumSlots),
+              StepCode::thread(T, ActNode, O.Result), O.LabelsChanged});
+        return true;
+      }
+
+    View OwnPre;
+    std::vector<Val> OwnArgs;
+    if (!Pre) {
+      OwnPre = C.gs().viewFor(T);
+      Pre = &OwnPre;
+    }
+    if (!Args) {
+      OwnArgs = evalArgs(Top);
+      Args = &OwnArgs;
+    }
     const AtomicAction &A = *ActNode->action();
-    std::optional<std::vector<ActOutcome>> Outcomes = A.step(Pre, Args);
+    std::optional<std::vector<ActOutcome>> Outcomes = A.step(*Pre, *Args);
     if (!Outcomes) {
-      failGlobal(&N, threadStepText(T, A, Args, nullptr) + "  <-- UNSAFE",
+      failGlobal(&N, threadStepText(T, A, *Args, nullptr) + "  <-- UNSAFE",
                  formatString("action %s is unsafe in the reached state "
                               "(thread %llu):\n%s",
                               A.name().c_str(),
                               static_cast<unsigned long long>(T),
-                              Pre.toString().c_str()));
+                              Pre->toString().c_str()));
       return false;
     }
+    bool Memoizable = !SymOn;
+    std::vector<MemoOutcome> Record;
+    std::vector<ThreadSlot> RecordSlots;
     for (const ActOutcome &O : *Outcomes) {
       Config Next = C;
-      Next.mutGS().applyThread(T, Pre, O.Post);
+      Next.mutGS().applyThread(T, *Pre, O.Post);
       if (Opts.CheckStepCoherence && Opts.Ambient &&
           !Opts.Ambient->coherent(Next.gs().viewFor(T))) {
         failGlobal(&N,
-                   threadStepText(T, A, Args, &O.Result) +
+                   threadStepText(T, A, *Args, &O.Result) +
                        "  <-- BREAKS COHERENCE",
                    formatString("action %s broke coherence of %s",
                                 A.name().c_str(),
@@ -2683,13 +2927,22 @@ private:
       if (!deliver(Next, T, O.Result, Err) ||
           !normalize(Next, Err, SymOn ? &Extras : nullptr)) {
         failGlobal(&N,
-                   threadStepText(T, A, Args, &O.Result) +
+                   threadStepText(T, A, *Args, &O.Result) +
                        "  <-- FAILS DURING UNWINDING",
                    std::move(Err));
         return false;
       }
       StepCode Step = StepCode::thread(T, ActNode, O.Result);
       bool LabelsChanged = Next.gs().labels() != C.gs().labels();
+      if (Memoizable) {
+        freeze(Next);
+        size_t Before = RecordSlots.size();
+        Memoizable = memoSlots(C, Next, T, RecordSlots);
+        Record.push_back(MemoOutcome{
+            Next.gsRef(), nullptr,
+            static_cast<uint32_t>(RecordSlots.size() - Before),
+            LabelsChanged, O.Result});
+      }
       Out.push_back(BuiltSucc{std::move(Next), Step, LabelsChanged});
       Step.Mirror = true;
       for (Config &X : Extras) {
@@ -2697,6 +2950,8 @@ private:
         Out.push_back(BuiltSucc{std::move(X), Step, XLabelsChanged});
       }
     }
+    if (Memoizable)
+      Memo.insert(Key, std::move(Record), RecordSlots);
     return true;
   }
 
@@ -2902,7 +3157,7 @@ private:
         DynAmple = true;
       }
       std::vector<BuiltSucc> Succ;
-      if (!buildThreadSuccessors(N, K.T, K.ActNode, K.Pre, K.Args, Succ))
+      if (!buildThreadSuccessors(N, K.T, W, Succ, &K.Pre, &K.Args))
         return;
       bool LabelsChanged = false;
       bool TerminalSucc = false;
@@ -2980,7 +3235,7 @@ private:
       };
       if (!K.IsEnv) {
         std::vector<BuiltSucc> Succ;
-        if (!buildThreadSuccessors(N, K.T, K.ActNode, K.Pre, K.Args, Succ))
+        if (!buildThreadSuccessors(N, K.T, W, Succ, &K.Pre, &K.Args))
           return;
         bool LabelsChanged = false;
         for (const BuiltSucc &B : Succ)
@@ -3049,14 +3304,11 @@ private:
       const ThreadCtx &Ctx = S.ctx();
       if (Ctx.Done || Ctx.Waiting)
         continue;
-      assert(!Ctx.Stack.empty());
-      const Frame &Top = Ctx.Stack.back();
-      assert(Top.K == Frame::Kind::Run &&
-             Top.Node->kind() == Prog::Kind::Act &&
+      assert(!Ctx.Stack.empty() && Ctx.Stack.back().K == Frame::Kind::Run &&
+             Ctx.Stack.back().Node->kind() == Prog::Kind::Act &&
              "normalized thread must sit at an atomic action");
-      View Pre = C.gs().viewFor(T);
       std::vector<BuiltSucc> Succ;
-      if (!buildThreadSuccessors(N, T, Top.Node, Pre, evalArgs(Top), Succ))
+      if (!buildThreadSuccessors(N, T, W, Succ))
         return;
       for (BuiltSucc &B : Succ) {
         if (!B.Step.Mirror)
@@ -3122,6 +3374,9 @@ private:
   /// points into (see ConsTable); they outlive the visited set below.
   ConsTable<GlobalState> GSTable;
   ConsTable<ThreadCtx> CtxTable;
+  /// Recorded thread steps over handles into the tables above (see
+  /// StepMemo); unused under symmetry reduction.
+  StepMemo Memo;
 
   unsigned NumShards = 1;
   std::vector<Shard> Shards;

@@ -209,6 +209,13 @@ struct RunResult {
   /// shared process-wide and counted by support/Intern.h, not here.
   uint64_t VisitedNodes = 0;
   uint64_t VisitedBytes = 0;
+  /// Thread-step memo (see DESIGN.md §16): thread steps served from the
+  /// run's memo instead of being re-executed, and the (thread, context,
+  /// global state) keys it recorded. Not part of counters(): at Jobs > 1
+  /// two workers may both miss one key, so both depend on the schedule.
+  /// Zero for a sharded run (the wire does not carry them).
+  uint64_t StepMemoHits = 0;
+  uint64_t StepMemoEntries = 0;
   /// Exhaustion diagnostics: the MaxConfigs bound that was in effect and,
   /// when it was hit, how many frontier configurations were still pending
   /// at abort (scheduling-dependent; a magnitude, not an exact count).

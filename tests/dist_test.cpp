@@ -345,7 +345,6 @@ TEST(DistWire, RetiredBatchTagIsMalformed) {
   EXPECT_EQ(decodeFrame(*Payload), std::nullopt);
   EXPECT_EQ(peekFrameTag(*Payload), std::nullopt);
   EXPECT_FALSE(peekBatch(*Payload));
-  EXPECT_EQ(filterBatchFrame(*Payload, {true}), std::nullopt);
 }
 
 namespace {

@@ -3,7 +3,8 @@
 // Part of fcsl-cpp. Exercises the exhaustive interleaving engine on a toy
 // counter concurroid: sequencing, conditionals, recursion with cycle
 // pruning, parallel composition with subjective splits, hide, safety
-// violations and environment interference.
+// violations, environment interference, and thread steps served from the
+// thread-step memo.
 //
 //===----------------------------------------------------------------------===//
 
@@ -328,6 +329,109 @@ TEST(EngineTest, EnvironmentStepsRespectOtherFixity) {
   EXPECT_TRUE(R.complete());
   for (const Terminal &T : R.Terminals)
     EXPECT_EQ(T.FinalView.self(Ct).getNat(), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// The thread-step memo. A repeated (thread, context, global state) step is
+// served from the exploration's memo instead of being re-run; the goldens
+// below were captured from the engine before the memo existed, so a hit
+// must reproduce exactly what a re-run would.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Serial, unreduced options: the memo's home ground, and a deterministic
+/// (breadth-first) schedule for the failure trace.
+EngineOptions memoOpts(const CounterWorld &W) {
+  EngineOptions Opts = optsFor(W, false);
+  Opts.Jobs = 1;
+  Opts.Por = PorMode::Off;
+  Opts.Symmetry = SymMode::Off;
+  return Opts;
+}
+
+} // namespace
+
+TEST(StepMemoTest, DoneOutcomesDependOnTheSibling) {
+  CounterWorld W = makeCounterWorld(0);
+  // Reads leave the global state alone, so once thread 3 has incremented,
+  // thread 2 reaches each of its (context, state) pairs both while thread
+  // 3 still runs and after it finished. Its first read is served from the memo the second time;
+  // its last read finishes it, and only with thread 3 already done does
+  // the parent join — that outcome must not be replayed from the memo.
+  ProgRef Left = Prog::bind(Prog::act(W.Read, {}), "_",
+                            Prog::act(W.Read, {}));
+  ProgRef Right = Prog::bind(Prog::act(W.Incr, {}), "_",
+                             Prog::act(W.Read, {}));
+  RunResult R = explore(Prog::par(Left, Right), counterState(), memoOpts(W));
+  ASSERT_TRUE(R.complete()) << R.FailureNote;
+  EXPECT_EQ(R.ConfigsExplored, 11u);
+  EXPECT_EQ(R.ActionSteps, 13u);
+  EXPECT_EQ(R.DedupHits, 3u);
+  EXPECT_EQ(R.Terminals.size(), 2u);
+  EXPECT_GT(R.StepMemoHits, 0u);
+}
+
+TEST(StepMemoTest, ForkingStepServedFromTheMemo) {
+  CounterWorld W = makeCounterWorld(0);
+  // Thread 2's increment continues into a par, so its step forks threads
+  // 4 and 5. Thread 3's reads keep the global state, so thread 2 takes
+  // that step from the same context and state twice, and the second time
+  // the forked threads come from the memo.
+  ProgRef Left = Prog::bind(
+      Prog::act(W.Incr, {}), "_",
+      Prog::par(Prog::act(W.Read, {}),
+                Prog::bind(Prog::act(W.Incr, {}), "_",
+                           Prog::act(W.Read, {}))));
+  ProgRef Right = Prog::bind(Prog::act(W.Read, {}), "_",
+                             Prog::act(W.Read, {}));
+  EngineOptions Opts = memoOpts(W);
+  RunResult R = explore(Prog::par(Left, Right), counterState(), Opts);
+  ASSERT_TRUE(R.complete()) << R.FailureNote;
+  EXPECT_EQ(R.ConfigsExplored, 41u);
+  EXPECT_EQ(R.ActionSteps, 58u);
+  EXPECT_EQ(R.EnvSteps, 0u);
+  EXPECT_EQ(R.DedupHits, 18u);
+  EXPECT_EQ(R.Terminals.size(), 6u);
+  EXPECT_GT(R.StepMemoHits, 0u);
+  EXPECT_GT(R.StepMemoEntries, 0u);
+  // Every job count reproduces the counters, memo or not.
+  Opts.Jobs = 4;
+  EXPECT_EQ(explore(Prog::par(Left, Right), counterState(), Opts).counters(),
+            R.counters());
+}
+
+TEST(StepMemoTest, FailureTraceAfterMemoHits) {
+  CounterWorld W = makeCounterWorld(0);
+  // boom is unsafe once the counter reads 2.
+  ActionRef Boom = makeAction(
+      "boom", W.C, 0,
+      [](const View &Pre, const std::vector<Val> &)
+          -> std::optional<std::vector<ActOutcome>> {
+        const Val *V = Pre.joint(Ct).tryLookup(Cell);
+        if (!V || V->getInt() == 2)
+          return std::nullopt;
+        return std::vector<ActOutcome>{{*V, Pre}};
+      });
+  ProgRef Left = Prog::bind(
+      Prog::act(W.Read, {}), "_",
+      Prog::bind(Prog::act(W.Incr, {}), "_", Prog::act(W.Incr, {})));
+  ProgRef Right = Prog::bind(
+      Prog::act(W.Read, {}), "_",
+      Prog::bind(Prog::act(W.Read, {}), "_", Prog::act(Boom, {})));
+  RunResult R = explore(Prog::par(Left, Right), counterState(), memoOpts(W));
+  EXPECT_FALSE(R.Safe);
+  EXPECT_GT(R.StepMemoHits, 0u);
+  EXPECT_EQ(R.FailureNote,
+            "action boom is unsafe in the reached state (thread 3):\n"
+            "1 ->> [{} | {} | {}]\n"
+            "2 ->> [0 | {&1 :-> 2} | 2]\n");
+  EXPECT_EQ(R.renderTrace(), "   1. thread 2: read() -> 0\n"
+                             "   2. thread 2: incr() -> 0\n"
+                             "   3. thread 2: incr() -> 1\n"
+                             "   4. thread 3: read() -> 2\n"
+                             "   5. thread 3: read() -> 2\n"
+                             "   6. thread 3: boom()  <-- UNSAFE\n");
 }
 
 //===----------------------------------------------------------------------===//

@@ -2,15 +2,18 @@
 //
 // Part of fcsl-cpp. Checks the multi-worker interleaving engine: explore()
 // must return bit-identical terminals, verdicts and counters for any job
-// count on the Treiber-stack and spanning-tree case studies, a seeded
-// unsafe program must still produce a non-empty counterexample schedule
-// under parallel exploration, and the spec layer's instance fan-out must
-// agree with its serial run. Part of the TSan stage of scripts/verify.sh.
+// count on the Treiber-stack and spanning-tree case studies (diamond-3
+// with thread steps served from the thread-step memo, and diamond-2 over
+// three shard processes), a seeded unsafe program must still produce a
+// non-empty counterexample schedule under parallel exploration, and the
+// spec layer's instance fan-out must agree with its serial run. Part of
+// the TSan stage of scripts/verify.sh.
 //
 //===----------------------------------------------------------------------===//
 
 #include "concurroid/Entangle.h"
 #include "concurroid/Priv.h"
+#include "dist/Coordinator.h"
 #include "spec/Verifier.h"
 #include "structures/SpanTree.h"
 #include "structures/TreiberStack.h"
@@ -96,6 +99,58 @@ TEST(ParallelEngineTest, SpanTreeOpenWorldDeterministic) {
   Opts.Defs = &Case.Defs;
   expectDeterministic(Prog::call("span", {Expr::litPtr(Ptr(1))}),
                       spanOpenState(Case, buildGraph(Nodes), {}), Opts);
+}
+
+TEST(ParallelEngineTest, DiamondThreeGoldenWithTheStepMemo) {
+  // The largest closed-world space: repeated thread steps are served from
+  // the exploration's thread-step memo, and at jobs 1 and 4 the counters
+  // still match the golden values the engine produced before the memo.
+  SpanTreeCase Case = makeSpanTreeCase(1, 2);
+  EngineOptions Opts;
+  Opts.Ambient = Case.PrivOnly;
+  Opts.EnvInterference = false;
+  Opts.Defs = &Case.Defs;
+  Opts.Por = PorMode::Off;
+  Opts.Symmetry = SymMode::Off;
+  ProgRef Main = makeSpanRootProg(Case, Ptr(1));
+  GlobalState S0 = spanRootState(Case, diamondOf(3));
+  Opts.Jobs = 1;
+  RunResult Base = explore(Main, S0, Opts);
+  for (unsigned Jobs : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "jobs=" << Jobs);
+    Opts.Jobs = Jobs;
+    RunResult R = Jobs == 1 ? Base : explore(Main, S0, Opts);
+    ASSERT_TRUE(R.complete()) << R.FailureNote;
+    EXPECT_EQ(R.ConfigsExplored, 20711u);
+    EXPECT_EQ(R.ActionSteps, 70663u);
+    EXPECT_EQ(R.Terminals.size(), 8u);
+    EXPECT_TRUE(sameTerminals(R.Terminals, Base.Terminals));
+    EXPECT_EQ(R.counters(), Base.counters());
+    EXPECT_GT(R.StepMemoHits, 0u);
+  }
+}
+
+TEST(ParallelEngineTest, DiamondTwoOverThreeShardsMatchesSerial) {
+  // With three shards one owner receives from two senders, so duplicate
+  // configs reach it along two paths; the owner's dedup alone must keep
+  // every counter equal to the serial run.
+  SpanTreeCase Case = makeSpanTreeCase(1, 2);
+  EngineOptions Opts;
+  Opts.Ambient = Case.PrivOnly;
+  Opts.EnvInterference = false;
+  Opts.Defs = &Case.Defs;
+  Opts.Por = PorMode::Off;
+  Opts.Symmetry = SymMode::Off;
+  Opts.Jobs = 1;
+  Opts.Shards = 1;
+  ProgRef Main = makeSpanRootProg(Case, Ptr(1));
+  GlobalState S0 = spanRootState(Case, diamondOf(2));
+  RunResult Base = explore(Main, S0, Opts);
+  ASSERT_TRUE(Base.complete()) << Base.FailureNote;
+  RunResult R = dist::distributedExplore(Main, S0, Opts, {}, 3);
+  ASSERT_TRUE(R.complete()) << R.FailureNote;
+  EXPECT_TRUE(sameTerminals(R.Terminals, Base.Terminals));
+  EXPECT_EQ(R.counters(), Base.counters());
 }
 
 TEST(ParallelEngineTest, TreiberPopUnderInterferenceDeterministic) {

@@ -272,14 +272,12 @@ void printStats() {
   if (Fleet.Fleets == 0)
     return;
   std::printf("sharded exploration: %llu fleets, %llu configs exchanged in "
-              "%llu batches (%llu bytes), %llu duplicate relays dropped, "
-              "%llu cache records merged, peak child rss %llu kB (sum %llu "
-              "kB)\n",
+              "%llu batches (%llu bytes), %llu cache records merged, peak "
+              "child rss %llu kB (sum %llu kB)\n",
               static_cast<unsigned long long>(Fleet.Fleets),
               static_cast<unsigned long long>(Fleet.Configs),
               static_cast<unsigned long long>(Fleet.Messages),
               static_cast<unsigned long long>(Fleet.Bytes),
-              static_cast<unsigned long long>(Fleet.RelayDroppedDupes),
               static_cast<unsigned long long>(Fleet.CacheRecordsMerged),
               static_cast<unsigned long long>(Fleet.ChildRssKbMax),
               static_cast<unsigned long long>(Fleet.ChildRssKbSum));
