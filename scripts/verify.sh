@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 #===- scripts/verify.sh - Tier-1 suite + TSan race check + ASan/UBSan -----===#
 #
-# Part of fcsl-cpp. Eight stages:
+# Part of fcsl-cpp. Nine stages:
 #
 #   1. Tier-1: configure + build + full ctest in build/ (the gate every
 #      PR must keep green).
@@ -9,9 +9,10 @@
 #      -DFCSL_SANITIZE=thread; the thread pool, the parallel exploration
 #      engine, the lock-striped intern arena, the runtime structures, and
 #      the service daemon (concurrent sessions under different modes) are
-#      run under the race detector. The binaries are invoked directly
-#      rather than through ctest so only the relevant targets need to
-#      build.
+#      run under the race detector, as are the engine tests (env rows and
+#      the thread-step memo shared by four workers). The binaries are
+#      invoked directly rather than through ctest so only the relevant
+#      targets need to build.
 #   3. ASan+UBSan: a third build tree (build-asan/) compiled with
 #      -DFCSL_SANITIZE=address,undefined; the intern-arena, codec and
 #      symmetry tests run under it, along with the dist wire, cache and
@@ -24,7 +25,13 @@
 #      its table or a stale private copy would show up there.
 #      The decoders must stay fail-soft: malformed frames, including the
 #      retired tag-2 frontier batch, are rejected and never crash.
-#   4. POR oracle: fcsl-verify --por=check runs every Table-1 session
+#   4. Jobs: the plain engine's report (fcsl-verify --cache=off verify
+#      all, every reduction off) at --jobs 4 must equal the --jobs 1
+#      report, timings stripped. The workers share one exploration's
+#      hash-cons tables, thread-step memo and env rows, and a row or memo
+#      entry served to the wrong worker would show up as a changed
+#      counter or terminal.
+#   5. POR oracle: fcsl-verify --por=check runs every Table-1 session
 #      through the soundness oracle — each exploration runs once on the
 #      plain engine (POR off, symmetry off) and once reduced — and fails
 #      on any divergence in verdicts or terminal states, at 1 and 4 jobs.
@@ -33,7 +40,7 @@
 #      oracle, alone, composed with symmetry reduction (one oracle checks
 #      both reductions together, also at 4 jobs, where the workers share
 #      one env-step graph), and composed with sharding.
-#   5. Symmetry: fcsl-verify --symmetry=on must report the same verdicts
+#   6. Symmetry: fcsl-verify --symmetry=on must report the same verdicts
 #      and obligation counts as --symmetry=off (per-config check counts
 #      shrink — that is the reduction), and --symmetry=check — the same
 #      oracle with the canonical space as the reduced run, comparing
@@ -41,7 +48,7 @@
 #      composed with static and dynamic POR (--por=check-dynamic: still
 #      two explorations, the plain engine against both reductions), and
 #      composed with sharding.
-#   6. Shards: fcsl-verify --shards=2 verify all must print the same
+#   7. Shards: fcsl-verify --shards=2 verify all must print the same
 #      report as --shards=1 (modulo timings), with POR off and on — the
 #      multi-process partitioned exploration (src/dist/) is bit-identical
 #      to the in-process engine. --shards=3 with POR off must match too:
@@ -50,12 +57,12 @@
 #      them and the counters (the hub relays every config). Frontier
 #      frames between shards use the dictionary-streamed protocol, the
 #      only wire encoding.
-#   7. Cache: a cold run against an empty obligation store and a warm
+#   8. Cache: a cold run against an empty obligation store and a warm
 #      rerun must print byte-identical reports (modulo timings), the warm
 #      run must be 100% hits, and --cache=check — which re-discharges
 #      every hit and compares the stored verdict against the fresh one —
 #      must pass alone and composed with POR, symmetry, and sharding.
-#   8. Service: fcsl-serve on a temp socket serves every Table-1 session
+#   9. Service: fcsl-serve on a temp socket serves every Table-1 session
 #      to fcsl-client cold and warm under --por=dynamic --symmetry=on;
 #      both passes must print the same report as a direct fcsl-verify run
 #      (modulo timings), the warm pass must be 100% fast-path serves with
@@ -115,7 +122,7 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   cmake --build build-tsan -j "$(nproc)" \
     --target threadpool_test parallel_engine_test runtime_test intern_test \
     --target por_independence_test por_dynamic_test symmetry_test \
-    --target service_test
+    --target service_test engine_test
 
   echo "== tsan: race-checking thread pool, parallel engine, runtime, arena, service =="
   # TSan aborts the process on the first data race; a clean exit is the
@@ -128,6 +135,7 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   ./build-tsan/tests/por_dynamic_test
   ./build-tsan/tests/symmetry_test
   ./build-tsan/tests/service_test
+  ./build-tsan/tests/engine_test
 fi
 
 if [[ "$RUN_ASAN" == 1 ]]; then
@@ -149,6 +157,18 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   ./build-asan/tests/por_dynamic_test
   ./build-asan/tests/trace_test
 fi
+
+echo "== jobs: plain engine at 4 jobs vs 1 over every session =="
+cmake --build build -j "$(nproc)" --target fcsl-verify
+Normalize='s/[0-9]+\.[0-9]+//g; s/ +/ /g; s/-+/-/g; s/ +$//'
+for Jobs in 1 4; do
+  ./build/tools/fcsl-verify --cache=off --por=off --symmetry=off \
+    --jobs "$Jobs" verify all \
+    | sed -E "$Normalize" > "build/verify-jobs-$Jobs.txt"
+done
+diff build/verify-jobs-1.txt build/verify-jobs-4.txt \
+  || { echo "jobs=4 diverged from jobs=1 (plain engine)" >&2; exit 1; }
+echo "   plain engine: jobs=4 identical to jobs=1"
 
 if [[ "$RUN_POR" == 1 ]]; then
   echo "== por: soundness oracle over every Table-1 session =="

@@ -68,6 +68,15 @@ const PCMNode *intern(PCMNode &&V) {
   return arena().intern(std::move(V));
 }
 
+/// The interned mutex element \p Own. PCMType::unit() and join() ask for
+/// the two mutex constants on every call, so each is interned once.
+const PCMNode *mutexNode(bool Own) {
+  PCMNode V;
+  V.K = PCMKind::Mutex;
+  V.Own = Own;
+  return intern(std::move(V));
+}
+
 } // namespace
 
 bool PCMNode::samePayload(const PCMNode &O) const {
@@ -109,17 +118,13 @@ PCMVal PCMVal::ofNat(uint64_t N) {
 }
 
 PCMVal PCMVal::mutexOwn() {
-  PCMNode V;
-  V.K = PCMKind::Mutex;
-  V.Own = true;
-  return PCMVal(intern(std::move(V)));
+  static const PCMNode *N = mutexNode(true);
+  return PCMVal(N);
 }
 
 PCMVal PCMVal::mutexFree() {
-  PCMNode V;
-  V.K = PCMKind::Mutex;
-  V.Own = false;
-  return PCMVal(intern(std::move(V)));
+  static const PCMNode *N = mutexNode(false);
+  return PCMVal(N);
 }
 
 PCMVal PCMVal::ofPtrSet(std::set<Ptr> S) {

@@ -833,6 +833,11 @@ struct MemoOutcome {
   uint32_t NumSlots = 0;
   bool LabelsChanged = false;
   Val Result;
+  /// Takes the next NumSlots slots at \p Run as this outcome's.
+  void bind(const ThreadSlot *&Run) {
+    Slots = Run;
+    Run += NumSlots;
+  }
 };
 
 /// Append-only storage with stable element addresses: elements are copied
@@ -861,62 +866,86 @@ private:
   uint64_t Capacity = 0;
 };
 
-/// One exploration's thread-step memo (DESIGN.md §16). A thread's atomic
-/// step reads only its own context and the global state, so its outcomes
-/// are a function of (thread id, context handle, global-state handle):
-/// the memo maps that key to the outcome list recorded the first time the
-/// step ran, and a later step with the same key rebuilds its successors
-/// from handles instead of re-running the action, the coherence check,
-/// deliver and normalize. Striped like the ConsTables; an entry is
-/// immutable once published, so a reader uses it after the stripe lock is
-/// released, and two workers that both miss one key record the same
-/// outcomes (the second insert is dropped).
-class StepMemo {
+/// One coherent env step out of a global state (see envRow): the
+/// transition's index in the ambient concurroid and the interned
+/// post-state. It carries no thread slots.
+struct EnvSucc {
+  size_t Idx = 0;
+  GSRef Post = nullptr;
+  void bind(const ThreadSlot *&) {}
+};
+
+/// What the env-step graph needs of an env row beyond its steps (dynamic
+/// POR only): the distinct dynamic footprints of the enabled transitions,
+/// or Unknown when one of them has none (Fps is then empty).
+struct EnvFootprints {
+  bool Unknown = false;
+  std::vector<Footprint> Fps;
+  uint64_t approxBytes() const {
+    uint64_t Bytes = Fps.capacity() * sizeof(Footprint);
+    for (const Footprint &F : Fps)
+      Bytes += F.approxBytes();
+    return Bytes;
+  }
+};
+
+/// The empty per-row header of the thread-step memo.
+struct NoHead {
+  uint64_t approxBytes() const { return 0; }
+};
+
+/// One exploration's memo from handle keys to immutable rows of \p Elem
+/// (DESIGN.md §16): the thread-step memo and the env rows. A step reads
+/// only what its key holds, so a later step with the same key rebuilds its
+/// successors from the recorded row instead of re-running the step.
+/// Striped like the ConsTables; a row is immutable once published and
+/// never moves (it lives in a hash-map node that is never erased), so a
+/// reader uses it after the stripe lock is released, and two workers that
+/// both miss one key record the same row (the second insert is dropped).
+/// Each row also carries one \p Head.
+template <typename Key, typename KeyHash, typename Elem,
+          typename Head = NoHead>
+class HandleMemo {
 public:
-  struct Key {
-    ThreadId T = 0;
-    CtxRef Ctx = nullptr;
-    GSRef GS = nullptr;
-    friend bool operator==(const Key &A, const Key &B) {
-      return A.T == B.T && A.Ctx == B.Ctx && A.GS == B.GS;
-    }
-  };
-  /// A recorded outcome list.
-  struct Outcomes {
-    const MemoOutcome *First = nullptr;
+  /// A recorded row.
+  struct Row {
+    const Elem *First = nullptr;
     uint32_t N = 0;
-    const MemoOutcome *begin() const { return First; }
-    const MemoOutcome *end() const { return First + N; }
+    Head H;
+    const Elem *begin() const { return First; }
+    const Elem *end() const { return First + N; }
   };
 
   void init(unsigned NumStripes) { Stripes = std::vector<Stripe>(NumStripes); }
 
-  /// The outcomes recorded for \p K, if any.
-  std::optional<Outcomes> find(const Key &K) {
+  /// The row recorded for \p K, or null.
+  const Row *find(const Key &K) {
     Stripe &S = stripeOf(K);
     std::lock_guard<std::mutex> Lock(S.M);
     auto It = S.Map.find(K);
-    if (It == S.Map.end())
-      return std::nullopt;
-    return It->second;
+    return It == S.Map.end() ? nullptr : &It->second;
   }
 
-  /// Records \p Outs for \p K. \p Slots holds the outcomes' slot runs
-  /// back to back, in outcome order, NumSlots each; every outcome is
-  /// pointed at its run in the stripe's copy.
-  void insert(const Key &K, std::vector<MemoOutcome> Outs,
-              const std::vector<ThreadSlot> &Slots) {
+  /// Records \p Elems and \p H for \p K, unless a row is already there,
+  /// and returns the row published for it. \p Slots holds the elements'
+  /// slot runs back to back, in element order; each element takes its run
+  /// from the stripe's copy (see MemoOutcome::bind).
+  const Row &insert(const Key &K, std::vector<Elem> Elems,
+                    const std::vector<ThreadSlot> &Slots = {}, Head H = {}) {
     Stripe &S = stripeOf(K);
     std::lock_guard<std::mutex> Lock(S.M);
-    if (S.Map.count(K))
-      return;
-    const ThreadSlot *Run = S.SlotArena.copy(Slots.data(), Slots.size());
-    for (MemoOutcome &O : Outs) {
-      O.Slots = Run;
-      Run += O.NumSlots;
+    auto [It, IsNew] = S.Map.try_emplace(K);
+    if (IsNew) {
+      const ThreadSlot *Run =
+          Slots.empty() ? nullptr
+                        : S.SlotArena.copy(Slots.data(), Slots.size());
+      for (Elem &E : Elems)
+        E.bind(Run);
+      S.HeadBytes += H.approxBytes();
+      It->second = Row{S.ElemArena.copy(Elems.data(), Elems.size()),
+                       static_cast<uint32_t>(Elems.size()), std::move(H)};
     }
-    const MemoOutcome *First = S.OutcomeArena.copy(Outs.data(), Outs.size());
-    S.Map.emplace(K, Outcomes{First, static_cast<uint32_t>(Outs.size())});
+    return It->second;
   }
 
   uint64_t entries() {
@@ -934,33 +963,54 @@ public:
     uint64_t Bytes = 0;
     for (Stripe &S : Stripes) {
       std::lock_guard<std::mutex> Lock(S.M);
-      Bytes += S.OutcomeArena.approxBytes() + S.SlotArena.approxBytes() +
-               S.Map.size() * (sizeof(Key) + sizeof(Outcomes) + 16);
+      Bytes += S.ElemArena.approxBytes() + S.SlotArena.approxBytes() +
+               S.HeadBytes + S.Map.size() * (sizeof(Key) + sizeof(Row) + 16);
     }
     return Bytes;
   }
 
 private:
-  static size_t hashOf(const Key &K) {
+  struct Stripe {
+    std::mutex M;
+    std::unordered_map<Key, Row, KeyHash> Map;
+    ChunkArena<Elem> ElemArena;
+    ChunkArena<ThreadSlot> SlotArena; ///< MemoOutcome slot runs.
+    uint64_t HeadBytes = 0;           ///< heap bytes held by the heads.
+  };
+  Stripe &stripeOf(const Key &K) {
+    return Stripes[KeyHash{}(K) % Stripes.size()];
+  }
+  std::vector<Stripe> Stripes;
+};
+
+/// A thread step's memo key.
+struct StepKey {
+  ThreadId T = 0;
+  CtxRef Ctx = nullptr;
+  GSRef GS = nullptr;
+  friend bool operator==(const StepKey &A, const StepKey &B) {
+    return A.T == B.T && A.Ctx == B.Ctx && A.GS == B.GS;
+  }
+};
+struct StepKeyHash {
+  size_t operator()(const StepKey &K) const {
     size_t H = K.GS->Hash;
     hashCombine(H, K.Ctx->Hash);
     hashValue(H, K.T);
     return H;
   }
-  struct KeyHash {
-    size_t operator()(const Key &K) const { return hashOf(K); }
-  };
-  struct Stripe {
-    std::mutex M;
-    std::unordered_map<Key, Outcomes, KeyHash> Map;
-    ChunkArena<MemoOutcome> OutcomeArena;
-    ChunkArena<ThreadSlot> SlotArena;
-  };
-  Stripe &stripeOf(const Key &K) {
-    return Stripes[hashOf(K) % Stripes.size()];
-  }
-  std::vector<Stripe> Stripes;
 };
+struct GSRefHash {
+  size_t operator()(GSRef GS) const { return GS->Hash; }
+};
+
+/// The thread-step memo: a thread's atomic step reads only its own context
+/// and the global state, so its outcome list is a function of its StepKey.
+using StepMemo = HandleMemo<StepKey, StepKeyHash, MemoOutcome>;
+/// The env rows: an env step reads and writes only the global state, so
+/// the env steps out of a state (and their footprints) are a function of
+/// its handle.
+using EnvRows = HandleMemo<GSRef, GSRefHash, EnvSucc, EnvFootprints>;
 
 /// Evaluates an Act frame's arguments.
 std::vector<Val> evalArgs(const Frame &Top) {
@@ -1050,6 +1100,7 @@ public:
     GSTable.init(NumShards);
     CtxTable.init(NumShards);
     Memo.init(NumShards);
+    Rows.init(NumShards);
     Workers.clear();
     for (unsigned I = 0; I != Jobs; ++I)
       Workers.push_back(std::make_unique<Worker>());
@@ -1124,6 +1175,7 @@ public:
       Res.EnvSteps += W->EnvSteps;
       Res.DedupHits += W->DedupHits;
       Res.StepMemoHits += W->StepMemoHits;
+      Res.EnvRowHits += W->EnvRowHits;
       Merged.insert(W->Terminals.begin(), W->Terminals.end());
     }
     Res.Terminals.assign(Merged.begin(), Merged.end());
@@ -1131,11 +1183,12 @@ public:
     // The visited set only grows, so its final size is the run's peak.
     // Each node counts its handle vector and wake state; the contexts and
     // global states it points to count once, as table entries, and the
-    // thread-step memo counts its entries and outcome arrays.
+    // thread-step memo and the env rows count their entries and arrays.
     uint64_t Nodes = 0;
     uint64_t Bytes = GSTable.approxBytes() + CtxTable.approxBytes() +
-                     Memo.approxBytes();
+                     Memo.approxBytes() + Rows.approxBytes();
     Res.StepMemoEntries = Memo.entries();
+    Res.EnvRowEntries = Rows.entries();
     for (Shard &S : Shards) {
       Nodes += S.Set.size();
       // 16 bytes: the hash-set node (next pointer + cached hash).
@@ -1251,6 +1304,7 @@ private:
     uint64_t EnvSteps = 0;
     uint64_t DedupHits = 0;
     uint64_t StepMemoHits = 0;
+    uint64_t EnvRowHits = 0;
     std::set<Terminal> Terminals;
   };
 
@@ -2659,12 +2713,12 @@ private:
   struct EnvNode {
     GSRef GS = nullptr;
     std::atomic<bool> Expanded{false};
-    /// Some enabled transition has no dynamic footprint here. The other
-    /// step data is then left empty: every closure reaching this node is
-    /// refused anyway.
-    bool Unknown = false;
-    std::vector<Footprint> Fps;   ///< distinct footprints of enabled steps.
-    std::vector<EnvNode *> Succs; ///< distinct coherent env successors.
+    /// The state's env row, whose head holds the footprints of the enabled
+    /// steps, or Unknown.
+    const EnvRows::Row *Row = nullptr;
+    /// Distinct coherent env successors; left empty when the row is
+    /// Unknown, since every closure reaching this node is refused anyway.
+    std::vector<EnvNode *> Succs;
     /// Set once a closure from here was refused. Refusal is inherited by
     /// every state that reaches this one (its future contains this
     /// future), which lets later closures stop early.
@@ -2704,49 +2758,66 @@ private:
     return &N;
   }
 
-  /// Evaluates every env step of \p N — without holding EnvMutex, since
-  /// workers share the graph — then publishes the result. Two workers
-  /// may expand one node at once; both compute the same data and the
-  /// first to publish wins.
-  void expandEnvNode(EnvGraph &G, EnvNode &N) {
-    bool Unknown = false;
-    std::vector<Footprint> Fps;
-    std::vector<GSRef> Next;
-    View EnvView = N.GS->Value.viewForEnv();
-    for (const Transition &T : Opts.Ambient->transitions()) {
-      if (!isEnvStep(T))
+  /// The env row of \p GS, built on the first request (see EnvRows):
+  /// every coherent env step out of GS, in declaration order, with its
+  /// post-state interned. Under dynamic POR its head also collects the
+  /// distinct dynamic footprints of the enabled transitions (those with
+  /// successors, coherent or not), or Unknown at the first that has none.
+  /// Plain expansion and the env-step graph both read rows, so a state is
+  /// enumerated once per exploration. \p Hit tells whether it was.
+  const EnvRows::Row &envRow(GSRef GS, bool &Hit) {
+    if (const EnvRows::Row *R = Rows.find(GS)) {
+      Hit = true;
+      return *R;
+    }
+    Hit = false;
+    std::vector<EnvSucc> Succs;
+    EnvFootprints Fx;
+    View EnvView = GS->Value.viewForEnv();
+    const std::vector<Transition> &Ts = Opts.Ambient->transitions();
+    for (size_t I = 0, Sz = Ts.size(); I != Sz; ++I) {
+      if (!isEnvStep(Ts[I]))
         continue;
-      std::vector<View> Posts = T.successors(EnvView);
-      if (Posts.empty())
-        continue;
-      Footprint F = T.footprint(EnvView);
-      if (!F.known()) {
-        Unknown = true;
-        Fps.clear();
-        Next.clear();
-        break;
+      std::vector<View> Posts = Ts[I].successors(EnvView);
+      if (DynOn && !Fx.Unknown && !Posts.empty()) {
+        Footprint F = Ts[I].footprint(EnvView);
+        if (!F.known()) {
+          Fx.Unknown = true;
+          Fx.Fps.clear();
+        } else if (std::find(Fx.Fps.begin(), Fx.Fps.end(), F) ==
+                   Fx.Fps.end()) {
+          Fx.Fps.push_back(std::move(F));
+        }
       }
-      if (std::find(Fps.begin(), Fps.end(), F) == Fps.end())
-        Fps.push_back(std::move(F));
       for (const View &Post : Posts) {
         if (!Opts.Ambient->coherent(Post))
           continue;
-        GlobalState NG = N.GS->Value;
-        NG.applyEnv(EnvView, Post);
-        size_t H = std::hash<GlobalState>{}(NG);
-        Next.push_back(GSTable.intern(std::move(NG), H));
+        GlobalState Next = GS->Value;
+        Next.applyEnv(EnvView, Post);
+        size_t H = std::hash<GlobalState>{}(Next);
+        Succs.push_back(EnvSucc{I, GSTable.intern(std::move(Next), H)});
       }
     }
+    return Rows.insert(GS, std::move(Succs), {}, std::move(Fx));
+  }
+
+  /// Links \p N to the nodes of its env row's successors — the row is
+  /// read or built without holding EnvMutex, since workers share the
+  /// graph — then publishes the result. Two workers may expand one node
+  /// at once; both read the same row and the first to publish wins.
+  void expandEnvNode(EnvGraph &G, EnvNode &N) {
+    bool Hit;
+    const EnvRows::Row &Row = envRow(N.GS, Hit);
     std::lock_guard<std::mutex> Lock(EnvMutex);
     if (N.Expanded)
       return;
-    for (GSRef NG : Next) {
-      EnvNode *S = envNode(G, NG);
-      if (std::find(N.Succs.begin(), N.Succs.end(), S) == N.Succs.end())
-        N.Succs.push_back(S);
-    }
-    N.Unknown = Unknown;
-    N.Fps = std::move(Fps);
+    if (!Row.H.Unknown)
+      for (const EnvSucc &E : Row) {
+        EnvNode *S = envNode(G, E.Post);
+        if (std::find(N.Succs.begin(), N.Succs.end(), S) == N.Succs.end())
+          N.Succs.push_back(S);
+      }
+    N.Row = &Row;
     N.Expanded = true;
   }
 
@@ -2788,11 +2859,11 @@ private:
       EnvNode &N = *Queue[I];
       if (!N.Expanded)
         expandEnvNode(*G, N);
-      if (N.Unknown) {
+      if (N.Row->H.Unknown) {
         R->Ok = false; // An undescribed step in the future: never ample.
         break;
       }
-      for (const Footprint &F : N.Fps)
+      for (const Footprint &F : N.Row->H.Fps)
         if (std::find(R->Fps.begin(), R->Fps.end(), F) == R->Fps.end())
           R->Fps.push_back(F);
       for (EnvNode *S : N.Succs) {
@@ -2873,9 +2944,9 @@ private:
     const Config &C = N.C;
     const Frame &Top = C.thread(T).Stack.back();
     const Prog *ActNode = Top.Node;
-    const StepMemo::Key Key{T, C.ctxRef(T), C.gsRef()};
+    const StepKey Key{T, C.ctxRef(T), C.gsRef()};
     if (!SymOn)
-      if (std::optional<StepMemo::Outcomes> Hit = Memo.find(Key)) {
+      if (const StepMemo::Row *Hit = Memo.find(Key)) {
         ++W.StepMemoHits;
         for (const MemoOutcome &O : *Hit)
           Out.push_back(BuiltSucc{
@@ -3331,22 +3402,15 @@ private:
       }
     }
 
-    // Environment interference steps.
+    // Environment interference steps, from the state's env row.
     if (Opts.EnvInterference && Opts.Ambient) {
-      View EnvView = C.gs().viewForEnv();
-      const std::vector<Transition> &Ts = Opts.Ambient->transitions();
-      for (size_t I = 0, Sz = Ts.size(); I != Sz; ++I) {
-        if (!isEnvStep(Ts[I]))
-          continue;
-        for (const View &Post : Ts[I].successors(EnvView)) {
-          if (!Opts.Ambient->coherent(Post))
-            continue;
-          ++W.EnvSteps;
-          Config Next = C;
-          Next.mutGS().applyEnv(EnvView, Post);
-          freeze(Next);
-          enqueue(std::move(Next), &N, StepCode::env(I), W);
-        }
+      bool Hit;
+      const EnvRows::Row &Row = envRow(C.gsRef(), Hit);
+      W.EnvRowHits += Hit;
+      for (const EnvSucc &S : Row) {
+        ++W.EnvSteps;
+        enqueue(Config::successor(C, S.Post, nullptr, 0), &N,
+                StepCode::env(S.Idx), W);
       }
     }
   }
@@ -3377,6 +3441,9 @@ private:
   /// Recorded thread steps over handles into the tables above (see
   /// StepMemo); unused under symmetry reduction.
   StepMemo Memo;
+  /// Recorded env steps per global state, for plain expansion and the
+  /// env-step graph (see envRow).
+  EnvRows Rows;
 
   unsigned NumShards = 1;
   std::vector<Shard> Shards;

@@ -216,6 +216,13 @@ struct RunResult {
   /// Zero for a sharded run (the wire does not carry them).
   uint64_t StepMemoHits = 0;
   uint64_t StepMemoEntries = 0;
+  /// Env rows (see DESIGN.md §16): plain expansions whose env steps were
+  /// served from the run's row for their global state, and the rows
+  /// recorded, by plain expansion or by dynamic POR's env-step graph.
+  /// Kept out of counters() and zero for a sharded run, like the memo
+  /// counters above.
+  uint64_t EnvRowHits = 0;
+  uint64_t EnvRowEntries = 0;
   /// Exhaustion diagnostics: the MaxConfigs bound that was in effect and,
   /// when it was hit, how many frontier configurations were still pending
   /// at abort (scheduling-dependent; a magnitude, not an exact count).

@@ -3,13 +3,14 @@
 // Part of fcsl-cpp. Exercises the exhaustive interleaving engine on a toy
 // counter concurroid: sequencing, conditionals, recursion with cycle
 // pruning, parallel composition with subjective splits, hide, safety
-// violations, environment interference, and thread steps served from the
-// thread-step memo.
+// violations, environment interference, thread steps served from the
+// thread-step memo, and env steps served from the env rows.
 //
 //===----------------------------------------------------------------------===//
 
 #include "concurroid/Entangle.h"
 #include "concurroid/Priv.h"
+#include "dist/Coordinator.h"
 #include "prog/Engine.h"
 
 #include <gtest/gtest.h>
@@ -432,6 +433,98 @@ TEST(StepMemoTest, FailureTraceAfterMemoHits) {
                              "   4. thread 3: read() -> 2\n"
                              "   5. thread 3: read() -> 2\n"
                              "   6. thread 3: boom()  <-- UNSAFE\n");
+}
+
+//===----------------------------------------------------------------------===//
+// The env rows. Plain expansion serves the env steps out of a global state
+// it has already expanded from the exploration's row for that state; the
+// goldens below were captured from the engine before the rows existed.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Reads leave the global state alone, so the env steps out of one state
+/// are taken from many configurations.
+ProgRef readersUnderBumps(const CounterWorld &W) {
+  return Prog::par(
+      Prog::bind(Prog::act(W.Read, {}), "_", Prog::act(W.Read, {})),
+      Prog::bind(Prog::act(W.Read, {}), "_", Prog::act(W.Incr, {})));
+}
+
+} // namespace
+
+TEST(EnvRowTest, RepeatedStatesServedFromTheirRows) {
+  CounterWorld W = makeCounterWorld(/*EnvCap=*/2);
+  EngineOptions Opts = memoOpts(W);
+  Opts.EnvInterference = true;
+  for (unsigned Jobs : {1u, 4u}) {
+    Opts.Jobs = Jobs;
+    RunResult R = explore(readersUnderBumps(W), counterState(), Opts);
+    ASSERT_TRUE(R.complete()) << R.FailureNote;
+    EXPECT_EQ(R.ConfigsExplored, 42u) << "jobs=" << Jobs;
+    EXPECT_EQ(R.ActionSteps, 44u) << "jobs=" << Jobs;
+    EXPECT_EQ(R.EnvSteps, 16u) << "jobs=" << Jobs;
+    EXPECT_EQ(R.DedupHits, 19u) << "jobs=" << Jobs;
+    EXPECT_EQ(R.Terminals.size(), 10u) << "jobs=" << Jobs;
+    // One row per distinct global state of an expanded non-terminal
+    // configuration, whatever the schedule; hits may vary at Jobs > 1.
+    EXPECT_EQ(R.EnvRowEntries, 6u) << "jobs=" << Jobs;
+    if (Jobs == 1) {
+      EXPECT_GT(R.EnvRowHits, 0u);
+    }
+  }
+}
+
+TEST(EnvRowTest, FailureTraceThroughRowHits) {
+  CounterWorld W = makeCounterWorld(/*EnvCap=*/2);
+  // boom is unsafe once the counter reads 2. Thread 2's read keeps the
+  // state, so both bumps on the breadth-first witness start from states
+  // an ancestor already expanded: they come from rows.
+  ActionRef Boom = makeAction(
+      "boom", W.C, 0,
+      [](const View &Pre, const std::vector<Val> &)
+          -> std::optional<std::vector<ActOutcome>> {
+        const Val *V = Pre.joint(Ct).tryLookup(Cell);
+        if (!V || V->getInt() == 2)
+          return std::nullopt;
+        return std::vector<ActOutcome>{{*V, Pre}};
+      });
+  ProgRef P = Prog::par(
+      Prog::bind(Prog::act(W.Read, {}), "_", Prog::act(Boom, {})),
+      Prog::act(W.Read, {}));
+  EngineOptions Opts = memoOpts(W);
+  Opts.EnvInterference = true;
+  RunResult R = explore(P, counterState(), Opts);
+  EXPECT_FALSE(R.Safe);
+  EXPECT_GT(R.EnvRowHits, 0u);
+  EXPECT_EQ(R.FailureNote,
+            "action boom is unsafe in the reached state (thread 2):\n"
+            "1 ->> [{} | {} | {}]\n"
+            "2 ->> [0 | {&1 :-> 2} | 2]\n");
+  EXPECT_EQ(R.renderTrace(), "   1. thread 2: read() -> 0\n"
+                             "   2. env: bump\n"
+                             "   3. env: bump\n"
+                             "   4. thread 2: boom()  <-- UNSAFE\n");
+}
+
+TEST(EnvRowTest, ShardedRunsMatchTheSerialCounters) {
+  CounterWorld W = makeCounterWorld(/*EnvCap=*/2);
+  EngineOptions Opts = memoOpts(W);
+  Opts.EnvInterference = true;
+  RunResult Serial = explore(readersUnderBumps(W), counterState(), Opts);
+  ASSERT_TRUE(Serial.complete()) << Serial.FailureNote;
+  // Each shard keeps rows for the states it owns; the counters must not
+  // notice.
+  for (unsigned Shards : {2u, 3u}) {
+    RunResult R = dist::distributedExplore(readersUnderBumps(W),
+                                           counterState(), Opts, {}, Shards);
+    ASSERT_TRUE(R.complete()) << "shards=" << Shards << ": " << R.FailureNote;
+    EXPECT_EQ(R.counters(), Serial.counters()) << "shards=" << Shards;
+    // Terminals only order; equal sorted lists are neither below the other.
+    EXPECT_FALSE(R.Terminals < Serial.Terminals ||
+                 Serial.Terminals < R.Terminals)
+        << "shards=" << Shards;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -113,7 +113,11 @@ View withCell(const View &Pre, Ptr P, int64_t V) {
   return Post;
 }
 
-TickerWorld makeTickerWorld(int64_t Period, bool UnknownAtOne) {
+/// With \p UnknownAtOne an env transition "wild" with no dynamic footprint
+/// is enabled whenever cell 1 reads 1. It resets the cell, or, with
+/// \p WildIncoherent, drops cell 2, so its only post is incoherent.
+TickerWorld makeTickerWorld(int64_t Period, bool UnknownAtOne,
+                            bool WildIncoherent = false) {
   auto Coh = [](const View &S) {
     return S.hasLabel(Tk) && S.joint(Tk).contains(Ptr(1)) &&
            S.joint(Tk).contains(Ptr(2));
@@ -138,10 +142,19 @@ TickerWorld makeTickerWorld(int64_t Period, bool UnknownAtOne) {
   if (UnknownAtOne)
     C->addTransition(
         Transition("wild", TransitionKind::Internal,
-                   [](const View &Pre) {
+                   [WildIncoherent](const View &Pre) {
                      std::vector<View> Posts;
-                     if (Pre.joint(Tk).lookup(Ptr(1)).getInt() == 1)
+                     if (Pre.joint(Tk).lookup(Ptr(1)).getInt() != 1)
+                       return Posts;
+                     if (!WildIncoherent) {
                        Posts.push_back(withCell(Pre, Ptr(1), 0));
+                       return Posts;
+                     }
+                     View Post = Pre;
+                     Heap Joint = Pre.joint(Tk);
+                     Joint.remove(Ptr(2));
+                     Post.setJoint(Tk, std::move(Joint));
+                     Posts.push_back(std::move(Post));
                      return Posts;
                    })
             .withFootprint(AnyCell,
@@ -317,6 +330,20 @@ TEST(PorDynamicTest, PinsExactDynamicCounters) {
   }
 }
 
+TEST(PorDynamicTest, EnvGraphReadsTheEnvRows) {
+  // The env-step graph takes each state's steps and footprints from the
+  // exploration's env rows, the table plain expansion reads; only plain
+  // expansion counts row hits, and it never runs under POR.
+  FcSetup S = makeFcSetup();
+  S.Opts.Por = PorMode::Dynamic;
+  RunResult R = explore(S.Main, S.Initial, S.Opts);
+  ASSERT_TRUE(R.complete()) << R.FailureNote;
+  EXPECT_GT(R.EnvRowEntries, 0u);
+  EXPECT_EQ(R.EnvRowHits, 0u);
+  S.Opts.Por = PorMode::On;
+  EXPECT_EQ(explore(S.Main, S.Initial, S.Opts).EnvRowEntries, 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // Closure refusal: a future the closure cannot certify licenses no
 // dynamic ample, so the dynamic run is exactly the static one.
@@ -325,9 +352,9 @@ TEST(PorDynamicTest, PinsExactDynamicCounters) {
 namespace {
 
 // Static and dynamic counts of one ticker world.
-std::pair<PinnedCounts, PinnedCounts> tickerCounts(int64_t Period,
-                                                   bool UnknownAtOne) {
-  TickerWorld W = makeTickerWorld(Period, UnknownAtOne);
+std::pair<PinnedCounts, PinnedCounts>
+tickerCounts(int64_t Period, bool UnknownAtOne, bool WildIncoherent = false) {
+  TickerWorld W = makeTickerWorld(Period, UnknownAtOne, WildIncoherent);
   W.Opts.Por = PorMode::On;
   PinnedCounts Static = countsOf(W.Main, W.Initial, W.Opts);
   W.Opts.Por = PorMode::Dynamic;
@@ -358,6 +385,12 @@ TEST(PorDynamicTest, UnknownEnvFootprintLicensesNoDynamicAmple) {
   auto [Known, KnownDyn] = tickerCounts(/*Period=*/4, /*UnknownAtOne=*/false);
   EXPECT_EQ(Static.Configs, Known.Configs);
   EXPECT_LT(KnownDyn.Configs, Known.Configs);
+  // A transition whose posts are all incoherent never fires, but it is
+  // enabled, and its missing footprint still refuses the closure.
+  auto [Dead, DeadDyn] = tickerCounts(/*Period=*/4, /*UnknownAtOne=*/true,
+                                      /*WildIncoherent=*/true);
+  EXPECT_EQ(DeadDyn, Dead);
+  EXPECT_EQ(Dead, Known);
 }
 
 //===----------------------------------------------------------------------===//
