@@ -16,7 +16,12 @@
 // partial-order reduction, serially under symmetry reduction, serially
 // with every exploration sharded across two worker processes (src/dist/),
 // and finally cold + warm against a fresh obligation store (src/cache/)
-// — and then twice more through the verification service (src/service/):
+// — and then twice more through the verification service (src/service/).
+// Every cell but the two cold ones (a store is cold only once) runs five
+// times and records its median time, so one preempted run on a shared
+// host does not move a cell; a repeat whose verdicts, obligation and
+// check counts, or explored configurations differ from the first run's
+// fails the bench. The service round-trips follow:
 // an engine-backed daemon round-trip and a warm store-backed one, so the
 // client-observed request latency of both paths is tracked. All timings
 // land in BENCH_table1.json so the speedup from the multi-worker engine,
@@ -35,6 +40,7 @@
 #include "support/Format.h"
 #include "support/ThreadPool.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -44,6 +50,8 @@ using namespace fcsl;
 
 namespace {
 
+/// One Table-1 row. Times are medians over the cell's repeats (the cold
+/// cells run once).
 struct ProgramRow {
   std::string Program;
   uint64_t Obligations = 0;
@@ -67,6 +75,46 @@ struct ProgramRow {
   uint64_t DistExchanged = 0;  ///< frontier configs exchanged when sharded.
   uint64_t DistBytes = 0;      ///< wire bytes exchanged when sharded.
 };
+
+/// Runs per timed cell; the cell's time is their median.
+constexpr unsigned Repeats = 5;
+
+/// One (session, mode) cell: the first run's report and explored
+/// configurations, and the median wall time over the repeats.
+struct Cell {
+  SessionReport Report;
+  uint64_t Configs = 0;
+  double Ms = 0.0;
+};
+
+/// Discharges \p Case's session \p N times at \p Jobs under the modes
+/// the caller set. Any repeat whose counts differ from the first run's
+/// is recorded in \p Failures under \p Mode.
+Cell runCell(const CaseEntry &Case, unsigned Jobs, const char *Mode,
+             std::vector<std::string> &Failures, unsigned N = Repeats) {
+  Cell C;
+  std::vector<double> Ms;
+  for (unsigned I = 0; I != N; ++I) {
+    uint64_t Configs0 = totalConfigsExplored();
+    SessionReport R = Case.MakeSession().run(Jobs);
+    uint64_t Configs = totalConfigsExplored() - Configs0;
+    Ms.push_back(R.TotalMs);
+    if (I == 0) {
+      C.Report = std::move(R);
+      C.Configs = Configs;
+    } else if (R.AllPassed != C.Report.AllPassed ||
+               R.totalObligations() != C.Report.totalObligations() ||
+               R.totalChecks() != C.Report.totalChecks() ||
+               Configs != C.Configs) {
+      Failures.push_back(formatString(
+          "%s (%s): repeat %u counts differ from the first run's",
+          C.Report.Program.c_str(), Mode, I + 1));
+    }
+  }
+  std::sort(Ms.begin(), Ms.end());
+  C.Ms = Ms[N / 2];
+  return C;
+}
 
 } // namespace
 
@@ -114,140 +162,134 @@ int main() {
     cache::setCacheDir(CacheDir);
 
   for (const CaseEntry &Case : allCaseStudies()) {
-    uint64_t Configs0 = totalConfigsExplored();
-    SessionReport Report = Case.MakeSession().run(/*Jobs=*/1);
-    uint64_t ConfigsFull = totalConfigsExplored() - Configs0;
+    Cell Serial = runCell(Case, /*Jobs=*/1, "serial", Failures);
+    const SessionReport &Report = Serial.Report;
     AllPassed &= Report.AllPassed;
     for (const std::string &F : Report.Failures)
       Failures.push_back(F);
-    SerialTotalMs += Report.TotalMs;
-    ConfigsFullTotal += ConfigsFull;
+    SerialTotalMs += Serial.Ms;
+    ConfigsFullTotal += Serial.Configs;
 
     // Parallel discharge of the same obligations must agree verdict for
     // verdict; its wall-clock is the "after" column.
-    SessionReport Par = Case.MakeSession().run(ParJobs);
-    AllPassed &= Par.AllPassed == Report.AllPassed &&
-                 Par.totalObligations() == Report.totalObligations() &&
-                 Par.totalChecks() == Report.totalChecks();
-    ParallelTotalMs += Par.TotalMs;
+    Cell Par = runCell(Case, ParJobs, "parallel", Failures);
+    AllPassed &= Par.Report.AllPassed == Report.AllPassed &&
+                 Par.Report.totalObligations() == Report.totalObligations() &&
+                 Par.Report.totalChecks() == Report.totalChecks();
+    ParallelTotalMs += Par.Ms;
 
     // Serial discharge again under partial-order reduction: same
     // verdicts, fewer explored configurations.
     setDefaultPorMode(PorMode::On);
-    uint64_t Configs1 = totalConfigsExplored();
-    SessionReport Por = Case.MakeSession().run(/*Jobs=*/1);
-    uint64_t ConfigsReduced = totalConfigsExplored() - Configs1;
+    Cell Por = runCell(Case, /*Jobs=*/1, "por", Failures);
     setDefaultPorMode(PorMode::Off);
-    AllPassed &= Por.AllPassed == Report.AllPassed &&
-                 Por.totalObligations() == Report.totalObligations();
-    PorTotalMs += Por.TotalMs;
-    ConfigsReducedTotal += ConfigsReduced;
+    AllPassed &= Por.Report.AllPassed == Report.AllPassed &&
+                 Por.Report.totalObligations() == Report.totalObligations();
+    PorTotalMs += Por.Ms;
+    ConfigsReducedTotal += Por.Configs;
 
     // Dynamic reduction: ample sets licensed by observed footprints and
     // the env-future closure (DESIGN.md §12). Same verdicts again.
     setDefaultPorMode(PorMode::Dynamic);
-    uint64_t ConfigsDyn0 = totalConfigsExplored();
-    SessionReport DynPor = Case.MakeSession().run(/*Jobs=*/1);
-    uint64_t ConfigsDynamic = totalConfigsExplored() - ConfigsDyn0;
+    Cell DynPor = runCell(Case, /*Jobs=*/1, "dynpor", Failures);
     setDefaultPorMode(PorMode::Off);
-    AllPassed &= DynPor.AllPassed == Report.AllPassed &&
-                 DynPor.totalObligations() == Report.totalObligations();
-    DynPorTotalMs += DynPor.TotalMs;
-    ConfigsDynamicTotal += ConfigsDynamic;
+    AllPassed &= DynPor.Report.AllPassed == Report.AllPassed &&
+                 DynPor.Report.totalObligations() == Report.totalObligations();
+    DynPorTotalMs += DynPor.Ms;
+    ConfigsDynamicTotal += DynPor.Configs;
 
     // Serial discharge under symmetry reduction: identical verdicts over
     // the orbit-canonicalized state space (DESIGN.md §11).
     setDefaultSymmetryMode(SymMode::On);
-    uint64_t Configs2 = totalConfigsExplored();
-    SessionReport Sym = Case.MakeSession().run(/*Jobs=*/1);
-    uint64_t ConfigsCanonical = totalConfigsExplored() - Configs2;
+    Cell Sym = runCell(Case, /*Jobs=*/1, "symmetry", Failures);
     setDefaultSymmetryMode(SymMode::Off);
-    AllPassed &= Sym.AllPassed == Report.AllPassed &&
-                 Sym.totalObligations() == Report.totalObligations();
-    SymTotalMs += Sym.TotalMs;
-    ConfigsCanonicalTotal += ConfigsCanonical;
+    AllPassed &= Sym.Report.AllPassed == Report.AllPassed &&
+                 Sym.Report.totalObligations() == Report.totalObligations();
+    SymTotalMs += Sym.Ms;
+    ConfigsCanonicalTotal += Sym.Configs;
 
     // Serial discharge once more with every exploration sharded across
-    // two worker processes: verdicts must agree; the exchange volume is
-    // the cost of the partitioning.
+    // two worker processes: verdicts must agree; the exchange volume (a
+    // mean over the repeats) is the cost of the partitioning.
     setDefaultShards(DistShards);
     dist::FleetStats Fleet0 = dist::fleetTotals();
-    SessionReport Sh = Case.MakeSession().run(/*Jobs=*/1);
+    Cell Sh = runCell(Case, /*Jobs=*/1, "shards", Failures);
     dist::FleetStats Fleet1 = dist::fleetTotals();
     setDefaultShards(0);
-    AllPassed &= Sh.AllPassed == Report.AllPassed &&
-                 Sh.totalObligations() == Report.totalObligations() &&
-                 Sh.totalChecks() == Report.totalChecks();
-    DistTotalMs += Sh.TotalMs;
+    AllPassed &= Sh.Report.AllPassed == Report.AllPassed &&
+                 Sh.Report.totalObligations() == Report.totalObligations() &&
+                 Sh.Report.totalChecks() == Report.totalChecks();
+    DistTotalMs += Sh.Ms;
 
     // Cold + warm against the obligation store: the cold run discharges
-    // and appends, the warm rerun must replay every verdict from disk.
+    // and appends, every warm rerun must replay every verdict from disk.
     cache::setDefaultCacheMode(cache::CacheMode::Rw);
-    SessionReport Cold = Case.MakeSession().run(/*Jobs=*/1);
+    Cell Cold = runCell(Case, /*Jobs=*/1, "cache cold", Failures, 1);
     cache::CacheStats Cache0 = cache::cacheStats();
-    SessionReport Warm = Case.MakeSession().run(/*Jobs=*/1);
+    Cell Warm = runCell(Case, /*Jobs=*/1, "cache warm", Failures);
     cache::CacheStats Cache1 = cache::cacheStats();
     cache::setDefaultCacheMode(cache::CacheMode::Off);
-    uint64_t WarmHits = Cache1.Hits - Cache0.Hits;
-    AllPassed &= Cold.AllPassed == Report.AllPassed &&
-                 Warm.AllPassed == Report.AllPassed &&
-                 Warm.totalObligations() == Report.totalObligations() &&
-                 Warm.totalChecks() == Report.totalChecks() &&
-                 WarmHits == Warm.totalObligations();
-    ColdTotalMs += Cold.TotalMs;
-    WarmTotalMs += Warm.TotalMs;
+    uint64_t WarmHits = (Cache1.Hits - Cache0.Hits) / Repeats;
+    AllPassed &= Cold.Report.AllPassed == Report.AllPassed &&
+                 Warm.Report.AllPassed == Report.AllPassed &&
+                 Warm.Report.totalObligations() == Report.totalObligations() &&
+                 Warm.Report.totalChecks() == Report.totalChecks() &&
+                 Cache1.Hits - Cache0.Hits ==
+                     Repeats * Warm.Report.totalObligations();
+    ColdTotalMs += Cold.Ms;
+    WarmTotalMs += Warm.Ms;
     CacheHitsTotal += WarmHits;
 
     // Everything composed at once — dynamic POR, symmetry reduction and
     // the rw verdict store, the flags a user stacks in practice. The
     // store key includes the engine-flags fingerprint, so the first pass
-    // discharges (and records) under the composed flags and the second
-    // must replay every verdict warm.
+    // discharges (and records) under the composed flags and the repeats
+    // after it must replay every verdict warm.
     setDefaultPorMode(PorMode::Dynamic);
     setDefaultSymmetryMode(SymMode::On);
     cache::setDefaultCacheMode(cache::CacheMode::Rw);
-    SessionReport AllOnCold = Case.MakeSession().run(/*Jobs=*/1);
+    Cell AllOnCold = runCell(Case, /*Jobs=*/1, "all-on cold", Failures, 1);
     cache::CacheStats AllOn0 = cache::cacheStats();
-    SessionReport AllOn = Case.MakeSession().run(/*Jobs=*/1);
+    Cell AllOn = runCell(Case, /*Jobs=*/1, "all-on warm", Failures);
     cache::CacheStats AllOn1 = cache::cacheStats();
     cache::setDefaultCacheMode(cache::CacheMode::Off);
     setDefaultSymmetryMode(SymMode::Off);
     setDefaultPorMode(PorMode::Off);
-    uint64_t AllOnHits = AllOn1.Hits - AllOn0.Hits;
-    AllPassed &= AllOnCold.AllPassed == Report.AllPassed &&
-                 AllOn.AllPassed == Report.AllPassed &&
-                 AllOn.totalObligations() == Report.totalObligations() &&
-                 AllOnHits == AllOn.totalObligations();
-    AllOnColdTotalMs += AllOnCold.TotalMs;
-    AllOnWarmTotalMs += AllOn.TotalMs;
+    uint64_t AllOnHits = (AllOn1.Hits - AllOn0.Hits) / Repeats;
+    AllPassed &= AllOnCold.Report.AllPassed == Report.AllPassed &&
+                 AllOn.Report.AllPassed == Report.AllPassed &&
+                 AllOn.Report.totalObligations() ==
+                     Report.totalObligations() &&
+                 AllOn1.Hits - AllOn0.Hits ==
+                     Repeats * AllOn.Report.totalObligations();
+    AllOnColdTotalMs += AllOnCold.Ms;
+    AllOnWarmTotalMs += AllOn.Ms;
 
-    auto Cell = [&](ObCategory C) -> std::string {
+    auto CatCell = [&](ObCategory C) -> std::string {
       uint64_t N = Report.PerCategory[size_t(C)].Obligations;
       return N == 0 ? "-" : std::to_string(N);
     };
-    Table.addRow({Report.Program, Cell(ObCategory::Libs),
-                  Cell(ObCategory::Conc), Cell(ObCategory::Acts),
-                  Cell(ObCategory::Stab), Cell(ObCategory::Main),
+    Table.addRow({Report.Program, CatCell(ObCategory::Libs),
+                  CatCell(ObCategory::Conc), CatCell(ObCategory::Acts),
+                  CatCell(ObCategory::Stab), CatCell(ObCategory::Main),
                   std::to_string(Report.totalObligations()),
                   std::to_string(Report.totalChecks()),
-                  formatString("%.0f ms", Report.TotalMs),
-                  formatString("%.0f ms", Par.TotalMs),
-                  formatString("%.0f ms", Por.TotalMs),
-                  formatString("%.0f ms", DynPor.TotalMs),
-                  formatString("%.0f ms", Sym.TotalMs),
-                  formatString("%.0f ms", Sh.TotalMs),
-                  formatString("%.0f ms", Warm.TotalMs),
-                  formatString("%.0f ms", AllOn.TotalMs)});
+                  formatString("%.0f ms", Serial.Ms),
+                  formatString("%.0f ms", Par.Ms),
+                  formatString("%.0f ms", Por.Ms),
+                  formatString("%.0f ms", DynPor.Ms),
+                  formatString("%.0f ms", Sym.Ms),
+                  formatString("%.0f ms", Sh.Ms),
+                  formatString("%.0f ms", Warm.Ms),
+                  formatString("%.0f ms", AllOn.Ms)});
     Rows.push_back(ProgramRow{Report.Program, Report.totalObligations(),
-                              Report.totalChecks(), Report.TotalMs,
-                              Par.TotalMs, Por.TotalMs, DynPor.TotalMs,
-                              Sh.TotalMs, Sym.TotalMs, Cold.TotalMs,
-                              Warm.TotalMs, WarmHits, AllOnCold.TotalMs,
-                              AllOn.TotalMs, AllOnHits, ConfigsFull,
-                              ConfigsReduced, ConfigsDynamic,
-                              ConfigsCanonical,
-                              Fleet1.Configs - Fleet0.Configs,
-                              Fleet1.Bytes - Fleet0.Bytes});
+                              Report.totalChecks(), Serial.Ms, Par.Ms,
+                              Por.Ms, DynPor.Ms, Sh.Ms, Sym.Ms, Cold.Ms,
+                              Warm.Ms, WarmHits, AllOnCold.Ms, AllOn.Ms,
+                              AllOnHits, Serial.Configs, Por.Configs,
+                              DynPor.Configs, Sym.Configs,
+                              (Fleet1.Configs - Fleet0.Configs) / Repeats,
+                              (Fleet1.Bytes - Fleet0.Bytes) / Repeats});
   }
 
   // Reduction floors the symmetry layer must hold (DESIGN.md §11): the
@@ -366,6 +408,7 @@ int main() {
     std::fprintf(F, "{\n  \"bench\": \"table1\",\n");
     std::fprintf(F, "  \"hardware_concurrency\": %u,\n", hardwareJobs());
     std::fprintf(F, "  \"parallel_jobs\": %u,\n", ParJobs);
+    std::fprintf(F, "  \"repeats\": %u,\n", Repeats);
     std::fprintf(F, "  \"programs\": [\n");
     for (size_t I = 0; I != Rows.size(); ++I) {
       const ProgramRow &R = Rows[I];

@@ -10,15 +10,17 @@
 #      engine, the lock-striped intern arena, the runtime structures, and
 #      the service daemon (concurrent sessions under different modes) are
 #      run under the race detector, as are the engine tests (env rows and
-#      the thread-step memo shared by four workers). The binaries are
-#      invoked directly rather than through ctest so only the relevant
-#      targets need to build.
+#      the thread-step memo shared by four workers) and the simulate
+#      tests (the step core simulate shares with the engine). The
+#      binaries are invoked directly rather than through ctest so only
+#      the relevant targets need to build.
 #   3. ASan+UBSan: a third build tree (build-asan/) compiled with
 #      -DFCSL_SANITIZE=address,undefined; the intern-arena, codec and
 #      symmetry tests run under it, along with the dist wire, cache and
 #      service tests, since those layers do the pointer-identity, raw-byte
 #      and pointer-renaming manipulation where memory bugs would hide.
-#      The engine, parallel-engine, dynamic-POR and trace tests run too:
+#      The engine, parallel-engine, dynamic-POR, simulate and trace tests
+#      run too:
 #      configurations are handles into hash-cons tables each exploration
 #      frees with its visited set, edited copy-on-write, and failure
 #      traces are rendered through parent nodes, so a handle that outlives
@@ -39,7 +41,7 @@
 #      observed footprints and the env-future closure) gets the same
 #      oracle, alone, composed with symmetry reduction (one oracle checks
 #      both reductions together, also at 4 jobs, where the workers share
-#      one env-step graph), and composed with sharding.
+#      the env rows their closure walks read), and composed with sharding.
 #   6. Symmetry: fcsl-verify --symmetry=on must report the same verdicts
 #      and obligation counts as --symmetry=off (per-config check counts
 #      shrink — that is the reduction), and --symmetry=check — the same
@@ -54,9 +56,12 @@
 #      to the in-process engine. --shards=3 with POR off must match too:
 #      there one owner receives from two senders, so duplicate configs
 #      reach it along two paths and only its own dedup stands between
-#      them and the counters (the hub relays every config). Frontier
-#      frames between shards use the dictionary-streamed protocol, the
-#      only wire encoding.
+#      them and the counters (the hub relays every config). --jobs 2
+#      --shards=2 must match --shards=1 as well: there each shard runs a
+#      two-worker team whose worker 0 also pumps the transport, the one
+#      worker loop's multi-worker shard path. Frontier frames between
+#      shards use the dictionary-streamed protocol, the only wire
+#      encoding.
 #   8. Cache: a cold run against an empty obligation store and a warm
 #      rerun must print byte-identical reports (modulo timings), the warm
 #      run must be 100% hits, and --cache=check — which re-discharges
@@ -122,7 +127,7 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   cmake --build build-tsan -j "$(nproc)" \
     --target threadpool_test parallel_engine_test runtime_test intern_test \
     --target por_independence_test por_dynamic_test symmetry_test \
-    --target service_test engine_test
+    --target service_test engine_test simulate_test
 
   echo "== tsan: race-checking thread pool, parallel engine, runtime, arena, service =="
   # TSan aborts the process on the first data race; a clean exit is the
@@ -136,6 +141,7 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   ./build-tsan/tests/symmetry_test
   ./build-tsan/tests/service_test
   ./build-tsan/tests/engine_test
+  ./build-tsan/tests/simulate_test
 fi
 
 if [[ "$RUN_ASAN" == 1 ]]; then
@@ -143,7 +149,7 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   cmake -B build-asan -S . -DFCSL_SANITIZE=address,undefined >/dev/null
   cmake --build build-asan -j "$(nproc)" --target intern_test codec_test \
     --target dist_test cache_test service_test symmetry_test engine_test \
-    --target parallel_engine_test por_dynamic_test trace_test
+    --target parallel_engine_test por_dynamic_test trace_test simulate_test
 
   echo "== asan+ubsan: checking intern arena, codec, dist wire, cache, service, symmetry, engine =="
   ./build-asan/tests/intern_test
@@ -156,6 +162,7 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   ./build-asan/tests/parallel_engine_test
   ./build-asan/tests/por_dynamic_test
   ./build-asan/tests/trace_test
+  ./build-asan/tests/simulate_test
 fi
 
 echo "== jobs: plain engine at 4 jobs vs 1 over every session =="
@@ -188,7 +195,7 @@ if [[ "$RUN_POR" == 1 ]]; then
     ./build/tools/fcsl-verify --jobs "$Jobs" --por=check-dynamic verify all
   done
   ./build/tools/fcsl-verify --por=check-dynamic --symmetry=on verify all
-  # Four workers share one env-step graph per exploration.
+  # Four workers share one exploration's env rows and closure memo.
   ./build/tools/fcsl-verify --jobs 4 --por=check-dynamic --symmetry=on \
     verify all
   ./build/tools/fcsl-verify --por=check-dynamic --shards=2 verify all
@@ -225,7 +232,7 @@ if [[ "$RUN_SYMMETRY" == 1 ]]; then
 fi
 
 if [[ "$RUN_SHARDS" == 1 ]]; then
-  echo "== shards: sharded vs in-process (por off/on at 2 shards, off at 3) =="
+  echo "== shards: sharded vs in-process (por off/on at 2 shards, off at 3, 2 jobs at 2) =="
   cmake --build build -j "$(nproc)" --target fcsl-verify
   # The report must be byte-identical once timings (and the column
   # padding they widen) are stripped.
@@ -248,6 +255,13 @@ if [[ "$RUN_SHARDS" == 1 ]]; then
   diff build/verify-shards-1.txt build/verify-shards-3.txt \
     || { echo "shards=3 diverged from shards=1 (por=off)" >&2; exit 1; }
   echo "   por=off: shards=3 identical to shards=1"
+  # Two workers per shard: worker 0 pumps the transport between
+  # expansions while worker 1 explores beside it.
+  ./build/tools/fcsl-verify --por=off --jobs 2 --shards=2 verify all \
+    | sed -E "$Normalize" > build/verify-shards-2j.txt
+  diff build/verify-shards-1.txt build/verify-shards-2j.txt \
+    || { echo "jobs=2 shards=2 diverged from shards=1" >&2; exit 1; }
+  echo "   por=off: jobs=2 shards=2 identical to shards=1"
 fi
 
 if [[ "$RUN_CACHE" == 1 ]]; then

@@ -11,6 +11,14 @@
 // are merged into a sorted set at the end, and for complete explorations
 // every counter is a function of the reachable set alone.
 //
+// One worker loop (workerLoop) serves every run: in-process or as one
+// shard of a multi-process fleet, with one worker or a team. Successors
+// come from one step core: a thread step's outcomes are applied by
+// applyOutcome (shared with simulate) and handed on by enqueueStep (shared
+// by plain and reduced expansion); an env transition's posts come from
+// coherentPosts, recorded per global state in the env rows, which plain
+// expansion replays and dynamic POR's env-future closures walk.
+//
 //===----------------------------------------------------------------------===//
 
 #include "prog/Engine.h"
@@ -33,10 +41,12 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 using namespace fcsl;
 
@@ -452,15 +462,12 @@ void collectExprPtrs(const ExprRef &E, std::set<Ptr> &Out) {
   collectExprPtrs(E->operandB(), Out);
 }
 
-/// Pointer literals syntactically reachable from a program: expression
-/// literals (action arguments, conditions, returns) and hide initial-self
-/// values, through binds, branches, pars, hides, and called definitions.
-void collectProgPtrs(const Prog *Root, const DefTable *Defs,
-                     std::set<Ptr> &Out) {
-  std::set<std::string> Defined;
-  if (Defs)
-    for (const std::string &Name : Defs->names())
-      Defined.insert(Name);
+/// Calls \p Visit once on every program node syntactically reachable
+/// from \p Root: through binds, branches, pars, hides, and the bodies of
+/// the definitions in \p Defs that calls name (each body once).
+template <typename Fn>
+void forEachReachableProg(const Prog *Root, const DefTable *Defs,
+                          Fn &&Visit) {
   std::unordered_set<const Prog *> Seen;
   std::set<std::string> SeenDefs;
   std::vector<const Prog *> Stack{Root};
@@ -469,20 +476,16 @@ void collectProgPtrs(const Prog *Root, const DefTable *Defs,
     Stack.pop_back();
     if (!P || !Seen.insert(P).second)
       continue;
+    Visit(*P);
     switch (P->kind()) {
     case Prog::Kind::Ret:
-      collectExprPtrs(P->retExpr(), Out);
-      break;
     case Prog::Kind::Act:
-      for (const ExprRef &E : P->args())
-        collectExprPtrs(E, Out);
       break;
     case Prog::Kind::Bind:
       Stack.push_back(P->first().get());
       Stack.push_back(P->rest().get());
       break;
     case Prog::Kind::If:
-      collectExprPtrs(P->cond(), Out);
       Stack.push_back(P->thenProg().get());
       Stack.push_back(P->elseProg().get());
       break;
@@ -491,13 +494,11 @@ void collectProgPtrs(const Prog *Root, const DefTable *Defs,
       Stack.push_back(P->right().get());
       break;
     case Prog::Kind::Call:
-      for (const ExprRef &E : P->args())
-        collectExprPtrs(E, Out);
-      if (Defined.count(P->callee()) && SeenDefs.insert(P->callee()).second)
+      if (Defs && Defs->contains(P->callee()) &&
+          SeenDefs.insert(P->callee()).second)
         Stack.push_back(Defs->lookup(P->callee()).Body.get());
       break;
     case Prog::Kind::Hide:
-      P->hideSpec().InitSelf.collectPtrs(Out);
       Stack.push_back(P->body().get());
       break;
     }
@@ -509,7 +510,9 @@ void collectProgPtrs(const Prog *Root, const DefTable *Defs,
 /// state, bound in the initial environment, or written as a literal in
 /// the program text. The canonical fresh-pointer numbering never renames
 /// these; everything else is an allocator-chosen name the session's
-/// semantics cannot observe.
+/// semantics cannot observe. The program's literals are those of its
+/// expressions (action and call arguments, conditions, returns) and hide
+/// initial-self values, through every reachable node.
 std::set<Ptr> collectPinnedPtrs(const ProgRef &Root,
                                 const GlobalState &Initial,
                                 const VarEnv &InitialEnv,
@@ -518,7 +521,27 @@ std::set<Ptr> collectPinnedPtrs(const ProgRef &Root,
   Initial.collectPtrs(Pinned);
   for (const auto &Binding : InitialEnv)
     Binding.second.collectPtrs(Pinned);
-  collectProgPtrs(Root.get(), Defs, Pinned);
+  forEachReachableProg(Root.get(), Defs, [&](const Prog &P) {
+    switch (P.kind()) {
+    case Prog::Kind::Ret:
+      collectExprPtrs(P.retExpr(), Pinned);
+      break;
+    case Prog::Kind::Act:
+    case Prog::Kind::Call:
+      for (const ExprRef &E : P.args())
+        collectExprPtrs(E, Pinned);
+      break;
+    case Prog::Kind::If:
+      collectExprPtrs(P.cond(), Pinned);
+      break;
+    case Prog::Kind::Hide:
+      P.hideSpec().InitSelf.collectPtrs(Pinned);
+      break;
+    case Prog::Kind::Bind:
+    case Prog::Kind::Par:
+      break;
+    }
+  });
   return Pinned;
 }
 
@@ -875,12 +898,26 @@ struct EnvSucc {
   void bind(const ThreadSlot *&) {}
 };
 
-/// What the env-step graph needs of an env row beyond its steps (dynamic
-/// POR only): the distinct dynamic footprints of the enabled transitions,
-/// or Unknown when one of them has none (Fps is then empty).
-struct EnvFootprints {
+/// What a closure walk needs of an env row beyond its steps (dynamic POR
+/// only, see envClosureFor): the distinct dynamic footprints of the
+/// enabled transitions, or Unknown when one of them has none (Fps is then
+/// empty), and the state's refusal mark.
+struct EnvHead {
   bool Unknown = false;
+  /// Set once a closure from this state was refused. Refusal is inherited
+  /// by every state that reaches this one (its future contains this
+  /// future), which lets later walks stop early. Written and read without
+  /// a lock after the row is published; the only mutable part of a row.
+  mutable std::atomic<bool> Refused{false};
   std::vector<Footprint> Fps;
+
+  EnvHead() = default;
+  EnvHead(EnvHead &&O) noexcept : Unknown(O.Unknown), Fps(std::move(O.Fps)) {}
+  EnvHead &operator=(EnvHead &&O) noexcept {
+    Unknown = O.Unknown;
+    Fps = std::move(O.Fps);
+    return *this;
+  }
   uint64_t approxBytes() const {
     uint64_t Bytes = Fps.capacity() * sizeof(Footprint);
     for (const Footprint &F : Fps)
@@ -1010,7 +1047,7 @@ using StepMemo = HandleMemo<StepKey, StepKeyHash, MemoOutcome>;
 /// The env rows: an env step reads and writes only the global state, so
 /// the env steps out of a state (and their footprints) are a function of
 /// its handle.
-using EnvRows = HandleMemo<GSRef, GSRefHash, EnvSucc, EnvFootprints>;
+using EnvRows = HandleMemo<GSRef, GSRefHash, EnvSucc, EnvHead>;
 
 /// Evaluates an Act frame's arguments.
 std::vector<Val> evalArgs(const Frame &Top) {
@@ -1035,6 +1072,18 @@ std::string threadStepText(ThreadId T, const AtomicAction &A,
   if (Result)
     Text += " -> " + Result->toString();
   return Text;
+}
+
+/// The unnormalized, unfrozen start of a run: \p Root as the root thread
+/// under \p InitialEnv, in \p Initial.
+Config initialConfig(const ProgRef &Root, const GlobalState &Initial,
+                     const VarEnv &InitialEnv) {
+  Config C;
+  C.mutGS() = Initial;
+  ThreadCtx Main;
+  Main.Stack.push_back(runFrame(Root.get(), InitialEnv));
+  C.addThread(rootThread(), std::move(Main));
+  return C;
 }
 
 /// The exploration driver.
@@ -1068,18 +1117,14 @@ public:
     if (SymOn)
       PinnedPtrs = collectPinnedPtrs(Root, Initial, InitialEnv, Opts.Defs);
 
-    Config C0;
-    C0.mutGS() = Initial;
-    ThreadCtx Main;
-    Main.Stack.push_back(runFrame(Root.get(), InitialEnv));
-    C0.addThread(rootThread(), std::move(Main));
+    Config C0 = initialConfig(Root, Initial, InitialEnv);
 
     // Under symmetry, normalization of the seed can already cross a
     // symmetric join (a par of pure branches), in which case the mirrored
     // pair orders arrive as extra seed configurations.
-    std::vector<Config> Extras;
+    std::vector<Config> Seeds;
     std::string Err;
-    if (!normalize(C0, Err, SymOn ? &Extras : nullptr)) {
+    if (!normalize(C0, Err, SymOn ? &Seeds : nullptr)) {
       Res.Safe = false;
       Res.FailureNote = std::move(Err);
       return;
@@ -1107,10 +1152,7 @@ public:
 
     if (DistN > 1)
       PT = std::make_unique<ProgTable>(Root.get(), Opts.Defs);
-    std::vector<Config> Seeds;
-    Seeds.push_back(std::move(C0));
-    for (Config &X : Extras)
-      Seeds.push_back(std::move(X));
+    Seeds.insert(Seeds.begin(), std::move(C0));
     for (Config &Seed : Seeds) {
       freeze(Seed);
       // Canonicalize before the ownership decision so a whole orbit maps
@@ -1129,48 +1171,29 @@ public:
       }
     }
 
-    if (DistN > 1 && Jobs == 1) {
-      // A one-worker shard stays single-threaded: the main thread
-      // interleaves expansion with the transport pump (soloShardLoop).
-      // A dedicated pump thread buys nothing here and costs context
-      // switches on machines with fewer cores than shard processes.
-      soloShardLoop();
-    } else if (DistN > 1) {
-      // The main thread pumps the transport while the team explores.
-      std::vector<std::thread> Team;
-      Team.reserve(Jobs);
-      for (unsigned I = 0; I != Jobs; ++I)
-        Team.emplace_back([this, I] {
-          ParallelRegionGuard Region;
-          workerLoop(I);
-        });
-      ioLoop();
-      for (std::thread &T : Team)
-        T.join();
-    } else if (Jobs == 1) {
+    // This thread runs worker 0 (which also pumps a shard's transport,
+    // see workerLoop); with Jobs > 1 the others join it as a team.
+    std::vector<std::thread> Team;
+    for (unsigned I = 1; I < Jobs; ++I)
+      Team.emplace_back([this, I] {
+        ParallelRegionGuard Region;
+        workerLoop(I);
+      });
+    {
+      std::optional<ParallelRegionGuard> Region;
+      if (Jobs > 1)
+        Region.emplace();
       workerLoop(0);
-    } else {
-      std::vector<std::thread> Team;
-      Team.reserve(Jobs);
-      for (unsigned I = 0; I != Jobs; ++I)
-        Team.emplace_back([this, I] {
-          ParallelRegionGuard Region;
-          workerLoop(I);
-        });
-      for (std::thread &T : Team)
-        T.join();
     }
+    for (std::thread &T : Team)
+      T.join();
 
     Res.ConfigsExplored = Expanded.load();
     Res.Exhausted = ExhaustedFlag.load();
-    if (Res.Exhausted) {
-      uint64_t Frontier = 0;
-      for (const std::unique_ptr<Worker> &W : Workers)
-        Frontier += W->Queue.size();
-      Res.FrontierAtAbort = Frontier;
-    }
     std::set<Terminal> Merged;
     for (const std::unique_ptr<Worker> &W : Workers) {
+      if (Res.Exhausted)
+        Res.FrontierAtAbort += W->Queue.size();
       Res.ActionSteps += W->ActionSteps;
       Res.EnvSteps += W->EnvSteps;
       Res.DedupHits += W->DedupHits;
@@ -1210,11 +1233,7 @@ public:
     SimResult Sim;
     // The walk never freezes: the configuration stays a private copy, and
     // erased threads free theirs, so memory is bounded by the live state.
-    Config C;
-    C.mutGS() = Initial;
-    ThreadCtx Main;
-    Main.Stack.push_back(runFrame(Root.get(), InitialEnv));
-    C.addThread(rootThread(), std::move(Main));
+    Config C = initialConfig(Root, Initial, InitialEnv);
     Rng Random(Seed);
 
     auto FailOut = [&](std::string Note) {
@@ -1261,25 +1280,23 @@ public:
                            A.name().c_str()));
         const ActOutcome &O =
             (*Outcomes)[Random.nextBelow(Outcomes->size())];
-        C.mutGS().applyThread(T, Pre, O.Post);
-        if (Opts.CheckStepCoherence && Opts.Ambient &&
-            !Opts.Ambient->coherent(C.gs().viewFor(T)))
+        switch (applyOutcome(C, T, Pre, O, Err, nullptr)) {
+        case StepFault::None:
+          break;
+        case StepFault::Coherence:
           return FailOut(formatString("action %s broke coherence",
                                       A.name().c_str()));
-        C.mutThread(T).Stack.pop_back();
-        if (!deliver(C, T, O.Result, Err) || !normalize(C, Err))
+        case StepFault::Unwind:
           return FailOut(std::move(Err));
+        }
       } else {
         // One random environment step (if any is enabled).
         View EnvView = C.gs().viewForEnv();
         std::vector<View> Posts;
-        for (const Transition &T : Opts.Ambient->transitions()) {
-          if (!isEnvStep(T))
-            continue;
-          for (const View &Post : T.successors(EnvView))
-            if (Opts.Ambient->coherent(Post))
-              Posts.push_back(Post);
-        }
+        for (const Transition &T : Opts.Ambient->transitions())
+          if (isEnvStep(T))
+            for (View &Post : coherentPosts(T, EnvView))
+              Posts.push_back(std::move(Post));
         if (!Posts.empty())
           C.mutGS().applyEnv(EnvView,
                              Posts[Random.nextBelow(Posts.size())]);
@@ -1354,6 +1371,28 @@ private:
         return false;
       }
     }
+  }
+
+  /// How applying an action outcome failed (see applyOutcome).
+  enum class StepFault : uint8_t { None, Coherence, Unwind };
+
+  /// Applies outcome \p O of thread \p T's pending action, taken from
+  /// T's view \p Pre, to \p C: writes the post-state, re-checks
+  /// coherence, pops the action, delivers its result and runs the
+  /// administrative cascade (normalize, with \p Extras as there). Each
+  /// caller words its own failure: a broken coherence, or an unwinding
+  /// failure described by \p Err.
+  StepFault applyOutcome(Config &C, ThreadId T, const View &Pre,
+                         const ActOutcome &O, std::string &Err,
+                         std::vector<Config> *Extras) {
+    C.mutGS().applyThread(T, Pre, O.Post);
+    if (Opts.CheckStepCoherence && Opts.Ambient &&
+        !Opts.Ambient->coherent(C.gs().viewFor(T)))
+      return StepFault::Coherence;
+    C.mutThread(T).Stack.pop_back();
+    if (!deliver(C, T, O.Result, Err) || !normalize(C, Err, Extras))
+      return StepFault::Unwind;
+    return StepFault::None;
   }
 
   //===--------------------------------------------------------------------===//
@@ -2389,22 +2428,45 @@ private:
     return nullptr;
   }
 
+  /// Worker \p Id's loop: expands its own queue, steals from peers when
+  /// it runs dry, and returns once the run is over. In-process that is
+  /// when no work is left anywhere, or on Abort. Under multi-process
+  /// sharding an idle shard may yet receive work from a peer, so only
+  /// the coordinator's Drain ends the run: worker 0 pumps the transport
+  /// whenever it finds no work and every PumpEvery expansions while busy,
+  /// which bounds both delivery latency and outbox staleness, and keeps
+  /// pumping after a local Abort until the Drain arrives; the other
+  /// workers return on any Abort, local or raised by the Drain.
   void workerLoop(unsigned Id) {
+    constexpr uint64_t PumpEvery = 32;
     Worker &W = *Workers[Id];
-    while (!Abort.load(std::memory_order_acquire)) {
-      const Node *N = popLocal(W);
-      if (!N && Workers.size() > 1)
-        N = trySteal(Id);
-      if (!N) {
-        // Under multi-process sharding an idle worker may yet receive
-        // work from a peer shard, so only the coordinator's Drain
-        // (surfaced by ioLoop as Abort) ends the loop.
-        if (InFlight.load(std::memory_order_acquire) == 0 && DistN <= 1)
+    const bool Pumps = DistN > 1 && Id == 0;
+    size_t NextWorker = 0;
+    uint64_t SincePump = 0;
+    while (true) {
+      const Node *N = nullptr;
+      if (!Abort.load(std::memory_order_acquire)) {
+        N = popLocal(W);
+        if (!N && Workers.size() > 1)
+          N = trySteal(Id);
+      }
+      if (N) {
+        expandPopped(N, W);
+        if (!Pumps || ++SincePump < PumpEvery)
+          continue;
+      } else if (!Pumps) {
+        if (Abort.load(std::memory_order_acquire) ||
+            (DistN <= 1 && InFlight.load(std::memory_order_acquire) == 0))
           return;
         std::this_thread::sleep_for(std::chrono::microseconds(20));
         continue;
       }
-      expandPopped(N, W);
+      SincePump = 0;
+      bool GotWork = false;
+      if (pumpOnce(NextWorker, GotWork))
+        return;
+      if (!N && !GotWork)
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
     }
   }
 
@@ -2443,67 +2505,17 @@ private:
     InFlight.fetch_sub(1, std::memory_order_release);
   }
 
-  /// The transport pump, run by the main thread of a sharded exploration
-  /// while the worker team explores: reports status, injects configs
-  /// routed here by peer shards, and reacts to the coordinator's Drain.
+  /// One transport-pump iteration, run by a shard's worker 0: snapshot
+  /// shard status, exchange frames with the coordinator, and inject
+  /// routed deliveries into the local frontier. Returns true when the
+  /// coordinator ended the run (Abort has been raised); GotWork reports
+  /// whether any configs were delivered.
   ///
   /// Snapshot ordering matters for termination detection: InFlight is
   /// read *before* the counters, so a snapshot that claims Idle has final
   /// Sent/Recv values for that quiescent period — every send happens
   /// during an expansion, i.e. while InFlight > 0, and the release
   /// decrement of InFlight publishes it.
-  void ioLoop() {
-    size_t NextWorker = 0;
-    while (true) {
-      bool GotWork = false;
-      if (pumpOnce(NextWorker, GotWork))
-        return;
-      if (!GotWork)
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-  }
-
-  /// A single-threaded shard: when a Jobs == 1 shard would otherwise run
-  /// one worker thread plus the transport pump, interleave them on the
-  /// main thread instead. On a box with fewer cores than shard processes
-  /// the second thread buys no parallelism — it only costs context
-  /// switches, IoMutex handoffs, and idle-wakeup churn. The pump runs
-  /// whenever the queue drains and every PumpEvery expansions while busy,
-  /// which bounds both delivery latency and outbox staleness.
-  void soloShardLoop() {
-    constexpr uint64_t PumpEvery = 32;
-    Worker &W = *Workers[0];
-    size_t NextWorker = 0;
-    uint64_t SincePump = 0;
-    while (true) {
-      const Node *N =
-          Abort.load(std::memory_order_acquire) ? nullptr : popLocal(W);
-      if (!N) {
-        // Idle (or aborted locally): keep pumping so peers' deliveries
-        // are acknowledged and the coordinator's Drain is seen — only
-        // its command ends a sharded run.
-        bool GotWork = false;
-        if (pumpOnce(NextWorker, GotWork))
-          return;
-        if (!GotWork)
-          std::this_thread::sleep_for(std::chrono::microseconds(20));
-        SincePump = 0;
-        continue;
-      }
-      expandPopped(N, W);
-      if (++SincePump >= PumpEvery) {
-        SincePump = 0;
-        bool GotWork = false;
-        if (pumpOnce(NextWorker, GotWork))
-          return;
-      }
-    }
-  }
-
-  /// One transport-pump iteration: snapshot shard status, exchange frames
-  /// with the coordinator, and inject routed deliveries into the local
-  /// frontier. Returns true when the coordinator ended the run (Abort has
-  /// been raised); GotWork reports whether any configs were delivered.
   bool pumpOnce(size_t &NextWorker, bool &GotWork) {
     ShardStatus St;
     bool Idle = InFlight.load(std::memory_order_acquire) == 0;
@@ -2621,65 +2633,23 @@ private:
   void collectUniverse(const ProgRef &Root) {
     Uni.AllKnown = true;
     Uni.Fps.clear();
-    std::set<std::string> Defined;
-    if (Opts.Defs)
-      for (const std::string &Name : Opts.Defs->names())
-        Defined.insert(Name);
-    std::unordered_set<const Prog *> Seen;
-    std::set<std::string> SeenDefs;
-    std::vector<const Prog *> Stack{Root.get()};
-    while (!Stack.empty()) {
-      const Prog *P = Stack.back();
-      Stack.pop_back();
-      if (!P || !Seen.insert(P).second)
-        continue;
-      switch (P->kind()) {
-      case Prog::Kind::Ret:
-        break;
-      case Prog::Kind::Act: {
-        const Footprint &F = P->action()->staticFootprint();
-        if (F.known())
-          Uni.Fps.push_back(F);
-        else
-          Uni.AllKnown = false;
-        break;
-      }
-      case Prog::Kind::Bind:
-        Stack.push_back(P->first().get());
-        Stack.push_back(P->rest().get());
-        break;
-      case Prog::Kind::If:
-        Stack.push_back(P->thenProg().get());
-        Stack.push_back(P->elseProg().get());
-        break;
-      case Prog::Kind::Par:
-        Stack.push_back(P->left().get());
-        Stack.push_back(P->right().get());
-        break;
-      case Prog::Kind::Call:
-        if (SeenDefs.insert(P->callee()).second) {
-          if (Defined.count(P->callee()))
-            Stack.push_back(Opts.Defs->lookup(P->callee()).Body.get());
-          else
-            Uni.AllKnown = false; // Engine would assert on execution.
-        }
-        break;
-      case Prog::Kind::Hide:
-        Stack.push_back(P->body().get());
-        break;
-      }
-    }
-    if (Opts.EnvInterference && Opts.Ambient) {
-      for (const Transition &T : Opts.Ambient->transitions()) {
-        if (!isEnvStep(T))
-          continue;
-        const Footprint &F = T.staticFootprint();
-        if (F.known())
-          Uni.Fps.push_back(F);
-        else
-          Uni.AllKnown = false;
-      }
-    }
+    auto Add = [&](const Footprint &F) {
+      if (F.known())
+        Uni.Fps.push_back(F);
+      else
+        Uni.AllKnown = false;
+    };
+    forEachReachableProg(Root.get(), Opts.Defs, [&](const Prog &P) {
+      if (P.kind() == Prog::Kind::Act)
+        Add(P.action()->staticFootprint());
+      else if (P.kind() == Prog::Kind::Call &&
+               !(Opts.Defs && Opts.Defs->contains(P.callee())))
+        Uni.AllKnown = false; // Engine would assert on execution.
+    });
+    if (Opts.EnvInterference && Opts.Ambient)
+      for (const Transition &T : Opts.Ambient->transitions())
+        if (isEnvStep(T))
+          Add(T.staticFootprint());
   }
 
   /// Is \p F independent of every step any other agent could ever take?
@@ -2707,55 +2677,20 @@ private:
   };
   using EnvClosureRef = std::shared_ptr<const EnvClosure>;
 
-  /// One global state of the env-step graph. The step data is written
-  /// once by expandEnvNode under EnvMutex and published by Expanded,
-  /// after which it is read without the lock.
-  struct EnvNode {
-    GSRef GS = nullptr;
-    std::atomic<bool> Expanded{false};
-    /// The state's env row, whose head holds the footprints of the enabled
-    /// steps, or Unknown.
-    const EnvRows::Row *Row = nullptr;
-    /// Distinct coherent env successors; left empty when the row is
-    /// Unknown, since every closure reaching this node is refused anyway.
-    std::vector<EnvNode *> Succs;
-    /// Set once a closure from here was refused. Refusal is inherited by
-    /// every state that reaches this one (its future contains this
-    /// future), which lets later closures stop early.
-    std::atomic<bool> Refused{false};
-    EnvClosureRef Closure; ///< memoized closure; guarded by EnvMutex.
-  };
-
-  /// Every global state reached by env-only steps in one exploration,
-  /// each expanded once, indexed by its handle in the global-state table.
-  /// Nodes hold raw pointers to each other, so the graph is bounded by
-  /// replacing it wholesale (see envNode): a closure computation holds its
-  /// own reference to the graph it walks, and closures are handed out as
-  /// shared pointers, so neither can dangle.
-  struct EnvGraph {
-    std::deque<EnvNode> Nodes;
-    std::unordered_map<GSRef, EnvNode *> Index;
-  };
-
-  /// The node for \p GS in \p G, or null. Caller holds EnvMutex.
-  static EnvNode *findEnvNode(EnvGraph &G, GSRef GS) {
-    auto It = G.Index.find(GS);
-    return It == G.Index.end() ? nullptr : It->second;
-  }
-
-  /// The node for \p GS in \p G, created when missing. Caller holds
-  /// EnvMutex. Creating a node in the current graph when it is full
-  /// starts a fresh graph for later lookups; \p G itself lives on for
-  /// as long as a closure computation still walks it.
-  EnvNode *envNode(EnvGraph &G, GSRef GS) {
-    if (EnvNode *N = findEnvNode(G, GS))
-      return N;
-    if (&G == EnvG.get() && G.Nodes.size() >= EnvGraphCap)
-      EnvG = std::make_shared<EnvGraph>();
-    EnvNode &N = G.Nodes.emplace_back();
-    N.GS = GS;
-    G.Index.emplace(GS, &N);
-    return &N;
+  /// The coherent post-states of env transition \p Tr from \p EnvView, in
+  /// successor order: the one env-step enumeration that env rows, the
+  /// per-transition env candidates of expandPor and simulate all use.
+  /// \p Enabled, when given, tells whether Tr has any post there, coherent
+  /// or not.
+  std::vector<View> coherentPosts(const Transition &Tr, const View &EnvView,
+                                  bool *Enabled = nullptr) const {
+    std::vector<View> Posts = Tr.successors(EnvView);
+    if (Enabled)
+      *Enabled = !Posts.empty();
+    std::erase_if(Posts, [&](const View &Post) {
+      return !Opts.Ambient->coherent(Post);
+    });
+    return Posts;
   }
 
   /// The env row of \p GS, built on the first request (see EnvRows):
@@ -2763,7 +2698,7 @@ private:
   /// post-state interned. Under dynamic POR its head also collects the
   /// distinct dynamic footprints of the enabled transitions (those with
   /// successors, coherent or not), or Unknown at the first that has none.
-  /// Plain expansion and the env-step graph both read rows, so a state is
+  /// Plain expansion and the closure walks both read rows, so a state is
   /// enumerated once per exploration. \p Hit tells whether it was.
   const EnvRows::Row &envRow(GSRef GS, bool &Hit) {
     if (const EnvRows::Row *R = Rows.find(GS)) {
@@ -2772,65 +2707,45 @@ private:
     }
     Hit = false;
     std::vector<EnvSucc> Succs;
-    EnvFootprints Fx;
+    EnvHead Head;
     View EnvView = GS->Value.viewForEnv();
     const std::vector<Transition> &Ts = Opts.Ambient->transitions();
     for (size_t I = 0, Sz = Ts.size(); I != Sz; ++I) {
       if (!isEnvStep(Ts[I]))
         continue;
-      std::vector<View> Posts = Ts[I].successors(EnvView);
-      if (DynOn && !Fx.Unknown && !Posts.empty()) {
-        Footprint F = Ts[I].footprint(EnvView);
-        if (!F.known()) {
-          Fx.Unknown = true;
-          Fx.Fps.clear();
-        } else if (std::find(Fx.Fps.begin(), Fx.Fps.end(), F) ==
-                   Fx.Fps.end()) {
-          Fx.Fps.push_back(std::move(F));
-        }
-      }
-      for (const View &Post : Posts) {
-        if (!Opts.Ambient->coherent(Post))
-          continue;
+      bool Enabled = false;
+      for (const View &Post : coherentPosts(Ts[I], EnvView, &Enabled)) {
         GlobalState Next = GS->Value;
         Next.applyEnv(EnvView, Post);
         size_t H = std::hash<GlobalState>{}(Next);
         Succs.push_back(EnvSucc{I, GSTable.intern(std::move(Next), H)});
       }
-    }
-    return Rows.insert(GS, std::move(Succs), {}, std::move(Fx));
-  }
-
-  /// Links \p N to the nodes of its env row's successors — the row is
-  /// read or built without holding EnvMutex, since workers share the
-  /// graph — then publishes the result. Two workers may expand one node
-  /// at once; both read the same row and the first to publish wins.
-  void expandEnvNode(EnvGraph &G, EnvNode &N) {
-    bool Hit;
-    const EnvRows::Row &Row = envRow(N.GS, Hit);
-    std::lock_guard<std::mutex> Lock(EnvMutex);
-    if (N.Expanded)
-      return;
-    if (!Row.H.Unknown)
-      for (const EnvSucc &E : Row) {
-        EnvNode *S = envNode(G, E.Post);
-        if (std::find(N.Succs.begin(), N.Succs.end(), S) == N.Succs.end())
-          N.Succs.push_back(S);
+      if (DynOn && !Head.Unknown && Enabled) {
+        Footprint F = Ts[I].footprint(EnvView);
+        if (!F.known()) {
+          Head.Unknown = true;
+          Head.Fps.clear();
+        } else if (std::find(Head.Fps.begin(), Head.Fps.end(), F) ==
+                   Head.Fps.end()) {
+          Head.Fps.push_back(std::move(F));
+        }
       }
-    N.Row = &Row;
-    N.Expanded = true;
+    }
+    return Rows.insert(GS, std::move(Succs), {}, std::move(Head));
   }
 
-  /// The env-only closure of \p C's global state, memoized per state in
-  /// the env-step graph. Thread stacks vary far more than the
-  /// instrumented state, so the same GlobalState recurs across many
-  /// configurations, and env futures overlap: each state is expanded
-  /// once per graph, and a closure is a walk over stored successors. The
-  /// walk collects each reached state's footprints (deduplicated — the
-  /// independence check downstream only cares about the set) and refuses
-  /// when the future exceeds ClosureStateCap states or contains an
-  /// unknown footprint, so the result equals a fresh BFS over applyEnv
-  /// successors.
+  /// The env-only closure of \p C's global state, memoized per state.
+  /// Thread stacks vary far more than the instrumented state, so the same
+  /// GlobalState recurs across many configurations, and env futures
+  /// overlap: each state's env steps are enumerated once, into its env
+  /// row, and a closure is a breadth-first walk from row to row, building
+  /// the row of a state reached for the first time. The walk collects
+  /// each reached state's footprints (deduplicated — the independence
+  /// check downstream only cares about the set) and refuses when the
+  /// future exceeds ClosureStateCap states, contains an unknown footprint,
+  /// or reaches a state whose own closure was refused (see
+  /// EnvHead::Refused), so the result equals a fresh BFS over applyEnv
+  /// successors and is a function of the state alone.
   EnvClosureRef envClosureFor(const Config &C) {
     // Shared closures: the trivial one without interference, and refusal.
     static const EnvClosureRef NoEnvClosure =
@@ -2838,51 +2753,47 @@ private:
     static const EnvClosureRef Refusal = std::make_shared<const EnvClosure>();
     if (!Opts.EnvInterference || !Opts.Ambient)
       return NoEnvClosure;
-    std::shared_ptr<EnvGraph> G;
-    EnvNode *Root;
+    GSRef Root = C.gsRef();
     {
       std::lock_guard<std::mutex> Lock(EnvMutex);
-      if (!EnvG)
-        EnvG = std::make_shared<EnvGraph>();
-      Root = findEnvNode(*EnvG, C.gsRef());
-      if (Root && Root->Closure)
-        return Root->Closure;
-      G = EnvG;
-      if (!Root)
-        Root = envNode(*G, C.gsRef());
+      auto It = Closures.find(Root);
+      if (It != Closures.end())
+        return It->second;
     }
     auto R = std::make_shared<EnvClosure>();
     R->Ok = true;
-    std::vector<EnvNode *> Queue{Root};
-    std::unordered_set<EnvNode *> Seen{Root};
+    const EnvHead *RootHead = nullptr;
+    std::vector<GSRef> Queue{Root};
+    std::unordered_set<GSRef> Seen{Root};
     for (size_t I = 0; R->Ok && I != Queue.size(); ++I) {
-      EnvNode &N = *Queue[I];
-      if (!N.Expanded)
-        expandEnvNode(*G, N);
-      if (N.Row->H.Unknown) {
-        R->Ok = false; // An undescribed step in the future: never ample.
+      bool Hit;
+      const EnvRows::Row &Row = envRow(Queue[I], Hit);
+      if (I == 0)
+        RootHead = &Row.H;
+      if (Row.H.Unknown || Row.H.Refused.load(std::memory_order_relaxed)) {
+        // An undescribed step in the future, or a future that contains a
+        // refused one: never ample.
+        R->Ok = false;
         break;
       }
-      for (const Footprint &F : N.Row->H.Fps)
+      for (const Footprint &F : Row.H.Fps)
         if (std::find(R->Fps.begin(), R->Fps.end(), F) == R->Fps.end())
           R->Fps.push_back(F);
-      for (EnvNode *S : N.Succs) {
-        if (!Seen.insert(S).second)
+      for (const EnvSucc &E : Row) {
+        if (!Seen.insert(E.Post).second)
           continue;
-        if (Seen.size() > ClosureStateCap || S->Refused) {
-          R->Ok = false; // Too large to certify, or reaches a refusal.
+        if (Seen.size() > ClosureStateCap) {
+          R->Ok = false; // Too large to certify.
           break;
         }
-        Queue.push_back(S);
+        Queue.push_back(E.Post);
       }
     }
     if (!R->Ok)
-      Root->Refused = true;
+      RootHead->Refused.store(true, std::memory_order_relaxed);
     EnvClosureRef Result = R->Ok ? EnvClosureRef(std::move(R)) : Refusal;
     std::lock_guard<std::mutex> Lock(EnvMutex);
-    if (!Root->Closure)
-      Root->Closure = std::move(Result);
-    return Root->Closure;
+    return Closures.try_emplace(Root, std::move(Result)).first->second;
   }
 
   /// One successor built by a thread's action step, before enqueueing.
@@ -2981,9 +2892,12 @@ private:
     std::vector<ThreadSlot> RecordSlots;
     for (const ActOutcome &O : *Outcomes) {
       Config Next = C;
-      Next.mutGS().applyThread(T, *Pre, O.Post);
-      if (Opts.CheckStepCoherence && Opts.Ambient &&
-          !Opts.Ambient->coherent(Next.gs().viewFor(T))) {
+      std::string Err;
+      std::vector<Config> Extras;
+      switch (applyOutcome(Next, T, *Pre, O, Err, SymOn ? &Extras : nullptr)) {
+      case StepFault::None:
+        break;
+      case StepFault::Coherence:
         failGlobal(&N,
                    threadStepText(T, A, *Args, &O.Result) +
                        "  <-- BREAKS COHERENCE",
@@ -2991,12 +2905,7 @@ private:
                                 A.name().c_str(),
                                 Opts.Ambient->name().c_str()));
         return false;
-      }
-      Next.mutThread(T).Stack.pop_back();
-      std::string Err;
-      std::vector<Config> Extras;
-      if (!deliver(Next, T, O.Result, Err) ||
-          !normalize(Next, Err, SymOn ? &Extras : nullptr)) {
+      case StepFault::Unwind:
         failGlobal(&N,
                    threadStepText(T, A, *Args, &O.Result) +
                        "  <-- FAILS DURING UNWINDING",
@@ -3026,6 +2935,66 @@ private:
     return true;
   }
 
+  /// Records \p C's terminal when its root thread is done, and tells
+  /// whether it was.
+  bool recordTerminal(const Config &C, Worker &W) {
+    const std::optional<Val> &Done = C.thread(rootThread()).Done;
+    if (Done)
+      W.Terminals.insert(Terminal{*Done, C.gs().viewFor(rootThread())});
+    return Done.has_value();
+  }
+
+  /// The close mask a step with footprint \p Fp grants its terminal
+  /// successors (see Config::EnvCloseMask): one bit per ambient transition
+  /// the step is independent of, judged against the transition's static,
+  /// all-instance footprint.
+  uint32_t closeMask(const Footprint &Fp) const {
+    if (!Fp.known() || !Opts.EnvInterference || !Opts.Ambient)
+      return 0;
+    uint32_t Mask = 0;
+    const std::vector<Transition> &Ts = Opts.Ambient->transitions();
+    size_t Sz = Ts.size() < 32 ? Ts.size() : 32;
+    for (size_t I = 0; I != Sz; ++I) {
+      if (!isEnvStep(Ts[I]))
+        continue;
+      if (fpIndependent(Fp, Ts[I].staticFootprint()))
+        Mask |= uint32_t(1) << I;
+    }
+    return Mask;
+  }
+
+  /// Counts and enqueues \p Succ, the successors of one thread step from
+  /// \p N: the one place where expand and expandPor hand built successors
+  /// on. Each successor carries the sleep set \p Sleep and, when it is
+  /// terminal, the close mask of \p CloseFp (none when null). The step
+  /// counts ActionSteps for every outcome except the mirror extras, and
+  /// only on its first execution at N (\p Fresh, see markExecuted), which
+  /// also decides whether a revisit counts a dedup hit. A terminal mirror
+  /// extra with no trailing-env closure left to run has no behavior left:
+  /// its terminal is recorded directly, so the k! - 1 regenerated value
+  /// assignments of an orbit group never inflate the visited set or the
+  /// config count.
+  void enqueueStep(const Node &N, std::vector<BuiltSucc> &Succ,
+                   const std::vector<SleepEntry> &Sleep,
+                   const Footprint *CloseFp, bool Fresh, Worker &W) {
+    std::optional<uint32_t> Close;
+    for (BuiltSucc &B : Succ) {
+      if (Fresh && !B.Step.Mirror)
+        ++W.ActionSteps;
+      bool Done = B.Next.thread(rootThread()).Done.has_value();
+      if (Done && CloseFp && !Close)
+        Close = closeMask(*CloseFp);
+      B.Next.Sleep = Sleep;
+      B.Next.EnvCloseMask = Done && CloseFp ? *Close : 0;
+      if (B.Step.Mirror && Done && B.Next.EnvCloseMask == 0) {
+        recordTerminal(B.Next, W);
+        continue;
+      }
+      freeze(B.Next);
+      enqueue(std::move(B.Next), &N, B.Step, W, Fresh);
+    }
+  }
+
   /// Reduced successor generation: ample singletons layered with sleep
   /// sets (DESIGN.md §9, §12). Candidates are gathered in canonical
   /// order — runnable threads ascending by id, then env transitions in
@@ -3037,10 +3006,8 @@ private:
   /// worker schedule.
   void expandPor(const Node &N, const WakeSnapshot &Snap, Worker &W) {
     const Config &C = N.C;
-    const ThreadCtx &Main = C.thread(rootThread());
-    if (Main.Done) {
-      W.Terminals.insert(
-          Terminal{*Main.Done, C.gs().viewFor(rootThread())});
+    const bool AtTerminal = recordTerminal(C, W);
+    if (AtTerminal) {
       // A terminal must keep stepping the env transitions its last action
       // commutes with: the reduction may have explored that action before
       // a postponed env step, and once the program terminates the
@@ -3066,15 +3033,9 @@ private:
       bool Sleeping = false;
     };
 
-    auto SleepingThread = [&](ThreadId T) {
+    auto Sleeping = [&](const Candidate &K) {
       for (const SleepEntry &E : Snap.Sleep)
-        if (!E.IsEnv && E.T == T)
-          return true;
-      return false;
-    };
-    auto SleepingEnv = [&](size_t Idx) {
-      for (const SleepEntry &E : Snap.Sleep)
-        if (E.IsEnv && E.EnvIdx == Idx)
+        if (E.IsEnv == K.IsEnv && (K.IsEnv ? E.EnvIdx == K.EnvIdx : E.T == K.T))
           return true;
       return false;
     };
@@ -3105,7 +3066,7 @@ private:
       K.Args = evalArgs(Top);
       K.Pre = C.gs().viewFor(T);
       K.Fp = K.A->footprint(K.Pre, K.Args);
-      K.Sleeping = SleepingThread(T);
+      K.Sleeping = Sleeping(K);
       Cands.push_back(std::move(K));
     }
     View EnvView;
@@ -3117,7 +3078,7 @@ private:
           continue;
         // At a terminal, only transitions licensed by the last action's
         // (merged) close mask may keep firing (see Config::EnvCloseMask).
-        if (Main.Done &&
+        if (AtTerminal &&
             (I >= 32 || !((Snap.CloseMask >> I) & uint32_t(1))))
           continue;
         Candidate K;
@@ -3125,29 +3086,10 @@ private:
         K.EnvIdx = I;
         K.Tr = &Ts[I];
         K.Fp = Ts[I].footprint(EnvView);
-        K.Sleeping = SleepingEnv(I);
+        K.Sleeping = Sleeping(K);
         Cands.push_back(std::move(K));
       }
     }
-
-    // The close mask a step with footprint \p Fp grants its terminal
-    // successors: one bit per ambient transition the step is independent
-    // of (judged against the transition's static, all-instance
-    // footprint).
-    auto CloseMask = [&](const Footprint &Fp) -> uint32_t {
-      if (!Fp.known() || !Opts.EnvInterference || !Opts.Ambient)
-        return 0;
-      uint32_t Mask = 0;
-      const std::vector<Transition> &Ts = Opts.Ambient->transitions();
-      size_t Sz = Ts.size() < 32 ? Ts.size() : 32;
-      for (size_t I = 0; I != Sz; ++I) {
-        if (!isEnvStep(Ts[I]))
-          continue;
-        if (fpIndependent(Fp, Ts[I].staticFootprint()))
-          Mask |= uint32_t(1) << I;
-      }
-      return Mask;
-    };
 
     // Sleep entries persist across many later configurations, so they
     // record the *static* (all-instance) footprint: a dynamically
@@ -3251,27 +3193,9 @@ private:
       for (const SleepEntry &E : Snap.Sleep)
         if (fpIndependent(*E.Fp, K.Fp))
           NextSleep.push_back(E);
-      if (Fresh)
-        for (const BuiltSucc &B : Succ)
-          if (!B.Step.Mirror)
-            ++W.ActionSteps;
-      for (BuiltSucc &B : Succ) {
-        const std::optional<Val> &Done = B.Next.thread(rootThread()).Done;
-        B.Next.Sleep = NextSleep;
-        // License trailing-env closure on terminal successors: postponed
-        // independent env transitions still commute before this step.
-        B.Next.EnvCloseMask = Done ? CloseMask(K.Fp) : 0;
-        // Terminal mirror extras with no trailing-env closure left to run
-        // are pure records: register the terminal directly instead of
-        // enqueueing, so permutation extras never inflate the visited set.
-        if (B.Step.Mirror && Done && B.Next.EnvCloseMask == 0) {
-          W.Terminals.insert(
-              Terminal{*Done, B.Next.gs().viewFor(rootThread())});
-          continue;
-        }
-        freeze(B.Next);
-        enqueue(std::move(B.Next), &N, B.Step, W, Fresh);
-      }
+      // License trailing-env closure on terminal successors: postponed
+      // independent env transitions still commute before this step.
+      enqueueStep(N, Succ, NextSleep, &K.Fp, Fresh, W);
       return;
     }
 
@@ -3296,12 +3220,10 @@ private:
           return;
         // Two env transitions are steps of the *same* agent (the
         // environment): their self/self and owned-region touches alias.
-        for (const SleepEntry &E : Snap.Sleep)
-          if (fpIndependent(*E.Fp, K.Fp, E.IsEnv && K.IsEnv))
-            NextSleep.push_back(E);
-        for (const SleepEntry &E : Taken)
-          if (fpIndependent(*E.Fp, K.Fp, E.IsEnv && K.IsEnv))
-            NextSleep.push_back(E);
+        for (const auto *From : {&Snap.Sleep, &std::as_const(Taken)})
+          for (const SleepEntry &E : *From)
+            if (fpIndependent(*E.Fp, K.Fp, E.IsEnv && K.IsEnv))
+              NextSleep.push_back(E);
         std::sort(NextSleep.begin(), NextSleep.end(), sleepLess);
       };
       if (!K.IsEnv) {
@@ -3313,32 +3235,13 @@ private:
           LabelsChanged |= B.LabelsChanged;
         if (!LabelsChanged)
           ComputeSleep();
-        if (Fresh)
-          for (const BuiltSucc &B : Succ)
-            if (!B.Step.Mirror)
-              ++W.ActionSteps;
-        for (BuiltSucc &B : Succ) {
-          const std::optional<Val> &Done = B.Next.thread(rootThread()).Done;
-          B.Next.Sleep = NextSleep;
-          B.Next.EnvCloseMask =
-              (!LabelsChanged && Done) ? CloseMask(K.Fp) : 0;
-          // See the ample path above: closure-free terminal mirrors are
-          // recorded directly rather than explored.
-          if (B.Step.Mirror && Done && B.Next.EnvCloseMask == 0) {
-            W.Terminals.insert(
-                Terminal{*Done, B.Next.gs().viewFor(rootThread())});
-            continue;
-          }
-          freeze(B.Next);
-          enqueue(std::move(B.Next), &N, B.Step, W, Fresh);
-        }
+        enqueueStep(N, Succ, NextSleep, LabelsChanged ? nullptr : &K.Fp,
+                    Fresh, W);
         if (!LabelsChanged && StaticFpOf(K).known())
           Taken.push_back(ToSleepEntry(K));
       } else {
         ComputeSleep();
-        for (const View &Post : K.Tr->successors(EnvView)) {
-          if (!Opts.Ambient->coherent(Post))
-            continue;
+        for (const View &Post : coherentPosts(*K.Tr, EnvView)) {
           if (Fresh)
             ++W.EnvSteps;
           Config Next = C;
@@ -3346,7 +3249,7 @@ private:
           Next.Sleep = NextSleep;
           // Trailing-env steps at a terminal stay terminal; the merged
           // close mask keeps licensing further commuting transitions.
-          Next.EnvCloseMask = Main.Done ? Snap.CloseMask : 0;
+          Next.EnvCloseMask = AtTerminal ? Snap.CloseMask : 0;
           freeze(Next);
           enqueue(std::move(Next), &N, StepCode::env(K.EnvIdx), W, Fresh);
         }
@@ -3362,12 +3265,8 @@ private:
       return expandPor(N, Snap, W);
 
     const Config &C = N.C;
-    const ThreadCtx &Main = C.thread(rootThread());
-    if (Main.Done) {
-      W.Terminals.insert(
-          Terminal{*Main.Done, C.gs().viewFor(rootThread())});
+    if (recordTerminal(C, W))
       return;
-    }
 
     // Thread action steps.
     for (const ThreadSlot &S : C.threads()) {
@@ -3381,25 +3280,7 @@ private:
       std::vector<BuiltSucc> Succ;
       if (!buildThreadSuccessors(N, T, W, Succ))
         return;
-      for (BuiltSucc &B : Succ) {
-        if (!B.Step.Mirror)
-          ++W.ActionSteps;
-        // A mirror extra that is already terminal has no behavior left:
-        // expanding it would only record its terminal and stop (without
-        // POR a terminal takes no further steps). Record it directly so
-        // the k! - 1 regenerated value assignments of an orbit group
-        // never inflate the visited set or the config count.
-        if (B.Step.Mirror) {
-          const ThreadCtx &MMain = B.Next.thread(rootThread());
-          if (MMain.Done) {
-            W.Terminals.insert(
-                Terminal{*MMain.Done, B.Next.gs().viewFor(rootThread())});
-            continue;
-          }
-        }
-        freeze(B.Next);
-        enqueue(std::move(B.Next), &N, B.Step, W);
-      }
+      enqueueStep(N, Succ, {}, nullptr, /*Fresh=*/true, W);
     }
 
     // Environment interference steps, from the state's env row.
@@ -3426,13 +3307,13 @@ private:
   /// collectPinnedPtrs). Fixed before exploration starts.
   std::set<Ptr> PinnedPtrs;
 
-  /// The env-step graph (see envClosureFor), created on first use.
-  /// EnvMutex guards EnvG and every graph's index, node list and
-  /// unpublished node data.
+  /// The closure memo (see envClosureFor): every closure computed in this
+  /// exploration, keyed by the state it was computed from and guarded by
+  /// EnvMutex. It holds no more states than the env rows it was walked
+  /// over.
   static constexpr size_t ClosureStateCap = 4096;
-  static constexpr size_t EnvGraphCap = 1u << 16;
   std::mutex EnvMutex;
-  std::shared_ptr<EnvGraph> EnvG;
+  std::unordered_map<GSRef, EnvClosureRef> Closures;
 
   /// The hash-cons tables every frozen configuration of this exploration
   /// points into (see ConsTable); they outlive the visited set below.
@@ -3442,7 +3323,7 @@ private:
   /// StepMemo); unused under symmetry reduction.
   StepMemo Memo;
   /// Recorded env steps per global state, for plain expansion and the
-  /// env-step graph (see envRow).
+  /// closure walks (see envRow).
   EnvRows Rows;
 
   unsigned NumShards = 1;
@@ -3459,7 +3340,7 @@ private:
   unsigned DistN = 1;
   ShardIo *Io = nullptr;
   std::unique_ptr<ProgTable> PT;
-  std::mutex IoMutex; ///< serializes workers' send() against ioLoop's pump().
+  std::mutex IoMutex; ///< serializes workers' send() against pump().
   std::atomic<uint64_t> SentConfigs{0};
   std::atomic<uint64_t> RecvConfigs{0};
   std::atomic<uint64_t> SuppressedSendsCtr{0};
@@ -3484,6 +3365,11 @@ std::string RunResult::renderTrace() const {
 }
 
 namespace {
+
+/// Terminal equality via the strict weak order.
+bool sameTerminal(const Terminal &A, const Terminal &B) {
+  return !(A < B) && !(B < A);
+}
 
 /// Pointer-abstracted copy of a terminal list: fresh allocations are
 /// renumbered in first-visit order (pinned names stay fixed), then the
@@ -3511,11 +3397,7 @@ std::vector<Terminal> abstractTerminals(const std::vector<Terminal> &In,
     Out.push_back(std::move(A));
   }
   std::sort(Out.begin(), Out.end());
-  Out.erase(std::unique(Out.begin(), Out.end(),
-                        [](const Terminal &A, const Terminal &B) {
-                          return !(A < B) && !(B < A);
-                        }),
-            Out.end());
+  Out.erase(std::unique(Out.begin(), Out.end(), sameTerminal), Out.end());
   return Out;
 }
 
@@ -3531,12 +3413,7 @@ const Terminal *firstMissing(const std::vector<Terminal> &A,
 /// Terminal sets are sorted; equality via the strict weak order.
 bool sameTerminals(const std::vector<Terminal> &A,
                    const std::vector<Terminal> &B) {
-  if (A.size() != B.size())
-    return false;
-  for (size_t I = 0, N = A.size(); I != N; ++I)
-    if (A[I] < B[I] || B[I] < A[I])
-      return false;
-  return true;
+  return std::equal(A.begin(), A.end(), B.begin(), B.end(), sameTerminal);
 }
 
 /// \p Opts with its reduction modes replaced by the resolved \p M.

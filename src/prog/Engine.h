@@ -218,7 +218,7 @@ struct RunResult {
   uint64_t StepMemoEntries = 0;
   /// Env rows (see DESIGN.md §16): plain expansions whose env steps were
   /// served from the run's row for their global state, and the rows
-  /// recorded, by plain expansion or by dynamic POR's env-step graph.
+  /// recorded, by plain expansion or by dynamic POR's closure walks.
   /// Kept out of counters() and zero for a sharded run, like the memo
   /// counters above.
   uint64_t EnvRowHits = 0;

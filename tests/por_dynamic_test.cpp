@@ -8,7 +8,7 @@
 // counts, that check-dynamic cross-validates every Table-1 session, and
 // that it composes with symmetry reduction and sharding. Exact counter
 // pins and two closure refusals (a future past the state cap, an unknown
-// env footprint) guard the memoized env-step graph behind the closure.
+// env footprint) guard the closure walks over the env rows.
 //
 //===----------------------------------------------------------------------===//
 
@@ -302,8 +302,9 @@ TEST(PorDynamicTest, PairSnapshotNeverExceedsFull) {
 }
 
 //===----------------------------------------------------------------------===//
-// Exact counters: the memoized env-step graph and pointer sleep entries
-// must leave every counter where the per-root closure search put it.
+// Exact counters: the closure walks over the env rows and pointer sleep
+// entries must leave every counter where the per-root closure search put
+// it.
 //===----------------------------------------------------------------------===//
 
 TEST(PorDynamicTest, PinsExactDynamicCounters) {
@@ -330,16 +331,24 @@ TEST(PorDynamicTest, PinsExactDynamicCounters) {
   }
 }
 
-TEST(PorDynamicTest, EnvGraphReadsTheEnvRows) {
-  // The env-step graph takes each state's steps and footprints from the
-  // exploration's env rows, the table plain expansion reads; only plain
-  // expansion counts row hits, and it never runs under POR.
+TEST(PorDynamicTest, ClosureWalksReadTheEnvRows) {
+  // A closure walks from each state's env row to the rows of its posts,
+  // the table plain expansion reads; only plain expansion counts row hits,
+  // and it never runs under POR.
   FcSetup S = makeFcSetup();
   S.Opts.Por = PorMode::Dynamic;
+  PorStats Before = porStats();
   RunResult R = explore(S.Main, S.Initial, S.Opts);
+  PorStats After = porStats();
   ASSERT_TRUE(R.complete()) << R.FailureNote;
   EXPECT_GT(R.EnvRowEntries, 0u);
   EXPECT_EQ(R.EnvRowHits, 0u);
+  // The walks must license exactly the ample singletons the closures
+  // always licensed: every ample decision shows in these counters.
+  EXPECT_EQ(After.RacesDetected - Before.RacesDetected, 1423u);
+  EXPECT_EQ(After.BacktrackPoints - Before.BacktrackPoints, 1895u);
+  EXPECT_EQ(After.SleepHits - Before.SleepHits, 701u);
+  EXPECT_EQ(After.FullExpansions - Before.FullExpansions, 2317u);
   S.Opts.Por = PorMode::On;
   EXPECT_EQ(explore(S.Main, S.Initial, S.Opts).EnvRowEntries, 0u);
 }

@@ -7,6 +7,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "action/AtomicAction.h"
+#include "concurroid/Concurroid.h"
+#include "structures/FlatCombiner.h"
 #include "structures/SpanTree.h"
 #include "structures/TreiberStack.h"
 
@@ -106,6 +109,77 @@ TEST(SimulateTest, ScalesBeyondExhaustiveExploration) {
   }
 }
 
+TEST(SimulateTest, PinsEnvInterferenceSchedulesPerSeed) {
+  // The flat combiner's push against an interfering environment that
+  // publishes, combines and collects on the other slot (capped at 4
+  // history entries). Each seed's walk is pinned: a change to the order of
+  // thread outcomes or env posts picks different steps and shows here,
+  // where same-seed self-determinism alone would not.
+  FlatCombinerCase Case = makeFlatCombinerCase(4, /*EnvHistCap=*/4);
+  ProgRef Main = Prog::call("flat_combine", {Expr::litPtr(Case.Slot1),
+                                             Expr::litInt(FcPush),
+                                             Expr::litInt(4)});
+  EngineOptions Opts;
+  Opts.Ambient = Case.C;
+  Opts.EnvInterference = true;
+  Opts.Defs = &Case.Defs;
+  struct Golden {
+    uint64_t Steps;
+    bool Terminated;
+    const char *Result;
+    const char *FinalView;
+  };
+  const Golden Goldens[] = {
+      {5, true, "()",
+       "4 ->> [<NotOwn | <{&9605} | [1: () ~> (4, ())]>> | {&9604 :-> true, "
+       "&9605 :-> (), &9606 :-> (2, 0), &9607 :-> (4, ()), &9608 :-> 1} | "
+       "<Own | <{&9606} | []>>]\n"},
+      {16, true, "()",
+       "4 ->> [<NotOwn | <{&9605} | [1: () ~> (4, ())]>> | "
+       "{&9604 :-> false, &9605 :-> (), "
+       "&9606 :-> (true, ((), (2, ((4, ()), (5, (4, ())))))), "
+       "&9607 :-> (5, (4, ())), &9608 :-> 2} | <NotOwn | <{&9606} | []>>]\n"},
+      {29, true, "()",
+       "4 ->> [<NotOwn | <{&9605} | [3: () ~> (4, ())]>> | "
+       "{&9604 :-> false, &9605 :-> (), &9606 :-> (2, 0), "
+       "&9607 :-> (4, ()), &9608 :-> 3} | <NotOwn | <{&9606} | "
+       "[1: () ~> (5, ()), 2: (5, ()) ~> ()]>>]\n"},
+      {16, true, "()",
+       "4 ->> [<NotOwn | <{&9605} | [2: (5, ()) ~> (4, (5, ()))]>> | "
+       "{&9604 :-> true, &9605 :-> (), "
+       "&9606 :-> (true, ((), (1, ((), (5, ()))))), &9607 :-> (4, (5, ())), "
+       "&9608 :-> 2} | <Own | <{&9606} | []>>]\n"},
+      {5, true, "()",
+       "4 ->> [<NotOwn | <{&9605} | [1: () ~> (4, ())]>> | {&9604 :-> true, "
+       "&9605 :-> (), &9606 :-> (1, 5), &9607 :-> (4, ()), &9608 :-> 1} | "
+       "<Own | <{&9606} | []>>]\n"},
+      {7, true, "()",
+       "4 ->> [<NotOwn | <{&9605} | [1: () ~> (4, ())]>> | {&9604 :-> true, "
+       "&9605 :-> (), &9606 :-> (1, 5), &9607 :-> (4, ()), &9608 :-> 1} | "
+       "<Own | <{&9606} | []>>]\n"},
+      {12, true, "()",
+       "4 ->> [<NotOwn | <{&9605} | [1: () ~> (4, ())]>> | "
+       "{&9604 :-> false, &9605 :-> (), &9606 :-> (), "
+       "&9607 :-> (5, (4, ())), &9608 :-> 2} | <NotOwn | <{&9606} | "
+       "[2: (4, ()) ~> (5, (4, ()))]>>]\n"},
+      {31, true, "()",
+       "4 ->> [<NotOwn | <{&9605} | [4: () ~> (4, ())]>> | {&9604 :-> true, "
+       "&9605 :-> (), &9606 :-> (), &9607 :-> (4, ()), &9608 :-> 4} | "
+       "<Own | <{&9606} | "
+       "[1: () ~> (), 2: () ~> (5, ()), 3: (5, ()) ~> ()]>>]\n"},
+  };
+  for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
+    SimResult Sim = simulate(Main, flatCombinerState(Case, 1), Opts, Seed,
+                             /*MaxSteps=*/400);
+    ASSERT_TRUE(Sim.Safe) << Sim.FailureNote;
+    const Golden &G = Goldens[Seed - 1];
+    EXPECT_EQ(Sim.Steps, G.Steps) << "seed " << Seed;
+    EXPECT_EQ(Sim.Terminated, G.Terminated) << "seed " << Seed;
+    EXPECT_EQ(Sim.Result.toString(), G.Result) << "seed " << Seed;
+    EXPECT_EQ(Sim.FinalView.toString(), G.FinalView) << "seed " << Seed;
+  }
+}
+
 TEST(SimulateTest, UnsafeActionsCaughtOnSampledPaths) {
   SpanTreeCase Case = makeSpanTreeCase(1, 2);
   // nullify on a node we never marked: unsafe on every schedule.
@@ -118,6 +192,37 @@ TEST(SimulateTest, UnsafeActionsCaughtOnSampledPaths) {
       simulate(Main, spanOpenState(Case, figure2Graph(), {}), Opts, 7);
   EXPECT_FALSE(Sim.Safe);
   EXPECT_FALSE(Sim.Terminated);
+  EXPECT_EQ(Sim.FailureNote,
+            "action nullify_l is unsafe in the sampled schedule");
+}
+
+TEST(SimulateTest, IncoherentOutcomeFailsWithItsNote) {
+  // An action whose post-state drops the cell coherence requires: the
+  // step-coherence re-check stops the walk, and the note names the action.
+  constexpr Label Lb = 5;
+  ConcurroidRef C = makeConcurroid(
+      "Cell", {OwnedLabel{Lb, "cell", PCMType::nat()}},
+      [](const View &S) {
+        return S.hasLabel(Lb) && S.joint(Lb).contains(Ptr(1));
+      });
+  ActionRef Drop = makeAction(
+      "drop", C, 0,
+      [](const View &Pre, const std::vector<Val> &)
+          -> std::optional<std::vector<ActOutcome>> {
+        View Post = Pre;
+        Post.setJoint(Lb, Heap());
+        return std::vector<ActOutcome>{{Val::unit(), std::move(Post)}};
+      });
+  GlobalState Initial;
+  Initial.addLabel(Lb, PCMType::nat(), Heap::singleton(Ptr(1), Val::ofInt(0)),
+                   PCMVal::ofNat(0), false);
+  EngineOptions Opts;
+  Opts.Ambient = C;
+  Opts.EnvInterference = false;
+  SimResult Sim = simulate(Prog::act(Drop, {}), Initial, Opts, 1);
+  EXPECT_FALSE(Sim.Safe);
+  EXPECT_FALSE(Sim.Terminated);
+  EXPECT_EQ(Sim.FailureNote, "action drop broke coherence");
 }
 
 TEST(SimulateTest, BudgetExhaustionReportsNonTermination) {
