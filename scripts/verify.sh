@@ -32,7 +32,11 @@
 #      report, timings stripped. The workers share one exploration's
 #      hash-cons tables, thread-step memo and env rows, and a row or memo
 #      entry served to the wrong worker would show up as a changed
-#      counter or terminal.
+#      counter or terminal. The same diff runs for the reduced engine
+#      under --por=dynamic --symmetry=on and under --por=on, whose
+#      expansions read the env rows and the footprint table; the report
+#      omits the POR and orbit effort counters, which may vary with the
+#      schedule.
 #   5. POR oracle: fcsl-verify --por=check runs every Table-1 session
 #      through the soundness oracle — each exploration runs once on the
 #      plain engine (POR off, symmetry off) and once reduced — and fails
@@ -165,17 +169,21 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   ./build-asan/tests/simulate_test
 fi
 
-echo "== jobs: plain engine at 4 jobs vs 1 over every session =="
+echo "== jobs: 4 jobs vs 1 over every session (plain, dynamic+symmetry, static POR) =="
 cmake --build build -j "$(nproc)" --target fcsl-verify
 Normalize='s/[0-9]+\.[0-9]+//g; s/ +/ /g; s/-+/-/g; s/ +$//'
-for Jobs in 1 4; do
-  ./build/tools/fcsl-verify --cache=off --por=off --symmetry=off \
-    --jobs "$Jobs" verify all \
-    | sed -E "$Normalize" > "build/verify-jobs-$Jobs.txt"
+for Modes in "off off" "dynamic on" "on off"; do
+  read -r Por Sym <<< "$Modes"
+  for Jobs in 1 4; do
+    ./build/tools/fcsl-verify --cache=off --por="$Por" --symmetry="$Sym" \
+      --jobs "$Jobs" verify all \
+      | sed -E "$Normalize" > "build/verify-jobs-$Por-$Sym-$Jobs.txt"
+  done
+  diff "build/verify-jobs-$Por-$Sym-1.txt" "build/verify-jobs-$Por-$Sym-4.txt" \
+    || { echo "jobs=4 diverged from jobs=1 (por=$Por symmetry=$Sym)" >&2
+         exit 1; }
+  echo "   por=$Por symmetry=$Sym: jobs=4 identical to jobs=1"
 done
-diff build/verify-jobs-1.txt build/verify-jobs-4.txt \
-  || { echo "jobs=4 diverged from jobs=1 (plain engine)" >&2; exit 1; }
-echo "   plain engine: jobs=4 identical to jobs=1"
 
 if [[ "$RUN_POR" == 1 ]]; then
   echo "== por: soundness oracle over every Table-1 session =="

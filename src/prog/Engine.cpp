@@ -9,7 +9,13 @@
 // counts follows from three facts: the visited set is keyed by the full
 // configuration (so the reachable set is schedule-independent), terminals
 // are merged into a sorted set at the end, and for complete explorations
-// every counter is a function of the reachable set alone.
+// the work counters (configs, action and env steps, dedup hits) are a
+// function of the reachable set alone. The reduction effort counters are
+// not: how many wakeup replays a node gets depends on the order its
+// routes arrive in, and each replay re-runs the POR checks and
+// canonicalizes its successors again, so races, backtracks, wakeup
+// replays, sleep hits, full expansions and the orbit counters may vary
+// with the schedule at Jobs > 1.
 //
 // One worker loop (workerLoop) serves every run: in-process or as one
 // shard of a multi-process fleet, with one worker or a team. Successors
@@ -17,7 +23,7 @@
 // applyOutcome (shared with simulate) and handed on by enqueueStep (shared
 // by plain and reduced expansion); an env transition's posts come from
 // coherentPosts, recorded per global state in the env rows, which plain
-// expansion replays and dynamic POR's env-future closures walk.
+// and reduced expansion replay and dynamic POR's env-future closures walk.
 //
 //===----------------------------------------------------------------------===//
 
@@ -352,6 +358,16 @@ struct ThreadCtx {
 template <typename T> struct Consed {
   T Value;
   size_t Hash = 0;
+  /// A fact about Value computed on first use and cached with the entry
+  /// (for a global state: whether it has fresh heap cells, see
+  /// Explorer::hasFreshCells); 0 until computed. Copies start unset, since
+  /// a copy is made to be edited.
+  mutable std::atomic<uint8_t> Fact{0};
+
+  Consed() = default;
+  explicit Consed(T V, size_t H = 0) : Value(std::move(V)), Hash(H) {}
+  Consed(const Consed &O) : Value(O.Value), Hash(O.Hash) {}
+  Consed(Consed &&O) noexcept : Value(std::move(O.Value)), Hash(O.Hash) {}
 };
 
 /// One exploration's hash-cons table for \p T (thread contexts or global
@@ -370,7 +386,7 @@ public:
   const Consed<T> *intern(T &&V, size_t H) {
     Stripe &S = Stripes[H % Stripes.size()];
     std::lock_guard<std::mutex> Lock(S.M);
-    return &*S.Set.insert(Consed<T>{std::move(V), H}).first;
+    return &*S.Set.emplace(std::move(V), H).first;
   }
 
   /// Approximate retained bytes of every entry, each counted once; 16
@@ -571,8 +587,9 @@ struct ThreadSlot {
 /// same raw configuration is never split into several visited entries just
 /// because different paths put different steps to sleep. The merge is
 /// monotone over a finite lattice, so the fixpoint — and with it the
-/// reachable node set and every counter — stays schedule-independent
-/// across worker counts.
+/// reachable node set and the work counters — stays schedule-independent
+/// across worker counts (the effort counters do not; see the file
+/// comment).
 class Config {
 public:
   Config() = default;
@@ -640,8 +657,7 @@ public:
   void addThread(ThreadId T, ThreadCtx Ctx) {
     auto It = slot(T);
     assert((It == Threads.end() || It->Id != T) && "duplicate thread id");
-    Scratch.push_back(
-        std::make_unique<Consed<ThreadCtx>>(Consed<ThreadCtx>{std::move(Ctx)}));
+    Scratch.push_back(std::make_unique<Consed<ThreadCtx>>(std::move(Ctx)));
     Threads.insert(It, ThreadSlot{T, Scratch.back().get()});
   }
   void eraseThread(ThreadId T) {
@@ -889,19 +905,46 @@ private:
   uint64_t Capacity = 0;
 };
 
+/// A footprint hash-consed into the exploration's footprint table (see
+/// Explorer::internFp): equal footprints share one entry, so holders
+/// compare handles.
+using FpRef = const Consed<Footprint> *;
+
+/// A footprint's content hash, over exactly what its operator== compares.
+size_t footprintHash(const Footprint &F) {
+  size_t H = 0;
+  hashValue(H, F.known());
+  for (const std::vector<FpAtom> *Side : {&F.reads(), &F.writes()}) {
+    hashValue(H, Side->size());
+    for (const FpAtom &A : *Side) {
+      hashValue(H, A.L);
+      hashValue(H, static_cast<uint8_t>(A.Comp));
+      hashValue(H, static_cast<uint8_t>(A.Region));
+      hashValue(H, A.Fields);
+      hashValue(H, A.AllCells);
+      hashValue(H, A.Cells.size());
+      for (Ptr P : A.Cells)
+        hashValue(H, P);
+    }
+  }
+  return H;
+}
+
 /// One coherent env step out of a global state (see envRow): the
-/// transition's index in the ambient concurroid and the interned
-/// post-state. It carries no thread slots.
+/// transition's index in the ambient concurroid, the position of its
+/// dynamic footprint in the row head's Fps (POR runs whose head is not
+/// Unknown only) and the interned post-state. It carries no thread slots.
 struct EnvSucc {
-  size_t Idx = 0;
+  uint32_t Idx = 0;
+  uint32_t Fp = 0;
   GSRef Post = nullptr;
   void bind(const ThreadSlot *&) {}
 };
 
-/// What a closure walk needs of an env row beyond its steps (dynamic POR
-/// only, see envClosureFor): the distinct dynamic footprints of the
-/// enabled transitions, or Unknown when one of them has none (Fps is then
-/// empty), and the state's refusal mark.
+/// What POR needs of an env row beyond its steps: the distinct dynamic
+/// footprints of the enabled transitions, or Unknown when one of them has
+/// none (Fps is then empty), and the state's refusal mark (dynamic POR's
+/// closure walks, see envClosureFor).
 struct EnvHead {
   bool Unknown = false;
   /// Set once a closure from this state was refused. Refusal is inherited
@@ -909,7 +952,7 @@ struct EnvHead {
   /// future), which lets later walks stop early. Written and read without
   /// a lock after the row is published; the only mutable part of a row.
   mutable std::atomic<bool> Refused{false};
-  std::vector<Footprint> Fps;
+  std::vector<FpRef> Fps;
 
   EnvHead() = default;
   EnvHead(EnvHead &&O) noexcept : Unknown(O.Unknown), Fps(std::move(O.Fps)) {}
@@ -918,12 +961,7 @@ struct EnvHead {
     Fps = std::move(O.Fps);
     return *this;
   }
-  uint64_t approxBytes() const {
-    uint64_t Bytes = Fps.capacity() * sizeof(Footprint);
-    for (const Footprint &F : Fps)
-      Bytes += F.approxBytes();
-    return Bytes;
-  }
+  uint64_t approxBytes() const { return Fps.capacity() * sizeof(FpRef); }
 };
 
 /// The empty per-row header of the thread-step memo.
@@ -1146,6 +1184,7 @@ public:
     CtxTable.init(NumShards);
     Memo.init(NumShards);
     Rows.init(NumShards);
+    FpTable.init(NumShards);
     Workers.clear();
     for (unsigned I = 0; I != Jobs; ++I)
       Workers.push_back(std::make_unique<Worker>());
@@ -1206,10 +1245,12 @@ public:
     // The visited set only grows, so its final size is the run's peak.
     // Each node counts its handle vector and wake state; the contexts and
     // global states it points to count once, as table entries, and the
-    // thread-step memo and the env rows count their entries and arrays.
+    // thread-step memo and the env rows count their entries and arrays,
+    // and the footprint table its entries.
     uint64_t Nodes = 0;
     uint64_t Bytes = GSTable.approxBytes() + CtxTable.approxBytes() +
-                     Memo.approxBytes() + Rows.approxBytes();
+                     Memo.approxBytes() + Rows.approxBytes() +
+                     FpTable.approxBytes();
     Res.StepMemoEntries = Memo.entries();
     Res.EnvRowEntries = Rows.entries();
     for (Shard &S : Shards) {
@@ -2222,6 +2263,19 @@ private:
     return true;
   }
 
+  /// Whether \p GS has heap cells the fresh-pointer renaming may rename
+  /// (see PtrCanon::hasFreshCells), computed once per global state.
+  bool hasFreshCells(GSRef GS) const {
+    // Workers that race here compute the same answer from the same
+    // immutable state, so whichever store lands last is still right.
+    uint8_t Fact = GS->Fact.load();
+    if (Fact == 0) {
+      Fact = PtrCanon::hasFreshCells(GS->Value, PinnedPtrs) ? 2 : 1;
+      GS->Fact.store(Fact);
+    }
+    return Fact == 2;
+  }
+
   /// Canonicalizes \p C in place: rewrites it to its orbit representative,
   /// a deterministic function of the raw config. Requires \p C frozen;
   /// re-freezes it when it changes.
@@ -2231,16 +2285,20 @@ private:
   /// changes the first-visit order the numbering follows. Four rounds
   /// bound the alternation deterministically — in the rare non-converged
   /// case two orbit members may keep distinct representatives, a lost
-  /// reduction, never a lost soundness.
+  /// reduction, never a lost soundness. Only names of the global state's
+  /// heap cells are renameable (values hold no heaps), and slot sorting
+  /// renames threads, not cells, so when the entry state has no fresh
+  /// cells no round needs the renaming walk.
   void canonicalize(Config &C) {
     if (!SymOn)
       return;
     OrbitLookupsCounter.fetch_add(1, std::memory_order_relaxed);
+    const bool Renameable = hasFreshCells(C.gsRef());
     bool Changed = false;
     bool AnyRenamed = false;
     for (int Round = 0; Round != 4; ++Round) {
       bool Sorted = canonicalizeConfig(C);
-      bool Renamed = renameConfigPtrs(C);
+      bool Renamed = Renameable && renameConfigPtrs(C);
       Changed |= Sorted || Renamed;
       AnyRenamed |= Renamed;
       if (!Sorted && !Renamed)
@@ -2673,13 +2731,13 @@ private:
   /// dynamic ample here".
   struct EnvClosure {
     bool Ok = false;
-    std::vector<Footprint> Fps;
+    std::vector<FpRef> Fps;
   };
   using EnvClosureRef = std::shared_ptr<const EnvClosure>;
 
   /// The coherent post-states of env transition \p Tr from \p EnvView, in
-  /// successor order: the one env-step enumeration that env rows, the
-  /// per-transition env candidates of expandPor and simulate all use.
+  /// successor order: the one env-step enumeration that env rows and
+  /// simulate use.
   /// \p Enabled, when given, tells whether Tr has any post there, coherent
   /// or not.
   std::vector<View> coherentPosts(const Transition &Tr, const View &EnvView,
@@ -2693,12 +2751,19 @@ private:
     return Posts;
   }
 
+  /// The handle of \p F in this exploration's footprint table.
+  FpRef internFp(Footprint &&F) {
+    size_t H = footprintHash(F);
+    return FpTable.intern(std::move(F), H);
+  }
+
   /// The env row of \p GS, built on the first request (see EnvRows):
   /// every coherent env step out of GS, in declaration order, with its
-  /// post-state interned. Under dynamic POR its head also collects the
-  /// distinct dynamic footprints of the enabled transitions (those with
-  /// successors, coherent or not), or Unknown at the first that has none.
-  /// Plain expansion and the closure walks both read rows, so a state is
+  /// post-state interned. Under POR its head also collects the distinct
+  /// dynamic footprints of the enabled transitions (those with successors,
+  /// coherent or not), or Unknown at the first that has none, and each
+  /// step records which of them is its transition's. Plain expansion,
+  /// expandPor and the closure walks all read rows, so a state is
   /// enumerated once per exploration. \p Hit tells whether it was.
   const EnvRows::Row &envRow(GSRef GS, bool &Hit) {
     if (const EnvRows::Row *R = Rows.find(GS)) {
@@ -2710,25 +2775,31 @@ private:
     EnvHead Head;
     View EnvView = GS->Value.viewForEnv();
     const std::vector<Transition> &Ts = Opts.Ambient->transitions();
-    for (size_t I = 0, Sz = Ts.size(); I != Sz; ++I) {
+    for (uint32_t I = 0, Sz = Ts.size(); I != Sz; ++I) {
       if (!isEnvStep(Ts[I]))
         continue;
       bool Enabled = false;
-      for (const View &Post : coherentPosts(Ts[I], EnvView, &Enabled)) {
-        GlobalState Next = GS->Value;
-        Next.applyEnv(EnvView, Post);
-        size_t H = std::hash<GlobalState>{}(Next);
-        Succs.push_back(EnvSucc{I, GSTable.intern(std::move(Next), H)});
-      }
-      if (DynOn && !Head.Unknown && Enabled) {
+      std::vector<View> Posts = coherentPosts(Ts[I], EnvView, &Enabled);
+      uint32_t FpIdx = 0;
+      if (PorOn && !Head.Unknown && Enabled) {
         Footprint F = Ts[I].footprint(EnvView);
         if (!F.known()) {
           Head.Unknown = true;
           Head.Fps.clear();
-        } else if (std::find(Head.Fps.begin(), Head.Fps.end(), F) ==
-                   Head.Fps.end()) {
-          Head.Fps.push_back(std::move(F));
+        } else {
+          FpRef R = internFp(std::move(F));
+          FpIdx = std::find(Head.Fps.begin(), Head.Fps.end(), R) -
+                  Head.Fps.begin();
+          if (FpIdx == Head.Fps.size())
+            Head.Fps.push_back(R);
         }
+      }
+      for (const View &Post : Posts) {
+        GlobalState Next = GS->Value;
+        Next.applyEnv(EnvView, Post);
+        size_t H = std::hash<GlobalState>{}(Next);
+        Succs.push_back(
+            EnvSucc{I, FpIdx, GSTable.intern(std::move(Next), H)});
       }
     }
     return Rows.insert(GS, std::move(Succs), {}, std::move(Head));
@@ -2776,7 +2847,7 @@ private:
         R->Ok = false;
         break;
       }
-      for (const Footprint &F : Row.H.Fps)
+      for (FpRef F : Row.H.Fps)
         if (std::find(R->Fps.begin(), R->Fps.end(), F) == R->Fps.end())
           R->Fps.push_back(F);
       for (const EnvSucc &E : Row) {
@@ -3002,8 +3073,10 @@ private:
   /// configuration alone (never of the sleep set), and step counters are
   /// charged once per (node, candidate) across wakeup replays: together
   /// with the monotone wake merge in insertLocal this makes the explored
-  /// node set and every counter converge to the same fixpoint under any
-  /// worker schedule.
+  /// node set and the work counters converge to the same fixpoint under
+  /// any worker schedule. The effort counters charged here (races,
+  /// backtracks, sleep hits, full expansions) count every expansion,
+  /// replays included, so they may vary with the schedule.
   void expandPor(const Node &N, const WakeSnapshot &Snap, Worker &W) {
     const Config &C = N.C;
     const bool AtTerminal = recordTerminal(C, W);
@@ -3020,6 +3093,8 @@ private:
         return;
     }
 
+    // A thread candidate carries its step's inputs and dynamic footprint;
+    // an env candidate its transition and its steps in the state's row.
     struct Candidate {
       bool IsEnv = false;
       ThreadId T = 0;
@@ -3027,9 +3102,11 @@ private:
       const AtomicAction *A = nullptr;
       std::vector<Val> Args;
       View Pre;
+      Footprint Fp;
       size_t EnvIdx = 0;
       const Transition *Tr = nullptr;
-      Footprint Fp;
+      const EnvSucc *First = nullptr;
+      const EnvSucc *Last = nullptr;
       bool Sleeping = false;
     };
 
@@ -3069,28 +3146,6 @@ private:
       K.Sleeping = Sleeping(K);
       Cands.push_back(std::move(K));
     }
-    View EnvView;
-    if (Opts.EnvInterference && Opts.Ambient) {
-      EnvView = C.gs().viewForEnv();
-      const std::vector<Transition> &Ts = Opts.Ambient->transitions();
-      for (size_t I = 0, Sz = Ts.size(); I != Sz; ++I) {
-        if (!isEnvStep(Ts[I]))
-          continue;
-        // At a terminal, only transitions licensed by the last action's
-        // (merged) close mask may keep firing (see Config::EnvCloseMask).
-        if (AtTerminal &&
-            (I >= 32 || !((Snap.CloseMask >> I) & uint32_t(1))))
-          continue;
-        Candidate K;
-        K.IsEnv = true;
-        K.EnvIdx = I;
-        K.Tr = &Ts[I];
-        K.Fp = Ts[I].footprint(EnvView);
-        K.Sleeping = Sleeping(K);
-        Cands.push_back(std::move(K));
-      }
-    }
-
     // Sleep entries persist across many later configurations, so they
     // record the *static* (all-instance) footprint: a dynamically
     // narrowed footprint describes only the instances enabled where the
@@ -3118,11 +3173,9 @@ private:
     // runnable no other *thread* step can precede that thread's next
     // action — every deferred step is an environment step, and the
     // env-only future closure (envClosureFor) describes all of them.
-    // That is the dynamic-ample condition below.
-    size_t RunnableThreads = 0;
-    for (const Candidate &K : Cands)
-      if (!K.IsEnv)
-        ++RunnableThreads;
+    // That is the dynamic-ample condition below. (Cands holds only the
+    // thread candidates until full expansion.)
+    const size_t RunnableThreads = Cands.size();
 
     // Ample singleton: the first thread candidate whose step is a local
     // move — statically (independent of the whole universe) or, under
@@ -3148,8 +3201,6 @@ private:
     // never enabled), so the last action always expands fully against
     // its env closure instead.
     for (Candidate &K : Cands) {
-      if (K.IsEnv)
-        continue;
       bool DynAmple = false;
       if (!globallyIndependent(K.Fp)) {
         if (!DynOn || RunnableThreads != 1 || !K.Fp.known())
@@ -3158,8 +3209,8 @@ private:
         if (!Cl->Ok)
           continue;
         bool Indep = true;
-        for (const Footprint &F : Cl->Fps)
-          if (!fpIndependent(K.Fp, F)) {
+        for (FpRef F : Cl->Fps)
+          if (!fpIndependent(K.Fp, F->Value)) {
             Indep = false;
             PorRacesCounter.fetch_add(1, std::memory_order_relaxed);
           }
@@ -3207,6 +3258,38 @@ private:
     // cascade changes the label set have effects beyond their footprint,
     // so they are treated as dependent on everything.
     PorFullExpansionsCounter.fetch_add(1, std::memory_order_relaxed);
+    // Env candidates join only here, after the threads, so an ample
+    // expansion never asks for the state's row. They read it: its steps
+    // grouped by transition (the row lists them in declaration order)
+    // and, in the head, their dynamic footprints.
+    const EnvRows::Row *Row = nullptr;
+    if (Opts.EnvInterference && Opts.Ambient) {
+      bool Hit;
+      Row = &envRow(C.gsRef(), Hit);
+      const EnvSucc *Next = Row->begin();
+      const std::vector<Transition> &Ts = Opts.Ambient->transitions();
+      for (size_t I = 0, Sz = Ts.size(); I != Sz; ++I) {
+        if (!isEnvStep(Ts[I]))
+          continue;
+        const EnvSucc *First = Next;
+        while (Next != Row->end() && Next->Idx == I)
+          ++Next;
+        // At a terminal, only transitions licensed by the last action's
+        // (merged) close mask may keep firing (see Config::EnvCloseMask).
+        if (AtTerminal &&
+            (I >= 32 || !((Snap.CloseMask >> I) & uint32_t(1))))
+          continue;
+        Candidate K;
+        K.IsEnv = true;
+        K.EnvIdx = I;
+        K.Tr = &Ts[I];
+        K.First = First;
+        K.Last = Next;
+        K.Sleeping = Sleeping(K);
+        Cands.push_back(std::move(K));
+      }
+    }
+
     std::vector<SleepEntry> Taken;
     for (Candidate &K : Cands) {
       if (K.Sleeping) {
@@ -3215,14 +3298,14 @@ private:
       }
       bool Fresh = markExecuted(N, CandKey(K));
       std::vector<SleepEntry> NextSleep;
-      auto ComputeSleep = [&]() {
-        if (!K.Fp.known())
+      auto ComputeSleep = [&](const Footprint &Fp) {
+        if (!Fp.known())
           return;
         // Two env transitions are steps of the *same* agent (the
         // environment): their self/self and owned-region touches alias.
         for (const auto *From : {&Snap.Sleep, &std::as_const(Taken)})
           for (const SleepEntry &E : *From)
-            if (fpIndependent(*E.Fp, K.Fp, E.IsEnv && K.IsEnv))
+            if (fpIndependent(*E.Fp, Fp, E.IsEnv && K.IsEnv))
               NextSleep.push_back(E);
         std::sort(NextSleep.begin(), NextSleep.end(), sleepLess);
       };
@@ -3234,23 +3317,29 @@ private:
         for (const BuiltSucc &B : Succ)
           LabelsChanged |= B.LabelsChanged;
         if (!LabelsChanged)
-          ComputeSleep();
+          ComputeSleep(K.Fp);
         enqueueStep(N, Succ, NextSleep, LabelsChanged ? nullptr : &K.Fp,
                     Fresh, W);
         if (!LabelsChanged && StaticFpOf(K).known())
           Taken.push_back(ToSleepEntry(K));
       } else {
-        ComputeSleep();
-        for (const View &Post : coherentPosts(*K.Tr, EnvView)) {
+        // Only a transition with steps here needs its footprint; an
+        // Unknown head holds none, so it is computed directly then.
+        if (K.First != K.Last) {
+          Footprint Direct;
+          if (Row->H.Unknown)
+            Direct = K.Tr->footprint(C.gs().viewForEnv());
+          ComputeSleep(Row->H.Unknown ? Direct
+                                      : Row->H.Fps[K.First->Fp]->Value);
+        }
+        for (const EnvSucc *S = K.First; S != K.Last; ++S) {
           if (Fresh)
             ++W.EnvSteps;
-          Config Next = C;
-          Next.mutGS().applyEnv(EnvView, Post);
+          Config Next = Config::successor(C, S->Post, nullptr, 0);
           Next.Sleep = NextSleep;
           // Trailing-env steps at a terminal stay terminal; the merged
           // close mask keeps licensing further commuting transitions.
           Next.EnvCloseMask = AtTerminal ? Snap.CloseMask : 0;
-          freeze(Next);
           enqueue(std::move(Next), &N, StepCode::env(K.EnvIdx), W, Fresh);
         }
         if (StaticFpOf(K).known())
@@ -3322,9 +3411,11 @@ private:
   /// Recorded thread steps over handles into the tables above (see
   /// StepMemo); unused under symmetry reduction.
   StepMemo Memo;
-  /// Recorded env steps per global state, for plain expansion and the
-  /// closure walks (see envRow).
+  /// Recorded env steps per global state, for plain expansion, expandPor
+  /// and the closure walks (see envRow), and the footprints their heads
+  /// and the closures point into (see internFp).
   EnvRows Rows;
+  ConsTable<Footprint> FpTable;
 
   unsigned NumShards = 1;
   std::vector<Shard> Shards;

@@ -218,7 +218,8 @@ struct RunResult {
   uint64_t StepMemoEntries = 0;
   /// Env rows (see DESIGN.md §16): plain expansions whose env steps were
   /// served from the run's row for their global state, and the rows
-  /// recorded, by plain expansion or by dynamic POR's closure walks.
+  /// recorded, by plain or reduced expansion or by dynamic POR's closure
+  /// walks.
   /// Kept out of counters() and zero for a sharded run, like the memo
   /// counters above.
   uint64_t EnvRowHits = 0;
@@ -315,7 +316,11 @@ OracleTotals oracleTotals();
 /// (re-expansions after a revisit shrank a sleep set or grew a close
 /// mask) with the peak number of candidates replayed at once, sleep-set
 /// hits (candidates pruned because a commuted order was already taken),
-/// and full-expansion fallbacks (no ample singleton at all).
+/// and full-expansion fallbacks (no ample singleton at all). These are
+/// effort counters: every expansion adds to them, wakeup replays included,
+/// and how many replays a node gets depends on the order its routes
+/// arrive in, so at Jobs > 1 they may vary from run to run (verdicts,
+/// terminals and the work counters do not).
 struct PorStats {
   uint64_t RacesDetected = 0;
   uint64_t BacktrackPoints = 0;
@@ -340,7 +345,9 @@ SymMode defaultSymmetryMode();
 /// lookups), how many canonicalizations actually changed the
 /// configuration (a proxy for orbit sizes > 1), how many applied a
 /// fresh-pointer renaming, how many k-ary orbit groups were formed, and
-/// the largest group seen.
+/// the largest group seen. Lookups, Changed and Renames count wakeup
+/// replays' successors too, so like PorStats they may vary with the
+/// schedule at Jobs > 1.
 struct SymmetryStats {
   uint64_t Lookups = 0;
   uint64_t Hits = 0; ///< always 0: there is no orbit cache to hit.

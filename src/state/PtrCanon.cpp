@@ -139,3 +139,46 @@ void PtrCanon::visit(const GlobalState &GS) {
       visit(Contribution.second);
   }
 }
+
+namespace {
+
+bool heapHasFresh(const Heap &H, const std::set<Ptr> &Pinned) {
+  for (const auto &Cell : H)
+    if (!Pinned.count(Cell.first))
+      return true;
+  return false;
+}
+
+bool pcmHasFresh(const PCMVal &V, const std::set<Ptr> &Pinned) {
+  switch (V.kind()) {
+  case PCMKind::Nat:
+  case PCMKind::Mutex:
+  case PCMKind::PtrSet:
+  case PCMKind::Hist:
+    return false;
+  case PCMKind::HeapPCM:
+    return heapHasFresh(V.getHeap(), Pinned);
+  case PCMKind::Pair:
+    return pcmHasFresh(V.first(), Pinned) || pcmHasFresh(V.second(), Pinned);
+  case PCMKind::Lift:
+    return !V.isLiftUndef() && pcmHasFresh(V.liftInner(), Pinned);
+  }
+  assert(false && "unknown PCM kind");
+  return true;
+}
+
+} // namespace
+
+bool PtrCanon::hasFreshCells(const GlobalState &GS,
+                             const std::set<Ptr> &Pinned) {
+  // The same heaps visit(GlobalState) marks as the domain.
+  for (Label L : GS.labels()) {
+    if (heapHasFresh(GS.joint(L), Pinned) ||
+        pcmHasFresh(GS.envSelf(L), Pinned))
+      return true;
+    for (const auto &Contribution : GS.selves(L))
+      if (pcmHasFresh(Contribution.second, Pinned))
+        return true;
+  }
+  return false;
+}

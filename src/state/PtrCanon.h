@@ -75,6 +75,13 @@ public:
   /// True when applying the mapping would change nothing.
   bool identity() const { return Identity; }
 
+  /// Whether some heap of \p GS (a joint heap or a heap-valued PCM
+  /// component) has a cell whose name is not in \p Pinned. Values carry no
+  /// heaps, so these cells are the whole renameable domain of any
+  /// configuration over \p GS: when there are none, the canonical renaming
+  /// of that configuration is the identity.
+  static bool hasFreshCells(const GlobalState &GS, const std::set<Ptr> &Pinned);
+
 private:
   /// Collect pass: records \p P as seen. Rename pass: assigns the next
   /// canonical id to \p P on first visit if it is renameable.

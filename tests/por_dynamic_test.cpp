@@ -21,8 +21,11 @@
 #include "structures/PairSnapshot.h"
 #include "structures/SpanTree.h"
 #include "structures/Suite.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
+
+#include <array>
 
 using namespace fcsl;
 
@@ -333,8 +336,8 @@ TEST(PorDynamicTest, PinsExactDynamicCounters) {
 
 TEST(PorDynamicTest, ClosureWalksReadTheEnvRows) {
   // A closure walks from each state's env row to the rows of its posts,
-  // the table plain expansion reads; only plain expansion counts row hits,
-  // and it never runs under POR.
+  // the table plain expansion and expandPor read; only plain expansion
+  // counts row hits, and it never runs under POR.
   FcSetup S = makeFcSetup();
   S.Opts.Por = PorMode::Dynamic;
   PorStats Before = porStats();
@@ -349,8 +352,12 @@ TEST(PorDynamicTest, ClosureWalksReadTheEnvRows) {
   EXPECT_EQ(After.BacktrackPoints - Before.BacktrackPoints, 1895u);
   EXPECT_EQ(After.SleepHits - Before.SleepHits, 701u);
   EXPECT_EQ(After.FullExpansions - Before.FullExpansions, 2317u);
+  // Static POR takes its env candidates from the rows too, with the
+  // counters it had when it enumerated them per configuration.
   S.Opts.Por = PorMode::On;
-  EXPECT_EQ(explore(S.Main, S.Initial, S.Opts).EnvRowEntries, 0u);
+  const PinnedCounts Static{2520, 1773, 3630, 2884, 0, 0, 3131, 936, 611};
+  EXPECT_EQ(countsOf(S.Main, S.Initial, S.Opts), Static);
+  EXPECT_GT(explore(S.Main, S.Initial, S.Opts).EnvRowEntries, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -492,4 +499,61 @@ TEST(PorDynamicTest, ComposesWithSymmetryAndShards) {
   EXPECT_EQ(Local.Safe, Sharded.Safe);
   EXPECT_TRUE(sameTerminals(Local, Sharded));
   EXPECT_EQ(Local.ConfigsExplored, Sharded.ConfigsExplored);
+}
+
+//===----------------------------------------------------------------------===//
+// The reduced corpus: every `fcsl-verify verify all` session at one job,
+// with the counters the engine produced before its reduced expansion read
+// the env rows. Exploration work, POR effort and symmetry effort are all
+// pinned, so a change to how the reduced expansion is computed cannot
+// move any of them unnoticed.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+// {configs, action steps, env steps, dedup hits, races, backtracks,
+//  wakeup replays, sleep hits, full expansions, orbit lookups,
+//  canonicalized, pointer-renamed}, summed over every obligation.
+using CorpusCounts = std::array<uint64_t, 12>;
+
+CorpusCounts corpusCounts(PorMode Por, SymMode Sym) {
+  // The effort counters vary with the schedule at more than one job.
+  setDefaultJobs(1);
+  const ResolvedModes Modes{Por, Sym, cache::CacheMode::Off};
+  PorStats P0 = porStats();
+  SymmetryStats S0 = symmetryStats();
+  EngineCounters Work;
+  for (const CaseEntry &Case : allVerifiableSessions()) {
+    VerificationSession Session = Case.MakeSession();
+    for (const ProofUnit &U : Session.units()) {
+      ObligationResult R = U.Run(Modes);
+      EXPECT_TRUE(R.Passed) << Case.Name << ": " << U.Name << ": " << R.Note;
+      Work += R.Counters;
+    }
+  }
+  PorStats P1 = porStats();
+  SymmetryStats S1 = symmetryStats();
+  return {Work.Configs,
+          Work.ActionSteps,
+          Work.EnvSteps,
+          Work.DedupHits,
+          P1.RacesDetected - P0.RacesDetected,
+          P1.BacktrackPoints - P0.BacktrackPoints,
+          P1.WakeupReplays - P0.WakeupReplays,
+          P1.SleepHits - P0.SleepHits,
+          P1.FullExpansions - P0.FullExpansions,
+          S1.Lookups - S0.Lookups,
+          S1.Changed - S0.Changed,
+          S1.Renames - S0.Renames};
+}
+
+} // namespace
+
+TEST(PorDynamicTest, PinsTheReducedCorpus) {
+  const CorpusCounts DynamicSym{9445, 5384, 11909, 6018, 3405, 4398,
+                                1147, 1680, 5863,  15034, 27, 4};
+  EXPECT_EQ(corpusCounts(PorMode::Dynamic, SymMode::On), DynamicSym);
+  const CorpusCounts Static{10038, 5618, 13119, 6869, 0, 0,
+                            1247,  2181, 7962,  0,    0, 0};
+  EXPECT_EQ(corpusCounts(PorMode::On, SymMode::Off), Static);
 }

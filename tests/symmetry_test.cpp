@@ -306,6 +306,74 @@ TEST(SymmetryTest, AsymmetricSiblingsAreLeftAlone) {
   EXPECT_EQ(Full.ConfigsExplored, Canon.ConfigsExplored);
 }
 
+TEST(SymmetryTest, EnvSentinelIsNeverRenamed) {
+  // A thread binds a token pointer that names no cell, then allocates a
+  // fresh cell and reads. Before the allocation the state has no fresh
+  // cells, so canonicalization skips the renaming walk; after it the walk
+  // renames the cell. The token sits in the thread's env throughout and
+  // comes back as the result, never renamed.
+  CounterWorld W = makeCounterWorld();
+  const Ptr Token = Ptr(42);
+  const Ptr Fresh = Ptr(9);
+  ActionRef MakeToken = makeAction(
+      "token", W.C, 0,
+      [Token](const View &Pre, const std::vector<Val> &)
+          -> std::optional<std::vector<ActOutcome>> {
+        return std::vector<ActOutcome>{{Val::ofPtr(Token), Pre}};
+      });
+  ActionRef Alloc = makeAction(
+      "alloc", W.C, 0,
+      [Fresh](const View &Pre, const std::vector<Val> &)
+          -> std::optional<std::vector<ActOutcome>> {
+        View Post = Pre;
+        Heap Joint = Pre.joint(Ct);
+        Joint.insert(Fresh, Val::ofInt(5));
+        Post.setJoint(Ct, std::move(Joint));
+        return std::vector<ActOutcome>{{Val::unit(), std::move(Post)}};
+      });
+  ProgRef Main = Prog::bind(
+      Prog::act(MakeToken, {}), "t",
+      Prog::bind(Prog::act(Alloc, {}), "_",
+                 Prog::bind(Prog::act(W.Read, {}), "_",
+                            Prog::ret(Expr::var("t")))));
+  EngineOptions Opts = optsFor(W);
+  Opts.Symmetry = SymMode::On;
+  SymmetryStats Before = symmetryStats();
+  RunResult R = explore(Main, counterState(), Opts);
+  SymmetryStats After = symmetryStats();
+  ASSERT_TRUE(R.complete()) << R.FailureNote;
+  ASSERT_EQ(R.Terminals.size(), 1u);
+  const Terminal &T = R.Terminals.front();
+  EXPECT_EQ(T.Result, Val::ofPtr(Token));
+  // &1 is pinned (initial state) and &42 is avoided (a seen non-cell
+  // name), so the fresh cell takes canonical id 2.
+  EXPECT_EQ(T.FinalView.joint(Ct).tryLookup(Fresh), nullptr);
+  ASSERT_NE(T.FinalView.joint(Ct).tryLookup(Ptr(2)), nullptr);
+  EXPECT_EQ(T.FinalView.joint(Ct).lookup(Ptr(2)), Val::ofInt(5));
+  EXPECT_EQ(After.Lookups - Before.Lookups, 5u);
+  EXPECT_EQ(After.Renames - Before.Renames, 1u);
+}
+
+TEST(SymmetryTest, TreiberStackPinsItsOrbitCounters) {
+  // The one session whose states hold fresh cells, under dynamic POR plus
+  // symmetry at one job; the counts are the ones the renaming walk
+  // produced when it ran on every lookup.
+  for (const CaseEntry &Case : allVerifiableSessions()) {
+    if (Case.Name != "Treiber stack")
+      continue;
+    SymmetryStats Before = symmetryStats();
+    SessionReport Report = Case.MakeSession().run(
+        {PorMode::Dynamic, SymMode::On, cache::CacheMode::Off}, /*Jobs=*/1);
+    SymmetryStats After = symmetryStats();
+    EXPECT_TRUE(Report.AllPassed);
+    EXPECT_EQ(After.Lookups - Before.Lookups, 143u);
+    EXPECT_EQ(After.Changed - Before.Changed, 9u);
+    EXPECT_EQ(After.Renames - Before.Renames, 4u);
+    return;
+  }
+  FAIL() << "no Treiber stack session";
+}
+
 //===----------------------------------------------------------------------===//
 // Canonical representatives are deterministic: idempotent across repeated
 // runs and independent of discovery order (job count, shard count).
@@ -413,6 +481,24 @@ TEST(PtrCanonTest, SentinelTokensAreNeverRenamed) {
   // numbering skips to 2.
   EXPECT_EQ(Canon.joint(Ct).lookup(ListSnt).getPtr(), Ptr(2));
   EXPECT_EQ(Canon.envSelf(Ct + 1).getPtrSet().count(Ptr(8000)), 1u);
+}
+
+TEST(PtrCanonTest, FreshCellsAreUnpinnedHeapCells) {
+  // The renameable domain is the unpinned cells of the state's heaps;
+  // pointers that only occur as values (the token set) do not count.
+  GlobalState GS = listState(Ptr(5), Ptr(3));
+  GS.addLabel(Ct + 1, PCMType::ptrSet(), Heap(),
+              PCMVal::ofPtrSet({Ptr(1), Ptr(8000)}), false);
+  EXPECT_TRUE(PtrCanon::hasFreshCells(GS, {ListSnt}));
+  EXPECT_TRUE(PtrCanon::hasFreshCells(GS, {ListSnt, Ptr(5)}));
+  EXPECT_FALSE(PtrCanon::hasFreshCells(GS, {ListSnt, Ptr(5), Ptr(3)}));
+  // A heap-valued PCM contribution is a heap too.
+  GlobalState Own;
+  Own.addLabel(Pv, PCMType::heap(), Heap(),
+               PCMVal::ofHeap(Heap::singleton(Ptr(6), Val::ofInt(0))),
+               false);
+  EXPECT_TRUE(PtrCanon::hasFreshCells(Own, {}));
+  EXPECT_FALSE(PtrCanon::hasFreshCells(Own, {Ptr(6)}));
 }
 
 TEST(PtrCanonTest, CanonicalFormsRoundTripThroughCodec) {
