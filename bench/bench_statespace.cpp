@@ -16,8 +16,6 @@
 
 #include "concurroid/Entangle.h"
 #include "concurroid/Priv.h"
-#include "dist/Coordinator.h"
-#include "dist/Wire.h"
 #include "structures/FlatCombiner.h"
 #include "structures/SpanTree.h"
 #include "support/Format.h"
@@ -75,29 +73,6 @@ uint64_t peakRssKb() {
   return static_cast<uint64_t>(Usage.ru_maxrss);
 }
 
-/// Peak resident set size across reaped children (the forked shard
-/// workers) in kilobytes.
-uint64_t childPeakRssKb() {
-  struct rusage Usage;
-  if (getrusage(RUSAGE_CHILDREN, &Usage) != 0)
-    return 0;
-  return static_cast<uint64_t>(Usage.ru_maxrss);
-}
-
-struct DistRow {
-  unsigned Shards = 0;
-  double Ms = 0.0;
-  uint64_t Configs = 0;
-  bool Identical = true; ///< terminals + verdict + counters match shards=1.
-  uint64_t ExchangedConfigs = 0;
-  uint64_t Batches = 0;
-  uint64_t Bytes = 0;
-  uint64_t ChildRssKb = 0;
-  uint64_t DictNodes = 0; ///< distinct nodes in all send dictionaries.
-  uint64_t DefBytes = 0;  ///< definition-stream bytes shipped.
-  uint64_t RefBytes = 0;  ///< reference-stream bytes shipped.
-};
-
 struct PorRow {
   std::string Graph;
   uint64_t ConfigsFull = 0;
@@ -127,15 +102,6 @@ struct SymRow {
   double MsCanonical = 0.0;
   uint64_t OrbitLookups = 0;
   bool Identical = true; ///< canonical terminals + verdict match the full run.
-};
-
-struct SymDistRow {
-  unsigned Shards = 0;
-  uint64_t ConfigsFull = 0;      ///< exchanged configs, symmetry off.
-  uint64_t ConfigsCanonical = 0; ///< exchanged configs, symmetry on.
-  uint64_t BytesFull = 0;        ///< exchanged bytes, symmetry off.
-  uint64_t BytesCanonical = 0;   ///< exchanged bytes, symmetry on.
-  bool Identical = true;
 };
 
 //===----------------------------------------------------------------------===//
@@ -477,84 +443,11 @@ int main() {
     std::printf("%s\n", DynTable.render().c_str());
   }
 
-  // Multi-process sharded exploration (src/dist/): shard sweep on
-  // diamond-2, checking bit-identity against the in-process run and
-  // recording the frontier-exchange volume per shard count.
-  std::printf("sharded exploration sweep, diamond-2:\n");
-  std::vector<DistRow> DistRows;
-  {
-    Heap G = diamondOf(2);
-    ProgRef Main = makeSpanRootProg(Case, Ptr(1));
-    EngineOptions Opts;
-    Opts.Ambient = Case.PrivOnly;
-    Opts.EnvInterference = false;
-    Opts.Defs = &Case.Defs;
-    Opts.Jobs = 1;
-    TextTable DistTable;
-    DistTable.setHeader({"shards", "configs", "time (ms)", "exchanged",
-                         "batches", "bytes", "dict nodes", "def B", "ref B",
-                         "child rss KB", "identical"});
-    for (unsigned I = 0; I <= 9; ++I)
-      DistTable.setRightAligned(I);
-    Timer TB;
-    RunResult Base = explore(Main, spanRootState(Case, G), Opts);
-    double BaseMs = TB.elapsedMs();
-    Ok &= Base.complete();
-    DistRows.push_back(DistRow{1, BaseMs, Base.ConfigsExplored, true, 0, 0,
-                               0, 0});
-    for (unsigned Shards : {2u, 4u}) {
-      dist::FleetStats Before = dist::fleetTotals();
-      Timer T;
-      RunResult R = dist::distributedExplore(Main, spanRootState(Case, G),
-                                             Opts, {}, Shards);
-      double Ms = T.elapsedMs();
-      dist::FleetStats After = dist::fleetTotals();
-      DistRow Row;
-      Row.Shards = Shards;
-      Row.Ms = Ms;
-      Row.Configs = R.ConfigsExplored;
-      Row.Identical = R.Safe == Base.Safe &&
-                      R.Exhausted == Base.Exhausted &&
-                      R.ConfigsExplored == Base.ConfigsExplored &&
-                      R.ActionSteps == Base.ActionSteps &&
-                      sameTerminals(R.Terminals, Base.Terminals);
-      Row.ExchangedConfigs = After.Configs - Before.Configs;
-      Row.Batches = After.Messages - Before.Messages;
-      Row.Bytes = After.Bytes - Before.Bytes;
-      // Max over THIS run's children (LastRun), not the process-lifetime
-      // high-water mark: the cumulative counter never decreases, so it
-      // reported the same value for every shard count in one process.
-      for (const dist::ShardExchange &S : After.LastRun) {
-        Row.ChildRssKb = std::max(Row.ChildRssKb, S.MaxRssKb);
-        Row.DictNodes += S.DictNodes;
-        Row.DefBytes += S.DictDefBytes;
-        Row.RefBytes += S.DictRefBytes;
-      }
-      Ok &= R.complete() && Row.Identical;
-      DistRows.push_back(Row);
-    }
-    for (const DistRow &R : DistRows)
-      DistTable.addRow({std::to_string(R.Shards),
-                        std::to_string(R.Configs),
-                        formatString("%.1f", R.Ms),
-                        std::to_string(R.ExchangedConfigs),
-                        std::to_string(R.Batches),
-                        std::to_string(R.Bytes),
-                        std::to_string(R.DictNodes),
-                        std::to_string(R.DefBytes),
-                        std::to_string(R.RefBytes),
-                        std::to_string(R.ChildRssKb),
-                        R.Identical ? "yes" : "NO"});
-    std::printf("%s\n", DistTable.render().c_str());
-  }
-
   // Symmetry reduction (DESIGN.md §11): orbit canonicalization of
-  // interchangeable incrementing siblings, full vs canonical exploration,
-  // plus the shard-exchange savings when canonical fingerprints own whole
-  // orbits. span_root rides along as the no-symmetry control.
+  // interchangeable incrementing siblings, full vs canonical exploration.
+  // span_root rides along as the no-symmetry control.
   std::printf("symmetry reduction, full vs canonical exploration:\n");
   std::vector<SymRow> SymRows;
-  std::vector<SymDistRow> SymDistRows;
   struct {
     uint64_t Configs = 0;
     double Ms = 0.0;
@@ -661,48 +554,6 @@ int main() {
                       SymRows[1].ConfigsCanonical),
                   AllOnRow.Ms, AllOnRow.Identical ? "yes" : "NO");
     }
-
-    // Shard exchange on the symmetric suite: canonical fingerprints give
-    // every orbit one owner, so fewer configs (and bytes) cross shard
-    // boundaries than under plain fingerprint ownership.
-    std::printf("shard exchange on counter-quad, plain vs canonical "
-                "fingerprints:\n");
-    TextTable SymDistTable;
-    SymDistTable.setHeader({"shards", "exch full", "exch canon",
-                            "bytes full", "bytes canon", "identical"});
-    for (unsigned I = 0; I <= 4; ++I)
-      SymDistTable.setRightAligned(I);
-    ProgRef Quad = symmetricIncrTree(W, 2);
-    for (unsigned Shards : {2u, 4u}) {
-      SymDistRow Row;
-      Row.Shards = Shards;
-      EngineOptions Opts = CtOpts;
-      Opts.Symmetry = SymMode::Off;
-      dist::FleetStats Before = dist::fleetTotals();
-      RunResult Full =
-          dist::distributedExplore(Quad, counterState(), Opts, {}, Shards);
-      dist::FleetStats Mid = dist::fleetTotals();
-      Opts.Symmetry = SymMode::On;
-      RunResult Canon =
-          dist::distributedExplore(Quad, counterState(), Opts, {}, Shards);
-      dist::FleetStats After = dist::fleetTotals();
-      Row.ConfigsFull = Mid.Configs - Before.Configs;
-      Row.ConfigsCanonical = After.Configs - Mid.Configs;
-      Row.BytesFull = Mid.Bytes - Before.Bytes;
-      Row.BytesCanonical = After.Bytes - Mid.Bytes;
-      Row.Identical = Full.Safe == Canon.Safe &&
-                      Full.Exhausted == Canon.Exhausted &&
-                      sameTerminals(Full.Terminals, Canon.Terminals);
-      Ok &= Full.complete() && Canon.complete() && Row.Identical;
-      SymDistRows.push_back(Row);
-      SymDistTable.addRow({std::to_string(Shards),
-                           std::to_string(Row.ConfigsFull),
-                           std::to_string(Row.ConfigsCanonical),
-                           std::to_string(Row.BytesFull),
-                           std::to_string(Row.BytesCanonical),
-                           Row.Identical ? "yes" : "NO"});
-    }
-    std::printf("%s\n", SymDistTable.render().c_str());
   }
 
   // Randomized simulation past the exhaustive frontier: the same model
@@ -852,28 +703,6 @@ int main() {
                    I + 1 == DynPorRows.size() ? "" : ",");
     }
     std::fprintf(F, "  ],\n");
-    std::fprintf(F, "  \"dist\": {\"graph\": \"diamond-2\", \"runs\": [\n");
-    for (size_t I = 0; I != DistRows.size(); ++I) {
-      const DistRow &R = DistRows[I];
-      std::fprintf(F,
-                   "    {\"shards\": %u, \"ms\": %.2f, \"configs\": %llu, "
-                   "\"exchanged_configs\": %llu, \"batches\": %llu, "
-                   "\"bytes\": %llu, \"dict_nodes\": %llu, "
-                   "\"def_bytes\": %llu, \"ref_bytes\": %llu, "
-                   "\"child_rss_kb\": %llu, \"identical\": %s}%s\n",
-                   R.Shards, R.Ms,
-                   static_cast<unsigned long long>(R.Configs),
-                   static_cast<unsigned long long>(R.ExchangedConfigs),
-                   static_cast<unsigned long long>(R.Batches),
-                   static_cast<unsigned long long>(R.Bytes),
-                   static_cast<unsigned long long>(R.DictNodes),
-                   static_cast<unsigned long long>(R.DefBytes),
-                   static_cast<unsigned long long>(R.RefBytes),
-                   static_cast<unsigned long long>(R.ChildRssKb),
-                   R.Identical ? "true" : "false",
-                   I + 1 == DistRows.size() ? "" : ",");
-    }
-    std::fprintf(F, "  ]},\n");
     std::fprintf(F, "  \"symmetry\": {\"suites\": [\n");
     for (size_t I = 0; I != SymRows.size(); ++I) {
       const SymRow &R = SymRows[I];
@@ -896,36 +725,17 @@ int main() {
     }
     std::fprintf(F,
                  "  ], \"all_on\": {\"suite\": \"counter-quad\", "
-                 "\"configs\": %llu, \"ms\": %.2f, \"identical\": %s},\n"
-                 "  \"dist\": {\"suite\": \"counter-quad\", "
-                 "\"runs\": [\n",
+                 "\"configs\": %llu, \"ms\": %.2f, \"identical\": %s}},\n",
                  static_cast<unsigned long long>(AllOnRow.Configs),
                  AllOnRow.Ms, AllOnRow.Identical ? "true" : "false");
-    for (size_t I = 0; I != SymDistRows.size(); ++I) {
-      const SymDistRow &R = SymDistRows[I];
-      std::fprintf(F,
-                   "    {\"shards\": %u, \"exchanged_full\": %llu, "
-                   "\"exchanged_canonical\": %llu, \"bytes_full\": %llu, "
-                   "\"bytes_canonical\": %llu, \"identical\": %s}%s\n",
-                   R.Shards,
-                   static_cast<unsigned long long>(R.ConfigsFull),
-                   static_cast<unsigned long long>(R.ConfigsCanonical),
-                   static_cast<unsigned long long>(R.BytesFull),
-                   static_cast<unsigned long long>(R.BytesCanonical),
-                   R.Identical ? "true" : "false",
-                   I + 1 == SymDistRows.size() ? "" : ",");
-    }
-    std::fprintf(F, "  ]}},\n");
     InternStats IS = internStats();
     std::fprintf(F,
                  "  \"memory\": {\"peak_rss_kb\": %llu, "
-                 "\"children_rss_kb\": %llu, "
                  "\"peak_visited_configs\": %llu, "
                  "\"peak_visited_bytes\": %llu, "
                  "\"intern_requests\": %llu, \"intern_nodes\": %llu, "
                  "\"dedup_ratio\": %.3f}\n",
                  static_cast<unsigned long long>(peakRssKb()),
-                 static_cast<unsigned long long>(childPeakRssKb()),
                  static_cast<unsigned long long>(peakVisitedNodes()),
                  static_cast<unsigned long long>(peakVisitedBytes()),
                  static_cast<unsigned long long>(IS.totalRequests()),

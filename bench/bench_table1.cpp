@@ -11,11 +11,10 @@
 // program-specific concurroid/actions/stability lemmas needed), and the
 // relative cost ordering of the programs.
 //
-// Each suite is discharged eight times — serially (Jobs=1), with parallel
+// Each suite is discharged seven times — serially (Jobs=1), with parallel
 // obligation discharge (Jobs=4), serially with static and with dynamic
-// partial-order reduction, serially under symmetry reduction, serially
-// with every exploration sharded across two worker processes (src/dist/),
-// and finally cold + warm against a fresh obligation store (src/cache/)
+// partial-order reduction, serially under symmetry reduction, and finally
+// cold + warm against a fresh obligation store (src/cache/)
 // — and then twice more through the verification service (src/service/).
 // Every cell but the two cold ones (a store is cold only once) runs five
 // times and records its median time, so one preempted run on a shared
@@ -25,14 +24,13 @@
 // an engine-backed daemon round-trip and a warm store-backed one, so the
 // client-observed request latency of both paths is tracked. All timings
 // land in BENCH_table1.json so the speedup from the multi-worker engine,
-// the state-space savings from the reductions, the frontier-exchange
-// cost of sharding, the replay win of the verdict cache, and the service
-// round-trip overhead are tracked across PRs.
+// the state-space savings from the reductions, the replay win of the
+// verdict cache, and the service round-trip overhead are tracked across
+// PRs.
 //
 //===----------------------------------------------------------------------===//
 
 #include "cache/Store.h"
-#include "dist/Coordinator.h"
 #include "prog/Engine.h"
 #include "service/Client.h"
 #include "service/Server.h"
@@ -60,7 +58,6 @@ struct ProgramRow {
   double ParallelMs = 0.0; ///< Jobs=4 discharge (the "after").
   double PorMs = 0.0;      ///< Jobs=1 discharge under static reduction.
   double DynPorMs = 0.0;   ///< Jobs=1 discharge under dynamic reduction.
-  double DistMs = 0.0;     ///< Jobs=1 discharge sharded across 2 workers.
   double SymMs = 0.0;      ///< Jobs=1 discharge under symmetry reduction.
   double ColdMs = 0.0;     ///< Jobs=1 discharge into an empty store.
   double WarmMs = 0.0;     ///< Jobs=1 replay against the populated store.
@@ -72,8 +69,6 @@ struct ProgramRow {
   uint64_t ConfigsReduced = 0; ///< configs explored under static POR.
   uint64_t ConfigsDynamic = 0; ///< configs explored under dynamic POR.
   uint64_t ConfigsCanonical = 0; ///< configs explored under symmetry.
-  uint64_t DistExchanged = 0;  ///< frontier configs exchanged when sharded.
-  uint64_t DistBytes = 0;      ///< wire bytes exchanged when sharded.
 };
 
 /// Runs per timed cell; the cell's time is their median.
@@ -128,8 +123,8 @@ int main() {
   TextTable Table;
   Table.setHeader({"Program", "Libs", "Conc", "Acts", "Stab", "Main",
                    "Total", "Checks", "Jobs=1", "Jobs=4", "POR",
-                   "DynPOR", "Symm", "Shards=2", "Warm", "AllOn"});
-  for (unsigned I = 1; I <= 15; ++I)
+                   "DynPOR", "Symm", "Warm", "AllOn"});
+  for (unsigned I = 1; I <= 14; ++I)
     Table.setRightAligned(I);
 
   bool AllPassed = true;
@@ -139,7 +134,6 @@ int main() {
   double ParallelTotalMs = 0;
   double PorTotalMs = 0;
   double DynPorTotalMs = 0;
-  double DistTotalMs = 0;
   double SymTotalMs = 0;
   uint64_t ConfigsFullTotal = 0;
   uint64_t ConfigsReducedTotal = 0;
@@ -151,8 +145,6 @@ int main() {
   double AllOnColdTotalMs = 0;
   double AllOnWarmTotalMs = 0;
   const unsigned ParJobs = 4;
-  const unsigned DistShards = 2;
-  dist::installDistributedEngine();
 
   // A throwaway store directory so the bench never reads a stale verdict
   // from a previous run — the cold/warm pair measures this binary only.
@@ -207,19 +199,6 @@ int main() {
                  Sym.Report.totalObligations() == Report.totalObligations();
     SymTotalMs += Sym.Ms;
     ConfigsCanonicalTotal += Sym.Configs;
-
-    // Serial discharge once more with every exploration sharded across
-    // two worker processes: verdicts must agree; the exchange volume (a
-    // mean over the repeats) is the cost of the partitioning.
-    setDefaultShards(DistShards);
-    dist::FleetStats Fleet0 = dist::fleetTotals();
-    Cell Sh = runCell(Case, /*Jobs=*/1, "shards", Failures);
-    dist::FleetStats Fleet1 = dist::fleetTotals();
-    setDefaultShards(0);
-    AllPassed &= Sh.Report.AllPassed == Report.AllPassed &&
-                 Sh.Report.totalObligations() == Report.totalObligations() &&
-                 Sh.Report.totalChecks() == Report.totalChecks();
-    DistTotalMs += Sh.Ms;
 
     // Cold + warm against the obligation store: the cold run discharges
     // and appends, every warm rerun must replay every verdict from disk.
@@ -279,17 +258,14 @@ int main() {
                   formatString("%.0f ms", Por.Ms),
                   formatString("%.0f ms", DynPor.Ms),
                   formatString("%.0f ms", Sym.Ms),
-                  formatString("%.0f ms", Sh.Ms),
                   formatString("%.0f ms", Warm.Ms),
                   formatString("%.0f ms", AllOn.Ms)});
     Rows.push_back(ProgramRow{Report.Program, Report.totalObligations(),
                               Report.totalChecks(), Serial.Ms, Par.Ms,
-                              Por.Ms, DynPor.Ms, Sh.Ms, Sym.Ms, Cold.Ms,
-                              Warm.Ms, WarmHits, AllOnCold.Ms, AllOn.Ms,
-                              AllOnHits, Serial.Configs, Por.Configs,
-                              DynPor.Configs, Sym.Configs,
-                              (Fleet1.Configs - Fleet0.Configs) / Repeats,
-                              (Fleet1.Bytes - Fleet0.Bytes) / Repeats});
+                              Por.Ms, DynPor.Ms, Sym.Ms, Cold.Ms, Warm.Ms,
+                              WarmHits, AllOnCold.Ms, AllOn.Ms, AllOnHits,
+                              Serial.Configs, Por.Configs, DynPor.Configs,
+                              Sym.Configs});
   }
 
   // Reduction floors the symmetry layer must hold (DESIGN.md §11): the
@@ -311,11 +287,10 @@ int main() {
   std::printf("%s\n", Table.render().c_str());
   std::printf("total verification time: %.1f ms serial, %.1f ms at "
               "%u jobs, %.1f ms serial with partial-order reduction "
-              "(%.1f ms dynamic), %.1f ms under symmetry reduction, "
-              "%.1f ms sharded over %u worker processes "
+              "(%.1f ms dynamic), %.1f ms under symmetry reduction "
               "(paper: 27m31s of Coq compilation on a 2.7 GHz Core i7)\n",
               SerialTotalMs, ParallelTotalMs, ParJobs, PorTotalMs,
-              DynPorTotalMs, SymTotalMs, DistTotalMs, DistShards);
+              DynPorTotalMs, SymTotalMs);
   std::printf("obligation cache: %.1f ms cold (discharge + store), "
               "%.1f ms warm (%llu verdicts replayed from the store)\n",
               ColdTotalMs, WarmTotalMs,
@@ -423,8 +398,6 @@ int main() {
                    "\"dynpor_ratio\": %.3f, "
                    "\"symmetry_ms\": %.2f, \"configs_canonical\": %llu, "
                    "\"orbit_ratio\": %.3f, "
-                   "\"dist_ms\": %.2f, \"dist_exchanged_configs\": %llu, "
-                   "\"dist_bytes\": %llu, "
                    "\"cache_cold_ms\": %.2f, \"cache_warm_ms\": %.2f, "
                    "\"cache_hits\": %llu, "
                    "\"allon_cold_ms\": %.2f, \"allon_warm_ms\": %.2f, "
@@ -448,9 +421,6 @@ int main() {
                    R.ConfigsFull
                        ? double(R.ConfigsCanonical) / double(R.ConfigsFull)
                        : 1.0,
-                   R.DistMs,
-                   static_cast<unsigned long long>(R.DistExchanged),
-                   static_cast<unsigned long long>(R.DistBytes),
                    R.ColdMs, R.WarmMs,
                    static_cast<unsigned long long>(R.CacheHits),
                    R.AllOnColdMs, R.AllOnWarmMs,
@@ -458,18 +428,6 @@ int main() {
                    I + 1 == Rows.size() ? "" : ",");
     }
     std::fprintf(F, "  ],\n");
-    dist::FleetStats Fleet = dist::fleetTotals();
-    std::fprintf(F,
-                 "  \"dist\": {\"shards\": %u, \"ms\": %.2f, "
-                 "\"fleets\": %llu, \"exchanged_configs\": %llu, "
-                 "\"batches\": %llu, \"bytes\": %llu, "
-                 "\"child_rss_kb_max\": %llu},\n",
-                 DistShards, DistTotalMs,
-                 static_cast<unsigned long long>(Fleet.Fleets),
-                 static_cast<unsigned long long>(Fleet.Configs),
-                 static_cast<unsigned long long>(Fleet.Messages),
-                 static_cast<unsigned long long>(Fleet.Bytes),
-                 static_cast<unsigned long long>(Fleet.ChildRssKbMax));
     SymmetryStats Orbit = symmetryStats();
     std::fprintf(F,
                  "  \"symmetry\": {\"ms\": %.2f, \"configs_full\": %llu, "
@@ -518,14 +476,14 @@ int main() {
                  "  \"total\": {\"serial_ms\": %.2f, \"parallel_ms\": "
                  "%.2f, \"speedup\": %.3f, \"por_ms\": %.2f, "
                  "\"dynpor_ms\": %.2f, "
-                 "\"symmetry_ms\": %.2f, \"dist_ms\": %.2f, "
+                 "\"symmetry_ms\": %.2f, "
                  "\"configs_full\": %llu, \"configs_reduced\": %llu, "
                  "\"por_ratio\": %.3f, \"configs_dynamic\": %llu, "
                  "\"dynpor_ratio\": %.3f}\n}\n",
                  SerialTotalMs, ParallelTotalMs,
                  ParallelTotalMs > 0 ? SerialTotalMs / ParallelTotalMs
                                      : 1.0,
-                 PorTotalMs, DynPorTotalMs, SymTotalMs, DistTotalMs,
+                 PorTotalMs, DynPorTotalMs, SymTotalMs,
                  static_cast<unsigned long long>(ConfigsFullTotal),
                  static_cast<unsigned long long>(ConfigsReducedTotal),
                  ConfigsFullTotal

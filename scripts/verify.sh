@@ -26,7 +26,8 @@
 #      traces are rendered through parent nodes, so a handle that outlives
 #      its table or a stale private copy would show up there.
 #      The decoders must stay fail-soft: malformed frames, including the
-#      retired tag-2 frontier batch, are rejected and never crash.
+#      retired tags 2 to 7 of the sharded exploration, are rejected and
+#      never crash.
 #   4. Jobs: the plain engine's report (fcsl-verify --cache=off verify
 #      all, every reduction off) at --jobs 4 must equal the --jobs 1
 #      report, timings stripped. The workers share one exploration's
@@ -43,44 +44,34 @@
 #      on any divergence in verdicts or terminal states, at 1 and 4 jobs.
 #      The dynamic mode (--por=check-dynamic: ample sets licensed by
 #      observed footprints and the env-future closure) gets the same
-#      oracle, alone, composed with symmetry reduction (one oracle checks
-#      both reductions together, also at 4 jobs, where the workers share
-#      the env rows their closure walks read), and composed with sharding.
+#      oracle, alone and composed with symmetry reduction (one oracle
+#      checks both reductions together, also at 4 jobs, where the workers
+#      share the env rows their closure walks read).
 #   6. Symmetry: fcsl-verify --symmetry=on must report the same verdicts
 #      and obligation counts as --symmetry=off (per-config check counts
 #      shrink — that is the reduction), and --symmetry=check — the same
 #      oracle with the canonical space as the reduced run, comparing
-#      terminals modulo fresh-pointer renaming — must pass alone,
+#      terminals modulo fresh-pointer renaming — must pass alone and
 #      composed with static and dynamic POR (--por=check-dynamic: still
-#      two explorations, the plain engine against both reductions), and
-#      composed with sharding.
-#   7. Shards: fcsl-verify --shards=2 verify all must print the same
-#      report as --shards=1 (modulo timings), with POR off and on — the
-#      multi-process partitioned exploration (src/dist/) is bit-identical
-#      to the in-process engine. --shards=3 with POR off must match too:
-#      there one owner receives from two senders, so duplicate configs
-#      reach it along two paths and only its own dedup stands between
-#      them and the counters (the hub relays every config). --jobs 2
-#      --shards=2 must match --shards=1 as well: there each shard runs a
-#      two-worker team whose worker 0 also pumps the transport, the one
-#      worker loop's multi-worker shard path. Frontier frames between
-#      shards use the dictionary-streamed protocol, the only wire
-#      encoding.
-#   8. Cache: a cold run against an empty obligation store and a warm
+#      two explorations, the plain engine against both reductions).
+#   7. Cache: a cold run#   8. Cache: a cold run against an empty obligation store and a warm
 #      rerun must print byte-identical reports (modulo timings), the warm
 #      run must be 100% hits, and --cache=check — which re-discharges
 #      every hit and compares the stored verdict against the fresh one —
-#      must pass alone and composed with POR, symmetry, and sharding.
-#   9. Service: fcsl-serve on a temp socket serves every Table-1 session
+#      must pass alone and composed with POR and symmetry.
+#   8. Service: fcsl-serve on a temp socket serves every Table-1 session
 #      to fcsl-client cold and warm under --por=dynamic --symmetry=on;
 #      both passes must print the same report as a direct fcsl-verify run
 #      (modulo timings), the warm pass must be 100% fast-path serves with
 #      zero additional engine sessions (asserted from the daemon's stats
 #      frame), and a client Shutdown must exit the daemon cleanly.
+#   9. Perfbench: python3 perfbench/run.py --self-test builds the
+#      repository benchmark against src/ and runs its own checks, so a
+#      change that breaks a name the benchmark links against fails here
+#      rather than in a benchmark run.
 #
 # Usage: scripts/verify.sh [--no-tsan] [--no-asan] [--no-por]
-#                          [--no-symmetry] [--no-shards] [--no-cache]
-#                          [--no-service]
+#                          [--no-symmetry] [--no-cache] [--no-service]
 #
 #===----------------------------------------------------------------------===#
 
@@ -91,7 +82,6 @@ RUN_TSAN=1
 RUN_ASAN=1
 RUN_POR=1
 RUN_SYMMETRY=1
-RUN_SHARDS=1
 RUN_CACHE=1
 RUN_SERVICE=1
 for Arg in "$@"; do
@@ -100,7 +90,6 @@ for Arg in "$@"; do
     --no-asan) RUN_ASAN=0 ;;
     --no-por) RUN_POR=0 ;;
     --no-symmetry) RUN_SYMMETRY=0 ;;
-    --no-shards) RUN_SHARDS=0 ;;
     --no-cache) RUN_CACHE=0 ;;
     --no-service) RUN_SERVICE=0 ;;
     *) echo "unknown flag: $Arg" >&2; exit 2 ;;
@@ -198,7 +187,7 @@ if [[ "$RUN_POR" == 1 ]]; then
   echo "== por: dynamic (observed-footprint) oracle =="
   # check-dynamic runs the plain engine vs the dynamically-reduced
   # exploration and fails on any divergence; it must also hold composed
-  # with symmetry reduction and with the multi-process sharded engine.
+  # with symmetry reduction.
   for Jobs in 1 4; do
     ./build/tools/fcsl-verify --jobs "$Jobs" --por=check-dynamic verify all
   done
@@ -206,7 +195,6 @@ if [[ "$RUN_POR" == 1 ]]; then
   # Four workers share one exploration's env rows and closure memo.
   ./build/tools/fcsl-verify --jobs 4 --por=check-dynamic --symmetry=on \
     verify all
-  ./build/tools/fcsl-verify --por=check-dynamic --shards=2 verify all
 fi
 
 if [[ "$RUN_SYMMETRY" == 1 ]]; then
@@ -218,7 +206,7 @@ if [[ "$RUN_SYMMETRY" == 1 ]]; then
   # column is stripped along with timings. The oracle — which explores
   # each state space on the plain engine and reduced, and compares
   # verdicts, exhaustion, and terminal sets — must pass composed with
-  # POR and with sharding.
+  # POR.
   NormalizeSym='s/[0-9]+\.[0-9]+//g; s/^([A-Za-z]+ +[0-9]+ +)[0-9]+/\1/; s/ +/ /g; s/-+/-/g; s/ +$//'
   ./build/tools/fcsl-verify --symmetry=off verify all \
     | sed -E "$NormalizeSym" > build/verify-sym-off.txt
@@ -232,44 +220,6 @@ if [[ "$RUN_SYMMETRY" == 1 ]]; then
   # Both check modes in one run: one oracle per exploration, the plain
   # engine against dynamic POR and symmetry composed.
   ./build/tools/fcsl-verify --symmetry=check --por=check-dynamic verify all
-  # Composed with the multi-process engine: canonical fingerprints must
-  # partition identically across shards.
-  ./build/tools/fcsl-verify --symmetry=check --shards=2 verify all
-  ./build/tools/fcsl-verify --symmetry=check --por=check-dynamic --shards=2 \
-    verify all
-fi
-
-if [[ "$RUN_SHARDS" == 1 ]]; then
-  echo "== shards: sharded vs in-process (por off/on at 2 shards, off at 3, 2 jobs at 2) =="
-  cmake --build build -j "$(nproc)" --target fcsl-verify
-  # The report must be byte-identical once timings (and the column
-  # padding they widen) are stripped.
-  Normalize='s/[0-9]+\.[0-9]+//g; s/ +/ /g; s/-+/-/g; s/ +$//'
-  for Por in off on; do
-    ./build/tools/fcsl-verify --por="$Por" --shards=1 verify all \
-      | sed -E "$Normalize" > build/verify-shards-1.txt
-    ./build/tools/fcsl-verify --por="$Por" --shards=2 verify all \
-      | sed -E "$Normalize" > build/verify-shards-2.txt
-    diff build/verify-shards-1.txt build/verify-shards-2.txt \
-      || { echo "shards=2 diverged from shards=1 (por=$Por)" >&2; exit 1; }
-    echo "   por=$Por: shards=2 identical to shards=1"
-  done
-  # Three shards: an owner with two senders gets the duplicates both of
-  # them ship, and must count each as the in-process engine does.
-  ./build/tools/fcsl-verify --por=off --shards=1 verify all \
-    | sed -E "$Normalize" > build/verify-shards-1.txt
-  ./build/tools/fcsl-verify --por=off --shards=3 verify all \
-    | sed -E "$Normalize" > build/verify-shards-3.txt
-  diff build/verify-shards-1.txt build/verify-shards-3.txt \
-    || { echo "shards=3 diverged from shards=1 (por=off)" >&2; exit 1; }
-  echo "   por=off: shards=3 identical to shards=1"
-  # Two workers per shard: worker 0 pumps the transport between
-  # expansions while worker 1 explores beside it.
-  ./build/tools/fcsl-verify --por=off --jobs 2 --shards=2 verify all \
-    | sed -E "$Normalize" > build/verify-shards-2j.txt
-  diff build/verify-shards-1.txt build/verify-shards-2j.txt \
-    || { echo "jobs=2 shards=2 diverged from shards=1" >&2; exit 1; }
-  echo "   por=off: jobs=2 shards=2 identical to shards=1"
 fi
 
 if [[ "$RUN_CACHE" == 1 ]]; then
@@ -297,15 +247,15 @@ if [[ "$RUN_CACHE" == 1 ]]; then
     || { echo "warm run replayed zero obligations" >&2; exit 1; }
   echo "   warm run replayed all ${BASH_REMATCH[1]} obligations from the store"
   # Check mode re-discharges every hit and fails loudly on divergence —
-  # alone, then composed with dynamic POR + symmetry + sharding (warming
-  # the store under the composed flag fingerprint first, since records
-  # are keyed by the resolved engine flags).
+  # alone, then composed with dynamic POR + symmetry (warming the store
+  # under the composed flag fingerprint first, since records are keyed by
+  # the resolved engine flags).
   FCSL_CACHE_DIR="$CacheDir" ./build/tools/fcsl-verify --cache=check verify all
   FCSL_CACHE_DIR="$CacheDir" ./build/tools/fcsl-verify --cache=rw \
-    --por=dynamic --symmetry=on --shards=2 verify all >/dev/null
+    --por=dynamic --symmetry=on verify all >/dev/null
   FCSL_CACHE_DIR="$CacheDir" ./build/tools/fcsl-verify --cache=check \
-    --por=dynamic --symmetry=on --shards=2 verify all
-  echo "   cache=check clean, alone and under por=dynamic symmetry=on shards=2"
+    --por=dynamic --symmetry=on verify all
+  echo "   cache=check clean, alone and under por=dynamic symmetry=on"
 fi
 
 if [[ "$RUN_SERVICE" == 1 ]]; then
@@ -354,5 +304,8 @@ if [[ "$RUN_SERVICE" == 1 ]]; then
   ServePid=""
   echo "   daemon drained and exited cleanly"
 fi
+
+echo "== perfbench: self-test against this tree =="
+python3 perfbench/run.py --self-test
 
 echo "== verify.sh: all stages passed =="

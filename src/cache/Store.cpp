@@ -105,7 +105,6 @@ bool Store::open(const std::string &LogPath, bool Writable) {
   Path = LogPath;
   Index.clear();
   Contents.clear();
-  Pending.clear();
   if (OutFd >= 0) {
     ::close(OutFd);
     OutFd = -1;
@@ -196,26 +195,14 @@ bool Store::hasContent(uint64_t Content) const {
 
 void Store::append(const CacheRecord &R) {
   std::lock_guard<std::mutex> Lock(M);
-  appendLocked(R, /*TrackPending=*/true);
-}
-
-size_t Store::merge(const std::vector<CacheRecord> &Records) {
-  std::lock_guard<std::mutex> Lock(M);
-  size_t Fresh = 0;
-  for (const CacheRecord &R : Records) {
-    if (Index.count(R.Key))
-      continue;
-    appendLocked(R, /*TrackPending=*/true);
-    ++Fresh;
+  auto Ins = Index.emplace(R.Key, R);
+  if (!Ins.second)
+    return; // first verdict wins.
+  Contents.insert(R.Key.Content);
+  if (OutFd >= 0) {
+    std::lock_guard<std::mutex> PathLock(pathStripe(Path));
+    writeRecord(R);
   }
-  return Fresh;
-}
-
-std::vector<CacheRecord> Store::drainPending() {
-  std::lock_guard<std::mutex> Lock(M);
-  std::vector<CacheRecord> Out;
-  Out.swap(Pending);
-  return Out;
 }
 
 size_t Store::records() const {
@@ -231,19 +218,6 @@ uint64_t Store::fileBytes() const {
   if (::stat(Path.c_str(), &St) != 0)
     return 0;
   return static_cast<uint64_t>(St.st_size);
-}
-
-void Store::appendLocked(const CacheRecord &R, bool TrackPending) {
-  auto Ins = Index.emplace(R.Key, R);
-  if (!Ins.second)
-    return; // first verdict wins.
-  Contents.insert(R.Key.Content);
-  if (TrackPending)
-    Pending.push_back(R);
-  if (OutFd >= 0) {
-    std::lock_guard<std::mutex> PathLock(pathStripe(Path));
-    writeRecord(R);
-  }
 }
 
 void Store::writeRecord(const CacheRecord &R) {

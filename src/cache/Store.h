@@ -134,20 +134,11 @@ public:
   /// construction unless the corpus is non-deterministic).
   void append(const CacheRecord &R);
 
-  /// Merges a batch of records (e.g. a CacheDelta from a shard fleet);
-  /// returns how many were new to this store.
-  size_t merge(const std::vector<CacheRecord> &Records);
-
-  /// Records appended or merged into this store since the last drain —
-  /// the payload a worker ships to its coordinator as a CacheDelta.
-  std::vector<CacheRecord> drainPending();
-
   size_t records() const;
   uint64_t fileBytes() const; ///< current size of the log file (0 if none).
   const std::string &path() const { return Path; }
 
 private:
-  void appendLocked(const CacheRecord &R, bool TrackPending);
   void writeRecord(const CacheRecord &R);
 
   mutable std::mutex M;
@@ -155,7 +146,6 @@ private:
   int OutFd = -1; ///< O_APPEND log descriptor when writable.
   std::map<ObligationKey, CacheRecord> Index;
   std::set<uint64_t> Contents; ///< every indexed Content fingerprint.
-  std::vector<CacheRecord> Pending;
 };
 
 /// Sets the process-default CacheMode used when a session runs (exposed as

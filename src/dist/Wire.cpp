@@ -1,4 +1,4 @@
-//===- dist/Wire.cpp - Frame protocol for sharded exploration --------------===//
+//===- dist/Wire.cpp - Frame protocol of the verification service ----------===//
 //
 // Part of fcsl-cpp. See Wire.h for the interface and frame layout.
 //
@@ -13,13 +13,16 @@ void dist::setDistCompress(bool) {}
 
 namespace {
 
-/// The tag of the retired standalone frontier batch (see MsgType).
-constexpr uint8_t RetiredBatchTag = 2;
+/// The tags of the retired sharded exploration's frames (see MsgType).
+bool retiredTag(uint8_t Tag) {
+  return Tag > static_cast<uint8_t>(MsgType::Hello) &&
+         Tag < static_cast<uint8_t>(MsgType::SubmitSession);
+}
 
 /// A tag decodeFrame has a body layout for.
 bool knownTag(uint8_t Tag) {
   return Tag >= static_cast<uint8_t>(MsgType::Hello) &&
-         Tag <= MaxKnownMsgTag && Tag != RetiredBatchTag;
+         Tag <= MaxKnownMsgTag && !retiredTag(Tag);
 }
 
 Encoder startFrame(MsgType T) {
@@ -40,98 +43,11 @@ std::vector<uint8_t> finishFrame(Encoder &&E) {
   return Frame;
 }
 
-void encodeBlob(Encoder &E, const std::vector<uint8_t> &Blob) {
-  E.u32(static_cast<uint32_t>(Blob.size()));
-  for (uint8_t B : Blob)
-    E.u8(B);
-}
-
-std::vector<uint8_t> decodeBlob(Decoder &D) {
-  std::string S = D.str();
-  return std::vector<uint8_t>(S.begin(), S.end());
-}
-
 } // namespace
 
 std::vector<uint8_t> dist::frameHello(const HelloMsg &M) {
   Encoder E = startFrame(MsgType::Hello);
-  E.u32(M.ShardId);
-  return finishFrame(std::move(E));
-}
-
-std::vector<uint8_t> dist::frameBatch(const FrontierBatchMsg &M) {
-  Encoder E = startFrame(MsgType::FrontierBatchDict);
-  E.u32(M.Dest);
-  E.u32(M.Src);
-  E.u32(static_cast<uint32_t>(M.Configs.size()));
-  for (size_t I = 0, N = M.Configs.size(); I != N; ++I)
-    E.u64(I < M.Fps.size() ? M.Fps[I] : 0);
-  encodeBlob(E, M.Defs);
-  for (const std::vector<uint8_t> &C : M.Configs)
-    encodeBlob(E, C);
-  return finishFrame(std::move(E));
-}
-
-std::vector<uint8_t> dist::frameStats(const StatsReportMsg &M) {
-  Encoder E = startFrame(MsgType::StatsReport);
-  E.u32(M.ShardId);
-  E.u8(M.Idle);
-  E.u8(M.Failed);
-  E.u8(M.Exhausted);
-  E.u64(M.Expanded);
-  E.u64(M.SentConfigs);
-  E.u64(M.RecvConfigs);
-  E.u64(M.SentBatches);
-  E.u64(M.SentBytes);
-  E.u64(M.SuppressedSends);
-  return finishFrame(std::move(E));
-}
-
-std::vector<uint8_t> dist::frameDrain(const DrainMsg &M) {
-  Encoder E = startFrame(MsgType::Drain);
-  E.u8(M.Exhausted);
-  return finishFrame(std::move(E));
-}
-
-std::vector<uint8_t> dist::frameVerdict(const VerdictMsg &M) {
-  Encoder E = startFrame(MsgType::Verdict);
-  E.u32(M.ShardId);
-  E.u8(M.Safe);
-  E.u8(M.Exhausted);
-  E.str(M.FailureNote);
-  E.u32(static_cast<uint32_t>(M.FailureTrace.size()));
-  for (const std::string &S : M.FailureTrace)
-    E.str(S);
-  E.u32(static_cast<uint32_t>(M.Terminals.size()));
-  for (const Terminal &T : M.Terminals) {
-    encode(E, T.Result);
-    encode(E, T.FinalView);
-  }
-  E.u64(M.ConfigsExplored);
-  E.u64(M.ActionSteps);
-  E.u64(M.EnvSteps);
-  E.u64(M.DedupHits);
-  E.u64(M.VisitedNodes);
-  E.u64(M.VisitedBytes);
-  E.u64(M.FrontierAtAbort);
-  E.u64(M.SentConfigs);
-  E.u64(M.RecvConfigs);
-  E.u64(M.SentBatches);
-  E.u64(M.SentBytes);
-  E.u64(M.SuppressedSends);
-  E.u64(M.DictNodes);
-  E.u64(M.DictDefBytes);
-  E.u64(M.DictRefBytes);
-  return finishFrame(std::move(E));
-}
-
-std::vector<uint8_t> dist::frameCacheDelta(const CacheDeltaMsg &M) {
-  Encoder E = startFrame(MsgType::CacheDelta);
-  E.u32(M.ShardId);
-  E.u32(cache::CacheRecordVersion);
-  E.u32(static_cast<uint32_t>(M.Records.size()));
-  for (const cache::CacheRecord &R : M.Records)
-    cache::encode(E, R);
+  E.u32(M.Id);
   return finishFrame(std::move(E));
 }
 
@@ -218,79 +134,8 @@ std::optional<WireMsg> dist::decodeFrame(const std::vector<uint8_t> &Payload) {
   M.Type = static_cast<MsgType>(Tag);
   switch (M.Type) {
   case MsgType::Hello:
-    M.Hello.ShardId = D.u32();
+    M.Hello.Id = D.u32();
     break;
-  case MsgType::FrontierBatchDict: {
-    M.Batch.Dest = D.u32();
-    M.Batch.Src = D.u32();
-    uint32_t Count = D.u32();
-    if (static_cast<uint64_t>(Count) * 8 > D.remaining()) {
-      D.fail(); // Implausible count: don't reserve gigabytes.
-      break;
-    }
-    for (uint32_t I = 0; I != Count && !D.failed(); ++I)
-      M.Batch.Fps.push_back(D.u64());
-    M.Batch.Defs = decodeBlob(D);
-    for (uint32_t I = 0; I != Count && !D.failed(); ++I)
-      M.Batch.Configs.push_back(decodeBlob(D));
-    break;
-  }
-  case MsgType::StatsReport:
-    M.Stats.ShardId = D.u32();
-    M.Stats.Idle = D.u8() != 0;
-    M.Stats.Failed = D.u8() != 0;
-    M.Stats.Exhausted = D.u8() != 0;
-    M.Stats.Expanded = D.u64();
-    M.Stats.SentConfigs = D.u64();
-    M.Stats.RecvConfigs = D.u64();
-    M.Stats.SentBatches = D.u64();
-    M.Stats.SentBytes = D.u64();
-    M.Stats.SuppressedSends = D.u64();
-    break;
-  case MsgType::Drain:
-    M.Drain.Exhausted = D.u8() != 0;
-    break;
-  case MsgType::Verdict: {
-    M.Verdict.ShardId = D.u32();
-    M.Verdict.Safe = D.u8() != 0;
-    M.Verdict.Exhausted = D.u8() != 0;
-    M.Verdict.FailureNote = D.str();
-    uint32_t NumTrace = D.u32();
-    for (uint32_t I = 0; I != NumTrace && !D.failed(); ++I)
-      M.Verdict.FailureTrace.push_back(D.str());
-    uint32_t NumTerm = D.u32();
-    for (uint32_t I = 0; I != NumTerm && !D.failed(); ++I) {
-      Terminal T;
-      T.Result = decodeVal(D);
-      T.FinalView = decodeView(D);
-      M.Verdict.Terminals.push_back(std::move(T));
-    }
-    M.Verdict.ConfigsExplored = D.u64();
-    M.Verdict.ActionSteps = D.u64();
-    M.Verdict.EnvSteps = D.u64();
-    M.Verdict.DedupHits = D.u64();
-    M.Verdict.VisitedNodes = D.u64();
-    M.Verdict.VisitedBytes = D.u64();
-    M.Verdict.FrontierAtAbort = D.u64();
-    M.Verdict.SentConfigs = D.u64();
-    M.Verdict.RecvConfigs = D.u64();
-    M.Verdict.SentBatches = D.u64();
-    M.Verdict.SentBytes = D.u64();
-    M.Verdict.SuppressedSends = D.u64();
-    M.Verdict.DictNodes = D.u64();
-    M.Verdict.DictDefBytes = D.u64();
-    M.Verdict.DictRefBytes = D.u64();
-    break;
-  }
-  case MsgType::CacheDelta: {
-    M.Delta.ShardId = D.u32();
-    if (D.u32() != cache::CacheRecordVersion)
-      return std::nullopt; // Foreign record layout: drop the whole delta.
-    uint32_t Count = D.u32();
-    for (uint32_t I = 0; I != Count && !D.failed(); ++I)
-      M.Delta.Records.push_back(cache::decodeCacheRecord(D));
-    break;
-  }
   case MsgType::SubmitSession:
     M.Submit.Session = D.str();
     M.Submit.Por = D.u8();
@@ -337,58 +182,18 @@ std::optional<WireMsg> dist::decodeFrame(const std::vector<uint8_t> &Payload) {
   return M;
 }
 
-std::optional<MsgType> dist::peekFrameTag(const std::vector<uint8_t> &Payload) {
-  Decoder D(Payload);
-  if (!decodeHeader(D))
-    return std::nullopt;
-  uint8_t Tag = D.u8();
-  if (D.failed() || !knownTag(Tag))
-    return std::nullopt;
-  return static_cast<MsgType>(Tag);
-}
-
 FrameClass dist::classifyFrame(const std::vector<uint8_t> &Payload) {
   Decoder D(Payload);
   if (!decodeHeader(D))
     return FrameClass::Malformed;
   uint8_t Tag = D.u8();
-  // Tag 2 is not a newer peer's message: no protocol version assigns it
-  // any more, so a frame carrying it is malformed.
-  if (D.failed() || Tag == RetiredBatchTag)
+  // A retired tag is not a newer peer's message: no protocol version
+  // assigns it any more, so a frame carrying it is malformed.
+  if (D.failed() || retiredTag(Tag))
     return FrameClass::Malformed;
   if (Tag < static_cast<uint8_t>(MsgType::Hello) || Tag > MaxKnownMsgTag)
     return FrameClass::UnknownType;
   return FrameClass::Known;
-}
-
-std::optional<BatchPeek> dist::peekBatch(const std::vector<uint8_t> &Payload) {
-  Decoder D(Payload);
-  if (!decodeHeader(D))
-    return std::nullopt;
-  if (D.u8() != static_cast<uint8_t>(MsgType::FrontierBatchDict))
-    return std::nullopt;
-  BatchPeek P;
-  P.Dest = D.u32();
-  P.Src = D.u32();
-  uint32_t Count = D.u32();
-  if (D.failed() || static_cast<uint64_t>(Count) * 8 > D.remaining())
-    return std::nullopt;
-  for (uint32_t I = 0; I != Count && !D.failed(); ++I)
-    P.Fps.push_back(D.u64());
-  if (D.failed())
-    return std::nullopt;
-  return P;
-}
-
-std::vector<uint8_t>
-dist::frameFromPayload(const std::vector<uint8_t> &Payload) {
-  std::vector<uint8_t> Frame;
-  Frame.reserve(4 + Payload.size());
-  uint32_t N = static_cast<uint32_t>(Payload.size());
-  for (int I = 0; I != 4; ++I)
-    Frame.push_back(static_cast<uint8_t>(N >> (8 * I)));
-  Frame.insert(Frame.end(), Payload.begin(), Payload.end());
-  return Frame;
 }
 
 void FrameBuffer::feed(const uint8_t *Data, size_t N) {

@@ -1,4 +1,4 @@
-//===- dist/Wire.h - Frame protocol for sharded exploration -----*- C++ -*-===//
+//===- dist/Wire.h - Frame protocol of the verification service -*- C++ -*-===//
 //
 // Part of fcsl-cpp, a C++ reproduction of "Mechanized Verification of
 // Fine-grained Concurrent Programs" (Sergey, Nanevski, Banerjee; PLDI 2015).
@@ -6,26 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The message layer of the multi-process sharded exploration (DESIGN.md
-/// §10): a length-prefixed frame protocol over `support/Codec`. Every
-/// frame is a u32 little-endian payload length followed by the payload —
-/// the codec header (magic + version), a message-type tag, and the typed
-/// body. Decoding is fail-soft end to end: a malformed payload yields
-/// `std::nullopt`, never a crash, and an implausible frame length latches
-/// the stream as corrupt.
+/// The frame protocol of the verification service (src/service/, DESIGN.md
+/// §15): length-prefixed frames over `support/Codec`. Every frame is a u32
+/// little-endian payload length followed by the payload — the codec header
+/// (magic + version), a message-type tag, and the typed body. Decoding is
+/// fail-soft end to end: a malformed payload yields `std::nullopt`, never
+/// a crash, and an implausible frame length latches the stream as corrupt.
 ///
-/// Message flow (coordinator C, workers W0..Wn-1, one socket pair each):
-///
-///   W -> C   Hello              once, immediately after fork
-///   W -> C   FrontierBatchDict  non-owned successors, addressed by shard
-///   C -> W   FrontierBatchDict  relayed to the owning shard
-///   W -> C   StatsReport        idle/failed/exhausted + sent/received counts
-///   C -> W   Drain              stop exploring and report
-///   W -> C   CacheDelta         obligation-cache records appended worker-side
-///   W -> C   Verdict            the shard's RunResult, then exit
-///
-/// The verification service (src/service/, DESIGN.md §15) speaks the same
-/// frame protocol over a client connection (client L, daemon S):
+/// Message flow over a client connection (client L, daemon S):
 ///
 ///   L -> S   Hello          handshake; the codec header is the version
 ///                           guard — a peer from another codec version
@@ -44,8 +32,6 @@
 #ifndef FCSL_DIST_WIRE_H
 #define FCSL_DIST_WIRE_H
 
-#include "cache/Store.h"
-#include "prog/Engine.h"
 #include "spec/Session.h"
 #include "support/Codec.h"
 
@@ -56,17 +42,9 @@ namespace dist {
 
 enum class MsgType : uint8_t {
   Hello = 1,
-  // 2 was the standalone (dictionary-free) frontier batch. It is retired
-  // but never reused: a tag-2 frame is malformed (see classifyFrame).
-  StatsReport = 3,
-  Drain = 4,
-  Verdict = 5,
-  CacheDelta = 6,
-  /// A dictionary-compressed frontier batch (DESIGN.md §14): a routing
-  /// envelope plus a NodeDef stream; config bodies are varint references
-  /// into the sender's per-connection dictionary.
-  FrontierBatchDict = 7,
-  // -- Verification-service frames (src/service/, DESIGN.md §15) --
+  // 2 to 7 carried the frontier exchange of the retired sharded
+  // exploration (DESIGN.md §10). They are never reused: a frame with one
+  // of these tags is malformed (see classifyFrame).
   SubmitSession = 8,
   Progress = 9,
   Report = 10,
@@ -80,16 +58,13 @@ inline constexpr uint8_t MaxKnownMsgTag =
     static_cast<uint8_t>(MsgType::Shutdown);
 
 /// How a received frame payload classifies, *before* a full body decode.
-/// The split matters for error handling (see the satellite contract in
-/// dist_test.cpp): a malformed frame means the stream cannot be trusted,
-/// while an unknown-but-well-framed type means a versioned peer sent a
-/// message this build does not speak — the service path rejects that one
-/// frame loudly and keeps the connection; the shard path surfaces it as a
-/// malformed delivery so the run fails loudly instead of silently
-/// dropping protocol traffic.
+/// The split matters for error handling: a malformed frame means the
+/// stream cannot be trusted, while an unknown-but-well-framed type means a
+/// versioned peer sent a message this build does not speak — the service
+/// rejects that one frame loudly and keeps the connection.
 enum class FrameClass : uint8_t {
-  Malformed,   ///< bad codec header, no tag byte, or the retired tag 2.
-  UnknownType, ///< valid header, tag outside [Hello, Shutdown].
+  Malformed,   ///< bad codec header, no tag byte, or a retired tag.
+  UnknownType, ///< valid header, tag 0 or above Shutdown.
   Known,       ///< valid header and a tag this build decodes.
 };
 
@@ -98,137 +73,17 @@ enum class FrameClass : uint8_t {
 /// body).
 FrameClass classifyFrame(const std::vector<uint8_t> &Payload);
 
-/// Does nothing. The dictionary-compressed frontier encoding is the only
-/// one; the switch that once selected a standalone encoding is kept so
-/// existing callers still build.
+/// Does nothing. It once selected the frontier encoding of the retired
+/// sharded exploration; it is kept only because perfbench still calls it.
 void setDistCompress(bool Enabled);
 
-/// Announces a worker's shard id on its channel.
+/// The service handshake, sent by each side once. The codec header is
+/// the version guard; the body is one id neither side reads.
 struct HelloMsg {
-  uint32_t ShardId = 0;
+  uint32_t Id = 0;
 
   friend bool operator==(const HelloMsg &A, const HelloMsg &B) {
-    return A.ShardId == B.ShardId;
-  }
-};
-
-/// A batch of encoded frontier configs sent by shard \p Src and addressed
-/// to shard \p Dest, with one ownership fingerprint per config (so the
-/// coordinator can dedup relays without decoding bodies). \p Defs carries
-/// the NodeDef stream extending the (Src, Dest) connection dictionary and
-/// each config blob is a NodeDictEncoder reference stream.
-struct FrontierBatchMsg {
-  uint32_t Dest = 0;
-  uint32_t Src = 0;
-  std::vector<uint64_t> Fps;
-  std::vector<uint8_t> Defs;
-  std::vector<std::vector<uint8_t>> Configs;
-
-  friend bool operator==(const FrontierBatchMsg &A,
-                         const FrontierBatchMsg &B) {
-    return A.Dest == B.Dest && A.Src == B.Src && A.Fps == B.Fps &&
-           A.Defs == B.Defs && A.Configs == B.Configs;
-  }
-};
-
-/// A shard's status snapshot, feeding the coordinator's termination
-/// detection (see Coordinator.h for the argument).
-struct StatsReportMsg {
-  uint32_t ShardId = 0;
-  bool Idle = false;
-  bool Failed = false;
-  bool Exhausted = false;
-  uint64_t Expanded = 0;
-  uint64_t SentConfigs = 0;
-  uint64_t RecvConfigs = 0;
-  uint64_t SentBatches = 0;
-  uint64_t SentBytes = 0;
-  uint64_t SuppressedSends = 0;
-
-  friend bool operator==(const StatsReportMsg &A, const StatsReportMsg &B) {
-    return A.ShardId == B.ShardId && A.Idle == B.Idle &&
-           A.Failed == B.Failed && A.Exhausted == B.Exhausted &&
-           A.Expanded == B.Expanded && A.SentConfigs == B.SentConfigs &&
-           A.RecvConfigs == B.RecvConfigs &&
-           A.SentBatches == B.SentBatches && A.SentBytes == B.SentBytes &&
-           A.SuppressedSends == B.SuppressedSends;
-  }
-};
-
-/// Coordinator -> worker: stop exploring and send a Verdict. With
-/// \p Exhausted set the fleet hit the config bound, so the worker reports
-/// an incomplete run.
-struct DrainMsg {
-  bool Exhausted = false;
-
-  friend bool operator==(const DrainMsg &A, const DrainMsg &B) {
-    return A.Exhausted == B.Exhausted;
-  }
-};
-
-/// A shard's final RunResult, flattened for the wire, plus its transport
-/// statistics.
-struct VerdictMsg {
-  uint32_t ShardId = 0;
-  bool Safe = true;
-  bool Exhausted = false;
-  std::string FailureNote;
-  std::vector<std::string> FailureTrace;
-  std::vector<Terminal> Terminals; ///< sorted ascending, like RunResult.
-  uint64_t ConfigsExplored = 0;
-  uint64_t ActionSteps = 0;
-  uint64_t EnvSteps = 0;
-  uint64_t DedupHits = 0;
-  uint64_t VisitedNodes = 0;
-  uint64_t VisitedBytes = 0;
-  uint64_t FrontierAtAbort = 0;
-  uint64_t SentConfigs = 0;
-  uint64_t RecvConfigs = 0;
-  uint64_t SentBatches = 0;
-  uint64_t SentBytes = 0;
-  uint64_t SuppressedSends = 0;
-  uint64_t DictNodes = 0;    ///< distinct nodes in all send dictionaries.
-  uint64_t DictDefBytes = 0; ///< definition-stream bytes shipped.
-  uint64_t DictRefBytes = 0; ///< reference-stream bytes shipped.
-
-  friend bool operator==(const VerdictMsg &A, const VerdictMsg &B) {
-    if (A.Terminals.size() != B.Terminals.size())
-      return false;
-    for (size_t I = 0, N = A.Terminals.size(); I != N; ++I)
-      if (A.Terminals[I] < B.Terminals[I] ||
-          B.Terminals[I] < A.Terminals[I])
-        return false;
-    return A.ShardId == B.ShardId && A.Safe == B.Safe &&
-           A.Exhausted == B.Exhausted &&
-           A.FailureNote == B.FailureNote &&
-           A.FailureTrace == B.FailureTrace &&
-           A.ConfigsExplored == B.ConfigsExplored &&
-           A.ActionSteps == B.ActionSteps && A.EnvSteps == B.EnvSteps &&
-           A.DedupHits == B.DedupHits &&
-           A.VisitedNodes == B.VisitedNodes &&
-           A.VisitedBytes == B.VisitedBytes &&
-           A.FrontierAtAbort == B.FrontierAtAbort &&
-           A.SentConfigs == B.SentConfigs &&
-           A.RecvConfigs == B.RecvConfigs &&
-           A.SentBatches == B.SentBatches && A.SentBytes == B.SentBytes &&
-           A.SuppressedSends == B.SuppressedSends &&
-           A.DictNodes == B.DictNodes &&
-           A.DictDefBytes == B.DictDefBytes &&
-           A.DictRefBytes == B.DictRefBytes;
-  }
-};
-
-/// Obligation-cache records a worker appended during its run, shipped to
-/// the coordinator before the Verdict so the fleet shares one store (the
-/// coordinator merges them into its own). The body carries the cache
-/// record format version: a delta from a worker running a different
-/// record layout decodes as empty, never as garbage records.
-struct CacheDeltaMsg {
-  uint32_t ShardId = 0;
-  std::vector<cache::CacheRecord> Records;
-
-  friend bool operator==(const CacheDeltaMsg &A, const CacheDeltaMsg &B) {
-    return A.ShardId == B.ShardId && A.Records == B.Records;
+    return A.Id == B.Id;
   }
 };
 
@@ -339,11 +194,6 @@ struct ShutdownMsg {
 struct WireMsg {
   MsgType Type = MsgType::Hello;
   HelloMsg Hello;
-  FrontierBatchMsg Batch;
-  StatsReportMsg Stats;
-  DrainMsg Drain;
-  VerdictMsg Verdict;
-  CacheDeltaMsg Delta;
   SubmitSessionMsg Submit;
   ProgressMsg Prog;
   ReportMsg Rep;
@@ -357,11 +207,6 @@ inline constexpr uint32_t MaxFrameBytes = 1u << 30;
 
 // Each framer returns the complete wire frame: u32 length + payload.
 std::vector<uint8_t> frameHello(const HelloMsg &M);
-std::vector<uint8_t> frameBatch(const FrontierBatchMsg &M);
-std::vector<uint8_t> frameStats(const StatsReportMsg &M);
-std::vector<uint8_t> frameDrain(const DrainMsg &M);
-std::vector<uint8_t> frameVerdict(const VerdictMsg &M);
-std::vector<uint8_t> frameCacheDelta(const CacheDeltaMsg &M);
 std::vector<uint8_t> frameSubmitSession(const SubmitSessionMsg &M);
 std::vector<uint8_t> frameProgress(const ProgressMsg &M);
 std::vector<uint8_t> frameReport(const ReportMsg &M);
@@ -372,24 +217,6 @@ std::vector<uint8_t> frameShutdown(const ShutdownMsg &M);
 /// Returns nullopt on any malformation: bad header, unknown type tag,
 /// truncated body, or trailing garbage.
 std::optional<WireMsg> decodeFrame(const std::vector<uint8_t> &Payload);
-
-/// The frame's type tag, without decoding the body (header is still
-/// validated). The coordinator uses this to relay batch frames as raw
-/// bytes instead of re-expanding them.
-std::optional<MsgType> peekFrameTag(const std::vector<uint8_t> &Payload);
-
-/// A batch frame's routing envelope — dest, src, per-config ownership
-/// fingerprints — read without touching the config bodies.
-struct BatchPeek {
-  uint32_t Dest = 0;
-  uint32_t Src = 0;
-  std::vector<uint64_t> Fps;
-};
-std::optional<BatchPeek> peekBatch(const std::vector<uint8_t> &Payload);
-
-/// Wraps a frame payload back into a complete wire frame (length prefix +
-/// payload) for raw relay.
-std::vector<uint8_t> frameFromPayload(const std::vector<uint8_t> &Payload);
 
 /// Reassembles frames from a byte stream delivered in arbitrary chunks.
 /// feed() appends bytes; next() yields the next complete frame payload,

@@ -2,27 +2,25 @@
 //
 // Part of fcsl-cpp. See Engine.h for the interface.
 //
-// Exploration is a breadth-ish parallel frontier search: each worker owns
-// a deque of pending configurations (FIFO for the owner, stolen LIFO from
-// the back by idle peers) and the visited set is lock-striped across
-// shards keyed by the configuration's cached hash. Determinism across job
-// counts follows from three facts: the visited set is keyed by the full
-// configuration (so the reachable set is schedule-independent), terminals
-// are merged into a sorted set at the end, and for complete explorations
-// the work counters (configs, action and env steps, dedup hits) are a
-// function of the reachable set alone. The reduction effort counters are
-// not: how many wakeup replays a node gets depends on the order its
-// routes arrive in, and each replay re-runs the POR checks and
-// canonicalizes its successors again, so races, backtracks, wakeup
-// replays, sleep hits, full expansions and the orbit counters may vary
-// with the schedule at Jobs > 1.
+// Exploration is a breadth-ish parallel frontier search: each worker owns a
+// deque of pending configurations (FIFO for the owner, stolen LIFO from the
+// back by idle peers) and the visited set is lock-striped, keyed by the
+// configuration's cached hash. Determinism across job counts follows from
+// three facts: the visited set is keyed by the full configuration (so the
+// reachable set is schedule-independent), terminals are merged into a sorted
+// set at the end, and for complete explorations the work counters (configs,
+// action and env steps, dedup hits) are a function of the reachable set
+// alone. The reduction effort counters are not: how many wakeup replays a
+// node gets depends on the order its routes arrive in, and each replay
+// re-runs the POR checks and canonicalizes its successors again, so races,
+// backtracks, wakeup replays, sleep hits, full expansions and the orbit
+// counters may vary with the schedule at Jobs > 1.
 //
-// One worker loop (workerLoop) serves every run: in-process or as one
-// shard of a multi-process fleet, with one worker or a team. Successors
-// come from one step core: a thread step's outcomes are applied by
-// applyOutcome (shared with simulate) and handed on by enqueueStep (shared
-// by plain and reduced expansion); an env transition's posts come from
-// coherentPosts, recorded per global state in the env rows, which plain
+// One worker loop (workerLoop) serves every run, with one worker or a team.
+// Successors come from one step core: a thread step's outcomes are applied
+// by applyOutcome (shared with simulate) and handed on by enqueueStep
+// (shared by plain and reduced expansion); an env transition's posts come
+// from coherentPosts, recorded per global state in the env rows, which plain
 // and reduced expansion replay and dynamic POR's env-future closures walk.
 //
 //===----------------------------------------------------------------------===//
@@ -31,7 +29,6 @@
 
 #include "concurroid/Footprint.h"
 #include "state/PtrCanon.h"
-#include "support/Codec.h"
 #include "support/Format.h"
 #include "support/Intern.h"
 #include "support/Rng.h"
@@ -137,17 +134,6 @@ std::atomic<uint64_t> OrbitRenamesCounter{0};
 std::atomic<uint64_t> SymGroupsCounter{0};
 std::atomic<uint64_t> SymGroupPeakCounter{0};
 
-std::atomic<int> DefaultShardsSetting{0}; ///< 0: fall back to FCSL_SHARDS.
-std::atomic<ShardedExploreFn> ShardedHook{nullptr};
-
-unsigned envShards() {
-  const char *E = std::getenv("FCSL_SHARDS");
-  if (!E)
-    return 1;
-  long V = std::strtol(E, nullptr, 10);
-  return V > 1 ? static_cast<unsigned>(V) : 1;
-}
-
 } // namespace
 
 uint64_t fcsl::peakVisitedNodes() {
@@ -240,20 +226,7 @@ SymmetryStats fcsl::symmetryStats() {
           SymGroupPeakCounter.load(std::memory_order_relaxed)};
 }
 
-void fcsl::setShardedExploreHook(ShardedExploreFn Fn) {
-  ShardedHook.store(Fn, std::memory_order_relaxed);
-}
-
-void fcsl::setDefaultShards(unsigned N) {
-  DefaultShardsSetting.store(static_cast<int>(N), std::memory_order_relaxed);
-}
-
-unsigned fcsl::defaultShards() {
-  int V = DefaultShardsSetting.load(std::memory_order_relaxed);
-  if (V > 0)
-    return static_cast<unsigned>(V);
-  return envShards();
-}
+void fcsl::setDefaultShards(unsigned) {}
 
 namespace {
 
@@ -278,9 +251,8 @@ struct Frame {
 
   void hashInto(size_t &Seed) const {
     // Programs hash by structural fingerprint, not node address: addresses
-    // vary run to run (and across processes), which would make config
-    // hashes unstable — fatal for serialized frontiers and for comparing
-    // hash-derived statistics across runs. Equality still compares node
+    // vary run to run, which would make config hashes, and everything
+    // derived from them, differ between runs. Equality still compares node
     // pointers, so a fingerprint collision costs a probe, never soundness.
     hashValue(Seed, static_cast<uint8_t>(K));
     hashValue(Seed, Node ? Node->fingerprint() : 0);
@@ -583,7 +555,7 @@ struct ThreadSlot {
 ///
 /// The sleep set and the trailing-env close mask ride along as *payload*,
 /// not identity: they are merged into the visited node on every revisit
-/// (the sleep sets intersect, the masks union — see insertLocal), so the
+/// (the sleep sets intersect, the masks union — see enqueue), so the
 /// same raw configuration is never split into several visited entries just
 /// because different paths put different steps to sleep. The merge is
 /// monotone over a finite lattice, so the fixpoint — and with it the
@@ -598,7 +570,7 @@ public:
   /// Copies the handles; private copies are duplicated, not shared.
   Config(const Config &O)
       : Sleep(O.Sleep), EnvCloseMask(O.EnvCloseMask), Hash(O.Hash),
-        GSHash(O.GSHash), GS(O.GS), Threads(O.Threads) {
+        GS(O.GS), Threads(O.Threads) {
     if (O.GSScratch) {
       GSScratch = std::make_unique<Consed<GlobalState>>(*O.GSScratch);
       GS = GSScratch.get();
@@ -685,10 +657,9 @@ public:
               });
   }
 
-  /// Interns every dirty part into the tables and recomputes the hashes.
+  /// Interns every dirty part into the tables and recomputes the hash.
   /// Hash combines the parts' cached *content* hashes, never handle
-  /// addresses: it is the dedup fingerprint shards exchange, so it must be
-  /// the same in every process.
+  /// addresses, so it is the same in every run.
   void freeze(ConsTable<GlobalState> &GSTable,
               ConsTable<ThreadCtx> &CtxTable) {
     if (GSScratch) {
@@ -728,17 +699,6 @@ public:
     return C;
   }
 
-  /// The configuration without its payload: the key of a frozen identity.
-  Config identity() const {
-    assert(!GSScratch && Scratch.empty() && "identity of an unfrozen config");
-    Config Id;
-    Id.GS = GS;
-    Id.Threads = Threads;
-    Id.Hash = Hash;
-    Id.GSHash = GSHash;
-    return Id;
-  }
-
   friend bool operator==(const Config &A, const Config &B) {
     return A.GS == B.GS && A.Threads == B.Threads;
   }
@@ -756,20 +716,11 @@ public:
   /// would invent terminals the full exploration never reaches.
   uint32_t EnvCloseMask = 0;
   size_t Hash = 0; ///< valid after freeze().
-  /// Hash of the global state alone (std::hash<GlobalState>), cached by
-  /// the same freeze(). Multi-process sharding partitions on THIS value,
-  /// not on Hash: configs differing only in thread-local control state
-  /// co-locate, so the many successors produced by pure/local steps never
-  /// cross a shard boundary (locality-preserving ownership). Still a pure
-  /// function of config identity — same config, same owner, in every
-  /// process — which is all dedup parity needs.
-  size_t GSHash = 0;
 
 private:
-  /// Recomputes Hash and GSHash from the frozen parts' content hashes.
+  /// Recomputes Hash from the frozen parts' content hashes.
   void rehash() {
-    GSHash = GS->Hash;
-    size_t Seed = GSHash;
+    size_t Seed = GS->Hash;
     hashValue(Seed, Threads.size());
     for (const ThreadSlot &S : Threads) {
       hashValue(Seed, S.Id);
@@ -842,16 +793,12 @@ struct StepCode {
 struct Node {
   Config C;
   const Node *Parent = nullptr;
-  StepCode Step; ///< Kind::None for seeds and configs from peer shards.
+  StepCode Step; ///< Kind::None for seeds.
   mutable std::vector<SleepEntry> Sleep{}; ///< merged; sorted by sleepLess.
   mutable uint32_t CloseMask = 0;        ///< merged trailing-env licenses.
   mutable std::vector<uint64_t> Executed{}; ///< sorted candidate keys.
   mutable bool InQueue = false;      ///< queued for (re-)expansion.
   mutable bool ExpandedOnce = false; ///< has consumed its config ticket.
-};
-
-struct ConfigHash {
-  size_t operator()(const Config &C) const { return C.Hash; }
 };
 
 struct NodeHash {
@@ -1130,14 +1077,6 @@ public:
   Explorer(const EngineOptions &Opts, RunResult &Res)
       : Opts(Opts), Res(Res) {}
 
-  /// Configures this run as shard \p Id of an \p N-way partition talking
-  /// to \p Transport (see exploreShard).
-  void setDist(unsigned Id, unsigned N, ShardIo *Transport) {
-    DistId = Id;
-    DistN = N;
-    Io = Transport;
-  }
-
   void run(const ProgRef &Root, const GlobalState &Initial,
            const VarEnv &InitialEnv) {
     assert(Opts.Por != PorMode::Default && Opts.Por != PorMode::Check &&
@@ -1172,46 +1111,34 @@ public:
       collectUniverse(Root);
 
     unsigned Jobs = resolveJobs(Opts.Jobs);
-    NumShards = Jobs == 1 ? 1 : 64;
-    Shards = std::vector<Shard>(NumShards);
+    NumStripes = Jobs == 1 ? 1 : 64;
+    Stripes = std::vector<Stripe>(NumStripes);
     // Pre-size the visited set from the exploration bound (bounded so
     // tiny explorations do not pay for a four-million-bucket table).
     size_t Reserve = static_cast<size_t>(
         std::min<uint64_t>(Opts.MaxConfigs, 1u << 16));
-    for (Shard &S : Shards)
-      S.Set.reserve(Reserve / NumShards + 1);
-    GSTable.init(NumShards);
-    CtxTable.init(NumShards);
-    Memo.init(NumShards);
-    Rows.init(NumShards);
-    FpTable.init(NumShards);
+    for (Stripe &S : Stripes)
+      S.Set.reserve(Reserve / NumStripes + 1);
+    GSTable.init(NumStripes);
+    CtxTable.init(NumStripes);
+    Memo.init(NumStripes);
+    Rows.init(NumStripes);
+    FpTable.init(NumStripes);
     Workers.clear();
     for (unsigned I = 0; I != Jobs; ++I)
       Workers.push_back(std::make_unique<Worker>());
 
-    if (DistN > 1)
-      PT = std::make_unique<ProgTable>(Root.get(), Opts.Defs);
     Seeds.insert(Seeds.begin(), std::move(C0));
     for (Config &Seed : Seeds) {
       freeze(Seed);
-      // Canonicalize before the ownership decision so a whole orbit maps
-      // to one shard (enqueue would also canonicalize, but the dist seed
-      // path below bypasses it).
+      // A seed's orbit is looked up twice, here and in enqueue; the
+      // second pass is a no-op, but the orbit counters count both.
       canonicalize(Seed);
-      if (DistN > 1) {
-        // A seed configuration is inserted ONLY by its owner shard:
-        // routing it would cost every other shard a dedup-hit and break
-        // counter parity with the in-process engine. Ownership is the
-        // process-stable global-state hash, same as enqueue.
-        if (static_cast<unsigned>(Seed.GSHash % DistN) == DistId)
-          insertLocal(std::move(Seed), nullptr, {}, *Workers[0]);
-      } else {
-        enqueue(std::move(Seed), nullptr, {}, *Workers[0]);
-      }
+      enqueue(std::move(Seed), nullptr, {}, *Workers[0]);
     }
 
-    // This thread runs worker 0 (which also pumps a shard's transport,
-    // see workerLoop); with Jobs > 1 the others join it as a team.
+    // This thread runs worker 0; with Jobs > 1 the others join it as a
+    // team.
     std::vector<std::thread> Team;
     for (unsigned I = 1; I < Jobs; ++I)
       Team.emplace_back([this, I] {
@@ -1253,7 +1180,7 @@ public:
                      FpTable.approxBytes();
     Res.StepMemoEntries = Memo.entries();
     Res.EnvRowEntries = Rows.entries();
-    for (Shard &S : Shards) {
+    for (Stripe &S : Stripes) {
       Nodes += S.Set.size();
       // 16 bytes: the hash-set node (next pointer + cached hash).
       for (const Node &N : S.Set)
@@ -1348,7 +1275,7 @@ public:
 
 private:
   /// One stripe of the visited set.
-  struct Shard {
+  struct Stripe {
     std::mutex M;
     std::unordered_set<Node, NodeHash, NodeEq> Set;
   };
@@ -1673,7 +1600,7 @@ private:
     if (Extra && Vals.size() > 1) {
       // Every distinct permutation of the slot-value multiset, minus the
       // identity assignment, in sorted enumeration order (deterministic
-      // across workers, jobs and shards).
+      // across workers and job counts).
       Config Base = C; // Post-join, pre-deliver.
       auto ValLess = [](const Val &A, const Val &B) {
         return A.compare(B) < 0;
@@ -1881,125 +1808,6 @@ private:
         }
       }
     }
-    return true;
-  }
-
-  /// Lowers a frozen configuration to its portable form: program pointers
-  /// become ProgTable indices, which are identical in every process that
-  /// built the same program (the coordinator forks workers, so the table —
-  /// and even the pointers — match exactly). The contexts and the global
-  /// state are shared table entries, so they are copied out; threads go
-  /// out in ascending id order, the order fromFrontier requires.
-  FrontierConfig toFrontier(const Config &C) const {
-    FrontierConfig F;
-    F.GS = C.gs();
-    F.Threads.reserve(C.threads().size());
-    for (const ThreadSlot &S : C.threads()) {
-      const ThreadCtx &Ctx = S.ctx();
-      FrontierThread T;
-      T.Id = S.Id;
-      T.Waiting = Ctx.Waiting;
-      T.SymGroup = Ctx.SymGroup;
-      T.Done = Ctx.Done;
-      T.Frames.reserve(Ctx.Stack.size());
-      for (const Frame &Fr : Ctx.Stack) {
-        FrontierFrame FF;
-        FF.Kind = static_cast<uint8_t>(Fr.K);
-        FF.Node = Fr.Node ? PT->indexOf(Fr.Node) : ProgTable::NoProg;
-        FF.Rest = Fr.Rest ? PT->indexOf(Fr.Rest) : ProgTable::NoProg;
-        FF.Var = Fr.Var;
-        FF.Env = Fr.Env;
-        T.Frames.push_back(std::move(FF));
-      }
-      F.Threads.push_back(std::move(T));
-    }
-    for (const SleepEntry &S : C.Sleep) {
-      FrontierSleep FS;
-      FS.IsEnv = S.IsEnv;
-      FS.T = S.T;
-      FS.ActNode = S.ActNode ? PT->indexOf(S.ActNode) : ProgTable::NoProg;
-      FS.EnvIdx = S.EnvIdx;
-      FS.Fp = *S.Fp;
-      F.Sleep.push_back(std::move(FS));
-    }
-    F.EnvCloseMask = C.EnvCloseMask;
-    return F;
-  }
-
-  /// Does \p F carry the program references its kind executes?
-  static bool frameFits(const Frame &F) {
-    switch (F.K) {
-    case Frame::Kind::Run:
-      return F.Node != nullptr;
-    case Frame::Kind::BindCont:
-      return F.Rest != nullptr;
-    case Frame::Kind::HideExit:
-      return F.Node && F.Node->kind() == Prog::Kind::Hide;
-    }
-    return false;
-  }
-
-  /// The inverse lift, consuming its argument; the result is unfrozen. A
-  /// received config comes from another process, so everything it carries
-  /// is checked before use: thread ids must be strictly ascending (a
-  /// duplicate would otherwise drop a thread), program references must be
-  /// in the table and fit their frame kind, a thread sleep entry must name
-  /// an Act node, and an env sleep entry an env step of the ambient. The
-  /// sleep footprints are re-derived from those steps, never taken from
-  /// the wire. Returns false, leaving \p C partly built, on any violation.
-  bool fromFrontier(FrontierConfig &&F, Config &C) const {
-    auto ProgOf = [&](uint32_t I, const Prog *&Out) {
-      Out = nullptr;
-      if (I == ProgTable::NoProg)
-        return true;
-      if (I >= PT->size())
-        return false;
-      Out = PT->progAt(I);
-      return true;
-    };
-    C.mutGS() = std::move(F.GS);
-    for (FrontierThread &T : F.Threads) {
-      if (!C.threads().empty() && T.Id <= C.threads().back().Id)
-        return false;
-      ThreadCtx Ctx;
-      Ctx.Waiting = T.Waiting;
-      Ctx.SymGroup = T.SymGroup;
-      Ctx.Done = std::move(T.Done);
-      for (FrontierFrame &FF : T.Frames) {
-        Frame Fr;
-        if (FF.Kind > static_cast<uint8_t>(Frame::Kind::HideExit) ||
-            !ProgOf(FF.Node, Fr.Node) || !ProgOf(FF.Rest, Fr.Rest))
-          return false;
-        Fr.K = static_cast<Frame::Kind>(FF.Kind);
-        if (!frameFits(Fr))
-          return false;
-        Fr.Var = std::move(FF.Var);
-        Fr.Env = std::move(FF.Env);
-        Ctx.Stack.push_back(std::move(Fr));
-      }
-      C.addThread(T.Id, std::move(Ctx));
-    }
-    for (FrontierSleep &FS : F.Sleep) {
-      SleepEntry S;
-      S.IsEnv = FS.IsEnv;
-      S.T = FS.T;
-      if (S.IsEnv) {
-        if (FS.ActNode != ProgTable::NoProg || !Opts.EnvInterference ||
-            !Opts.Ambient ||
-            FS.EnvIdx >= Opts.Ambient->transitions().size() ||
-            !isEnvStep(Opts.Ambient->transitions()[FS.EnvIdx]))
-          return false;
-        S.EnvIdx = FS.EnvIdx;
-        S.Fp = &Opts.Ambient->transitions()[S.EnvIdx].staticFootprint();
-      } else {
-        if (FS.EnvIdx != 0 || !ProgOf(FS.ActNode, S.ActNode) || !S.ActNode ||
-            S.ActNode->kind() != Prog::Kind::Act)
-          return false;
-        S.Fp = &S.ActNode->action()->staticFootprint();
-      }
-      C.Sleep.push_back(S);
-    }
-    C.EnvCloseMask = F.EnvCloseMask;
     return true;
   }
 
@@ -2213,10 +2021,10 @@ private:
   /// environments and Done value, applied through the renamePtrs family.
   /// Two configurations that differ only in which names their allocations
   /// drew become identical, so allocation order stops splitting orbits
-  /// and the canonical fingerprint can drive dedup, shard ownership and
-  /// cache keys. Sleep-entry footprints are static (all-instance)
-  /// descriptions, equivariant under the renaming by the action contract,
-  /// so they are left alone. Returns true when anything was renamed.
+  /// and the canonical fingerprint can drive dedup and cache keys.
+  /// Sleep-entry footprints are static (all-instance) descriptions,
+  /// equivariant under the renaming by the action contract, so they are
+  /// left alone. Returns true when anything was renamed.
   bool renameConfigPtrs(Config &C) const {
     PtrCanon Canon(PinnedPtrs);
     // Two-phase (see PtrCanon.h): the collect pass learns which pointers
@@ -2312,95 +2120,26 @@ private:
     }
   }
 
-  /// Inserts \p C into the sharded visited set and, when new, hands it to
-  /// \p W's frontier. Under multi-process sharding, a config owned by a
-  /// different shard is shipped there instead — the owner performs the
-  /// single insert attempt, preserving counter parity with the in-process
-  /// engine. \p Counts is false when the generating step is a wakeup
-  /// *re-execution* (see expandPor): the edge was already produced and
-  /// counted once, so it must not count a second dedup hit — that keeps
-  /// DedupHits a function of the first-execution edge set, which is
-  /// schedule-independent. Requires \p C frozen.
+  /// Canonicalizes \p C, inserts it into the striped visited set and,
+  /// when new, hands it to \p W's frontier. \p Counts is false when the
+  /// generating step is a wakeup *re-execution* (see expandPor): the edge
+  /// was already produced and counted once, so it must not count a second
+  /// dedup hit — that keeps DedupHits a function of the first-execution
+  /// edge set, which is schedule-independent. Requires \p C frozen.
+  ///
+  /// The incoming wake payload is preserved across the insert: on a
+  /// revisit it is merged into the visited node — the sleep sets
+  /// intersect, the close masks union. The merge only moves *down* a
+  /// finite lattice, so chaotic iteration over any worker schedule
+  /// reaches the same least fixpoint; a merge that changed the node's
+  /// wake state re-queues it for re-expansion (a "wakeup": steps a
+  /// previous visit suppressed are now permitted here).
   void enqueue(Config C, const Node *Parent, StepCode Step, Worker &W,
                bool Counts = true) {
-    // Canonicalize BEFORE dedup and shard routing: the canonical identity
-    // hash is what ownership is derived from, so `Hash % N` dedups whole
-    // orbits across processes.
     canonicalize(C);
-    if (DistN > 1) {
-      // Both hashes are built from structural fingerprints and payload
-      // bytes only (see Frame::hashInto) — never node addresses — so they
-      // are stable across the forked fleet. Ownership partitions on the
-      // global-state hash (locality: thread-local steps stay put); the
-      // full identity hash is the dedup fingerprint the wire carries.
-      // Deciding ownership costs zero serialization work either way.
-      uint64_t Fp = C.Hash;
-      unsigned Owner = static_cast<unsigned>(C.GSHash % DistN);
-      if (Owner != DistId) {
-        std::lock_guard<std::mutex> Lock(IoMutex);
-        // Sender-side filter: the owner performs exactly one visited-set
-        // insert per identity; every further copy of the same identity
-        // only contributes a dedup hit plus (under POR) a wake-payload
-        // merge. A re-send whose payload the owner has provably already
-        // absorbed — its sleep set contains the intersection of
-        // everything shipped, its close mask adds no new bits — would be
-        // a no-op there, so it is swallowed here and the dedup hit booked
-        // locally. FIFO delivery guarantees the first copy reaches the
-        // owner before any suppressed edge would have. The filter keys on
-        // the frozen identity, not the fingerprint: two configs whose
-        // hashes collide must both ship.
-        auto [It, FirstSend] = Shipped.try_emplace(C.identity());
-        if (!FirstSend) {
-          bool NoOp = true;
-          if (PorOn) {
-            NoOp = std::includes(C.Sleep.begin(), C.Sleep.end(),
-                                 It->second.SleepLower.begin(),
-                                 It->second.SleepLower.end(), sleepLess) &&
-                   (C.EnvCloseMask & ~It->second.MaskUpper) == 0;
-            if (!NoOp) {
-              std::vector<SleepEntry> Lower;
-              std::set_intersection(It->second.SleepLower.begin(),
-                                    It->second.SleepLower.end(),
-                                    C.Sleep.begin(), C.Sleep.end(),
-                                    std::back_inserter(Lower), sleepLess);
-              It->second.SleepLower = std::move(Lower);
-              It->second.MaskUpper |= C.EnvCloseMask;
-            }
-          }
-          if (NoOp) {
-            if (Counts)
-              ++W.DedupHits;
-            SuppressedSendsCtr.fetch_add(1, std::memory_order_relaxed);
-            return;
-          }
-        } else if (PorOn) {
-          It->second.SleepLower = C.Sleep;
-          It->second.MaskUpper = C.EnvCloseMask;
-        }
-        SentConfigs.fetch_add(1, std::memory_order_relaxed);
-        FrontierConfig FC = toFrontier(C);
-        FC.Counts = Counts;
-        Io->send(Owner, std::move(FC), Fp);
-        return;
-      }
-    }
-    insertLocal(std::move(C), Parent, std::move(Step), W, Counts);
-  }
-
-  void insertLocal(Config C, const Node *Parent, StepCode Step, Worker &W,
-                   bool Counts = true) {
-    // The incoming wake payload, preserved across the move below: on a
-    // revisit it is merged into the visited node — the sleep sets
-    // intersect, the close masks union. The merge only moves *down* a
-    // finite lattice, so chaotic iteration over any worker schedule
-    // reaches the same least fixpoint; a merge that changed the node's
-    // wake state re-queues it for re-expansion (a "wakeup": steps a
-    // previous visit suppressed are now permitted here).
-    assert(C.GSHash == C.gsRef()->Hash &&
-           "visited config carries a stale global-state hash");
     std::vector<SleepEntry> InSleep = std::move(C.Sleep);
     uint32_t InMask = C.EnvCloseMask;
-    Shard &S = Shards[C.Hash % NumShards];
+    Stripe &S = Stripes[C.Hash % NumStripes];
     const Node *Target = nullptr;
     bool Replay = false;
     {
@@ -2455,7 +2194,7 @@ private:
   /// of the same node. Callers count steps and dedup stats only then, so
   /// the counters converge to functions of the wake-state fixpoint.
   bool markExecuted(const Node &N, uint64_t Key) {
-    Shard &S = Shards[N.C.Hash % NumShards];
+    Stripe &S = Stripes[N.C.Hash % NumStripes];
     std::lock_guard<std::mutex> Lock(S.M);
     auto It = std::lower_bound(N.Executed.begin(), N.Executed.end(), Key);
     if (It != N.Executed.end() && *It == Key)
@@ -2487,20 +2226,9 @@ private:
   }
 
   /// Worker \p Id's loop: expands its own queue, steals from peers when
-  /// it runs dry, and returns once the run is over. In-process that is
-  /// when no work is left anywhere, or on Abort. Under multi-process
-  /// sharding an idle shard may yet receive work from a peer, so only
-  /// the coordinator's Drain ends the run: worker 0 pumps the transport
-  /// whenever it finds no work and every PumpEvery expansions while busy,
-  /// which bounds both delivery latency and outbox staleness, and keeps
-  /// pumping after a local Abort until the Drain arrives; the other
-  /// workers return on any Abort, local or raised by the Drain.
+  /// it runs dry, and returns once no work is left anywhere, or on Abort.
   void workerLoop(unsigned Id) {
-    constexpr uint64_t PumpEvery = 32;
     Worker &W = *Workers[Id];
-    const bool Pumps = DistN > 1 && Id == 0;
-    size_t NextWorker = 0;
-    uint64_t SincePump = 0;
     while (true) {
       const Node *N = nullptr;
       if (!Abort.load(std::memory_order_acquire)) {
@@ -2510,21 +2238,12 @@ private:
       }
       if (N) {
         expandPopped(N, W);
-        if (!Pumps || ++SincePump < PumpEvery)
-          continue;
-      } else if (!Pumps) {
-        if (Abort.load(std::memory_order_acquire) ||
-            (DistN <= 1 && InFlight.load(std::memory_order_acquire) == 0))
-          return;
-        std::this_thread::sleep_for(std::chrono::microseconds(20));
         continue;
       }
-      SincePump = 0;
-      bool GotWork = false;
-      if (pumpOnce(NextWorker, GotWork))
+      if (Abort.load(std::memory_order_acquire) ||
+          InFlight.load(std::memory_order_acquire) == 0)
         return;
-      if (!N && !GotWork)
-        std::this_thread::sleep_for(std::chrono::microseconds(20));
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
     }
   }
 
@@ -2540,7 +2259,7 @@ private:
     // wakeup replays revisit a config already counted.
     WakeSnapshot Snap;
     {
-      Shard &S = Shards[N->C.Hash % NumShards];
+      Stripe &S = Stripes[N->C.Hash % NumStripes];
       std::lock_guard<std::mutex> Lock(S.M);
       Snap.Sleep = N->Sleep;
       Snap.CloseMask = N->CloseMask;
@@ -2561,78 +2280,6 @@ private:
     }
     expand(*N, Snap, W);
     InFlight.fetch_sub(1, std::memory_order_release);
-  }
-
-  /// One transport-pump iteration, run by a shard's worker 0: snapshot
-  /// shard status, exchange frames with the coordinator, and inject
-  /// routed deliveries into the local frontier. Returns true when the
-  /// coordinator ended the run (Abort has been raised); GotWork reports
-  /// whether any configs were delivered.
-  ///
-  /// Snapshot ordering matters for termination detection: InFlight is
-  /// read *before* the counters, so a snapshot that claims Idle has final
-  /// Sent/Recv values for that quiescent period — every send happens
-  /// during an expansion, i.e. while InFlight > 0, and the release
-  /// decrement of InFlight publishes it.
-  bool pumpOnce(size_t &NextWorker, bool &GotWork) {
-    ShardStatus St;
-    bool Idle = InFlight.load(std::memory_order_acquire) == 0;
-    St.Failed = FailWon.load(std::memory_order_acquire);
-    St.Exhausted = ExhaustedFlag.load(std::memory_order_acquire);
-    St.Idle = Idle || St.Failed || St.Exhausted;
-    St.Expanded = Expanded.load(std::memory_order_relaxed);
-    St.SentConfigs = SentConfigs.load(std::memory_order_relaxed);
-    St.RecvConfigs = RecvConfigs.load(std::memory_order_relaxed);
-    St.SuppressedSends = SuppressedSendsCtr.load(std::memory_order_relaxed);
-
-    std::vector<ShardDelivery> Incoming;
-    ShardCommand Cmd;
-    {
-      std::lock_guard<std::mutex> Lock(IoMutex);
-      Cmd = Io->pump(St, Incoming);
-    }
-    GotWork = !Incoming.empty();
-
-    for (ShardDelivery &Delivery : Incoming) {
-      // Count every delivery, even ones dropped after a local abort:
-      // the coordinator balances sent-vs-received before terminating.
-      RecvConfigs.fetch_add(1, std::memory_order_relaxed);
-      if (Abort.load(std::memory_order_acquire))
-        continue;
-      // The transport owns wire decoding (it holds the per-peer
-      // dictionaries); a framing or dictionary error it detected
-      // mid-stream arrives as a Malformed delivery and fails the run, and
-      // so does a well-framed config whose indices do not resolve here.
-      bool Counts = Delivery.Config.Counts;
-      Config C;
-      if (Delivery.Malformed ||
-          !fromFrontier(std::move(Delivery.Config), C)) {
-        failGlobal(nullptr, "",
-                   "malformed frontier config received from a peer "
-                   "shard");
-        continue;
-      }
-      // Interning the received parts computes the identity hash from
-      // their contents, which reproduces the sender's fingerprint.
-      freeze(C);
-      // Senders ship canonical forms; canonicalizing again is an
-      // idempotent no-op kept as a safety net for mixed-version peers.
-      canonicalize(C);
-      // Remote configs carry no parent chain: a failure found beyond
-      // this point reports the local schedule suffix only. The sender's
-      // Counts flag rides along so dedup accounting keeps parity with
-      // the in-process engine (see enqueue).
-      insertLocal(std::move(C), nullptr, {},
-                  *Workers[NextWorker++ % Workers.size()], Counts);
-    }
-
-    if (Cmd != ShardCommand::Continue) {
-      if (Cmd == ShardCommand::DrainExhausted)
-        ExhaustedFlag.store(true);
-      Abort.store(true, std::memory_order_release);
-      return true;
-    }
-    return false;
   }
 
   /// Publishes the first safety failure: the winning worker records the
@@ -2764,13 +2411,13 @@ private:
   /// coherent or not), or Unknown at the first that has none, and each
   /// step records which of them is its transition's. Plain expansion,
   /// expandPor and the closure walks all read rows, so a state is
-  /// enumerated once per exploration. \p Hit tells whether it was.
-  const EnvRows::Row &envRow(GSRef GS, bool &Hit) {
+  /// enumerated once per exploration; a read that finds the row counts
+  /// as one of \p W's EnvRowHits.
+  const EnvRows::Row &envRow(GSRef GS, Worker &W) {
     if (const EnvRows::Row *R = Rows.find(GS)) {
-      Hit = true;
+      ++W.EnvRowHits;
       return *R;
     }
-    Hit = false;
     std::vector<EnvSucc> Succs;
     EnvHead Head;
     View EnvView = GS->Value.viewForEnv();
@@ -2817,7 +2464,7 @@ private:
   /// or reaches a state whose own closure was refused (see
   /// EnvHead::Refused), so the result equals a fresh BFS over applyEnv
   /// successors and is a function of the state alone.
-  EnvClosureRef envClosureFor(const Config &C) {
+  EnvClosureRef envClosureFor(const Config &C, Worker &W) {
     // Shared closures: the trivial one without interference, and refusal.
     static const EnvClosureRef NoEnvClosure =
         std::make_shared<const EnvClosure>(EnvClosure{true, {}});
@@ -2837,8 +2484,7 @@ private:
     std::vector<GSRef> Queue{Root};
     std::unordered_set<GSRef> Seen{Root};
     for (size_t I = 0; R->Ok && I != Queue.size(); ++I) {
-      bool Hit;
-      const EnvRows::Row &Row = envRow(Queue[I], Hit);
+      const EnvRows::Row &Row = envRow(Queue[I], W);
       if (I == 0)
         RootHead = &Row.H;
       if (Row.H.Unknown || Row.H.Refused.load(std::memory_order_relaxed)) {
@@ -3072,7 +2718,7 @@ private:
   /// declaration order. The ample choice is a function of the
   /// configuration alone (never of the sleep set), and step counters are
   /// charged once per (node, candidate) across wakeup replays: together
-  /// with the monotone wake merge in insertLocal this makes the explored
+  /// with the monotone wake merge in enqueue this makes the explored
   /// node set and the work counters converge to the same fixpoint under
   /// any worker schedule. The effort counters charged here (races,
   /// backtracks, sleep hits, full expansions) count every expansion,
@@ -3205,7 +2851,7 @@ private:
       if (!globallyIndependent(K.Fp)) {
         if (!DynOn || RunnableThreads != 1 || !K.Fp.known())
           continue;
-        EnvClosureRef Cl = envClosureFor(C);
+        EnvClosureRef Cl = envClosureFor(C, W);
         if (!Cl->Ok)
           continue;
         bool Indep = true;
@@ -3264,8 +2910,7 @@ private:
     // and, in the head, their dynamic footprints.
     const EnvRows::Row *Row = nullptr;
     if (Opts.EnvInterference && Opts.Ambient) {
-      bool Hit;
-      Row = &envRow(C.gsRef(), Hit);
+      Row = &envRow(C.gsRef(), W);
       const EnvSucc *Next = Row->begin();
       const std::vector<Transition> &Ts = Opts.Ambient->transitions();
       for (size_t I = 0, Sz = Ts.size(); I != Sz; ++I) {
@@ -3374,9 +3019,7 @@ private:
 
     // Environment interference steps, from the state's env row.
     if (Opts.EnvInterference && Opts.Ambient) {
-      bool Hit;
-      const EnvRows::Row &Row = envRow(C.gsRef(), Hit);
-      W.EnvRowHits += Hit;
+      const EnvRows::Row &Row = envRow(C.gsRef(), W);
       for (const EnvSucc &S : Row) {
         ++W.EnvSteps;
         enqueue(Config::successor(C, S.Post, nullptr, 0), &N,
@@ -3417,8 +3060,8 @@ private:
   EnvRows Rows;
   ConsTable<Footprint> FpTable;
 
-  unsigned NumShards = 1;
-  std::vector<Shard> Shards;
+  unsigned NumStripes = 1;
+  std::vector<Stripe> Stripes;
   std::vector<std::unique_ptr<Worker>> Workers;
   std::atomic<uint64_t> Expanded{0};
   std::atomic<int64_t> InFlight{0};
@@ -3426,24 +3069,6 @@ private:
   std::atomic<bool> ExhaustedFlag{false};
   std::atomic<bool> FailWon{false};
 
-  // Multi-process sharding state (inert when DistN == 1).
-  unsigned DistId = 0;
-  unsigned DistN = 1;
-  ShardIo *Io = nullptr;
-  std::unique_ptr<ProgTable> PT;
-  std::mutex IoMutex; ///< serializes workers' send() against pump().
-  std::atomic<uint64_t> SentConfigs{0};
-  std::atomic<uint64_t> RecvConfigs{0};
-  std::atomic<uint64_t> SuppressedSendsCtr{0};
-  /// What this shard has already shipped per remote-owned fingerprint:
-  /// the intersection of all sent sleep sets and the union of all sent
-  /// close masks (guarded by IoMutex). A candidate re-send inside this
-  /// envelope would be a guaranteed no-op at the owner and is swallowed.
-  struct ShippedState {
-    std::vector<SleepEntry> SleepLower;
-    uint32_t MaskUpper = 0;
-  };
-  std::unordered_map<Config, ShippedState, ConfigHash> Shipped;
 };
 
 } // namespace
@@ -3515,25 +3140,14 @@ EngineOptions withModes(const EngineOptions &Opts, const ReductionModes &M) {
   return RunOpts;
 }
 
-/// One exploration under resolved modes: in-process, or handed whole to
-/// the sharded-exploration hook. Refused inside a parallel region —
-/// forking requires a single-threaded parent, and obligation fan-outs
-/// already clamp to serial when shards are configured (Session/Verifier).
+/// One exploration under resolved modes.
 RunResult exploreResolved(const ProgRef &Root, const GlobalState &Initial,
                           const EngineOptions &Opts, const VarEnv &InitialEnv,
                           const ReductionModes &M) {
   EngineOptions RunOpts = withModes(Opts, M);
   RunResult Res;
-  unsigned NShards = RunOpts.Shards ? RunOpts.Shards : defaultShards();
-  ShardedExploreFn Hook = ShardedHook.load(std::memory_order_relaxed);
-  if (NShards > 1 && Hook && !inParallelRegion()) {
-    RunOpts.Shards = NShards;
-    Res = Hook(Root, Initial, RunOpts, InitialEnv, NShards);
-    notePeakVisited(Res.VisitedNodes, Res.VisitedBytes);
-  } else {
-    Explorer E(RunOpts, Res);
-    E.run(Root, Initial, InitialEnv);
-  }
+  Explorer E(RunOpts, Res);
+  E.run(Root, Initial, InitialEnv);
   TotalConfigsCounter.fetch_add(Res.ConfigsExplored,
                                 std::memory_order_relaxed);
   return Res;
@@ -3611,24 +3225,6 @@ RunResult fcsl::explore(const ProgRef &Root, const GlobalState &Initial,
   Plain.Reduction.Oracle = {true, Mismatch, Plain.ConfigsExplored,
                             Reduced.ConfigsExplored};
   return Plain;
-}
-
-RunResult fcsl::exploreShard(const ProgRef &Root, const GlobalState &Initial,
-                             const EngineOptions &Opts,
-                             const VarEnv &InitialEnv, unsigned ShardId,
-                             unsigned NShards, ShardIo &Io) {
-  assert(Root && "exploreShard needs a program");
-  assert(NShards > 0 && ShardId < NShards && "bad shard coordinates");
-  EngineOptions RunOpts =
-      withModes(Opts, resolveModes(Opts.Por, Opts.Symmetry));
-  RunResult Res;
-  Explorer E(RunOpts, Res);
-  E.setDist(ShardId, NShards, &Io);
-  E.run(Root, Initial, InitialEnv);
-  // No TotalConfigsCounter update: the shard runs in a forked child whose
-  // counters die with it; the coordinator accounts the merged run in the
-  // parent (see exploreResolved's hook path).
-  return Res;
 }
 
 SimResult fcsl::simulate(const ProgRef &Root, const GlobalState &Initial,

@@ -37,7 +37,6 @@
 
 #include "prog/Prog.h"
 #include "state/GlobalState.h"
-#include "support/Codec.h"
 
 namespace fcsl {
 
@@ -99,19 +98,14 @@ struct EngineOptions {
   /// process default, which is Off unless overridden by `--por` /
   /// `FCSL_POR` / setDefaultPorMode.
   PorMode Por = PorMode::Default;
-  /// Multi-process sharded exploration (src/dist/, DESIGN.md §10). 0 = the
-  /// process default (`FCSL_SHARDS` / setDefaultShards); 1 = in-process
-  /// only. With N > 1 and a sharded-exploration hook installed
-  /// (installDistributedEngine), explore() forks N worker processes that
-  /// partition the config space by `fingerprint % N` and exchange frontier
-  /// configs; verdicts, terminals, and counters are bit-identical to the
-  /// in-process engine for complete explorations.
+  /// Does nothing: every exploration runs in-process (DESIGN.md §10).
+  /// Kept only because perfbench still sets it.
   unsigned Shards = 0;
   /// Symmetry reduction (see SymMode). `Default` resolves to the process
   /// default, which is Off unless overridden by `--symmetry` /
-  /// `FCSL_SYMMETRY` / setDefaultSymmetryMode. Composes with POR and
-  /// sharding: canonicalization happens before dedup, sleep-set keying and
-  /// shard routing, so all three reductions multiply.
+  /// `FCSL_SYMMETRY` / setDefaultSymmetryMode. Composes with POR:
+  /// canonicalization happens before dedup and sleep-set keying, so the
+  /// two reductions multiply.
   SymMode Symmetry = SymMode::Default;
 };
 
@@ -168,8 +162,8 @@ struct ReductionModes {
 
 /// Resolves `Default` to the process defaults and folds the check modes
 /// into their reduced mode plus the oracle flag: Check is On, CheckDynamic
-/// is Dynamic, symmetry Check is On. explore(), exploreShard() and the
-/// sharded coordinator all resolve through this one function.
+/// is Dynamic, symmetry Check is On. explore() resolves through this one
+/// function.
 ReductionModes resolveModes(PorMode Por, SymMode Sym);
 
 /// How an exploration was reduced. \c Por and \c Sym are the resolved
@@ -213,15 +207,12 @@ struct RunResult {
   /// run's memo instead of being re-executed, and the (thread, context,
   /// global state) keys it recorded. Not part of counters(): at Jobs > 1
   /// two workers may both miss one key, so both depend on the schedule.
-  /// Zero for a sharded run (the wire does not carry them).
   uint64_t StepMemoHits = 0;
   uint64_t StepMemoEntries = 0;
-  /// Env rows (see DESIGN.md §16): plain expansions whose env steps were
-  /// served from the run's row for their global state, and the rows
-  /// recorded, by plain or reduced expansion or by dynamic POR's closure
-  /// walks.
-  /// Kept out of counters() and zero for a sharded run, like the memo
-  /// counters above.
+  /// Env rows (see DESIGN.md §16): reads of the run's rows that found the
+  /// row already recorded, and the rows recorded. Plain and reduced
+  /// expansion and dynamic POR's closure walks all read rows. Kept out of
+  /// counters(), like the memo counters above.
   uint64_t EnvRowHits = 0;
   uint64_t EnvRowEntries = 0;
   /// Exhaustion diagnostics: the MaxConfigs bound that was in effect and,
@@ -358,88 +349,9 @@ struct SymmetryStats {
 };
 SymmetryStats symmetryStats();
 
-//===----------------------------------------------------------------------===//
-// Multi-process sharded exploration (implemented by src/dist/)
-//===----------------------------------------------------------------------===//
-
-/// A shard's status snapshot, handed to its transport on every pump. The
-/// counters feed the coordinator's Mattern-style termination detection:
-/// the fleet is done when every shard is idle and every config counted as
-/// sent has been counted as received at its destination.
-struct ShardStatus {
-  bool Idle = false;      ///< no local work pending or in flight.
-  bool Failed = false;    ///< a safety violation was found locally.
-  bool Exhausted = false; ///< the local MaxConfigs ticket bound was hit.
-  uint64_t Expanded = 0;     ///< configs expanded locally so far.
-  uint64_t SentConfigs = 0;  ///< non-owned successors routed out.
-  uint64_t RecvConfigs = 0;  ///< configs received and injected locally.
-  /// Re-sends the engine's sender-side fingerprint filter proved redundant
-  /// and swallowed (each one counted as a DedupHit instead, exactly as the
-  /// in-process engine would have).
-  uint64_t SuppressedSends = 0;
-};
-
-/// What the transport tells the shard to do after a pump.
-enum class ShardCommand : uint8_t {
-  Continue,       ///< keep exploring.
-  Drain,          ///< stop now and report (fleet terminated or failed).
-  DrainExhausted  ///< stop and report as an exhausted (incomplete) run.
-};
-
-/// One config delivered by the transport. The transport owns wire
-/// decoding (it knows which peer dictionary the bytes reference); the
-/// engine only sees decoded configs. A transport that detects a framing
-/// or dictionary error it cannot attribute mid-stream delivers one entry
-/// with Malformed set so the engine fails the run loudly instead of
-/// dropping work.
-struct ShardDelivery {
-  FrontierConfig Config;
-  bool Malformed = false;
-};
-
-/// The transport a sharded exploration talks to. `send` routes one
-/// frontier config toward the shard that owns it: \p FC is the decoded
-/// form and \p Fp its ownership fingerprint. The transport owns wire
-/// encoding end to end (dictionary-streamed, DESIGN.md §14), so the
-/// engine only ever sees decoded configs. `pump` flushes outboxes,
-/// reports \p Status, and delivers any configs routed here. Both are
-/// called under one lock, so implementations need not be thread-safe.
-class ShardIo {
-public:
-  virtual ~ShardIo() = default;
-  virtual void send(unsigned Dest, FrontierConfig FC, uint64_t Fp) = 0;
-  virtual ShardCommand pump(const ShardStatus &Status,
-                            std::vector<ShardDelivery> &Incoming) = 0;
-};
-
-/// Runs shard \p ShardId of an \p NShards-way partitioned exploration:
-/// identical to explore() except that only configs whose ownership
-/// fingerprint maps to this shard are inserted locally — every other
-/// successor is encoded and handed to \p Io. The modes resolve through
-/// resolveModes(); the coordinator resolves them once in the parent so
-/// all shards agree on the reduction. The oracle is explore()'s alone:
-/// a check mode here explores its reduced space only.
-RunResult exploreShard(const ProgRef &Root, const GlobalState &Initial,
-                       const EngineOptions &Opts, const VarEnv &InitialEnv,
-                       unsigned ShardId, unsigned NShards, ShardIo &Io);
-
-/// The coordinator entry point explore() dispatches to when sharding is
-/// requested. Registered by dist::installDistributedEngine(); the
-/// indirection keeps the core engine free of process-management code.
-using ShardedExploreFn = RunResult (*)(const ProgRef &Root,
-                                       const GlobalState &Initial,
-                                       const EngineOptions &Opts,
-                                       const VarEnv &InitialEnv,
-                                       unsigned NShards);
-void setShardedExploreHook(ShardedExploreFn Fn);
-
-/// Sets the process-default shard count used when `EngineOptions::Shards`
-/// is 0 (exposed as `fcsl-verify --shards=N`). 0 clears the override.
+/// Does nothing: every exploration runs in-process (DESIGN.md §10). Kept
+/// only because perfbench still calls it.
 void setDefaultShards(unsigned N);
-
-/// The process-default shard count: the last setDefaultShards value, else
-/// the `FCSL_SHARDS` environment variable, else 1.
-unsigned defaultShards();
 
 } // namespace fcsl
 

@@ -322,8 +322,8 @@ void Server::handleConnection(int Fd) {
     }
 
     default:
-      // Progress / Report / server-to-client frames from a client, or
-      // shard-fleet frames on a service socket: loudly out of place.
+      // Progress / Report / server-to-client frames from a client:
+      // loudly out of place.
       Stats.UnknownFrames.fetch_add(1, std::memory_order_relaxed);
       Reject("unexpected message type on a service connection");
       break;

@@ -25,11 +25,6 @@
 ///     the client as obligations complete.
 ///   - Shutdown drains in-flight and queued sessions, acks, and exits.
 ///
-/// Per-request *shards* are deliberately unsupported: sharding forks
-/// worker processes, and forking this multi-threaded daemon is unsafe
-/// (Session::run would clamp discharge to serial anyway). A sharded
-/// corpus still serves warm — records are fingerprint-compatible.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef FCSL_SERVICE_SERVER_H

@@ -242,11 +242,6 @@ SessionReport VerificationSession::run(const ResolvedModes &Modes,
   // independent), then fold the ledger in registration order so tallies
   // and the failure list do not depend on scheduling.
   unsigned J = effectiveJobs(Jobs, ToRun.size());
-  // Sharded exploration forks worker processes from inside obligations;
-  // fork() from a multi-threaded parent is unsafe (and the distributed
-  // hook refuses to engage there), so discharge serially instead.
-  if (defaultShards() > 1)
-    J = 1;
   std::vector<ObligationResult> Fresh(ToRun.size());
   std::vector<double> FreshMs(ToRun.size(), 0.0);
   parallelFor(ToRun.size(), J, [&](size_t K) {
@@ -267,7 +262,7 @@ SessionReport VerificationSession::run(const ResolvedModes &Modes,
     if (const cache::CacheRecord *R = Hit[I]) {
       // Check mode: the stored verdict must match the fresh discharge in
       // verdict, check count, and engine counters (all bit-identical
-      // across jobs and shards by the PR 1 / PR 4 invariants).
+      // across job counts).
       if (Fresh[K].Passed != R->Passed || Fresh[K].Checks != R->Checks ||
           Fresh[K].Counters != R->Counters) {
         ++Report.Cache.Divergences;

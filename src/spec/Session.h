@@ -155,9 +155,9 @@ struct ProofUnit {
 };
 
 /// The engine-flag fingerprint of a session's POR and symmetry modes.
-/// Jobs and Shards are deliberately excluded — results are bit-identical
-/// across both, so a verdict computed at --shards=2 validly answers a
-/// --jobs=8 query. Bounds and interference are content-side (they vary
+/// Jobs are deliberately excluded — results are bit-identical across job
+/// counts, so a verdict computed at --jobs=1 validly answers a --jobs=8
+/// query. Bounds and interference are content-side (they vary
 /// per unit, not per session).
 uint64_t engineFlagsFingerprintFor(PorMode Por, SymMode Sym);
 

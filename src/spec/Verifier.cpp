@@ -24,14 +24,14 @@ using namespace fcsl;
 namespace {
 
 /// Runs `explore` over instances [0, N) with the triple's options,
-/// fanning out over up to \p Jobs threads; \p Skip marks instances
+/// fanning out over up to `Opts.Jobs` threads; \p Skip marks instances
 /// outside the domain (not explored). Inner explorations run with
 /// Jobs = 1 when the fan-out itself is parallel.
 std::vector<RunResult>
 exploreInstances(const ProgRef &Prog,
                  const std::vector<VerifyInstance> &Instances,
-                 const std::vector<bool> &Skip, const EngineOptions &Opts,
-                 unsigned Jobs) {
+                 const std::vector<bool> &Skip, const EngineOptions &Opts) {
+  unsigned Jobs = effectiveJobs(Opts.Jobs, Instances.size());
   EngineOptions Inner = Opts;
   if (Jobs > 1)
     Inner.Jobs = 1;
@@ -43,14 +43,6 @@ exploreInstances(const ProgRef &Prog,
                       Instances[I].InitialEnv);
   });
   return Runs;
-}
-
-unsigned fanoutJobs(const EngineOptions &Opts, size_t NumInstances) {
-  // Sharded exploration forks from inside each instance run; keep the
-  // parent single-threaded so fork() is safe and the hook engages.
-  if ((Opts.Shards ? Opts.Shards : defaultShards()) > 1)
-    return 1;
-  return effectiveJobs(Opts.Jobs, NumInstances);
 }
 
 } // namespace
@@ -69,8 +61,7 @@ std::vector<size_t>
 fcsl::inferPre(const ProgRef &Prog, const PostFn &Post,
                const std::vector<VerifyInstance> &Candidates,
                const EngineOptions &Opts) {
-  std::vector<RunResult> Runs = exploreInstances(
-      Prog, Candidates, {}, Opts, fanoutJobs(Opts, Candidates.size()));
+  std::vector<RunResult> Runs = exploreInstances(Prog, Candidates, {}, Opts);
   std::vector<size_t> Good;
   for (size_t I = 0, N = Candidates.size(); I != N; ++I) {
     if (!Runs[I].complete())
@@ -96,8 +87,7 @@ VerifyResult fcsl::verifyTriple(const ProgRef &Prog, const Spec &S,
         !S.Pre.holds(Instances[I].Initial.viewFor(rootThread())))
       Skip[I] = true;
 
-  std::vector<RunResult> Runs = exploreInstances(
-      Prog, Instances, Skip, Opts, fanoutJobs(Opts, Instances.size()));
+  std::vector<RunResult> Runs = exploreInstances(Prog, Instances, Skip, Opts);
 
   // Aggregate in instance order: the first failing instance wins, and
   // counters cover exactly the instances up to and including it —

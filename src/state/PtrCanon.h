@@ -11,7 +11,7 @@
 /// configuration. Two configurations that differ only in the names their
 /// allocations drew from the heap get identical canonical forms, so
 /// allocation order stops splitting orbits and the canonical fingerprint
-/// can drive dedup, shard ownership and cache keys consistently.
+/// can drive dedup and cache keys consistently.
 ///
 /// "Fresh" means: a pointer that names a heap cell (it appears in the
 /// domain of some heap — a joint heap or a heap-valued PCM component) and

@@ -16,8 +16,8 @@
 /// Fingerprints are computed from payload bytes and child fingerprints with
 /// the fixed mixers below — never from node addresses or std::hash — so they
 /// are stable across runs and processes. That stability is what makes them
-/// usable as cross-shard dedup keys for the distributed exploration
-/// follow-on (see ROADMAP.md) and lets tests pin golden values.
+/// usable as obligation-cache keys (cache/Store.h) and lets tests pin
+/// golden values.
 ///
 /// The arena is lock-striped (64 stripes keyed by fingerprint, matching the
 /// visited-set striping in prog/Engine.cpp) so parallel exploration workers

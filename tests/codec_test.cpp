@@ -5,12 +5,12 @@
 // Pins the deterministic binary codec (support/Codec.h): decode(encode(x))
 // == x for every state constructor, encoding is byte-deterministic, the
 // versioned header rejects foreign buffers, truncated or corrupted streams
-// fail soft (no crashes, failed() latches), and the ProgTable enumeration
-// is identical for structurally identical programs.
+// fail soft (no crashes, failed() latches), and obligation-cache records
+// round-trip.
 //
 //===----------------------------------------------------------------------===//
 
-#include "dist/Wire.h"
+#include "cache/Store.h"
 #include "support/Codec.h"
 
 #include <gtest/gtest.h>
@@ -208,80 +208,6 @@ TEST(CodecTest, GlobalStateRoundTrips) {
   EXPECT_EQ(Out.selfOf(2, rootThread()), GS.selfOf(2, rootThread()));
 }
 
-TEST(CodecTest, ProgTableIsDeterministic) {
-  auto Build = [](DefTable &Defs) {
-    Defs.define("loop",
-                FuncDef{{"x"}, Prog::ifThenElse(Expr::var("x"),
-                                                Prog::call("loop",
-                                                           {Expr::var("x")}),
-                                                Prog::retUnit())});
-    return Prog::bind(Prog::retUnit(), "a",
-                      Prog::par(Prog::call("loop", {Expr::litBool(false)}),
-                                Prog::retUnit()));
-  };
-  DefTable DefsA, DefsB;
-  ProgRef A = Build(DefsA);
-  ProgRef B = Build(DefsB);
-  ProgTable TA(A.get(), &DefsA);
-  ProgTable TB(B.get(), &DefsB);
-  ASSERT_EQ(TA.size(), TB.size());
-  EXPECT_GE(TA.size(), 6u); // bind, ret, par, call, if, ...
-  for (uint32_t I = 0; I != TA.size(); ++I) {
-    // Same pre-order position => same node kind and same structural
-    // fingerprint in both enumerations.
-    EXPECT_EQ(TA.progAt(I)->kind(), TB.progAt(I)->kind());
-    EXPECT_EQ(TA.progAt(I)->fingerprint(), TB.progAt(I)->fingerprint());
-  }
-  EXPECT_EQ(TA.indexOf(A.get()), 0u);
-}
-
-TEST(CodecTest, FrontierConfigRoundTrips) {
-  ProgRef Root = Prog::bind(Prog::retUnit(), "a", Prog::retUnit());
-  ProgTable T(Root.get());
-
-  FrontierConfig C;
-  C.GS = nontrivialState();
-  FrontierThread Th;
-  Th.Id = rootThread();
-  Th.Waiting = false;
-  FrontierFrame F;
-  F.Kind = 1;
-  F.Node = T.indexOf(Root.get());
-  F.Rest = ProgTable::NoProg;
-  F.Var = "a";
-  F.Env = VarEnv{{"a", Val::ofInt(3)}, {"b", Val::pair(Val::unit(),
-                                                       Val::ofBool(true))}};
-  Th.Frames.push_back(F);
-  C.Threads.push_back(Th);
-  FrontierThread Done;
-  Done.Id = leftChild(rootThread());
-  Done.Waiting = true;
-  Done.Done = Val::ofInt(9);
-  // k-ary orbit group membership (codec v6): shards must agree on group
-  // structure, so the marker rides the wire.
-  Done.SymGroup = rootThread();
-  C.Threads.push_back(Done);
-  // The wake payload and the accounting flag ride along too.
-  FrontierSleep S;
-  S.IsEnv = true;
-  S.EnvIdx = 2;
-  S.Fp = Footprint::none().readWrite(FpAtom::joint(2));
-  C.Sleep.push_back(S);
-  C.EnvCloseMask = 0x3;
-  C.Counts = false;
-
-  // Through the dictionary contexts, the only frontier encoding.
-  NodeDictEncoder Enc;
-  Encoder Defs, Refs;
-  Enc.encodeConfig(Defs, Refs, C);
-  NodeDictDecoder Dec;
-  ASSERT_TRUE(Dec.feedDefs(Defs.buffer().data(), Defs.buffer().size()));
-  Decoder D(Refs.buffer());
-  EXPECT_EQ(Dec.decodeConfig(D), C);
-  EXPECT_FALSE(D.failed());
-  EXPECT_TRUE(D.atEnd());
-}
-
 TEST(CodecTest, TruncatedStreamsFailSoft) {
   Encoder E;
   encodeHeader(E);
@@ -337,126 +263,6 @@ TEST(CodecTest, MalformedPayloadsFailSoft) {
   }
 }
 
-FrontierConfig sampleConfig(int64_t Seed) {
-  FrontierConfig C;
-  C.GS = nontrivialState();
-  FrontierThread Th;
-  Th.Id = rootThread();
-  FrontierFrame F;
-  F.Kind = 1;
-  F.Node = 0;
-  F.Rest = ProgTable::NoProg;
-  F.Var = "a";
-  F.Env = VarEnv{{"a", Val::ofInt(Seed)},
-                 {"b", Val::pair(Val::unit(), Val::ofBool(true))}};
-  Th.Frames.push_back(F);
-  C.Threads.push_back(Th);
-  FrontierSleep S;
-  S.T = rootThread();
-  S.ActNode = 2;
-  C.Sleep.push_back(S);
-  C.EnvCloseMask = 5;
-  return C;
-}
-
-TEST(CodecTest, NodeDictRoundTripsAndDedups) {
-  NodeDictEncoder Enc;
-  NodeDictDecoder Dec;
-  FrontierConfig A = sampleConfig(1);
-  FrontierConfig B = sampleConfig(2); // shares almost all nodes with A
-
-  Encoder DefsA, RefsA;
-  Enc.encodeConfig(DefsA, RefsA, A);
-  ASSERT_FALSE(DefsA.buffer().empty());
-  ASSERT_TRUE(Dec.feedDefs(DefsA.buffer().data(), DefsA.buffer().size()));
-  Decoder DA(RefsA.buffer());
-  FrontierConfig OutA = Dec.decodeConfig(DA);
-  EXPECT_FALSE(DA.failed());
-  EXPECT_TRUE(DA.atEnd());
-  EXPECT_EQ(OutA, A);
-
-  // The second config ships only its genuinely new nodes as definitions.
-  Encoder DefsB, RefsB;
-  Enc.encodeConfig(DefsB, RefsB, B);
-  EXPECT_LT(DefsB.buffer().size(), DefsA.buffer().size());
-  ASSERT_TRUE(Dec.feedDefs(DefsB.buffer().data(), DefsB.buffer().size()));
-  Decoder DB(RefsB.buffer());
-  EXPECT_EQ(Dec.decodeConfig(DB), B);
-  EXPECT_FALSE(DB.failed());
-  EXPECT_EQ(Enc.size(), Dec.size());
-
-  // Re-sending an already-interned config adds no definitions at all, and
-  // its whole reference encoding is smaller than the plain encoding of its
-  // global state alone.
-  Encoder DefsC, RefsC;
-  Enc.encodeConfig(DefsC, RefsC, A);
-  EXPECT_TRUE(DefsC.buffer().empty());
-  Decoder DC(RefsC.buffer());
-  EXPECT_EQ(Dec.decodeConfig(DC), A);
-  EXPECT_FALSE(DC.failed());
-  Encoder Plain;
-  encode(Plain, A.GS);
-  EXPECT_LT(RefsC.buffer().size(), Plain.buffer().size());
-}
-
-TEST(CodecTest, NodeDictDefsFailSoft) {
-  FrontierConfig A = sampleConfig(3);
-  Encoder Defs, Refs;
-  NodeDictEncoder Enc;
-  Enc.encodeConfig(Defs, Refs, A);
-  const std::vector<uint8_t> &Full = Defs.buffer();
-  ASSERT_FALSE(Full.empty());
-  // A strict prefix of the definition stream either fails outright
-  // (poisoning the dictionary) or, when it happens to end on a definition
-  // boundary, leaves later references dangling — the config never decodes.
-  for (size_t Cut = 0; Cut < Full.size(); Cut += 4) {
-    NodeDictDecoder Dec;
-    bool FedOk = Dec.feedDefs(Full.data(), Cut);
-    if (!FedOk) {
-      EXPECT_TRUE(Dec.corrupt());
-      // Poisoned for good: even the valid full stream is refused now.
-      EXPECT_FALSE(Dec.feedDefs(Full.data(), Full.size()));
-    }
-    Decoder D(Refs.buffer());
-    (void)Dec.decodeConfig(D);
-    EXPECT_TRUE(D.failed()) << "defs prefix of " << Cut << " bytes decoded";
-  }
-  // Foreign bytes: an unknown definition tag corrupts the dictionary.
-  std::vector<uint8_t> Foreign = Full;
-  Foreign[0] ^= 0xff;
-  NodeDictDecoder Dec;
-  EXPECT_FALSE(Dec.feedDefs(Foreign.data(), Foreign.size()));
-  EXPECT_TRUE(Dec.corrupt());
-}
-
-TEST(CodecTest, NodeDictRefsFailSoft) {
-  FrontierConfig A = sampleConfig(4);
-  Encoder Defs, Refs;
-  NodeDictEncoder Enc;
-  Enc.encodeConfig(Defs, Refs, A);
-  NodeDictDecoder Dec;
-  ASSERT_TRUE(Dec.feedDefs(Defs.buffer().data(), Defs.buffer().size()));
-  const std::vector<uint8_t> &Full = Refs.buffer();
-  for (size_t Cut = 0; Cut < Full.size(); Cut += 3) {
-    Decoder D(Full.data(), Cut);
-    (void)Dec.decodeConfig(D);
-    EXPECT_TRUE(D.failed()) << "refs prefix of " << Cut << " bytes decoded";
-  }
-  // An out-of-range dictionary reference is rejected.
-  Encoder Bad;
-  Bad.vu(1);                // one label
-  Bad.vu(1);                // label id
-  Bad.vu(Dec.size() + 100); // type reference beyond the dictionary
-  Decoder DBad(Bad.buffer());
-  (void)Dec.decodeConfig(DBad);
-  EXPECT_TRUE(DBad.failed());
-  // Malformed reference streams do not poison the dictionary: the intact
-  // stream still decodes afterwards.
-  Decoder DOk(Full);
-  EXPECT_EQ(Dec.decodeConfig(DOk), A);
-  EXPECT_FALSE(DOk.failed());
-}
-
 cache::CacheRecord sampleRecord(uint64_t Content) {
   cache::CacheRecord R;
   R.Key.Content = Content;
@@ -509,56 +315,6 @@ TEST(CodecTest, CacheRecordFailsSoft) {
   Decoder D(Bad);
   (void)cache::decodeCacheRecord(D);
   EXPECT_TRUE(D.failed());
-}
-
-TEST(CodecTest, CacheDeltaFrameRoundTrips) {
-  dist::CacheDeltaMsg M;
-  M.ShardId = 3;
-  M.Records.push_back(sampleRecord(0x1001));
-  M.Records.push_back(cache::CacheRecord{});
-  M.Records.push_back(sampleRecord(0x1002));
-
-  std::vector<uint8_t> Frame = dist::frameCacheDelta(M);
-  // Strip the u32 length prefix; the payload must announce its own length.
-  ASSERT_GT(Frame.size(), 4u);
-  uint32_t Len = 0;
-  for (int I = 0; I != 4; ++I)
-    Len |= static_cast<uint32_t>(Frame[I]) << (8 * I);
-  ASSERT_EQ(Frame.size() - 4, Len);
-  std::vector<uint8_t> Payload(Frame.begin() + 4, Frame.end());
-
-  std::optional<dist::WireMsg> Out = dist::decodeFrame(Payload);
-  ASSERT_TRUE(Out.has_value());
-  EXPECT_EQ(Out->Type, dist::MsgType::CacheDelta);
-  EXPECT_EQ(Out->Delta, M);
-}
-
-TEST(CodecTest, CacheDeltaFrameFailsSoft) {
-  dist::CacheDeltaMsg M;
-  M.ShardId = 1;
-  M.Records.push_back(sampleRecord(0x2002));
-  std::vector<uint8_t> Frame = dist::frameCacheDelta(M);
-  std::vector<uint8_t> Payload(Frame.begin() + 4, Frame.end());
-
-  // Truncated payloads never decode.
-  for (size_t Cut = 0; Cut < Payload.size(); Cut += 5) {
-    std::vector<uint8_t> Prefix(Payload.begin(), Payload.begin() + Cut);
-    EXPECT_FALSE(dist::decodeFrame(Prefix).has_value())
-        << "prefix of " << Cut << " bytes decoded";
-  }
-
-  // A delta from a different cache-record format version is dropped whole.
-  // Layout: codec header (8 bytes), tag (1), shard id (4), then the u32
-  // record version — flip its low byte at offset 13.
-  std::vector<uint8_t> Foreign = Payload;
-  ASSERT_GT(Foreign.size(), 13u);
-  Foreign[13] ^= 0x01;
-  EXPECT_FALSE(dist::decodeFrame(Foreign).has_value());
-
-  // Trailing garbage after the last record is malformed.
-  std::vector<uint8_t> Trailing = Payload;
-  Trailing.push_back(0x00);
-  EXPECT_FALSE(dist::decodeFrame(Trailing).has_value());
 }
 
 } // namespace

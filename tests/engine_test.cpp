@@ -10,7 +10,6 @@
 
 #include "concurroid/Entangle.h"
 #include "concurroid/Priv.h"
-#include "dist/Coordinator.h"
 #include "prog/Engine.h"
 
 #include <gtest/gtest.h>
@@ -505,26 +504,6 @@ TEST(EnvRowTest, FailureTraceThroughRowHits) {
                              "   2. env: bump\n"
                              "   3. env: bump\n"
                              "   4. thread 2: boom()  <-- UNSAFE\n");
-}
-
-TEST(EnvRowTest, ShardedRunsMatchTheSerialCounters) {
-  CounterWorld W = makeCounterWorld(/*EnvCap=*/2);
-  EngineOptions Opts = memoOpts(W);
-  Opts.EnvInterference = true;
-  RunResult Serial = explore(readersUnderBumps(W), counterState(), Opts);
-  ASSERT_TRUE(Serial.complete()) << Serial.FailureNote;
-  // Each shard keeps rows for the states it owns; the counters must not
-  // notice.
-  for (unsigned Shards : {2u, 3u}) {
-    RunResult R = dist::distributedExplore(readersUnderBumps(W),
-                                           counterState(), Opts, {}, Shards);
-    ASSERT_TRUE(R.complete()) << "shards=" << Shards << ": " << R.FailureNote;
-    EXPECT_EQ(R.counters(), Serial.counters()) << "shards=" << Shards;
-    // Terminals only order; equal sorted lists are neither below the other.
-    EXPECT_FALSE(R.Terminals < Serial.Terminals ||
-                 Serial.Terminals < R.Terminals)
-        << "shards=" << Shards;
-  }
 }
 
 //===----------------------------------------------------------------------===//

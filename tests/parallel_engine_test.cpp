@@ -3,8 +3,9 @@
 // Part of fcsl-cpp. Checks the multi-worker interleaving engine: explore()
 // must return bit-identical terminals, verdicts and counters for any job
 // count on the Treiber-stack and spanning-tree case studies (diamond-3
-// with thread steps served from the thread-step memo, and diamond-2 over
-// three shard processes), a seeded unsafe program must still produce a
+// with thread steps served from the thread-step memo, and diamond-2 with
+// its golden counters and visited-memory bound), a seeded unsafe program
+// must still produce a
 // non-empty counterexample schedule under parallel exploration, and the
 // spec layer's instance fan-out must agree with its serial run. Part of
 // the TSan stage of scripts/verify.sh.
@@ -13,10 +14,10 @@
 
 #include "concurroid/Entangle.h"
 #include "concurroid/Priv.h"
-#include "dist/Coordinator.h"
 #include "spec/Verifier.h"
 #include "structures/SpanTree.h"
 #include "structures/TreiberStack.h"
+#include "support/Intern.h"
 #include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
@@ -130,10 +131,12 @@ TEST(ParallelEngineTest, DiamondThreeGoldenWithTheStepMemo) {
   }
 }
 
-TEST(ParallelEngineTest, DiamondTwoOverThreeShardsMatchesSerial) {
-  // With three shards one owner receives from two senders, so duplicate
-  // configs reach it along two paths; the owner's dedup alone must keep
-  // every counter equal to the serial run.
+TEST(ParallelEngineTest, DiamondTwoGoldenHoldsAcrossJobs) {
+  // The closed-world diamond-2 space at jobs 1 and 4: the same golden
+  // counters at both. Visited memory is handles into the exploration's
+  // own hash-cons tables, so it stays under 1 KB per config, and those
+  // tables are per run: a second identical exploration adds nothing to
+  // the process-wide intern arenas.
   SpanTreeCase Case = makeSpanTreeCase(1, 2);
   EngineOptions Opts;
   Opts.Ambient = Case.PrivOnly;
@@ -141,16 +144,25 @@ TEST(ParallelEngineTest, DiamondTwoOverThreeShardsMatchesSerial) {
   Opts.Defs = &Case.Defs;
   Opts.Por = PorMode::Off;
   Opts.Symmetry = SymMode::Off;
-  Opts.Jobs = 1;
-  Opts.Shards = 1;
   ProgRef Main = makeSpanRootProg(Case, Ptr(1));
   GlobalState S0 = spanRootState(Case, diamondOf(2));
+  Opts.Jobs = 1;
   RunResult Base = explore(Main, S0, Opts);
-  ASSERT_TRUE(Base.complete()) << Base.FailureNote;
-  RunResult R = dist::distributedExplore(Main, S0, Opts, {}, 3);
-  ASSERT_TRUE(R.complete()) << R.FailureNote;
-  EXPECT_TRUE(sameTerminals(R.Terminals, Base.Terminals));
-  EXPECT_EQ(R.counters(), Base.counters());
+  for (unsigned Jobs : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "jobs=" << Jobs);
+    Opts.Jobs = Jobs;
+    uint64_t ArenaNodes = internStats().totalNodes();
+    RunResult R = explore(Main, S0, Opts);
+    EXPECT_EQ(internStats().totalNodes(), ArenaNodes);
+    ASSERT_TRUE(R.complete()) << R.FailureNote;
+    EXPECT_EQ(R.ConfigsExplored, 1475u);
+    EXPECT_EQ(R.ActionSteps, 3775u);
+    EXPECT_EQ(R.Terminals.size(), 4u);
+    EXPECT_LE(R.VisitedBytes, 1024 * R.ConfigsExplored)
+        << R.VisitedBytes << " visited bytes";
+    EXPECT_TRUE(sameTerminals(R.Terminals, Base.Terminals));
+    EXPECT_EQ(R.counters(), Base.counters());
+  }
 }
 
 TEST(ParallelEngineTest, TreiberPopUnderInterferenceDeterministic) {

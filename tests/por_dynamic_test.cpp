@@ -4,9 +4,9 @@
 // licensed by observed footprints and the env-future closure, on top of
 // the static reduction. Pins where the reduction genuinely bites
 // (spanning tree, flat combiner), that it never explores more than the
-// full state space, that it is bit-identical across job counts and shard
-// counts, that check-dynamic cross-validates every Table-1 session, and
-// that it composes with symmetry reduction and sharding. Exact counter
+// full state space, that it is bit-identical across job counts, that
+// check-dynamic cross-validates every Table-1 session, and that it
+// composes with symmetry reduction. Exact counter
 // pins and two closure refusals (a future past the state cap, an unknown
 // env footprint) guard the closure walks over the env rows.
 //
@@ -14,7 +14,6 @@
 
 #include "action/AtomicAction.h"
 #include "concurroid/Concurroid.h"
-#include "dist/Coordinator.h"
 #include "graph/GraphGen.h"
 #include "prog/Engine.h"
 #include "structures/FlatCombiner.h"
@@ -336,8 +335,8 @@ TEST(PorDynamicTest, PinsExactDynamicCounters) {
 
 TEST(PorDynamicTest, ClosureWalksReadTheEnvRows) {
   // A closure walks from each state's env row to the rows of its posts,
-  // the table plain expansion and expandPor read; only plain expansion
-  // counts row hits, and it never runs under POR.
+  // the table plain expansion and expandPor read. Every read that finds
+  // a row counts a hit, so a dynamic run books hits too.
   FcSetup S = makeFcSetup();
   S.Opts.Por = PorMode::Dynamic;
   PorStats Before = porStats();
@@ -345,7 +344,7 @@ TEST(PorDynamicTest, ClosureWalksReadTheEnvRows) {
   PorStats After = porStats();
   ASSERT_TRUE(R.complete()) << R.FailureNote;
   EXPECT_GT(R.EnvRowEntries, 0u);
-  EXPECT_EQ(R.EnvRowHits, 0u);
+  EXPECT_GT(R.EnvRowHits, 0u);
   // The walks must license exactly the ample singletons the closures
   // always licensed: every ample decision shows in these counters.
   EXPECT_EQ(After.RacesDetected - Before.RacesDetected, 1423u);
@@ -410,7 +409,7 @@ TEST(PorDynamicTest, UnknownEnvFootprintLicensesNoDynamicAmple) {
 }
 
 //===----------------------------------------------------------------------===//
-// Determinism: bit-identical counters across job counts and shard counts.
+// Determinism: bit-identical counters across job counts.
 //===----------------------------------------------------------------------===//
 
 TEST(PorDynamicTest, BitIdenticalAcrossJobCounts) {
@@ -428,24 +427,6 @@ TEST(PorDynamicTest, BitIdenticalAcrossJobCounts) {
                                                            << " jobs";
     EXPECT_EQ(Serial.ActionSteps, Par.ActionSteps) << Jobs << " jobs";
     EXPECT_EQ(Serial.EnvSteps, Par.EnvSteps) << Jobs << " jobs";
-  }
-}
-
-TEST(PorDynamicTest, BitIdenticalAcrossShardCounts) {
-  FcSetup S = makeFcSetup();
-  S.Opts.Por = PorMode::Dynamic;
-  S.Opts.Shards = 1;
-  RunResult Base = explore(S.Main, S.Initial, S.Opts);
-  ASSERT_TRUE(Base.complete()) << Base.FailureNote;
-  for (unsigned Shards : {2u, 4u}) {
-    RunResult R = dist::distributedExplore(S.Main, S.Initial, S.Opts, {},
-                                     Shards);
-    EXPECT_EQ(R.Safe, Base.Safe) << "shards=" << Shards;
-    EXPECT_TRUE(sameTerminals(R, Base)) << "shards=" << Shards;
-    EXPECT_EQ(R.ConfigsExplored, Base.ConfigsExplored)
-        << "shards=" << Shards;
-    EXPECT_EQ(R.ActionSteps, Base.ActionSteps) << "shards=" << Shards;
-    EXPECT_EQ(R.EnvSteps, Base.EnvSteps) << "shards=" << Shards;
   }
 }
 
@@ -483,7 +464,7 @@ TEST(PorDynamicTest, CheckDynamicCrossValidatesAllSessions) {
   }
 }
 
-TEST(PorDynamicTest, ComposesWithSymmetryAndShards) {
+TEST(PorDynamicTest, ComposesWithSymmetry) {
   FcSetup S = makeFcSetup();
   S.Opts.Por = PorMode::Off;
   S.Opts.Symmetry = SymMode::Off;
@@ -494,11 +475,6 @@ TEST(PorDynamicTest, ComposesWithSymmetryAndShards) {
   RunResult Local = explore(S.Main, S.Initial, S.Opts);
   EXPECT_EQ(Full.Safe, Local.Safe);
   EXPECT_TRUE(sameTerminals(Full, Local));
-  RunResult Sharded = dist::distributedExplore(S.Main, S.Initial, S.Opts, {},
-                                         2);
-  EXPECT_EQ(Local.Safe, Sharded.Safe);
-  EXPECT_TRUE(sameTerminals(Local, Sharded));
-  EXPECT_EQ(Local.ConfigsExplored, Sharded.ConfigsExplored);
 }
 
 //===----------------------------------------------------------------------===//

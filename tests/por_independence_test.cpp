@@ -12,9 +12,11 @@
 #include "graph/GraphGen.h"
 #include "prog/Engine.h"
 #include "structures/CgAllocator.h"
+#include "structures/CgIncrement.h"
 #include "structures/PairSnapshot.h"
 #include "structures/SpanTree.h"
 #include "structures/SpinLock.h"
+#include "structures/TicketLock.h"
 #include "structures/TreiberStack.h"
 
 #include <gtest/gtest.h>
@@ -604,4 +606,88 @@ TEST(StructurePorTest, AllocatorPickStepsReduceUnderContention) {
   EXPECT_LT(Red.ActionSteps, Full.ActionSteps)
       << Red.ActionSteps << " reduced vs " << Full.ActionSteps
       << " action steps";
+}
+
+namespace {
+
+/// A coarse-grained increment client over the given lock, packaged with
+/// its definitions, initial state (counter = EnvTotal, owned by the
+/// environment) and engine options.
+struct IncrCase {
+  LockProtocol P;
+  std::shared_ptr<DefTable> Defs;
+  ProgRef Main;
+  GlobalState Initial;
+  EngineOptions Opts;
+};
+
+IncrCase makeIncrCase(const LockFactory &Factory, PCMTypeRef TokenType,
+                      bool Parallel, bool EnvInterference,
+                      uint64_t EnvTotal) {
+  constexpr Label PvLbl = 1, LkLbl = 2;
+  IncrCase C;
+  C.P = Factory(PvLbl, LkLbl, counterResourceModel(LkLbl, /*EnvCap=*/1));
+  C.Defs = std::make_shared<DefTable>();
+  defineIncrProgram(C.P, *C.Defs);
+  C.Main = Parallel ? Prog::par(Prog::call("incr", {}),
+                                Prog::call("incr", {}))
+                    : Prog::call("incr", {});
+  PCMTypeRef SelfType = PCMType::pairOf(TokenType, PCMType::nat());
+  C.Initial.addLabel(C.P.Pv, PCMType::heap(), Heap(),
+                     PCMVal::ofHeap(Heap()), /*EnvClosed=*/false);
+  PCMVal EnvSelf = SelfType->unit();
+  EnvSelf = PCMVal::makePair(EnvSelf.first(), PCMVal::ofNat(EnvTotal));
+  C.Initial.addLabel(
+      C.P.Lk, SelfType,
+      C.P.InitialJoint(Heap::singleton(
+          counterResourceCell(),
+          Val::ofInt(static_cast<int64_t>(EnvTotal)))),
+      std::move(EnvSelf), /*EnvClosed=*/false);
+  C.Opts.Ambient = C.P.C;
+  C.Opts.EnvInterference = EnvInterference;
+  C.Opts.Defs = C.Defs.get();
+  C.Opts.Jobs = 1;
+  return C;
+}
+
+} // namespace
+
+TEST(StructurePorTest, LockClientsReduceUnderPor) {
+  // The spin/ticket lock footprints must buy an actual reduction, not
+  // just compile. A mutex serializes every state-changing step, so the
+  // reachable config set cannot shrink for a lock client; what POR prunes
+  // is redundant *transitions* — failed spin probes and postponed env
+  // steps whose targets dedup into already-visited configs. Assert
+  // strictly fewer explored steps with verdict, terminals, and config set
+  // intact.
+  struct Variant {
+    LockFactory Factory;
+    PCMTypeRef Token;
+    bool Parallel;
+    bool Env;
+    const char *Tag;
+  };
+  const Variant Variants[] = {
+      {casLockFactory(), PCMType::mutex(), true, false, "cas parallel"},
+      {ticketLockFactory(), PCMType::ptrSet(), true, false,
+       "ticket parallel"},
+      {ticketLockFactory(), PCMType::ptrSet(), false, true,
+       "ticket sequential open"},
+  };
+  for (const Variant &V : Variants) {
+    IncrCase C = makeIncrCase(V.Factory, V.Token, V.Parallel, V.Env,
+                              /*EnvTotal=*/0);
+    C.Opts.Por = PorMode::Off;
+    RunResult Full = explore(C.Main, C.Initial, C.Opts);
+    C.Opts.Por = PorMode::On;
+    RunResult Red = explore(C.Main, C.Initial, C.Opts);
+
+    ASSERT_TRUE(Full.complete() && Red.complete()) << V.Tag;
+    EXPECT_TRUE(Full.Safe && Red.Safe) << V.Tag;
+    EXPECT_TRUE(sameTerminals(Full, Red)) << V.Tag;
+    EXPECT_EQ(Red.ConfigsExplored, Full.ConfigsExplored) << V.Tag;
+    EXPECT_LT(Red.ActionSteps + Red.EnvSteps,
+              Full.ActionSteps + Full.EnvSteps)
+        << V.Tag;
+  }
 }

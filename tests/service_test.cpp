@@ -438,8 +438,7 @@ TEST(ServiceToolsTest, BadModeEnvironmentExitsTwo) {
   // status 2, but without the error line), so it can never start serving.
   for (const char *Bin : {FCSL_SERVE_BIN, FCSL_VERIFY_BIN}) {
     for (const char *Env : {"FCSL_POR=dynamc", "FCSL_SYMMETRY=chek",
-                            "FCSL_CACHE=wr", "FCSL_JOBS=-1",
-                            "FCSL_SHARDS=0"}) {
+                            "FCSL_CACHE=wr", "FCSL_JOBS=-1"}) {
       std::string Cmd =
           std::string("env ") + Env + " '" + Bin + "' --no-such-flag 2>&1";
       FILE *P = ::popen(Cmd.c_str(), "r");

@@ -4,16 +4,15 @@
 // DESIGN.md §11: the thread/pointer renaming primitives it is built on,
 // strict state-space reduction on programs with interchangeable sibling
 // threads (including a nested par tree whose orbits have up to 2^3
-// members), stability of the canonical space across job counts and shard
-// counts, the `--symmetry=check` soundness oracle over the
-// Table 1 sessions, and composition with partial-order reduction and
-// multi-process sharding. Part of the TSan stage of scripts/verify.sh.
+// members), stability of the canonical space across job counts, the
+// `--symmetry=check` soundness oracle over the Table 1 sessions, and
+// composition with partial-order reduction. Part of the TSan stage of
+// scripts/verify.sh.
 //
 //===----------------------------------------------------------------------===//
 
 #include "concurroid/Entangle.h"
 #include "concurroid/Priv.h"
-#include "dist/Coordinator.h"
 #include "prog/Engine.h"
 #include "state/PtrCanon.h"
 #include "structures/CgIncrement.h"
@@ -376,7 +375,7 @@ TEST(SymmetryTest, TreiberStackPinsItsOrbitCounters) {
 
 //===----------------------------------------------------------------------===//
 // Canonical representatives are deterministic: idempotent across repeated
-// runs and independent of discovery order (job count, shard count).
+// runs and independent of discovery order (job count).
 //===----------------------------------------------------------------------===//
 
 TEST(SymmetryTest, CanonicalSpaceIsStableAcrossJobCounts) {
@@ -395,25 +394,6 @@ TEST(SymmetryTest, CanonicalSpaceIsStableAcrossJobCounts) {
     // the same representative: the canonical config count is identical.
     EXPECT_EQ(Serial.ConfigsExplored, Par.ConfigsExplored) << Jobs << " jobs";
     EXPECT_EQ(Serial.ActionSteps, Par.ActionSteps) << Jobs << " jobs";
-  }
-}
-
-TEST(SymmetryTest, CanonicalSpaceIsStableAcrossShardCounts) {
-  // Canonical fingerprints drive shard ownership, so a whole orbit lands
-  // on one shard and the fleet's union equals the serial canonical space.
-  CounterWorld W = makeCounterWorld();
-  EngineOptions Opts = optsFor(W);
-  Opts.Symmetry = SymMode::On;
-  ProgRef Main = symmetricQuad(W);
-  RunResult Serial = explore(Main, counterState(), Opts);
-  ASSERT_TRUE(Serial.complete());
-  for (unsigned Shards : {2u, 4u}) {
-    RunResult Fleet =
-        dist::distributedExplore(Main, counterState(), Opts, {}, Shards);
-    EXPECT_EQ(Serial.Safe, Fleet.Safe) << Shards << " shards";
-    EXPECT_TRUE(sameTerminals(Serial, Fleet)) << Shards << " shards";
-    EXPECT_EQ(Serial.ConfigsExplored, Fleet.ConfigsExplored)
-        << Shards << " shards";
   }
 }
 
@@ -502,8 +482,8 @@ TEST(PtrCanonTest, FreshCellsAreUnpinnedHeapCells) {
 }
 
 TEST(PtrCanonTest, CanonicalFormsRoundTripThroughCodec) {
-  // Shards exchange canonical configs over the wire: the canonical form
-  // (renamed state plus k-ary group markers) must survive codec v6.
+  // The canonical form (renamed state plus k-ary group markers) must
+  // survive the codec.
   GlobalState Canon =
       canonicalState(listState(Ptr(5), Ptr(3)), {ListSnt});
   Encoder E;
@@ -520,7 +500,7 @@ TEST(SymmetryTest, CanonicalSpaceIsProcessStable) {
   // Re-executes this binary (exec, not fork: fresh address space, fresh
   // intern arenas, fresh ASLR) and compares a full canonical-exploration
   // dump byte for byte — the cross-process contract that lets canonical
-  // fingerprints drive shard ownership and cache keys.
+  // fingerprints drive cache keys.
   auto Dump = [] {
     CounterWorld W = makeCounterWorld();
     EngineOptions Opts = optsFor(W);
@@ -626,10 +606,10 @@ TEST(SymmetryCheckTest, EveryTableOneSessionPassesUnderCheck) {
 }
 
 //===----------------------------------------------------------------------===//
-// Composition: symmetry × POR × sharding against the plain engine.
+// Composition: symmetry × POR against the plain engine.
 //===----------------------------------------------------------------------===//
 
-TEST(SymmetryComposeTest, SymmetryPorAndShardsMatchThePlainEngine) {
+TEST(SymmetryComposeTest, SymmetryAndPorMatchThePlainEngine) {
   CounterWorld W = makeCounterWorld();
   ProgRef Main = symmetricQuad(W);
   EngineOptions Plain = optsFor(W);
@@ -646,15 +626,6 @@ TEST(SymmetryComposeTest, SymmetryPorAndShardsMatchThePlainEngine) {
   EXPECT_EQ(Baseline.Exhausted, Local.Exhausted);
   EXPECT_TRUE(sameTerminals(Baseline, Local));
   EXPECT_LE(Local.ConfigsExplored, Baseline.ConfigsExplored);
-
-  for (unsigned Shards : {2u}) {
-    RunResult Fleet =
-        dist::distributedExplore(Main, counterState(), Opts, {}, Shards);
-    EXPECT_TRUE(Fleet.Safe);
-    EXPECT_TRUE(sameTerminals(Baseline, Fleet)) << Shards << " shards";
-    EXPECT_EQ(Local.ConfigsExplored, Fleet.ConfigsExplored)
-        << Shards << " shards";
-  }
 }
 
 TEST(SymmetryComposeTest, CheckComposesWithPorOnTableOneStructure) {

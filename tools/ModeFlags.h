@@ -61,7 +61,6 @@ inline int validateEnv() {
     return E && End != E && *End == '\0' && V >= Min;
   };
   Check("FCSL_JOBS", Unsigned("FCSL_JOBS", 0), "a non-negative integer");
-  Check("FCSL_SHARDS", Unsigned("FCSL_SHARDS", 1), "a positive integer");
   return Bad;
 }
 

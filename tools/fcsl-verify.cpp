@@ -15,8 +15,6 @@
 
 #include "cache/Store.h"
 #include "concurroid/Registry.h"
-#include "dist/Coordinator.h"
-#include "dist/Wire.h"
 #include "prog/Engine.h"
 #include "structures/StackIface.h"
 #include "structures/Suite.h"
@@ -37,7 +35,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: fcsl-verify [--jobs N] [--por MODE] [--symmetry MODE] "
-               "[--shards N] [--cache MODE] <command>\n"
+               "[--cache MODE] <command>\n"
                "  list                 list the verifiable case studies\n"
                "  verify <name|all>    run one (or every) verification "
                "session\n"
@@ -73,16 +71,9 @@ int usage() {
                "the plain engine\n"
                "                       (default from FCSL_SYMMETRY, else "
                "off); composes\n"
-               "                       with --por and --shards: with either "
-               "check mode,\n"
-               "                       one oracle checks both reductions "
-               "together\n"
-               "  --shards N           partition every exploration across N "
-               "worker processes\n"
-               "                       by state fingerprint (1 = in-process; "
-               "default from\n"
-               "                       FCSL_SHARDS, else 1); composes with "
-               "--por and --jobs\n"
+               "                       with --por: with either check mode, "
+               "one oracle\n"
+               "                       checks both reductions together\n"
                "  --cache off|rw|ro|check\n"
                "                       persistent obligation-verdict cache "
                "(content-addressed\n"
@@ -268,57 +259,6 @@ void printStats() {
     }
   }
 
-  dist::FleetStats Fleet = dist::fleetTotals();
-  if (Fleet.Fleets == 0)
-    return;
-  std::printf("sharded exploration: %llu fleets, %llu configs exchanged in "
-              "%llu batches (%llu bytes), %llu cache records merged, peak "
-              "child rss %llu kB (sum %llu kB)\n",
-              static_cast<unsigned long long>(Fleet.Fleets),
-              static_cast<unsigned long long>(Fleet.Configs),
-              static_cast<unsigned long long>(Fleet.Messages),
-              static_cast<unsigned long long>(Fleet.Bytes),
-              static_cast<unsigned long long>(Fleet.CacheRecordsMerged),
-              static_cast<unsigned long long>(Fleet.ChildRssKbMax),
-              static_cast<unsigned long long>(Fleet.ChildRssKbSum));
-
-  // The wire table: every frame the hub received, by message type.
-  {
-    static const char *const TagNames[16] = {
-        "-",           "hello",      "-",
-        "stats",       "drain",      "verdict",
-        "cache-delta", "batch-dict", "submit-session",
-        "progress",    "report",     "cache-stats",
-        "shutdown",    "-",          "-",
-        "-"};
-    TextTable Wire;
-    Wire.setHeader({"msg type", "frames", "bytes"});
-    Wire.setRightAligned(1);
-    Wire.setRightAligned(2);
-    for (size_t I = 1; I != Fleet.RecvFrames.size(); ++I)
-      if (Fleet.RecvFrames[I] != 0)
-        Wire.addRow({TagNames[I], std::to_string(Fleet.RecvFrames[I]),
-                     std::to_string(Fleet.RecvBytes[I])});
-    std::printf("wire traffic received by the hub:\n%s",
-                Wire.render().c_str());
-  }
-
-  TextTable Shards;
-  Shards.setHeader({"shard", "expanded", "sent", "recv", "suppressed",
-                    "batches", "dict nodes", "def B", "ref B", "rss kB"});
-  for (unsigned I = 1; I <= 9; ++I)
-    Shards.setRightAligned(I);
-  for (const dist::ShardExchange &S : Fleet.LastRun)
-    Shards.addRow({std::to_string(S.ShardId), std::to_string(S.Expanded),
-                   std::to_string(S.SentConfigs),
-                   std::to_string(S.RecvConfigs),
-                   std::to_string(S.SuppressedSends),
-                   std::to_string(S.SentBatches),
-                   std::to_string(S.DictNodes),
-                   std::to_string(S.DictDefBytes),
-                   std::to_string(S.DictRefBytes),
-                   std::to_string(S.MaxRssKb)});
-  std::printf("last fleet:\n%s", Shards.render().c_str());
 }
 
 /// All sessions: the paper's eleven plus the abstract-stack extension.
@@ -392,7 +332,6 @@ int main(int Argc, char **Argv) {
   bool Stats = false;
   if (int Bad = validateEnv())
     return Bad;
-  dist::installDistributedEngine();
   // Flags taking a value, spelled `--flag VALUE` or `--flag=VALUE`.
   const std::pair<const char *, bool (*)(const char *)> ValueFlags[] = {
       {"--por",
@@ -407,15 +346,6 @@ int main(int Argc, char **Argv) {
        [](const char *T) {
          return applyMode(T, cache::parseCacheMode,
                           cache::setDefaultCacheMode);
-       }},
-      {"--shards",
-       [](const char *T) {
-         char *End = nullptr;
-         long N = std::strtol(T, &End, 10);
-         if (End == T || *End != '\0' || N < 1)
-           return false;
-         setDefaultShards(static_cast<unsigned>(N));
-         return true;
        }},
   };
   for (int I = 1; I < Argc; ++I) {
