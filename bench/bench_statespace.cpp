@@ -16,13 +16,13 @@
 
 #include "concurroid/Entangle.h"
 #include "concurroid/Priv.h"
-#include "structures/FlatCombiner.h"
 #include "structures/SpanTree.h"
 #include "support/Format.h"
 #include "support/Intern.h"
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include <sys/resource.h>
@@ -194,6 +194,35 @@ bool sameTerminals(const std::vector<Terminal> &A,
   return true;
 }
 
+/// Runs per timed exploration of the jobs sweep and the POR table; the
+/// time reported is their median, as in bench_table1, so one preempted
+/// run on a shared host does not move it.
+constexpr unsigned Repeats = 5;
+
+/// Explores \p Main from \p S0 Repeats times under \p Opts and returns
+/// the first run, with the median wall time in \p Ms. A repeat whose
+/// verdict, terminals or config count differ from the first run's
+/// clears \p Ok.
+RunResult timedExplore(const ProgRef &Main, const GlobalState &S0,
+                       const EngineOptions &Opts, double &Ms, bool &Ok) {
+  RunResult First;
+  std::vector<double> Times;
+  for (unsigned I = 0; I != Repeats; ++I) {
+    Timer T;
+    RunResult R = explore(Main, S0, Opts);
+    Times.push_back(T.elapsedMs());
+    if (I == 0)
+      First = std::move(R);
+    else
+      Ok &= R.Safe == First.Safe &&
+            R.ConfigsExplored == First.ConfigsExplored &&
+            sameTerminals(R.Terminals, First.Terminals);
+  }
+  std::sort(Times.begin(), Times.end());
+  Ms = Times[Repeats / 2];
+  return First;
+}
+
 } // namespace
 
 int main() {
@@ -241,7 +270,7 @@ int main() {
   // Multi-worker scaling on the largest instance: sweep the job count
   // from 1 to hardware_concurrency (at least 4 so the sweep is
   // informative on small machines) and verify the results are
-  // bit-identical at every job count.
+  // bit-identical at every job count. Each time is a median of Repeats.
   std::printf("parallel exploration sweep, diamond-3 (largest "
               "instance):\n");
   std::vector<SweepRow> Sweep;
@@ -278,9 +307,8 @@ int main() {
       if (Jobs == 1)
         Effective = 1;
       Opts.Jobs = Effective;
-      Timer T;
-      RunResult R = explore(Main, spanRootState(Case, G), Opts);
-      double Ms = T.elapsedMs();
+      double Ms = 0.0;
+      RunResult R = timedExplore(Main, S0, Opts, Ms, Ok);
       Ok &= R.complete();
       if (Jobs == 1) {
         Base = R;
@@ -317,7 +345,8 @@ int main() {
   // Partial-order reduction: full vs reduced exploration per instance.
   // The reduction must preserve verdict and terminals exactly; the ratio
   // column is the headline number (diamonds are the commuting-heavy best
-  // case, chains the adversarial worst case).
+  // case, chains the adversarial worst case). Times are medians of
+  // Repeats.
   std::printf("partial-order reduction, full vs reduced exploration:\n");
   std::vector<PorRow> PorRows;
   {
@@ -332,14 +361,13 @@ int main() {
       Opts.Ambient = Case.PrivOnly;
       Opts.EnvInterference = false;
       Opts.Defs = &Case.Defs;
+      GlobalState S0 = spanRootState(Case, G);
       Opts.Por = PorMode::Off;
-      Timer TF;
-      RunResult Full = explore(Main, spanRootState(Case, G), Opts);
-      double MsFull = TF.elapsedMs();
+      double MsFull = 0.0;
+      RunResult Full = timedExplore(Main, S0, Opts, MsFull, Ok);
       Opts.Por = PorMode::On;
-      Timer TR;
-      RunResult Red = explore(Main, spanRootState(Case, G), Opts);
-      double MsRed = TR.elapsedMs();
+      double MsRed = 0.0;
+      RunResult Red = timedExplore(Main, S0, Opts, MsRed, Ok);
       PorRow Row;
       Row.Graph = Name;
       Row.ConfigsFull = Full.ConfigsExplored;
@@ -370,79 +398,6 @@ int main() {
     std::printf("%s\n", PorTable.render().c_str());
   }
 
-  // Dynamic partial-order reduction (DESIGN.md §12): ample sets licensed
-  // by observed footprints and the env-future closure, where the static
-  // relation alone finds nothing. The flat combiner — whose static
-  // footprints all clash through the publication slots — is the headline;
-  // the spanning diamonds ride along to show dynamic never does worse
-  // than static.
-  std::printf("dynamic partial-order reduction, full vs dynamic:\n");
-  std::vector<PorRow> DynPorRows;
-  {
-    TextTable DynTable;
-    DynTable.setHeader({"suite", "full cfgs", "dynamic cfgs", "ratio",
-                        "full ms", "dynamic ms", "identical"});
-    for (unsigned I = 1; I <= 5; ++I)
-      DynTable.setRightAligned(I);
-    auto RunDyn = [&](const char *Name, const ProgRef &Main,
-                      const GlobalState &S0, EngineOptions Opts) {
-      Opts.Por = PorMode::Off;
-      Timer TF;
-      RunResult Full = explore(Main, S0, Opts);
-      double MsFull = TF.elapsedMs();
-      Opts.Por = PorMode::Dynamic;
-      Timer TR;
-      RunResult Dyn = explore(Main, S0, Opts);
-      double MsDyn = TR.elapsedMs();
-      PorRow Row;
-      Row.Graph = Name;
-      Row.ConfigsFull = Full.ConfigsExplored;
-      Row.ConfigsReduced = Dyn.ConfigsExplored;
-      Row.MsFull = MsFull;
-      Row.MsReduced = MsDyn;
-      Row.Identical = Full.Safe == Dyn.Safe &&
-                      Full.Exhausted == Dyn.Exhausted &&
-                      sameTerminals(Full.Terminals, Dyn.Terminals);
-      DynPorRows.push_back(Row);
-      DynTable.addRow(
-          {Name, std::to_string(Row.ConfigsFull),
-           std::to_string(Row.ConfigsReduced),
-           formatString("%.3f", Row.ConfigsFull
-                                    ? double(Row.ConfigsReduced) /
-                                          double(Row.ConfigsFull)
-                                    : 1.0),
-           formatString("%.1f", MsFull), formatString("%.1f", MsDyn),
-           Row.Identical ? "yes" : "NO"});
-      return Full.complete() && Dyn.complete() && Row.Identical;
-    };
-    {
-      EngineOptions SpanOpts;
-      SpanOpts.Ambient = Case.PrivOnly;
-      SpanOpts.EnvInterference = false;
-      SpanOpts.Defs = &Case.Defs;
-      SpanOpts.Jobs = 1;
-      Ok &= RunDyn("span-diamond-2", makeSpanRootProg(Case, Ptr(1)),
-                   spanRootState(Case, diamondOf(2)), SpanOpts);
-      Ok &= RunDyn("span-figure-2", makeSpanRootProg(Case, Ptr(1)),
-                   spanRootState(Case, figure2Graph()), SpanOpts);
-    }
-    {
-      FlatCombinerCase FcCase =
-          makeFlatCombinerCase(/*Fc=*/4, /*EnvHistCap=*/4);
-      EngineOptions FcOpts;
-      FcOpts.Ambient = FcCase.C;
-      FcOpts.EnvInterference = true;
-      FcOpts.Defs = &FcCase.Defs;
-      FcOpts.Jobs = 1;
-      Ok &= RunDyn("flat-combiner",
-                   Prog::call("flat_combine",
-                              {Expr::litPtr(FcCase.Slot1),
-                               Expr::litInt(FcPush), Expr::litInt(4)}),
-                   flatCombinerState(FcCase, 1), FcOpts);
-    }
-    std::printf("%s\n", DynTable.render().c_str());
-  }
-
   // Symmetry reduction (DESIGN.md §11): orbit canonicalization of
   // interchangeable incrementing siblings, full vs canonical exploration.
   // span_root rides along as the no-symmetry control.
@@ -452,7 +407,7 @@ int main() {
     uint64_t Configs = 0;
     double Ms = 0.0;
     bool Identical = true;
-  } AllOnRow; ///< counter-quad under dynamic POR + symmetry composed.
+  } AllOnRow; ///< counter-quad under POR + symmetry composed.
   {
     CounterWorld W = makeCounterWorld();
     EngineOptions CtOpts;
@@ -525,18 +480,18 @@ int main() {
       Ok = false;
     }
 
-    // All reductions composed: dynamic POR exploring the canonical
+    // All reductions composed: POR exploring the canonical
     // space. Must agree with the plain full run on verdict + terminals
     // and must not explore more configs than symmetry alone.
     std::printf("all reductions composed on counter-quad "
-                "(--por=dynamic --symmetry=on):\n");
+                "(--por=on --symmetry=on):\n");
     {
       ProgRef Quad = symmetricIncrTree(W, 2);
       EngineOptions FullOpts = CtOpts;
       FullOpts.Symmetry = SymMode::Off;
       RunResult Full = explore(Quad, counterState(), FullOpts);
       EngineOptions AllOnOpts = CtOpts;
-      AllOnOpts.Por = PorMode::Dynamic;
+      AllOnOpts.Por = PorMode::On;
       AllOnOpts.Symmetry = SymMode::On;
       Timer TA;
       RunResult AllOn = explore(Quad, counterState(), AllOnOpts);
@@ -633,6 +588,7 @@ int main() {
   if (std::FILE *F = std::fopen("BENCH_statespace.json", "w")) {
     std::fprintf(F, "{\n  \"bench\": \"statespace\",\n");
     std::fprintf(F, "  \"hardware_concurrency\": %u,\n", hardwareJobs());
+    std::fprintf(F, "  \"repeats\": %u,\n", Repeats);
     std::fprintf(F, "  \"growth\": [\n");
     for (size_t I = 0; I != Rows.size(); ++I) {
       const GrowthRow &R = Rows[I];
@@ -683,24 +639,6 @@ int main() {
                        : 1.0,
                    R.MsFull, R.MsReduced, R.Identical ? "true" : "false",
                    I + 1 == PorRows.size() ? "" : ",");
-    }
-    std::fprintf(F, "  ],\n");
-    std::fprintf(F, "  \"dynpor\": [\n");
-    for (size_t I = 0; I != DynPorRows.size(); ++I) {
-      const PorRow &R = DynPorRows[I];
-      std::fprintf(F,
-                   "    {\"suite\": \"%s\", \"configs_full\": %llu, "
-                   "\"configs_dynamic\": %llu, \"ratio\": %.3f, "
-                   "\"ms_full\": %.2f, \"ms_dynamic\": %.2f, "
-                   "\"identical\": %s}%s\n",
-                   R.Graph.c_str(),
-                   static_cast<unsigned long long>(R.ConfigsFull),
-                   static_cast<unsigned long long>(R.ConfigsReduced),
-                   R.ConfigsFull
-                       ? double(R.ConfigsReduced) / double(R.ConfigsFull)
-                       : 1.0,
-                   R.MsFull, R.MsReduced, R.Identical ? "true" : "false",
-                   I + 1 == DynPorRows.size() ? "" : ",");
     }
     std::fprintf(F, "  ],\n");
     std::fprintf(F, "  \"symmetry\": {\"suites\": [\n");

@@ -11,10 +11,10 @@
 // program-specific concurroid/actions/stability lemmas needed), and the
 // relative cost ordering of the programs.
 //
-// Each suite is discharged seven times — serially (Jobs=1), with parallel
-// obligation discharge (Jobs=4), serially with static and with dynamic
-// partial-order reduction, serially under symmetry reduction, and finally
-// cold + warm against a fresh obligation store (src/cache/)
+// Each suite is discharged six times — serially (Jobs=1), with parallel
+// obligation discharge (Jobs=4), serially with partial-order reduction,
+// serially under symmetry reduction, and finally cold + warm against a
+// fresh obligation store (src/cache/)
 // — and then twice more through the verification service (src/service/).
 // Every cell but the two cold ones (a store is cold only once) runs five
 // times and records its median time, so one preempted run on a shared
@@ -57,17 +57,15 @@ struct ProgramRow {
   double SerialMs = 0.0;   ///< Jobs=1 discharge (the "before").
   double ParallelMs = 0.0; ///< Jobs=4 discharge (the "after").
   double PorMs = 0.0;      ///< Jobs=1 discharge under static reduction.
-  double DynPorMs = 0.0;   ///< Jobs=1 discharge under dynamic reduction.
   double SymMs = 0.0;      ///< Jobs=1 discharge under symmetry reduction.
   double ColdMs = 0.0;     ///< Jobs=1 discharge into an empty store.
   double WarmMs = 0.0;     ///< Jobs=1 replay against the populated store.
   uint64_t CacheHits = 0;  ///< obligations the warm run served from it.
-  double AllOnColdMs = 0.0; ///< dynamic POR + symmetry + rw store, cold.
+  double AllOnColdMs = 0.0; ///< POR + symmetry + rw store, cold.
   double AllOnWarmMs = 0.0; ///< same composed flags, fully-warm replay.
   uint64_t AllOnHits = 0;   ///< obligations the composed warm run replayed.
   uint64_t ConfigsFull = 0;    ///< configs explored by the serial run.
   uint64_t ConfigsReduced = 0; ///< configs explored under static POR.
-  uint64_t ConfigsDynamic = 0; ///< configs explored under dynamic POR.
   uint64_t ConfigsCanonical = 0; ///< configs explored under symmetry.
 };
 
@@ -122,9 +120,9 @@ int main() {
 
   TextTable Table;
   Table.setHeader({"Program", "Libs", "Conc", "Acts", "Stab", "Main",
-                   "Total", "Checks", "Jobs=1", "Jobs=4", "POR",
-                   "DynPOR", "Symm", "Warm", "AllOn"});
-  for (unsigned I = 1; I <= 14; ++I)
+                   "Total", "Checks", "Jobs=1", "Jobs=4", "POR", "Symm",
+                   "Warm", "AllOn"});
+  for (unsigned I = 1; I <= 13; ++I)
     Table.setRightAligned(I);
 
   bool AllPassed = true;
@@ -133,11 +131,9 @@ int main() {
   double SerialTotalMs = 0;
   double ParallelTotalMs = 0;
   double PorTotalMs = 0;
-  double DynPorTotalMs = 0;
   double SymTotalMs = 0;
   uint64_t ConfigsFullTotal = 0;
   uint64_t ConfigsReducedTotal = 0;
-  uint64_t ConfigsDynamicTotal = 0;
   uint64_t ConfigsCanonicalTotal = 0;
   double ColdTotalMs = 0;
   double WarmTotalMs = 0;
@@ -180,16 +176,6 @@ int main() {
     PorTotalMs += Por.Ms;
     ConfigsReducedTotal += Por.Configs;
 
-    // Dynamic reduction: ample sets licensed by observed footprints and
-    // the env-future closure (DESIGN.md §12). Same verdicts again.
-    setDefaultPorMode(PorMode::Dynamic);
-    Cell DynPor = runCell(Case, /*Jobs=*/1, "dynpor", Failures);
-    setDefaultPorMode(PorMode::Off);
-    AllPassed &= DynPor.Report.AllPassed == Report.AllPassed &&
-                 DynPor.Report.totalObligations() == Report.totalObligations();
-    DynPorTotalMs += DynPor.Ms;
-    ConfigsDynamicTotal += DynPor.Configs;
-
     // Serial discharge under symmetry reduction: identical verdicts over
     // the orbit-canonicalized state space (DESIGN.md §11).
     setDefaultSymmetryMode(SymMode::On);
@@ -219,12 +205,12 @@ int main() {
     WarmTotalMs += Warm.Ms;
     CacheHitsTotal += WarmHits;
 
-    // Everything composed at once — dynamic POR, symmetry reduction and
+    // Everything composed at once — POR, symmetry reduction and
     // the rw verdict store, the flags a user stacks in practice. The
     // store key includes the engine-flags fingerprint, so the first pass
     // discharges (and records) under the composed flags and the repeats
     // after it must replay every verdict warm.
-    setDefaultPorMode(PorMode::Dynamic);
+    setDefaultPorMode(PorMode::On);
     setDefaultSymmetryMode(SymMode::On);
     cache::setDefaultCacheMode(cache::CacheMode::Rw);
     Cell AllOnCold = runCell(Case, /*Jobs=*/1, "all-on cold", Failures, 1);
@@ -256,16 +242,14 @@ int main() {
                   formatString("%.0f ms", Serial.Ms),
                   formatString("%.0f ms", Par.Ms),
                   formatString("%.0f ms", Por.Ms),
-                  formatString("%.0f ms", DynPor.Ms),
                   formatString("%.0f ms", Sym.Ms),
                   formatString("%.0f ms", Warm.Ms),
                   formatString("%.0f ms", AllOn.Ms)});
     Rows.push_back(ProgramRow{Report.Program, Report.totalObligations(),
                               Report.totalChecks(), Serial.Ms, Par.Ms,
-                              Por.Ms, DynPor.Ms, Sym.Ms, Cold.Ms, Warm.Ms,
-                              WarmHits, AllOnCold.Ms, AllOn.Ms, AllOnHits,
-                              Serial.Configs, Por.Configs, DynPor.Configs,
-                              Sym.Configs});
+                              Por.Ms, Sym.Ms, Cold.Ms, Warm.Ms, WarmHits,
+                              AllOnCold.Ms, AllOn.Ms, AllOnHits,
+                              Serial.Configs, Por.Configs, Sym.Configs});
   }
 
   // Reduction floors the symmetry layer must hold (DESIGN.md §11): the
@@ -286,29 +270,24 @@ int main() {
 
   std::printf("%s\n", Table.render().c_str());
   std::printf("total verification time: %.1f ms serial, %.1f ms at "
-              "%u jobs, %.1f ms serial with partial-order reduction "
-              "(%.1f ms dynamic), %.1f ms under symmetry reduction "
+              "%u jobs, %.1f ms serial with partial-order reduction, "
+              "%.1f ms under symmetry reduction "
               "(paper: 27m31s of Coq compilation on a 2.7 GHz Core i7)\n",
               SerialTotalMs, ParallelTotalMs, ParJobs, PorTotalMs,
-              DynPorTotalMs, SymTotalMs);
+              SymTotalMs);
   std::printf("obligation cache: %.1f ms cold (discharge + store), "
               "%.1f ms warm (%llu verdicts replayed from the store)\n",
               ColdTotalMs, WarmTotalMs,
               static_cast<unsigned long long>(CacheHitsTotal));
-  std::printf("all reductions composed (--por=dynamic --symmetry=on "
+  std::printf("all reductions composed (--por=on --symmetry=on "
               "--cache=rw): %.1f ms cold, %.1f ms warm\n",
               AllOnColdTotalMs, AllOnWarmTotalMs);
   std::printf("state space: %llu configs full, %llu reduced (ratio "
-              "%.3f), %llu dynamic (ratio %.3f), %llu canonical (orbit "
-              "ratio %.3f)\n\n",
+              "%.3f), %llu canonical (orbit ratio %.3f)\n\n",
               static_cast<unsigned long long>(ConfigsFullTotal),
               static_cast<unsigned long long>(ConfigsReducedTotal),
               ConfigsFullTotal
                   ? double(ConfigsReducedTotal) / double(ConfigsFullTotal)
-                  : 1.0,
-              static_cast<unsigned long long>(ConfigsDynamicTotal),
-              ConfigsFullTotal
-                  ? double(ConfigsDynamicTotal) / double(ConfigsFullTotal)
                   : 1.0,
               static_cast<unsigned long long>(ConfigsCanonicalTotal),
               ConfigsFullTotal
@@ -394,8 +373,6 @@ int main() {
                    "\"parallel_ms\": %.2f, \"speedup\": %.3f, "
                    "\"por_ms\": %.2f, \"configs_full\": %llu, "
                    "\"configs_reduced\": %llu, \"por_ratio\": %.3f, "
-                   "\"dynpor_ms\": %.2f, \"configs_dynamic\": %llu, "
-                   "\"dynpor_ratio\": %.3f, "
                    "\"symmetry_ms\": %.2f, \"configs_canonical\": %llu, "
                    "\"orbit_ratio\": %.3f, "
                    "\"cache_cold_ms\": %.2f, \"cache_warm_ms\": %.2f, "
@@ -410,11 +387,6 @@ int main() {
                    static_cast<unsigned long long>(R.ConfigsReduced),
                    R.ConfigsFull
                        ? double(R.ConfigsReduced) / double(R.ConfigsFull)
-                       : 1.0,
-                   R.DynPorMs,
-                   static_cast<unsigned long long>(R.ConfigsDynamic),
-                   R.ConfigsFull
-                       ? double(R.ConfigsDynamic) / double(R.ConfigsFull)
                        : 1.0,
                    R.SymMs,
                    static_cast<unsigned long long>(R.ConfigsCanonical),
@@ -475,24 +447,17 @@ int main() {
     std::fprintf(F,
                  "  \"total\": {\"serial_ms\": %.2f, \"parallel_ms\": "
                  "%.2f, \"speedup\": %.3f, \"por_ms\": %.2f, "
-                 "\"dynpor_ms\": %.2f, "
                  "\"symmetry_ms\": %.2f, "
                  "\"configs_full\": %llu, \"configs_reduced\": %llu, "
-                 "\"por_ratio\": %.3f, \"configs_dynamic\": %llu, "
-                 "\"dynpor_ratio\": %.3f}\n}\n",
+                 "\"por_ratio\": %.3f}\n}\n",
                  SerialTotalMs, ParallelTotalMs,
                  ParallelTotalMs > 0 ? SerialTotalMs / ParallelTotalMs
                                      : 1.0,
-                 PorTotalMs, DynPorTotalMs, SymTotalMs,
+                 PorTotalMs, SymTotalMs,
                  static_cast<unsigned long long>(ConfigsFullTotal),
                  static_cast<unsigned long long>(ConfigsReducedTotal),
                  ConfigsFullTotal
                      ? double(ConfigsReducedTotal) /
-                           double(ConfigsFullTotal)
-                     : 1.0,
-                 static_cast<unsigned long long>(ConfigsDynamicTotal),
-                 ConfigsFullTotal
-                     ? double(ConfigsDynamicTotal) /
                            double(ConfigsFullTotal)
                      : 1.0);
     std::fclose(F);

@@ -19,8 +19,8 @@
 #      symmetry tests run under it, along with the dist wire, cache and
 #      service tests, since those layers do the pointer-identity, raw-byte
 #      and pointer-renaming manipulation where memory bugs would hide.
-#      The engine, parallel-engine, dynamic-POR, simulate and trace tests
-#      run too:
+#      The engine, parallel-engine, POR, simulate and trace tests run
+#      too:
 #      configurations are handles into hash-cons tables each exploration
 #      frees with its visited set, edited copy-on-write, and failure
 #      traces are rendered through parent nodes, so a handle that outlives
@@ -34,33 +34,32 @@
 #      hash-cons tables, thread-step memo and env rows, and a row or memo
 #      entry served to the wrong worker would show up as a changed
 #      counter or terminal. The same diff runs for the reduced engine
-#      under --por=dynamic --symmetry=on and under --por=on, whose
+#      under --por=on --symmetry=on and under --por=on, whose
 #      expansions read the env rows and the footprint table; the report
 #      omits the POR and orbit effort counters, which may vary with the
 #      schedule.
 #   5. POR oracle: fcsl-verify --por=check runs every Table-1 session
 #      through the soundness oracle — each exploration runs once on the
 #      plain engine (POR off, symmetry off) and once reduced — and fails
-#      on any divergence in verdicts or terminal states, at 1 and 4 jobs.
-#      The dynamic mode (--por=check-dynamic: ample sets licensed by
-#      observed footprints and the env-future closure) gets the same
-#      oracle, alone and composed with symmetry reduction (one oracle
-#      checks both reductions together, also at 4 jobs, where the workers
-#      share the env rows their closure walks read).
+#      on any divergence in verdicts or terminal states, at 1 and 4 jobs,
+#      alone and composed with symmetry reduction (one oracle checks both
+#      reductions together). --por=check-dynamic is a spelling of
+#      --por=check, so it gets no leg of its own.
 #   6. Symmetry: fcsl-verify --symmetry=on must report the same verdicts
 #      and obligation counts as --symmetry=off (per-config check counts
 #      shrink — that is the reduction), and --symmetry=check — the same
 #      oracle with the canonical space as the reduced run, comparing
 #      terminals modulo fresh-pointer renaming — must pass alone and
-#      composed with static and dynamic POR (--por=check-dynamic: still
-#      two explorations, the plain engine against both reductions).
-#   7. Cache: a cold run#   8. Cache: a cold run against an empty obligation store and a warm
+#      composed with POR (--por=on, and --por=check: still two
+#      explorations, the plain engine against both reductions).
+#   7. Cache: a cold run against an empty obligation store and a warm
 #      rerun must print byte-identical reports (modulo timings), the warm
 #      run must be 100% hits, and --cache=check — which re-discharges
 #      every hit and compares the stored verdict against the fresh one —
 #      must pass alone and composed with POR and symmetry.
 #   8. Service: fcsl-serve on a temp socket serves every Table-1 session
-#      to fcsl-client cold and warm under --por=dynamic --symmetry=on;
+#      to fcsl-client cold and warm under --por=dynamic --symmetry=on
+#      (dynamic is a spelling of on, so this also drives POR byte 3);
 #      both passes must print the same report as a direct fcsl-verify run
 #      (modulo timings), the warm pass must be 100% fast-path serves with
 #      zero additional engine sessions (asserted from the daemon's stats
@@ -158,10 +157,10 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   ./build-asan/tests/simulate_test
 fi
 
-echo "== jobs: 4 jobs vs 1 over every session (plain, dynamic+symmetry, static POR) =="
+echo "== jobs: 4 jobs vs 1 over every session (plain, POR+symmetry, POR) =="
 cmake --build build -j "$(nproc)" --target fcsl-verify
 Normalize='s/[0-9]+\.[0-9]+//g; s/ +/ /g; s/-+/-/g; s/ +$//'
-for Modes in "off off" "dynamic on" "on off"; do
+for Modes in "off off" "on on" "on off"; do
   read -r Por Sym <<< "$Modes"
   for Jobs in 1 4; do
     ./build/tools/fcsl-verify --cache=off --por="$Por" --symmetry="$Sym" \
@@ -184,17 +183,13 @@ if [[ "$RUN_POR" == 1 ]]; then
     ./build/tools/fcsl-verify --jobs "$Jobs" --por=check verify all
   done
 
-  echo "== por: dynamic (observed-footprint) oracle =="
-  # check-dynamic runs the plain engine vs the dynamically-reduced
-  # exploration and fails on any divergence; it must also hold composed
-  # with symmetry reduction.
+  echo "== por: oracle composed with symmetry reduction =="
+  # The oracle must also hold with the reduced run canonicalized; at 4
+  # jobs the workers share one exploration's env rows.
   for Jobs in 1 4; do
-    ./build/tools/fcsl-verify --jobs "$Jobs" --por=check-dynamic verify all
+    ./build/tools/fcsl-verify --jobs "$Jobs" --por=check --symmetry=on \
+      verify all
   done
-  ./build/tools/fcsl-verify --por=check-dynamic --symmetry=on verify all
-  # Four workers share one exploration's env rows and closure memo.
-  ./build/tools/fcsl-verify --jobs 4 --por=check-dynamic --symmetry=on \
-    verify all
 fi
 
 if [[ "$RUN_SYMMETRY" == 1 ]]; then
@@ -218,8 +213,8 @@ if [[ "$RUN_SYMMETRY" == 1 ]]; then
   ./build/tools/fcsl-verify --symmetry=check verify all
   ./build/tools/fcsl-verify --symmetry=check --por=on verify all
   # Both check modes in one run: one oracle per exploration, the plain
-  # engine against dynamic POR and symmetry composed.
-  ./build/tools/fcsl-verify --symmetry=check --por=check-dynamic verify all
+  # engine against POR and symmetry composed.
+  ./build/tools/fcsl-verify --symmetry=check --por=check verify all
 fi
 
 if [[ "$RUN_CACHE" == 1 ]]; then
@@ -247,7 +242,7 @@ if [[ "$RUN_CACHE" == 1 ]]; then
     || { echo "warm run replayed zero obligations" >&2; exit 1; }
   echo "   warm run replayed all ${BASH_REMATCH[1]} obligations from the store"
   # Check mode re-discharges every hit and fails loudly on divergence —
-  # alone, then composed with dynamic POR + symmetry (warming the store
+  # alone, then composed with POR (spelled dynamic) + symmetry (warming the store
   # under the composed flag fingerprint first, since records are keyed by
   # the resolved engine flags).
   FCSL_CACHE_DIR="$CacheDir" ./build/tools/fcsl-verify --cache=check verify all

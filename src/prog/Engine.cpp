@@ -12,16 +12,16 @@
 // action and env steps, dedup hits) are a function of the reachable set
 // alone. The reduction effort counters are not: how many wakeup replays a
 // node gets depends on the order its routes arrive in, and each replay
-// re-runs the POR checks and canonicalizes its successors again, so races,
-// backtracks, wakeup replays, sleep hits, full expansions and the orbit
-// counters may vary with the schedule at Jobs > 1.
+// re-runs the POR checks and canonicalizes its successors again, so wakeup
+// replays, sleep hits, full expansions and the orbit counters may vary
+// with the schedule at Jobs > 1.
 //
 // One worker loop (workerLoop) serves every run, with one worker or a team.
 // Successors come from one step core: a thread step's outcomes are applied
 // by applyOutcome (shared with simulate) and handed on by enqueueStep
 // (shared by plain and reduced expansion); an env transition's posts come
 // from coherentPosts, recorded per global state in the env rows, which plain
-// and reduced expansion replay and dynamic POR's env-future closures walk.
+// and reduced expansion replay.
 //
 //===----------------------------------------------------------------------===//
 
@@ -120,8 +120,6 @@ Mode envMode(const char *Var, bool (*Parse)(const char *, Mode &)) {
 
 // Partial-order-reduction telemetry, process-wide across every reduced
 // run (see PorStats in Engine.h for the meaning of each counter).
-std::atomic<uint64_t> PorRacesCounter{0};
-std::atomic<uint64_t> PorBacktracksCounter{0};
 std::atomic<uint64_t> PorWakeupReplaysCounter{0};
 std::atomic<uint64_t> PorWakeupPeakCounter{0};
 std::atomic<uint64_t> PorSleepHitsCounter{0};
@@ -156,6 +154,12 @@ const char *fcsl::porModeName(PorMode M) {
   return spellingOf(PorSpellings, M);
 }
 
+PorMode fcsl::canonicalPorMode(PorMode M) {
+  return M == PorMode::Dynamic        ? PorMode::On
+         : M == PorMode::CheckDynamic ? PorMode::Check
+                                      : M;
+}
+
 bool fcsl::parseSymMode(const char *Text, SymMode &Out) {
   return parseSpelling(SymSpellings, Text, Out);
 }
@@ -183,8 +187,8 @@ OracleTotals fcsl::oracleTotals() {
 }
 
 PorStats fcsl::porStats() {
-  return {PorRacesCounter.load(std::memory_order_relaxed),
-          PorBacktracksCounter.load(std::memory_order_relaxed),
+  return {/*RacesDetected=*/0,
+          /*BacktrackPoints=*/0,
           PorWakeupReplaysCounter.load(std::memory_order_relaxed),
           PorWakeupPeakCounter.load(std::memory_order_relaxed),
           PorSleepHitsCounter.load(std::memory_order_relaxed),
@@ -203,16 +207,12 @@ SymMode fcsl::defaultSymmetryMode() {
 }
 
 ReductionModes fcsl::resolveModes(PorMode Por, SymMode Sym) {
-  if (Por == PorMode::Default)
-    Por = defaultPorMode();
+  Por = canonicalPorMode(Por == PorMode::Default ? defaultPorMode() : Por);
   if (Sym == SymMode::Default)
     Sym = defaultSymmetryMode();
   ReductionModes M;
-  M.Oracle = Por == PorMode::Check || Por == PorMode::CheckDynamic ||
-             Sym == SymMode::Check;
-  M.Por = Por == PorMode::Check          ? PorMode::On
-          : Por == PorMode::CheckDynamic ? PorMode::Dynamic
-                                         : Por;
+  M.Oracle = Por == PorMode::Check || Sym == SymMode::Check;
+  M.Por = Por == PorMode::Check ? PorMode::On : Por;
   M.Sym = Sym == SymMode::Check ? SymMode::On : Sym;
   return M;
 }
@@ -890,24 +890,11 @@ struct EnvSucc {
 
 /// What POR needs of an env row beyond its steps: the distinct dynamic
 /// footprints of the enabled transitions, or Unknown when one of them has
-/// none (Fps is then empty), and the state's refusal mark (dynamic POR's
-/// closure walks, see envClosureFor).
+/// none (Fps is then empty).
 struct EnvHead {
   bool Unknown = false;
-  /// Set once a closure from this state was refused. Refusal is inherited
-  /// by every state that reaches this one (its future contains this
-  /// future), which lets later walks stop early. Written and read without
-  /// a lock after the row is published; the only mutable part of a row.
-  mutable std::atomic<bool> Refused{false};
   std::vector<FpRef> Fps;
 
-  EnvHead() = default;
-  EnvHead(EnvHead &&O) noexcept : Unknown(O.Unknown), Fps(std::move(O.Fps)) {}
-  EnvHead &operator=(EnvHead &&O) noexcept {
-    Unknown = O.Unknown;
-    Fps = std::move(O.Fps);
-    return *this;
-  }
   uint64_t approxBytes() const { return Fps.capacity() * sizeof(FpRef); }
 };
 
@@ -1079,14 +1066,12 @@ public:
 
   void run(const ProgRef &Root, const GlobalState &Initial,
            const VarEnv &InitialEnv) {
-    assert(Opts.Por != PorMode::Default && Opts.Por != PorMode::Check &&
-           Opts.Por != PorMode::CheckDynamic &&
+    assert((Opts.Por == PorMode::Off || Opts.Por == PorMode::On) &&
            "explore() resolves the POR mode before running");
     assert(Opts.Symmetry != SymMode::Default &&
            Opts.Symmetry != SymMode::Check &&
            "explore() resolves the symmetry mode before running");
-    PorOn = Opts.Por == PorMode::On || Opts.Por == PorMode::Dynamic;
-    DynOn = Opts.Por == PorMode::Dynamic;
+    PorOn = Opts.Por == PorMode::On;
     SymOn = Opts.Symmetry == SymMode::On;
     Res.MaxConfigsBound = Opts.MaxConfigs;
     Res.Reduction.Por = Opts.Por;
@@ -1131,9 +1116,6 @@ public:
     Seeds.insert(Seeds.begin(), std::move(C0));
     for (Config &Seed : Seeds) {
       freeze(Seed);
-      // A seed's orbit is looked up twice, here and in enqueue; the
-      // second pass is a no-op, but the orbit counters count both.
-      canonicalize(Seed);
       enqueue(std::move(Seed), nullptr, {}, *Workers[0]);
     }
 
@@ -2367,21 +2349,6 @@ private:
     return true;
   }
 
-  /// The dynamic counterpart of the static universe (DESIGN.md §12): the
-  /// deduplicated *observed* footprints of every environment transition
-  /// instance enabled anywhere in the env-only future of a global state.
-  /// Environment transitions read and write only the instrumented state
-  /// (never thread stacks), so the closure is a pure function of the
-  /// GlobalState — which is what makes it memoizable. `Ok` is false when
-  /// the future has more than ClosureStateCap states or meets a
-  /// transition with no dynamic footprint; both mean "never take a
-  /// dynamic ample here".
-  struct EnvClosure {
-    bool Ok = false;
-    std::vector<FpRef> Fps;
-  };
-  using EnvClosureRef = std::shared_ptr<const EnvClosure>;
-
   /// The coherent post-states of env transition \p Tr from \p EnvView, in
   /// successor order: the one env-step enumeration that env rows and
   /// simulate use.
@@ -2409,10 +2376,10 @@ private:
   /// post-state interned. Under POR its head also collects the distinct
   /// dynamic footprints of the enabled transitions (those with successors,
   /// coherent or not), or Unknown at the first that has none, and each
-  /// step records which of them is its transition's. Plain expansion,
-  /// expandPor and the closure walks all read rows, so a state is
-  /// enumerated once per exploration; a read that finds the row counts
-  /// as one of \p W's EnvRowHits.
+  /// step records which of them is its transition's. Plain expansion
+  /// and expandPor both read rows, so a state is enumerated once per
+  /// exploration; a read that finds the row counts as one of \p W's
+  /// EnvRowHits.
   const EnvRows::Row &envRow(GSRef GS, Worker &W) {
     if (const EnvRows::Row *R = Rows.find(GS)) {
       ++W.EnvRowHits;
@@ -2450,67 +2417,6 @@ private:
       }
     }
     return Rows.insert(GS, std::move(Succs), {}, std::move(Head));
-  }
-
-  /// The env-only closure of \p C's global state, memoized per state.
-  /// Thread stacks vary far more than the instrumented state, so the same
-  /// GlobalState recurs across many configurations, and env futures
-  /// overlap: each state's env steps are enumerated once, into its env
-  /// row, and a closure is a breadth-first walk from row to row, building
-  /// the row of a state reached for the first time. The walk collects
-  /// each reached state's footprints (deduplicated — the independence
-  /// check downstream only cares about the set) and refuses when the
-  /// future exceeds ClosureStateCap states, contains an unknown footprint,
-  /// or reaches a state whose own closure was refused (see
-  /// EnvHead::Refused), so the result equals a fresh BFS over applyEnv
-  /// successors and is a function of the state alone.
-  EnvClosureRef envClosureFor(const Config &C, Worker &W) {
-    // Shared closures: the trivial one without interference, and refusal.
-    static const EnvClosureRef NoEnvClosure =
-        std::make_shared<const EnvClosure>(EnvClosure{true, {}});
-    static const EnvClosureRef Refusal = std::make_shared<const EnvClosure>();
-    if (!Opts.EnvInterference || !Opts.Ambient)
-      return NoEnvClosure;
-    GSRef Root = C.gsRef();
-    {
-      std::lock_guard<std::mutex> Lock(EnvMutex);
-      auto It = Closures.find(Root);
-      if (It != Closures.end())
-        return It->second;
-    }
-    auto R = std::make_shared<EnvClosure>();
-    R->Ok = true;
-    const EnvHead *RootHead = nullptr;
-    std::vector<GSRef> Queue{Root};
-    std::unordered_set<GSRef> Seen{Root};
-    for (size_t I = 0; R->Ok && I != Queue.size(); ++I) {
-      const EnvRows::Row &Row = envRow(Queue[I], W);
-      if (I == 0)
-        RootHead = &Row.H;
-      if (Row.H.Unknown || Row.H.Refused.load(std::memory_order_relaxed)) {
-        // An undescribed step in the future, or a future that contains a
-        // refused one: never ample.
-        R->Ok = false;
-        break;
-      }
-      for (FpRef F : Row.H.Fps)
-        if (std::find(R->Fps.begin(), R->Fps.end(), F) == R->Fps.end())
-          R->Fps.push_back(F);
-      for (const EnvSucc &E : Row) {
-        if (!Seen.insert(E.Post).second)
-          continue;
-        if (Seen.size() > ClosureStateCap) {
-          R->Ok = false; // Too large to certify.
-          break;
-        }
-        Queue.push_back(E.Post);
-      }
-    }
-    if (!R->Ok)
-      RootHead->Refused.store(true, std::memory_order_relaxed);
-    EnvClosureRef Result = R->Ok ? EnvClosureRef(std::move(R)) : Refusal;
-    std::lock_guard<std::mutex> Lock(EnvMutex);
-    return Closures.try_emplace(Root, std::move(Result)).first->second;
   }
 
   /// One successor built by a thread's action step, before enqueueing.
@@ -2713,16 +2619,16 @@ private:
   }
 
   /// Reduced successor generation: ample singletons layered with sleep
-  /// sets (DESIGN.md §9, §12). Candidates are gathered in canonical
+  /// sets (DESIGN.md §9). Candidates are gathered in canonical
   /// order — runnable threads ascending by id, then env transitions in
   /// declaration order. The ample choice is a function of the
   /// configuration alone (never of the sleep set), and step counters are
   /// charged once per (node, candidate) across wakeup replays: together
   /// with the monotone wake merge in enqueue this makes the explored
   /// node set and the work counters converge to the same fixpoint under
-  /// any worker schedule. The effort counters charged here (races,
-  /// backtracks, sleep hits, full expansions) count every expansion,
-  /// replays included, so they may vary with the schedule.
+  /// any worker schedule. The effort counters charged here (sleep hits,
+  /// full expansions) count every expansion, replays included, so they
+  /// may vary with the schedule.
   void expandPor(const Node &N, const WakeSnapshot &Snap, Worker &W) {
     const Config &C = N.C;
     const bool AtTerminal = recordTerminal(C, W);
@@ -2813,21 +2719,9 @@ private:
       return E;
     };
 
-    // How many threads can still act. A waiting thread is pinned until
-    // its descendants finish (ids are a binary heap: a parent joins only
-    // after both child subtrees are Done), so when exactly one thread is
-    // runnable no other *thread* step can precede that thread's next
-    // action — every deferred step is an environment step, and the
-    // env-only future closure (envClosureFor) describes all of them.
-    // That is the dynamic-ample condition below. (Cands holds only the
-    // thread candidates until full expansion.)
-    const size_t RunnableThreads = Cands.size();
-
     // Ample singleton: the first thread candidate whose step is a local
-    // move — statically (independent of the whole universe) or, under
-    // --por=dynamic, dynamically (independent of every footprint the
-    // environment can ever exhibit from here) — explores alone; the
-    // sleep set survives filtered by independence with the chosen step.
+    // move (independent of the whole universe) explores alone; the sleep
+    // set survives filtered by independence with the chosen step.
     //
     // The choice deliberately ignores the sleep set: eligibility must be
     // a function of the configuration alone so wakeup replays (which only
@@ -2840,47 +2734,18 @@ private:
     //
     // If any outcome's admin cascade changes the label set (hide
     // install/uninstall — a state effect the action's footprint does not
-    // describe), fall back to full expansion. A *dynamic-only* ample is
-    // also refused when an outcome terminates the program: the trailing
-    // close mask may only license statically independent transitions
-    // (a dynamic license could fire an instance the pre-action state
-    // never enabled), so the last action always expands fully against
-    // its env closure instead.
+    // describe), fall back to full expansion.
     for (Candidate &K : Cands) {
-      bool DynAmple = false;
-      if (!globallyIndependent(K.Fp)) {
-        if (!DynOn || RunnableThreads != 1 || !K.Fp.known())
-          continue;
-        EnvClosureRef Cl = envClosureFor(C, W);
-        if (!Cl->Ok)
-          continue;
-        bool Indep = true;
-        for (FpRef F : Cl->Fps)
-          if (!fpIndependent(K.Fp, F->Value)) {
-            Indep = false;
-            PorRacesCounter.fetch_add(1, std::memory_order_relaxed);
-          }
-        if (!Indep) {
-          PorBacktracksCounter.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        DynAmple = true;
-      }
+      if (!globallyIndependent(K.Fp))
+        continue;
       std::vector<BuiltSucc> Succ;
       if (!buildThreadSuccessors(N, K.T, W, Succ, &K.Pre, &K.Args))
         return;
       bool LabelsChanged = false;
-      bool TerminalSucc = false;
-      for (const BuiltSucc &B : Succ) {
+      for (const BuiltSucc &B : Succ)
         LabelsChanged |= B.LabelsChanged;
-        TerminalSucc |= B.Next.thread(rootThread()).Done.has_value();
-      }
       if (LabelsChanged)
         break;
-      if (DynAmple && TerminalSucc) {
-        PorBacktracksCounter.fetch_add(1, std::memory_order_relaxed);
-        break; // RunnableThreads == 1: no other thread candidate exists.
-      }
       if (K.Sleeping) {
         PorSleepHitsCounter.fetch_add(1, std::memory_order_relaxed);
         return;
@@ -3031,21 +2896,12 @@ private:
   const EngineOptions &Opts;
   RunResult &Res;
   bool PorOn = false;
-  bool DynOn = false;
   bool SymOn = false;
   Universe Uni;
   /// Pointers the canonical fresh-pointer renaming must never touch:
   /// initial state, initial environment, and program literals (see
   /// collectPinnedPtrs). Fixed before exploration starts.
   std::set<Ptr> PinnedPtrs;
-
-  /// The closure memo (see envClosureFor): every closure computed in this
-  /// exploration, keyed by the state it was computed from and guarded by
-  /// EnvMutex. It holds no more states than the env rows it was walked
-  /// over.
-  static constexpr size_t ClosureStateCap = 4096;
-  std::mutex EnvMutex;
-  std::unordered_map<GSRef, EnvClosureRef> Closures;
 
   /// The hash-cons tables every frozen configuration of this exploration
   /// points into (see ConsTable); they outlive the visited set below.
@@ -3054,9 +2910,9 @@ private:
   /// Recorded thread steps over handles into the tables above (see
   /// StepMemo); unused under symmetry reduction.
   StepMemo Memo;
-  /// Recorded env steps per global state, for plain expansion, expandPor
-  /// and the closure walks (see envRow), and the footprints their heads
-  /// and the closures point into (see internFp).
+  /// Recorded env steps per global state, for plain expansion and
+  /// expandPor (see envRow), and the footprints their heads point into
+  /// (see internFp).
   EnvRows Rows;
   ConsTable<Footprint> FpTable;
 

@@ -45,10 +45,10 @@ enum class PorMode : uint8_t {
   Default, ///< use the process default (setDefaultPorMode / FCSL_POR).
   Off,     ///< full interleaving exploration.
   On,      ///< static ample-set + sleep-set reduction.
-  Dynamic, ///< `On` plus dynamic ample sets from observed footprints
-           ///< (env-future closure; DESIGN.md §12).
+  Dynamic, ///< a spelling of `On` (the dynamic licence is retired,
+           ///< DESIGN.md §12); kept because wire bytes name it.
   Check,   ///< explore with `On` and cross-check against the plain engine.
-  CheckDynamic ///< explore with `Dynamic` and cross-check likewise.
+  CheckDynamic ///< a spelling of `Check`, kept like `Dynamic`.
 };
 
 /// Symmetry-reduction mode for an exploration (DESIGN.md §11).
@@ -61,12 +61,15 @@ enum class SymMode : uint8_t {
 };
 
 /// Parses a `--por` / `FCSL_POR` spelling: off, on (alias 1), dynamic,
-/// check, check-dynamic. Returns false, leaving \p Out untouched, on any
+/// check, check-dynamic (dynamic and check-dynamic resolve to on and
+/// check, see resolveModes). Returns false, leaving \p Out untouched, on any
 /// other text. Every tool and the engine's environment fallback share it,
 /// so all of them accept and reject the same spellings.
 bool parsePorMode(const char *Text, PorMode &Out);
 /// Renders a mode as its flag spelling ("default" for Default).
 const char *porModeName(PorMode M);
+/// The mode \p M spells: On for Dynamic, Check for CheckDynamic, else M.
+PorMode canonicalPorMode(PorMode M);
 
 /// Parses a `--symmetry` / `FCSL_SYMMETRY` spelling: off, on (alias 1),
 /// check. Returns false, leaving \p Out untouched, on any other text.
@@ -152,7 +155,7 @@ struct Terminal {
 };
 
 /// An exploration's reduction modes resolved against the process defaults
-/// (see resolveModes): POR is Off, On or Dynamic, symmetry Off or On, and
+/// (see resolveModes): POR is Off or On, symmetry Off or On, and
 /// a check spelling of either asks for the soundness oracle on top.
 struct ReductionModes {
   PorMode Por = PorMode::Off;
@@ -160,10 +163,10 @@ struct ReductionModes {
   bool Oracle = false;
 };
 
-/// Resolves `Default` to the process defaults and folds the check modes
-/// into their reduced mode plus the oracle flag: Check is On, CheckDynamic
-/// is Dynamic, symmetry Check is On. explore() resolves through this one
-/// function.
+/// Resolves `Default` to the process defaults, the aliases to what they
+/// spell (Dynamic is On, CheckDynamic is Check), and folds the check
+/// modes into their reduced mode plus the oracle flag: Check is On,
+/// symmetry Check is On. explore() resolves through this one function.
 ReductionModes resolveModes(PorMode Por, SymMode Sym);
 
 /// How an exploration was reduced. \c Por and \c Sym are the resolved
@@ -211,8 +214,8 @@ struct RunResult {
   uint64_t StepMemoEntries = 0;
   /// Env rows (see DESIGN.md §16): reads of the run's rows that found the
   /// row already recorded, and the rows recorded. Plain and reduced
-  /// expansion and dynamic POR's closure walks all read rows. Kept out of
-  /// counters(), like the memo counters above.
+  /// expansion both read rows. Kept out of counters(), like the memo
+  /// counters above.
   uint64_t EnvRowHits = 0;
   uint64_t EnvRowEntries = 0;
   /// Exhaustion diagnostics: the MaxConfigs bound that was in effect and,
@@ -301,9 +304,7 @@ struct OracleTotals {
 OracleTotals oracleTotals();
 
 /// Process-wide partial-order-reduction counters over every POR-reduced
-/// run so far (reported by `fcsl-verify --stats`): dynamic races that
-/// blocked an ample singleton, backtracking points (forced full
-/// expansions after a failed dynamic-ample attempt), wakeup replays
+/// run so far (reported by `fcsl-verify --stats`): wakeup replays
 /// (re-expansions after a revisit shrank a sleep set or grew a close
 /// mask) with the peak number of candidates replayed at once, sleep-set
 /// hits (candidates pruned because a commuted order was already taken),
@@ -313,6 +314,8 @@ OracleTotals oracleTotals();
 /// arrive in, so at Jobs > 1 they may vary from run to run (verdicts,
 /// terminals and the work counters do not).
 struct PorStats {
+  /// Always 0: they counted the retired dynamic licence's refusals. Kept
+  /// because perfbench reads them.
   uint64_t RacesDetected = 0;
   uint64_t BacktrackPoints = 0;
   uint64_t WakeupReplays = 0;

@@ -154,8 +154,8 @@ struct ProofUnit {
   }
 };
 
-/// The engine-flag fingerprint of a session's POR and symmetry modes.
-/// Jobs are deliberately excluded — results are bit-identical across job
+/// The engine-flag fingerprint of a session's POR and symmetry modes
+/// (`Dynamic` and `CheckDynamic` hash as `On` and `Check`). Jobs are deliberately excluded — results are bit-identical across job
 /// counts, so a verdict computed at --jobs=1 validly answers a --jobs=8
 /// query. Bounds and interference are content-side (they vary
 /// per unit, not per session).

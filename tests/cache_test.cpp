@@ -170,8 +170,7 @@ TEST(CacheKeyTest, OracleModesSaltOnlyTheirFlagFingerprints) {
   // not answer for the older per-reduction harnesses' records; every
   // other mode keeps its fingerprint bit-identical so warm stores hit.
   std::set<uint64_t> Seen;
-  for (PorMode Por : {PorMode::Off, PorMode::On, PorMode::Dynamic,
-                      PorMode::Check, PorMode::CheckDynamic}) {
+  for (PorMode Por : {PorMode::Off, PorMode::On, PorMode::Check}) {
     for (SymMode Sym : {SymMode::Off, SymMode::On, SymMode::Check}) {
       uint64_t Fp = engineFlagsFingerprintFor(Por, Sym);
       std::string Tag = std::string(porModeName(Por)) + "/" +
@@ -181,6 +180,13 @@ TEST(CacheKeyTest, OracleModesSaltOnlyTheirFlagFingerprints) {
       else
         EXPECT_EQ(Fp, unsaltedFlagsFingerprint(Por, Sym)) << Tag;
       EXPECT_TRUE(Seen.insert(Fp).second) << Tag << " collides";
+      // The dynamic spellings hash as the modes they spell, so they share
+      // those modes' records.
+      if (Por != PorMode::Off) {
+        PorMode Spelling =
+            Por == PorMode::On ? PorMode::Dynamic : PorMode::CheckDynamic;
+        EXPECT_EQ(engineFlagsFingerprintFor(Spelling, Sym), Fp) << Tag;
+      }
     }
   }
 }
@@ -199,8 +205,8 @@ TEST(CacheKeyTest, NonOracleFlagFingerprintsArePinned) {
       {PorMode::Off, SymMode::On, 0xa36fd553ffded22dull},
       {PorMode::On, SymMode::Off, 0x1c5717629a529064ull},
       {PorMode::On, SymMode::On, 0x9b9771e8b07282cfull},
-      {PorMode::Dynamic, SymMode::Off, 0x8f270246574bb680ull},
-      {PorMode::Dynamic, SymMode::On, 0x0867e0dc38abc93full},
+      {PorMode::Dynamic, SymMode::Off, 0x1c5717629a529064ull},
+      {PorMode::Dynamic, SymMode::On, 0x9b9771e8b07282cfull},
   };
   for (const Pin &P : Pins)
     EXPECT_EQ(engineFlagsFingerprintFor(P.Por, P.Sym), P.Fp)
@@ -211,7 +217,7 @@ TEST_F(CacheTest, OracleModeRecordsFromBeforeTheSaltGoStale) {
   // A record keyed the old way under --por=check --symmetry=check carries
   // a partly reduced run's counters: it must be a stale-by-flag miss, not
   // a --cache=check divergence. The same content keyed under a non-check
-  // mode still hits.
+  // mode still hits, under that mode's dynamic spelling too.
   VerificationSession S = toySession(0x0c0c, 6);
   ASSERT_EQ(S.units().size(), 1u);
   {
@@ -223,7 +229,7 @@ TEST_F(CacheTest, OracleModeRecordsFromBeforeTheSaltGoStale) {
     R.Checks = 999; // The fresh discharge reports 6.
     Planted.append(R);
     R.Key = S.units()[0].key(
-        unsaltedFlagsFingerprint(PorMode::Dynamic, SymMode::On));
+        unsaltedFlagsFingerprint(PorMode::On, SymMode::On));
     R.Checks = 6;
     R.Counters.Configs = 12;
     Planted.append(R);

@@ -343,8 +343,8 @@ TEST(DistEngine, DistributedExploreRunsTheInProcessEngine) {
 
 TEST(DistEngine, DirectCallReportsInProcessProvenance) {
   // A direct distributedExplore resolves its modes like explore(), since
-  // it is explore(): a dynamic-POR call reports a dynamic reduction,
-  // never an unreduced run.
+  // it is explore(): a reduced call reports its resolved reduction (the
+  // dynamic spelling reports On), never an unreduced run.
   SpanTreeCase Case = makeSpanTreeCase(1, 2);
   EngineOptions Opts;
   Opts.Ambient = Case.PrivOnly;
@@ -360,7 +360,7 @@ TEST(DistEngine, DirectCallReportsInProcessProvenance) {
       RunResult Fleet = distributedExplore(Main, GS, Opts, {}, 2);
       std::string Tag = std::string("por=") + porModeName(Por) +
                         " symmetry=" + symModeName(Sym);
-      EXPECT_EQ(Fleet.Reduction.Por, Por) << Tag;
+      EXPECT_EQ(Fleet.Reduction.Por, resolveModes(Por, Sym).Por) << Tag;
       EXPECT_EQ(Fleet.Reduction.Sym, Sym) << Tag;
       EXPECT_EQ(Fleet.Reduction.Por, Local.Reduction.Por) << Tag;
       EXPECT_EQ(Fleet.Reduction.Sym, Local.Reduction.Sym) << Tag;

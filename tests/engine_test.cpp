@@ -578,12 +578,11 @@ TEST(EngineModeTest, ResolveFoldsCheckModesIntoTheOracle) {
   };
   const Row Rows[] = {
       {PorMode::Off, SymMode::Off, PorMode::Off, SymMode::Off, false},
-      {PorMode::Dynamic, SymMode::On, PorMode::Dynamic, SymMode::On, false},
+      {PorMode::Dynamic, SymMode::On, PorMode::On, SymMode::On, false},
       {PorMode::Check, SymMode::Off, PorMode::On, SymMode::Off, true},
-      {PorMode::CheckDynamic, SymMode::On, PorMode::Dynamic, SymMode::On,
-       true},
+      {PorMode::CheckDynamic, SymMode::On, PorMode::On, SymMode::On, true},
       {PorMode::On, SymMode::Check, PorMode::On, SymMode::On, true},
-      {PorMode::CheckDynamic, SymMode::Check, PorMode::Dynamic, SymMode::On,
+      {PorMode::CheckDynamic, SymMode::Check, PorMode::On, SymMode::On,
        true},
   };
   for (const Row &R : Rows) {
@@ -597,6 +596,6 @@ TEST(EngineModeTest, ResolveFoldsCheckModesIntoTheOracle) {
   setDefaultPorMode(PorMode::CheckDynamic);
   ReductionModes M = resolveModes(PorMode::Default, SymMode::Off);
   setDefaultPorMode(PorMode::Off);
-  EXPECT_EQ(M.Por, PorMode::Dynamic);
+  EXPECT_EQ(M.Por, PorMode::On);
   EXPECT_TRUE(M.Oracle);
 }

@@ -43,7 +43,8 @@ using namespace fcsl::service;
 namespace {
 
 /// Wire mode bytes (SubmitSessionMsg): 0 = daemon default.
-constexpr uint8_t PorOffB = 1, PorDynamicB = 3;
+/// POR byte 3 (Dynamic) is a spelling of 2 (On).
+constexpr uint8_t PorOffB = 1, PorOnB = 2, PorDynamicB = 3;
 constexpr uint8_t SymOffB = 1, SymOnB = 2;
 constexpr uint8_t CacheOffB = 1, CacheRwB = 2;
 
@@ -135,7 +136,7 @@ std::vector<uint8_t> rawFrame(const std::vector<uint8_t> &Payload) {
 
 TEST_F(ServiceTest, DaemonReportsAreBitIdenticalToDirectRuns) {
   // The acceptance bar: every Table-1 session served by the daemon under
-  // --por=dynamic --symmetry=on must encode bit-identically to a direct
+  // --por=dynamic --symmetry=on (dynamic spells on) must encode bit-identically to a direct
   // in-process run under the same flags (timings scrubbed — they are the
   // one field wall-clock owns). Cache off on both sides so the counters
   // section is exercised as all-zeroes rather than skipped.
@@ -230,6 +231,30 @@ TEST_F(ServiceTest, WarmStoreServesWithoutTheEngine) {
   EXPECT_GT(Stats->StoreRecords, 0u);
 }
 
+TEST_F(ServiceTest, DynamicSubmitIsServedFromOnRecords) {
+  // POR byte 3 spells byte 2, and both hash to one flag fingerprint, so
+  // the records a byte-2 submit wrote answer a byte-3 submit warm.
+  resetModes(cache::CacheMode::Rw);
+  startDaemon();
+  ServiceClient Client(socketPath());
+  ASSERT_TRUE(Client.ok()) << Client.error();
+
+  std::optional<ReportMsg> Cold =
+      Client.submit("Spanning tree", PorOnB, SymOnB, CacheRwB);
+  ASSERT_TRUE(Cold && Cold->Ok) << Client.error();
+  EXPECT_FALSE(Cold->ServedFromCache);
+  EXPECT_EQ(Cold->Report.Cache.Stores, Cold->Report.totalObligations());
+
+  std::optional<ReportMsg> Warm =
+      Client.submit("Spanning tree", PorDynamicB, SymOnB, CacheRwB);
+  ASSERT_TRUE(Warm && Warm->Ok) << Client.error();
+  EXPECT_TRUE(Warm->ServedFromCache);
+  EXPECT_EQ(Warm->Report.Cache.Hits, Warm->Report.totalObligations());
+  EXPECT_EQ(Warm->Report.Cache.Misses, 0u);
+  EXPECT_EQ(Daemon->stats().SessionsRun.load(), 1u);
+  EXPECT_EQ(Daemon->stats().ServedFromCache.load(), 1u);
+}
+
 TEST_F(ServiceTest, ConcurrentClientsAreBothServed) {
   startDaemon(/*Workers=*/2);
   std::atomic<int> Failures{0};
@@ -258,7 +283,7 @@ TEST_F(ServiceTest, MixedModeSessionsRunSideBySide) {
   // POR off/dynamic x symmetry off/on pairs, interleaved with warm rw
   // serves. Sessions under different modes overlap on the two workers;
   // every reply must still equal the direct run under its own modes.
-  // Spanning tree's Main shrinks under dynamic POR, CG increment's under
+  // Spanning tree's Main shrinks under POR, CG increment's under
   // symmetry, so a session run under the wrong modes reports different
   // check counts.
   const std::array<const char *, 2> Names = {"Spanning tree",

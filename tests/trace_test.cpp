@@ -179,7 +179,7 @@ TEST(TraceTest, EnvStepTextIsPinned) {
   Opts.EnvInterference = true;
   Opts.Defs = &Case.Defs;
   Opts.Jobs = 1;
-  for (PorMode Por : {PorMode::Off, PorMode::Dynamic}) {
+  for (PorMode Por : {PorMode::Off, PorMode::On}) {
     Opts.Por = Por;
     RunResult R =
         explore(Main, spanOpenState(Case, figure2Graph(), {}), Opts);

@@ -44,7 +44,8 @@ int usage() {
       "  --symmetry off|on|check\n"
       "  --cache off|rw|ro|check\n"
       "                       per-request engine modes (omitted = the\n"
-      "                       daemon's defaults)\n"
+      "                       daemon's defaults); --por dynamic and\n"
+      "                       check-dynamic are spellings of on and check\n"
       "  --jobs N             discharge threads for this request\n"
       "  --progress           stream per-obligation progress to stderr\n"
       "  --expect pass|fail   for scripting: exit 0 iff every submitted\n"

@@ -51,7 +51,10 @@ int usage() {
                "with Default\n"
                "                       mode bytes inherits them, an explicit "
                "submit mode\n"
-               "                       overrides per request\n");
+               "                       overrides per request; --por "
+               "dynamic and\n"
+               "                       check-dynamic are spellings of on "
+               "and check\n");
   return 2;
 }
 

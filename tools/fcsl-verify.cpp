@@ -52,14 +52,13 @@ int usage() {
                "exploration:\n"
                "                       off = full interleaving (default), on "
                "= ample+sleep\n"
-               "                       reduction, dynamic = on plus ample "
-               "sets licensed by\n"
-               "                       observed footprints (env-future "
-               "closure), check /\n"
-               "                       check-dynamic = on / dynamic "
-               "cross-checked against\n"
-               "                       the plain engine (default from "
-               "FCSL_POR, else off)\n"
+               "                       reduction, check = on cross-checked "
+               "against the\n"
+               "                       plain engine; dynamic and "
+               "check-dynamic are\n"
+               "                       spellings of on and check (default "
+               "from FCSL_POR,\n"
+               "                       else off)\n"
                "  --symmetry off|on|check\n"
                "                       orbit canonicalization of "
                "interchangeable sibling\n"
@@ -207,14 +206,9 @@ void printStats() {
   }
 
   PorStats Por = porStats();
-  if (Por.RacesDetected + Por.BacktrackPoints + Por.WakeupReplays +
-          Por.SleepHits + Por.FullExpansions >
-      0)
-    std::printf("por: %llu races detected, %llu backtrack points, %llu "
-                "wakeup replays (peak %llu), %llu sleep-set hits, %llu "
-                "full expansions\n",
-                static_cast<unsigned long long>(Por.RacesDetected),
-                static_cast<unsigned long long>(Por.BacktrackPoints),
+  if (Por.WakeupReplays + Por.SleepHits + Por.FullExpansions > 0)
+    std::printf("por: %llu wakeup replays (peak %llu), %llu sleep-set hits, "
+                "%llu full expansions\n",
                 static_cast<unsigned long long>(Por.WakeupReplays),
                 static_cast<unsigned long long>(Por.WakeupPeak),
                 static_cast<unsigned long long>(Por.SleepHits),
