@@ -67,6 +67,9 @@ struct ProgramRow {
   uint64_t ConfigsFull = 0;    ///< configs explored by the serial run.
   uint64_t ConfigsReduced = 0; ///< configs explored under static POR.
   uint64_t ConfigsCanonical = 0; ///< configs explored under symmetry.
+  /// Explorations per POR run that declined POR (no statically local
+  /// action, DESIGN.md §9) and ran the plain engine.
+  uint64_t PorDeclined = 0;
 };
 
 /// Runs per timed cell; the cell's time is their median.
@@ -167,9 +170,12 @@ int main() {
     ParallelTotalMs += Par.Ms;
 
     // Serial discharge again under partial-order reduction: same
-    // verdicts, fewer explored configurations.
+    // verdicts, fewer explored configurations, or the plain engine's
+    // where POR declines.
     setDefaultPorMode(PorMode::On);
+    uint64_t Declined0 = porStats().Declined;
     Cell Por = runCell(Case, /*Jobs=*/1, "por", Failures);
+    uint64_t PorDeclined = (porStats().Declined - Declined0) / Repeats;
     setDefaultPorMode(PorMode::Off);
     AllPassed &= Por.Report.AllPassed == Report.AllPassed &&
                  Por.Report.totalObligations() == Report.totalObligations();
@@ -249,7 +255,8 @@ int main() {
                               Report.totalChecks(), Serial.Ms, Par.Ms,
                               Por.Ms, Sym.Ms, Cold.Ms, Warm.Ms, WarmHits,
                               AllOnCold.Ms, AllOn.Ms, AllOnHits,
-                              Serial.Configs, Por.Configs, Sym.Configs});
+                              Serial.Configs, Por.Configs, Sym.Configs,
+                              PorDeclined});
   }
 
   // Reduction floors the symmetry layer must hold (DESIGN.md §11): the
@@ -373,6 +380,7 @@ int main() {
                    "\"parallel_ms\": %.2f, \"speedup\": %.3f, "
                    "\"por_ms\": %.2f, \"configs_full\": %llu, "
                    "\"configs_reduced\": %llu, \"por_ratio\": %.3f, "
+                   "\"por_declined\": %llu, "
                    "\"symmetry_ms\": %.2f, \"configs_canonical\": %llu, "
                    "\"orbit_ratio\": %.3f, "
                    "\"cache_cold_ms\": %.2f, \"cache_warm_ms\": %.2f, "
@@ -388,7 +396,7 @@ int main() {
                    R.ConfigsFull
                        ? double(R.ConfigsReduced) / double(R.ConfigsFull)
                        : 1.0,
-                   R.SymMs,
+                   static_cast<unsigned long long>(R.PorDeclined), R.SymMs,
                    static_cast<unsigned long long>(R.ConfigsCanonical),
                    R.ConfigsFull
                        ? double(R.ConfigsCanonical) / double(R.ConfigsFull)

@@ -35,7 +35,7 @@
 #      entry served to the wrong worker would show up as a changed
 #      counter or terminal. The same diff runs for the reduced engine
 #      under --por=on --symmetry=on and under --por=on, whose
-#      expansions read the env rows and the footprint table; the report
+#      expansions read the env rows; the report
 #      omits the POR and orbit effort counters, which may vary with the
 #      schedule.
 #   5. POR oracle: fcsl-verify --por=check runs every Table-1 session

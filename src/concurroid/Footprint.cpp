@@ -129,14 +129,6 @@ Footprint &Footprint::readWrite(const FpAtom &A) {
   return write(A);
 }
 
-size_t Footprint::approxBytes() const {
-  size_t Bytes = sizeof(Footprint);
-  for (const std::vector<FpAtom> *Side : {&Reads, &Writes})
-    for (const FpAtom &A : *Side)
-      Bytes += sizeof(FpAtom) + A.Cells.size() * sizeof(Ptr);
-  return Bytes;
-}
-
 namespace {
 
 bool anyClash(const std::vector<FpAtom> &Xs, const std::vector<FpAtom> &Ys,

@@ -44,14 +44,14 @@
 /// (writes) — including cells whose *presence* in a joint heap changes
 /// (domain changes count as whole-cell writes). A field-masked write
 /// promises the outcome leaves the cell's other fields at their pre-state
-/// values. A dynamic footprint (computed from the pre-view and arguments)
-/// must cover every instance enabled *at that view*, and the step's
-/// enabledness, safety, and outcomes must be functions of the components it
-/// reads — then the footprint remains an honest description in any state
-/// that differs only on components outside it, which is what lets the
-/// engine commute the step across independent ones. It need *not*
+/// values. An action's dynamic footprint (computed from the pre-view and
+/// arguments) must cover every instance enabled *at that view*, and the
+/// step's enabledness, safety, and outcomes must be functions of the
+/// components it reads — then the footprint remains an honest description
+/// in any state that differs only on components outside it, which is what
+/// lets the engine commute the step across independent ones. It need *not*
 /// anticipate instances that only become enabled later through unread
-/// components (a helper transition gaining a new request, say): wherever
+/// components (a helper gaining a new request, say): wherever
 /// the engine must remember a step across many subsequent states — sleep
 /// entries — it records the static, all-instance footprint instead. When
 /// in doubt, return `Footprint()` (unknown): unknown footprints are
@@ -134,9 +134,6 @@ public:
   Footprint &write(FpAtom A);
   /// Declares A both read and written.
   Footprint &readWrite(const FpAtom &A);
-
-  /// Rough retained size, for visited-set accounting.
-  size_t approxBytes() const;
 
 private:
   bool Known = false;

@@ -18,9 +18,8 @@ Transition::Transition(std::string Name, TransitionKind Kind,
          "a transition needs an enumerator or a coverage predicate");
 }
 
-Transition &Transition::withFootprint(Footprint Static, FootprintFn Dyn) {
+Transition &Transition::withFootprint(Footprint Static) {
   StaticFp = std::move(Static);
-  DynFp = std::move(Dyn);
   return *this;
 }
 

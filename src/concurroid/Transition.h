@@ -69,24 +69,14 @@ public:
   /// Whether (Pre, Post) is an instance of this transition.
   bool covers(const View &Pre, const View &Post) const;
 
-  /// Dynamic footprint generator: the components one step of this
-  /// transition from the given pre-view may read/write (see Footprint.h
-  /// for the honesty contract; the "agent" is the environment).
-  using FootprintFn = std::function<Footprint(const View &)>;
-
-  /// Attaches footprint metadata; returns *this so call sites can chain
-  /// onto a freshly constructed transition. \p Static must cover every
-  /// instance from every view; \p Dyn (optional) refines it per view.
-  Transition &withFootprint(Footprint Static, FootprintFn Dyn = nullptr);
+  /// Attaches footprint metadata: the components any instance of this
+  /// transition from any view may read/write (see Footprint.h for the
+  /// honesty contract; the "agent" is the environment). Returns *this so
+  /// call sites can chain onto a freshly constructed transition.
+  Transition &withFootprint(Footprint Static);
 
   /// The static footprint; unknown unless withFootprint was called.
   const Footprint &staticFootprint() const { return StaticFp; }
-
-  /// The footprint of one step from \p Pre: the dynamic generator when
-  /// present, else the static footprint.
-  Footprint footprint(const View &Pre) const {
-    return DynFp ? DynFp(Pre) : StaticFp;
-  }
 
 private:
   std::string Name;
@@ -95,7 +85,6 @@ private:
   CoverFn Covers;
   bool EnvEnabled;
   Footprint StaticFp; ///< default-unknown: dependent on everything.
-  FootprintFn DynFp;
 };
 
 } // namespace fcsl

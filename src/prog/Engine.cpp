@@ -124,6 +124,7 @@ std::atomic<uint64_t> PorWakeupReplaysCounter{0};
 std::atomic<uint64_t> PorWakeupPeakCounter{0};
 std::atomic<uint64_t> PorSleepHitsCounter{0};
 std::atomic<uint64_t> PorFullExpansionsCounter{0};
+std::atomic<uint64_t> PorDeclinedCounter{0};
 
 // Symmetry telemetry, process-wide across every symmetry-reduced run.
 std::atomic<uint64_t> OrbitLookupsCounter{0};
@@ -192,7 +193,8 @@ PorStats fcsl::porStats() {
           PorWakeupReplaysCounter.load(std::memory_order_relaxed),
           PorWakeupPeakCounter.load(std::memory_order_relaxed),
           PorSleepHitsCounter.load(std::memory_order_relaxed),
-          PorFullExpansionsCounter.load(std::memory_order_relaxed)};
+          PorFullExpansionsCounter.load(std::memory_order_relaxed),
+          PorDeclinedCounter.load(std::memory_order_relaxed)};
 }
 
 void fcsl::setDefaultSymmetryMode(SymMode M) {
@@ -852,55 +854,13 @@ private:
   uint64_t Capacity = 0;
 };
 
-/// A footprint hash-consed into the exploration's footprint table (see
-/// Explorer::internFp): equal footprints share one entry, so holders
-/// compare handles.
-using FpRef = const Consed<Footprint> *;
-
-/// A footprint's content hash, over exactly what its operator== compares.
-size_t footprintHash(const Footprint &F) {
-  size_t H = 0;
-  hashValue(H, F.known());
-  for (const std::vector<FpAtom> *Side : {&F.reads(), &F.writes()}) {
-    hashValue(H, Side->size());
-    for (const FpAtom &A : *Side) {
-      hashValue(H, A.L);
-      hashValue(H, static_cast<uint8_t>(A.Comp));
-      hashValue(H, static_cast<uint8_t>(A.Region));
-      hashValue(H, A.Fields);
-      hashValue(H, A.AllCells);
-      hashValue(H, A.Cells.size());
-      for (Ptr P : A.Cells)
-        hashValue(H, P);
-    }
-  }
-  return H;
-}
-
 /// One coherent env step out of a global state (see envRow): the
-/// transition's index in the ambient concurroid, the position of its
-/// dynamic footprint in the row head's Fps (POR runs whose head is not
-/// Unknown only) and the interned post-state. It carries no thread slots.
+/// transition's index in the ambient concurroid and the interned
+/// post-state. It carries no thread slots.
 struct EnvSucc {
   uint32_t Idx = 0;
-  uint32_t Fp = 0;
   GSRef Post = nullptr;
   void bind(const ThreadSlot *&) {}
-};
-
-/// What POR needs of an env row beyond its steps: the distinct dynamic
-/// footprints of the enabled transitions, or Unknown when one of them has
-/// none (Fps is then empty).
-struct EnvHead {
-  bool Unknown = false;
-  std::vector<FpRef> Fps;
-
-  uint64_t approxBytes() const { return Fps.capacity() * sizeof(FpRef); }
-};
-
-/// The empty per-row header of the thread-step memo.
-struct NoHead {
-  uint64_t approxBytes() const { return 0; }
 };
 
 /// One exploration's memo from handle keys to immutable rows of \p Elem
@@ -911,16 +871,12 @@ struct NoHead {
 /// never moves (it lives in a hash-map node that is never erased), so a
 /// reader uses it after the stripe lock is released, and two workers that
 /// both miss one key record the same row (the second insert is dropped).
-/// Each row also carries one \p Head.
-template <typename Key, typename KeyHash, typename Elem,
-          typename Head = NoHead>
-class HandleMemo {
+template <typename Key, typename KeyHash, typename Elem> class HandleMemo {
 public:
   /// A recorded row.
   struct Row {
     const Elem *First = nullptr;
     uint32_t N = 0;
-    Head H;
     const Elem *begin() const { return First; }
     const Elem *end() const { return First + N; }
   };
@@ -935,12 +891,12 @@ public:
     return It == S.Map.end() ? nullptr : &It->second;
   }
 
-  /// Records \p Elems and \p H for \p K, unless a row is already there,
-  /// and returns the row published for it. \p Slots holds the elements'
-  /// slot runs back to back, in element order; each element takes its run
-  /// from the stripe's copy (see MemoOutcome::bind).
+  /// Records \p Elems for \p K, unless a row is already there, and
+  /// returns the row published for it. \p Slots holds the elements' slot
+  /// runs back to back, in element order; each element takes its run from
+  /// the stripe's copy (see MemoOutcome::bind).
   const Row &insert(const Key &K, std::vector<Elem> Elems,
-                    const std::vector<ThreadSlot> &Slots = {}, Head H = {}) {
+                    const std::vector<ThreadSlot> &Slots = {}) {
     Stripe &S = stripeOf(K);
     std::lock_guard<std::mutex> Lock(S.M);
     auto [It, IsNew] = S.Map.try_emplace(K);
@@ -950,9 +906,8 @@ public:
                         : S.SlotArena.copy(Slots.data(), Slots.size());
       for (Elem &E : Elems)
         E.bind(Run);
-      S.HeadBytes += H.approxBytes();
       It->second = Row{S.ElemArena.copy(Elems.data(), Elems.size()),
-                       static_cast<uint32_t>(Elems.size()), std::move(H)};
+                       static_cast<uint32_t>(Elems.size())};
     }
     return It->second;
   }
@@ -973,7 +928,7 @@ public:
     for (Stripe &S : Stripes) {
       std::lock_guard<std::mutex> Lock(S.M);
       Bytes += S.ElemArena.approxBytes() + S.SlotArena.approxBytes() +
-               S.HeadBytes + S.Map.size() * (sizeof(Key) + sizeof(Row) + 16);
+               S.Map.size() * (sizeof(Key) + sizeof(Row) + 16);
     }
     return Bytes;
   }
@@ -984,7 +939,6 @@ private:
     std::unordered_map<Key, Row, KeyHash> Map;
     ChunkArena<Elem> ElemArena;
     ChunkArena<ThreadSlot> SlotArena; ///< MemoOutcome slot runs.
-    uint64_t HeadBytes = 0;           ///< heap bytes held by the heads.
   };
   Stripe &stripeOf(const Key &K) {
     return Stripes[KeyHash{}(K) % Stripes.size()];
@@ -1017,9 +971,8 @@ struct GSRefHash {
 /// and the global state, so its outcome list is a function of its StepKey.
 using StepMemo = HandleMemo<StepKey, StepKeyHash, MemoOutcome>;
 /// The env rows: an env step reads and writes only the global state, so
-/// the env steps out of a state (and their footprints) are a function of
-/// its handle.
-using EnvRows = HandleMemo<GSRef, GSRefHash, EnvSucc, EnvHead>;
+/// the env steps out of a state are a function of its handle.
+using EnvRows = HandleMemo<GSRef, GSRefHash, EnvSucc>;
 
 /// Evaluates an Act frame's arguments.
 std::vector<Val> evalArgs(const Frame &Top) {
@@ -1092,8 +1045,13 @@ public:
       return;
     }
 
-    if (PorOn)
-      collectUniverse(Root);
+    // POR declines where no ample set can form (DESIGN.md §9): the
+    // declined run is the plain engine, memo included.
+    if (PorOn && !collectUniverse(Root)) {
+      PorOn = false;
+      Res.Reduction.PorDeclined = true;
+      PorDeclinedCounter.fetch_add(1, std::memory_order_relaxed);
+    }
 
     unsigned Jobs = resolveJobs(Opts.Jobs);
     NumStripes = Jobs == 1 ? 1 : 64;
@@ -1108,7 +1066,6 @@ public:
     CtxTable.init(NumStripes);
     Memo.init(NumStripes);
     Rows.init(NumStripes);
-    FpTable.init(NumStripes);
     Workers.clear();
     for (unsigned I = 0; I != Jobs; ++I)
       Workers.push_back(std::make_unique<Worker>());
@@ -1154,12 +1111,10 @@ public:
     // The visited set only grows, so its final size is the run's peak.
     // Each node counts its handle vector and wake state; the contexts and
     // global states it points to count once, as table entries, and the
-    // thread-step memo and the env rows count their entries and arrays,
-    // and the footprint table its entries.
+    // thread-step memo and the env rows count their entries and arrays.
     uint64_t Nodes = 0;
     uint64_t Bytes = GSTable.approxBytes() + CtxTable.approxBytes() +
-                     Memo.approxBytes() + Rows.approxBytes() +
-                     FpTable.approxBytes();
+                     Memo.approxBytes() + Rows.approxBytes();
     Res.StepMemoEntries = Memo.entries();
     Res.EnvRowEntries = Rows.entries();
     for (Stripe &S : Stripes) {
@@ -2317,9 +2272,16 @@ private:
     std::vector<Footprint> Fps;
   };
 
-  void collectUniverse(const ProgRef &Root) {
+  /// Collects the universe, and tells whether some reachable action's
+  /// static footprint is globally independent. A dynamic footprint is
+  /// never wider than the static one, so without such an action no ample
+  /// singleton can ever form, and sleep sets alone prune no reachable
+  /// state (Godefroid, LNCS 1032): POR would explore the plain engine's
+  /// configurations at a higher cost per configuration.
+  bool collectUniverse(const ProgRef &Root) {
     Uni.AllKnown = true;
     Uni.Fps.clear();
+    std::vector<const Footprint *> ActFps;
     auto Add = [&](const Footprint &F) {
       if (F.known())
         Uni.Fps.push_back(F);
@@ -2327,16 +2289,22 @@ private:
         Uni.AllKnown = false;
     };
     forEachReachableProg(Root.get(), Opts.Defs, [&](const Prog &P) {
-      if (P.kind() == Prog::Kind::Act)
-        Add(P.action()->staticFootprint());
-      else if (P.kind() == Prog::Kind::Call &&
-               !(Opts.Defs && Opts.Defs->contains(P.callee())))
+      if (P.kind() == Prog::Kind::Act) {
+        ActFps.push_back(&P.action()->staticFootprint());
+        Add(*ActFps.back());
+      } else if (P.kind() == Prog::Kind::Call &&
+                 !(Opts.Defs && Opts.Defs->contains(P.callee()))) {
         Uni.AllKnown = false; // Engine would assert on execution.
+      }
     });
     if (Opts.EnvInterference && Opts.Ambient)
       for (const Transition &T : Opts.Ambient->transitions())
         if (isEnvStep(T))
           Add(T.staticFootprint());
+    return std::any_of(ActFps.begin(), ActFps.end(),
+                       [&](const Footprint *F) {
+                         return globallyIndependent(*F);
+                       });
   }
 
   /// Is \p F independent of every step any other agent could ever take?
@@ -2352,71 +2320,39 @@ private:
   /// The coherent post-states of env transition \p Tr from \p EnvView, in
   /// successor order: the one env-step enumeration that env rows and
   /// simulate use.
-  /// \p Enabled, when given, tells whether Tr has any post there, coherent
-  /// or not.
-  std::vector<View> coherentPosts(const Transition &Tr, const View &EnvView,
-                                  bool *Enabled = nullptr) const {
+  std::vector<View> coherentPosts(const Transition &Tr,
+                                  const View &EnvView) const {
     std::vector<View> Posts = Tr.successors(EnvView);
-    if (Enabled)
-      *Enabled = !Posts.empty();
     std::erase_if(Posts, [&](const View &Post) {
       return !Opts.Ambient->coherent(Post);
     });
     return Posts;
   }
 
-  /// The handle of \p F in this exploration's footprint table.
-  FpRef internFp(Footprint &&F) {
-    size_t H = footprintHash(F);
-    return FpTable.intern(std::move(F), H);
-  }
-
   /// The env row of \p GS, built on the first request (see EnvRows):
   /// every coherent env step out of GS, in declaration order, with its
-  /// post-state interned. Under POR its head also collects the distinct
-  /// dynamic footprints of the enabled transitions (those with successors,
-  /// coherent or not), or Unknown at the first that has none, and each
-  /// step records which of them is its transition's. Plain expansion
-  /// and expandPor both read rows, so a state is enumerated once per
-  /// exploration; a read that finds the row counts as one of \p W's
-  /// EnvRowHits.
+  /// post-state interned. Plain expansion and expandPor both read rows, so
+  /// a state is enumerated once per exploration; a read that finds the row
+  /// counts as one of \p W's EnvRowHits.
   const EnvRows::Row &envRow(GSRef GS, Worker &W) {
     if (const EnvRows::Row *R = Rows.find(GS)) {
       ++W.EnvRowHits;
       return *R;
     }
     std::vector<EnvSucc> Succs;
-    EnvHead Head;
     View EnvView = GS->Value.viewForEnv();
     const std::vector<Transition> &Ts = Opts.Ambient->transitions();
     for (uint32_t I = 0, Sz = Ts.size(); I != Sz; ++I) {
       if (!isEnvStep(Ts[I]))
         continue;
-      bool Enabled = false;
-      std::vector<View> Posts = coherentPosts(Ts[I], EnvView, &Enabled);
-      uint32_t FpIdx = 0;
-      if (PorOn && !Head.Unknown && Enabled) {
-        Footprint F = Ts[I].footprint(EnvView);
-        if (!F.known()) {
-          Head.Unknown = true;
-          Head.Fps.clear();
-        } else {
-          FpRef R = internFp(std::move(F));
-          FpIdx = std::find(Head.Fps.begin(), Head.Fps.end(), R) -
-                  Head.Fps.begin();
-          if (FpIdx == Head.Fps.size())
-            Head.Fps.push_back(R);
-        }
-      }
-      for (const View &Post : Posts) {
+      for (const View &Post : coherentPosts(Ts[I], EnvView)) {
         GlobalState Next = GS->Value;
         Next.applyEnv(EnvView, Post);
         size_t H = std::hash<GlobalState>{}(Next);
-        Succs.push_back(
-            EnvSucc{I, FpIdx, GSTable.intern(std::move(Next), H)});
+        Succs.push_back(EnvSucc{I, GSTable.intern(std::move(Next), H)});
       }
     }
-    return Rows.insert(GS, std::move(Succs), {}, std::move(Head));
+    return Rows.insert(GS, std::move(Succs));
   }
 
   /// One successor built by a thread's action step, before enqueueing.
@@ -2703,9 +2639,10 @@ private:
     // narrowed footprint describes only the instances enabled where the
     // step executed, and a later step independent of it may enable new
     // instances outside it (e.g. a combiner helping whichever slot holds
-    // a request). The dynamic footprint keeps serving the instantaneous
-    // sides — the wake filter and the ample checks — where only the step
-    // as taken matters (Footprint.h).
+    // a request). A thread step's dynamic footprint keeps serving the
+    // instantaneous sides — the wake filter and the ample checks — where
+    // only the step as taken matters (Footprint.h); an env step filters by
+    // its static one (see below).
     auto StaticFpOf = [](const Candidate &K) -> const Footprint & {
       return K.IsEnv ? K.Tr->staticFootprint() : K.A->staticFootprint();
     };
@@ -2770,19 +2707,17 @@ private:
     // so they are treated as dependent on everything.
     PorFullExpansionsCounter.fetch_add(1, std::memory_order_relaxed);
     // Env candidates join only here, after the threads, so an ample
-    // expansion never asks for the state's row. They read it: its steps
-    // grouped by transition (the row lists them in declaration order)
-    // and, in the head, their dynamic footprints.
-    const EnvRows::Row *Row = nullptr;
+    // expansion never asks for the state's row. They read its steps
+    // grouped by transition (the row lists them in declaration order).
     if (Opts.EnvInterference && Opts.Ambient) {
-      Row = &envRow(C.gsRef(), W);
-      const EnvSucc *Next = Row->begin();
+      const EnvRows::Row &Row = envRow(C.gsRef(), W);
+      const EnvSucc *Next = Row.begin();
       const std::vector<Transition> &Ts = Opts.Ambient->transitions();
       for (size_t I = 0, Sz = Ts.size(); I != Sz; ++I) {
         if (!isEnvStep(Ts[I]))
           continue;
         const EnvSucc *First = Next;
-        while (Next != Row->end() && Next->Idx == I)
+        while (Next != Row.end() && Next->Idx == I)
           ++Next;
         // At a terminal, only transitions licensed by the last action's
         // (merged) close mask may keep firing (see Config::EnvCloseMask).
@@ -2833,15 +2768,13 @@ private:
         if (!LabelsChanged && StaticFpOf(K).known())
           Taken.push_back(ToSleepEntry(K));
       } else {
-        // Only a transition with steps here needs its footprint; an
-        // Unknown head holds none, so it is computed directly then.
-        if (K.First != K.Last) {
-          Footprint Direct;
-          if (Row->H.Unknown)
-            Direct = K.Tr->footprint(C.gs().viewForEnv());
-          ComputeSleep(Row->H.Unknown ? Direct
-                                      : Row->H.Fps[K.First->Fp]->Value);
-        }
+        // An env step is judged by its static footprint, as closeMask
+        // judges it: were a thread entry kept asleep across the step on a
+        // narrower dynamic footprint, the close mask would never license
+        // the commuted order "last action, then env step" at a terminal,
+        // and that terminal would be lost.
+        if (K.First != K.Last)
+          ComputeSleep(StaticFpOf(K));
         for (const EnvSucc *S = K.First; S != K.Last; ++S) {
           if (Fresh)
             ++W.EnvSteps;
@@ -2911,10 +2844,8 @@ private:
   /// StepMemo); unused under symmetry reduction.
   StepMemo Memo;
   /// Recorded env steps per global state, for plain expansion and
-  /// expandPor (see envRow), and the footprints their heads point into
-  /// (see internFp).
+  /// expandPor (see envRow).
   EnvRows Rows;
-  ConsTable<Footprint> FpTable;
 
   unsigned NumStripes = 1;
   std::vector<Stripe> Stripes;

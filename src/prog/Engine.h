@@ -176,6 +176,9 @@ ReductionModes resolveModes(PorMode Por, SymMode Sym);
 struct ReductionRecord {
   PorMode Por = PorMode::Off;
   SymMode Sym = SymMode::Off;
+  /// Por is On, but no reachable action is statically a local move, so no
+  /// ample set could form and the run was the plain engine (DESIGN.md §9).
+  bool PorDeclined = false;
   struct OracleRecord {
     bool Ran = false;
     /// The reduced run disagreed with the plain one (forces Safe = false).
@@ -312,7 +315,9 @@ OracleTotals oracleTotals();
 /// effort counters: every expansion adds to them, wakeup replays included,
 /// and how many replays a node gets depends on the order its routes
 /// arrive in, so at Jobs > 1 they may vary from run to run (verdicts,
-/// terminals and the work counters do not).
+/// terminals and the work counters do not). Declined counts the
+/// explorations that declined POR (ReductionRecord::PorDeclined); it
+/// depends on the program alone.
 struct PorStats {
   /// Always 0: they counted the retired dynamic licence's refusals. Kept
   /// because perfbench reads them.
@@ -322,6 +327,7 @@ struct PorStats {
   uint64_t WakeupPeak = 0;
   uint64_t SleepHits = 0;
   uint64_t FullExpansions = 0;
+  uint64_t Declined = 0;
 };
 PorStats porStats();
 

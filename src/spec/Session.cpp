@@ -44,10 +44,14 @@ uint64_t fcsl::engineFlagsFingerprintFor(PorMode Por, SymMode Sym) {
   Fp = fpCombine(Fp, static_cast<uint64_t>(Sym));
   // Oracle modes return the plain run's counters, where the earlier
   // per-reduction harnesses returned a partly reduced run's: salted so
-  // their old records go stale instead of tripping --cache=check. Every
-  // other mode keeps its fingerprint (and its warm store records).
+  // their old records go stale instead of tripping --cache=check. So is
+  // On, whose runs that decline POR (DESIGN.md §9) now count the plain
+  // engine's action steps, env steps and dedup hits. Off keeps its
+  // fingerprint (and its warm store records).
   if (Por == PorMode::Check || Sym == SymMode::Check)
     Fp = fpCombine(Fp, fpString("single-oracle"));
+  else if (Por == PorMode::On)
+    Fp = fpCombine(Fp, fpString("por-declines"));
   return Fp;
 }
 

@@ -124,9 +124,10 @@ VerifyResult fcsl::verifyTriple(const ProgRef &Prog, const Spec &S,
           static_cast<unsigned long long>(Run.MaxConfigsBound),
           static_cast<unsigned long long>(Run.ConfigsExplored),
           static_cast<unsigned long long>(Run.FrontierAtAbort),
-          Run.Reduction.Por != PorMode::Off && !Run.Reduction.Oracle.Ran
-              ? "on"
-              : "off");
+          Run.Reduction.Por == PorMode::Off || Run.Reduction.Oracle.Ran
+              ? "off"
+          : Run.Reduction.PorDeclined ? "off (declined)"
+                                      : "on");
       return Out;
     }
     for (const Terminal &Term : Run.Terminals) {

@@ -355,21 +355,7 @@ FlatCombinerCase fcsl::makeFlatCombinerCase(Label Fc, uint64_t EnvHistCap) {
             return true;
         }
         return false;
-      }).withFootprint(
-          PublishStaticFp,
-          // Instances publish into the agent's own idle slots; the cap
-          // check reads the entry counter.
-          [Fc, FullP, OwnSlot](const View &Pre) {
-            Footprint Fp = Footprint::none()
-                               .read(FpAtom::selfAux(Fc))
-                               .read(FpAtom::jointCell(Fc, FullP));
-            for (Ptr Slot : slotsOf(Pre.self(Fc))) {
-              const Val *Cell = Pre.joint(Fc).tryLookup(Slot);
-              if (Cell && isIdleSlot(*Cell))
-                Fp.readWrite(OwnSlot(Slot));
-            }
-            return Fp;
-          }));
+      }).withFootprint(PublishStaticFp));
 
   FcC->addTransition(Transition(
       "fc_lock", TransitionKind::Internal,
@@ -390,23 +376,7 @@ FlatCombinerCase fcsl::makeFlatCombinerCase(Label Fc, uint64_t EnvHistCap) {
             Out.push_back(std::move(*Post));
         }
         return Out;
-      }).withFootprint(
-          CombineStaticFp,
-          // Instances exist per request-holding slot; slots that may
-          // gain requests later are the static footprint's concern
-          // (Footprint.h's honesty contract is per-instance).
-          [Fc, S1, S2, StkP, FullP](const View &Pre) {
-            Footprint Fp = Footprint::none()
-                               .read(FpAtom::selfAux(Fc))
-                               .readWrite(FpAtom::jointCell(Fc, StkP))
-                               .readWrite(FpAtom::jointCell(Fc, FullP));
-            for (Ptr Slot : {S1, S2}) {
-              const Val *Cell = Pre.joint(Fc).tryLookup(Slot);
-              if (Cell && isRequestSlot(*Cell))
-                Fp.readWrite(FpAtom::jointCell(Fc, Slot));
-            }
-            return Fp;
-          }));
+      }).withFootprint(CombineStaticFp));
 
   FcC->addTransition(Transition(
       "fc_release", TransitionKind::Internal,
@@ -427,20 +397,7 @@ FlatCombinerCase fcsl::makeFlatCombinerCase(Label Fc, uint64_t EnvHistCap) {
             Out.push_back(std::move(*Post));
         }
         return Out;
-      }).withFootprint(
-          CollectStaticFp,
-          // Instances collect the agent's own Done slots; only a combine
-          // (which writes the slot) can mint a new one.
-          [Fc, OwnSlot](const View &Pre) {
-            Footprint Fp =
-                Footprint::none().readWrite(FpAtom::selfAux(Fc));
-            for (Ptr Slot : slotsOf(Pre.self(Fc))) {
-              const Val *Cell = Pre.joint(Fc).tryLookup(Slot);
-              if (Cell && parseDone(*Cell))
-                Fp.readWrite(OwnSlot(Slot));
-            }
-            return Fp;
-          }));
+      }).withFootprint(CollectStaticFp));
 
   Case.C = FcC;
 

@@ -156,7 +156,8 @@ TEST(CacheKeyTest, KeysAreProcessStable) {
 namespace {
 
 /// The engine-flag fingerprint as every store record was keyed before
-/// the oracle modes were salted: the resolved mode values, nothing else.
+/// the oracle modes and On were salted: the resolved mode values, nothing
+/// else.
 uint64_t unsaltedFlagsFingerprint(PorMode Por, SymMode Sym) {
   uint64_t Fp = fpString("fcsl-engine-flags");
   Fp = fpCombine(Fp, static_cast<uint64_t>(Por));
@@ -165,17 +166,19 @@ uint64_t unsaltedFlagsFingerprint(PorMode Por, SymMode Sym) {
 
 } // namespace
 
-TEST(CacheKeyTest, OracleModesSaltOnlyTheirFlagFingerprints) {
+TEST(CacheKeyTest, OracleAndOnModesSaltTheirFlagFingerprints) {
   // An oracle run returns the plain run's counters, so its records must
-  // not answer for the older per-reduction harnesses' records; every
-  // other mode keeps its fingerprint bit-identical so warm stores hit.
+  // not answer for the older per-reduction harnesses' records; an On run
+  // that declines POR returns the plain engine's counters, so its records
+  // must not answer for the sleep-set runs' records. Off keeps its
+  // fingerprint bit-identical so warm stores hit.
   std::set<uint64_t> Seen;
   for (PorMode Por : {PorMode::Off, PorMode::On, PorMode::Check}) {
     for (SymMode Sym : {SymMode::Off, SymMode::On, SymMode::Check}) {
       uint64_t Fp = engineFlagsFingerprintFor(Por, Sym);
       std::string Tag = std::string(porModeName(Por)) + "/" +
                         symModeName(Sym);
-      if (resolveModes(Por, Sym).Oracle)
+      if (resolveModes(Por, Sym).Oracle || Por == PorMode::On)
         EXPECT_NE(Fp, unsaltedFlagsFingerprint(Por, Sym)) << Tag;
       else
         EXPECT_EQ(Fp, unsaltedFlagsFingerprint(Por, Sym)) << Tag;
@@ -192,9 +195,10 @@ TEST(CacheKeyTest, OracleModesSaltOnlyTheirFlagFingerprints) {
 }
 
 TEST(CacheKeyTest, NonOracleFlagFingerprintsArePinned) {
-  // The literal keys every existing store was written under: a change to
-  // the fingerprint mixing, not only to the formula above, would orphan
-  // every warm record of these modes.
+  // The literal keys the stores are written under: a change to the
+  // fingerprint mixing, not only to the formula above, would orphan every
+  // warm record of these modes. Off's keys predate every salt; On's
+  // changed when On runs began to decline POR.
   struct Pin {
     PorMode Por;
     SymMode Sym;
@@ -203,10 +207,10 @@ TEST(CacheKeyTest, NonOracleFlagFingerprintsArePinned) {
   const Pin Pins[] = {
       {PorMode::Off, SymMode::Off, 0x39ac37d995fec588ull},
       {PorMode::Off, SymMode::On, 0xa36fd553ffded22dull},
-      {PorMode::On, SymMode::Off, 0x1c5717629a529064ull},
-      {PorMode::On, SymMode::On, 0x9b9771e8b07282cfull},
-      {PorMode::Dynamic, SymMode::Off, 0x1c5717629a529064ull},
-      {PorMode::Dynamic, SymMode::On, 0x9b9771e8b07282cfull},
+      {PorMode::On, SymMode::Off, 0xabe8696ef72140feull},
+      {PorMode::On, SymMode::On, 0x3c3147dbca8ae53bull},
+      {PorMode::Dynamic, SymMode::Off, 0xabe8696ef72140feull},
+      {PorMode::Dynamic, SymMode::On, 0x3c3147dbca8ae53bull},
   };
   for (const Pin &P : Pins)
     EXPECT_EQ(engineFlagsFingerprintFor(P.Por, P.Sym), P.Fp)
@@ -217,7 +221,8 @@ TEST_F(CacheTest, OracleModeRecordsFromBeforeTheSaltGoStale) {
   // A record keyed the old way under --por=check --symmetry=check carries
   // a partly reduced run's counters: it must be a stale-by-flag miss, not
   // a --cache=check divergence. The same content keyed under a non-check
-  // mode still hits, under that mode's dynamic spelling too.
+  // mode's current key still hits, under that mode's dynamic spelling
+  // too.
   VerificationSession S = toySession(0x0c0c, 6);
   ASSERT_EQ(S.units().size(), 1u);
   {
@@ -229,7 +234,7 @@ TEST_F(CacheTest, OracleModeRecordsFromBeforeTheSaltGoStale) {
     R.Checks = 999; // The fresh discharge reports 6.
     Planted.append(R);
     R.Key = S.units()[0].key(
-        unsaltedFlagsFingerprint(PorMode::On, SymMode::On));
+        engineFlagsFingerprintFor(PorMode::On, SymMode::On));
     R.Checks = 6;
     R.Counters.Configs = 12;
     Planted.append(R);

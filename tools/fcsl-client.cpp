@@ -44,7 +44,9 @@ int usage() {
       "  --symmetry off|on|check\n"
       "  --cache off|rw|ro|check\n"
       "                       per-request engine modes (omitted = the\n"
-      "                       daemon's defaults); --por dynamic and\n"
+      "                       daemon's defaults); --por on declines,\n"
+      "                       running the plain engine, where no action\n"
+      "                       is a local move; --por dynamic and\n"
       "                       check-dynamic are spellings of on and check\n"
       "  --jobs N             discharge threads for this request\n"
       "  --progress           stream per-obligation progress to stderr\n"

@@ -51,10 +51,13 @@ int usage() {
                "with Default\n"
                "                       mode bytes inherits them, an explicit "
                "submit mode\n"
-               "                       overrides per request; --por "
-               "dynamic and\n"
-               "                       check-dynamic are spellings of on "
-               "and check\n");
+               "                       overrides per request; --por on "
+               "declines,\n"
+               "                       running the plain engine, where no "
+               "action is a\n"
+               "                       local move; --por dynamic and "
+               "check-dynamic are\n"
+               "                       spellings of on and check\n");
   return 2;
 }
 

@@ -54,11 +54,13 @@ int usage() {
                "= ample+sleep\n"
                "                       reduction, check = on cross-checked "
                "against the\n"
-               "                       plain engine; dynamic and "
-               "check-dynamic are\n"
-               "                       spellings of on and check (default "
-               "from FCSL_POR,\n"
-               "                       else off)\n"
+               "                       plain engine; on declines, running "
+               "the plain\n"
+               "                       engine, where no action is a "
+               "local move; dynamic\n"
+               "                       and check-dynamic are spellings of "
+               "on and check\n"
+               "                       (default from FCSL_POR, else off)\n"
                "  --symmetry off|on|check\n"
                "                       orbit canonicalization of "
                "interchangeable sibling\n"
@@ -206,13 +208,16 @@ void printStats() {
   }
 
   PorStats Por = porStats();
-  if (Por.WakeupReplays + Por.SleepHits + Por.FullExpansions > 0)
+  if (Por.WakeupReplays + Por.SleepHits + Por.FullExpansions +
+          Por.Declined >
+      0)
     std::printf("por: %llu wakeup replays (peak %llu), %llu sleep-set hits, "
-                "%llu full expansions\n",
+                "%llu full expansions, %llu explorations declined\n",
                 static_cast<unsigned long long>(Por.WakeupReplays),
                 static_cast<unsigned long long>(Por.WakeupPeak),
                 static_cast<unsigned long long>(Por.SleepHits),
-                static_cast<unsigned long long>(Por.FullExpansions));
+                static_cast<unsigned long long>(Por.FullExpansions),
+                static_cast<unsigned long long>(Por.Declined));
 
   cache::CacheStats Cache = cache::cacheStats();
   if (Cache.Hits + Cache.Misses + Cache.Unkeyed > 0) {
