@@ -35,9 +35,10 @@
 #      entry served to the wrong worker would show up as a changed
 #      counter or terminal. The same diff runs for the reduced engine
 #      under --por=on --symmetry=on and under --por=on, whose
-#      expansions read the env rows; the report
-#      omits the POR and orbit effort counters, which may vary with the
-#      schedule.
+#      expansions read the env rows, and under --symmetry=on alone, where
+#      the workers share the thread-step memo with orbit groups forming;
+#      the report omits the POR and orbit effort counters, which may vary
+#      with the schedule.
 #   5. POR oracle: fcsl-verify --por=check runs every Table-1 session
 #      through the soundness oracle — each exploration runs once on the
 #      plain engine (POR off, symmetry off) and once reduced — and fails
@@ -157,10 +158,10 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   ./build-asan/tests/simulate_test
 fi
 
-echo "== jobs: 4 jobs vs 1 over every session (plain, POR+symmetry, POR) =="
+echo "== jobs: 4 jobs vs 1 over every session (plain, POR+symmetry, POR, symmetry) =="
 cmake --build build -j "$(nproc)" --target fcsl-verify
 Normalize='s/[0-9]+\.[0-9]+//g; s/ +/ /g; s/-+/-/g; s/ +$//'
-for Modes in "off off" "on on" "on off"; do
+for Modes in "off off" "on on" "on off" "off on"; do
   read -r Por Sym <<< "$Modes"
   for Jobs in 1 4; do
     ./build/tools/fcsl-verify --cache=off --por="$Por" --symmetry="$Sym" \

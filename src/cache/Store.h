@@ -196,8 +196,8 @@ struct CacheStats {
   uint64_t Stores = 0;         ///< records appended after a cold discharge.
   uint64_t CheckRuns = 0;      ///< hits re-discharged under --cache=check.
   uint64_t Divergences = 0;    ///< check re-runs that contradicted the store.
-  uint64_t Unkeyed = 0;        ///< obligations with no content key (never
-                               ///< cached).
+  uint64_t Unkeyed = 0;        ///< always 0: every obligation is keyed.
+                               ///< Kept for perfbench and the codec.
   uint64_t ReplayedChecks = 0; ///< elementary checks replayed from records.
   uint64_t ReplayedConfigs = 0;///< engine configs replayed from records.
   uint64_t ReplayedUs = 0;     ///< cold wall-clock the hits avoided.

@@ -16,12 +16,12 @@
 // replays, sleep hits, full expansions and the orbit counters may vary
 // with the schedule at Jobs > 1.
 //
-// One worker loop (workerLoop) serves every run, with one worker or a team.
-// Successors come from one step core: a thread step's outcomes are applied
-// by applyOutcome (shared with simulate) and handed on by enqueueStep
-// (shared by plain and reduced expansion); an env transition's posts come
-// from coherentPosts, recorded per global state in the env rows, which plain
-// and reduced expansion replay.
+// One worker loop (workerLoop) serves every run, with one worker or a team,
+// and one expansion routine (expand) every reduction mode. Successors come
+// from one step core: a thread step's outcomes are applied by applyOutcome
+// (shared with simulate) and handed on by enqueueStep; an env transition's
+// posts come from coherentPosts, recorded per global state in the env rows,
+// which expand replays.
 //
 //===----------------------------------------------------------------------===//
 
@@ -399,17 +399,16 @@ using GSRef = const Consed<GlobalState> *;
 /// commuted with every step on the path since, so re-exploring it here
 /// would only re-derive states reached there. Identity (for ordering and
 /// merging sleep sets) is the *step*, not the footprint: a thread entry
-/// is (thread, action node) — a sleeping thread cannot move, so its
-/// pending action is pinned — and an environment entry is the transition's
-/// index in the ambient concurroid. The step's static footprint rides
-/// along for re-filtering against later steps; it is deliberately excluded
-/// from identity (it is a function of the step already). It is a pointer
-/// into the action or transition that owns it, which outlives the run, so
+/// is the thread's id — a sleeping thread cannot move, so its pending
+/// action is pinned — and an environment entry is the transition's index
+/// in the ambient concurroid. The step's static footprint rides along for
+/// re-filtering against later steps; it is deliberately excluded from
+/// identity (it is a function of the step already). It is a pointer into
+/// the action or transition that owns it, which outlives the run, so
 /// copying and merging sleep sets never copies a footprint.
 struct SleepEntry {
   bool IsEnv = false;
-  ThreadId T = 0;
-  const Prog *ActNode = nullptr; ///< thread entries: the pending Act node.
+  ThreadId T = 0;                ///< thread entries: the thread.
   size_t EnvIdx = 0;             ///< env entries: transition index.
   const Footprint *Fp = nullptr; ///< the step's static footprint.
 };
@@ -428,6 +427,13 @@ bool sleepLess(const SleepEntry &A, const SleepEntry &B) {
   if (A.T != B.T)
     return A.T < B.T;
   return A.EnvIdx < B.EnvIdx;
+}
+
+/// Whether \p Set holds \p E's step (in any order).
+bool holdsStep(const std::vector<SleepEntry> &Set, const SleepEntry &E) {
+  return std::any_of(Set.begin(), Set.end(), [&](const SleepEntry &X) {
+    return !sleepLess(X, E) && !sleepLess(E, X);
+  });
 }
 
 /// Collects the non-par leaves of a (possibly nested) `par` spine,
@@ -787,9 +793,10 @@ struct StepCode {
 /// Under partial-order reduction the node also carries mutable *wake
 /// state*, guarded by the owning visited-set stripe's mutex: the merged
 /// sleep set (intersection over every arrival's payload), the merged
-/// trailing-env close mask (union), the set of candidate steps already
-/// executed here (so step counters count once per step across wakeup
-/// replays), and the queueing flags that coalesce replays. Identity
+/// trailing-env close mask (union), the wake delta (the sleep entries and
+/// close-mask bits merges removed and added since the last expansion, so
+/// step counters count once per step across wakeup replays; see
+/// WakeSnapshot), and the queueing flags that coalesce replays. Identity
 /// (NodeHash/NodeEq) deliberately excludes all of it; the config's own
 /// payload is moved into the wake state on insertion.
 struct Node {
@@ -798,7 +805,8 @@ struct Node {
   StepCode Step; ///< Kind::None for seeds.
   mutable std::vector<SleepEntry> Sleep{}; ///< merged; sorted by sleepLess.
   mutable uint32_t CloseMask = 0;        ///< merged trailing-env licenses.
-  mutable std::vector<uint64_t> Executed{}; ///< sorted candidate keys.
+  mutable uint32_t WokenMask = 0;        ///< close-mask bits added since.
+  mutable std::vector<SleepEntry> Woken{}; ///< entries woken since.
   mutable bool InQueue = false;      ///< queued for (re-)expansion.
   mutable bool ExpandedOnce = false; ///< has consumed its config ticket.
 };
@@ -1123,8 +1131,8 @@ public:
       for (const Node &N : S.Set)
         Bytes += sizeof(Node) + 16 +
                  N.C.threads().capacity() * sizeof(ThreadSlot) +
-                 N.Sleep.capacity() * sizeof(SleepEntry) +
-                 N.Executed.capacity() * sizeof(uint64_t);
+                 (N.Sleep.capacity() + N.Woken.capacity()) *
+                     sizeof(SleepEntry);
     }
     Res.VisitedNodes = Nodes;
     Res.VisitedBytes = Bytes;
@@ -1231,11 +1239,22 @@ private:
   };
 
   /// A consistent copy of a node's wake state, taken under the stripe
-  /// mutex when the node is popped for expansion (see workerLoop).
+  /// mutex when the node is popped for expansion (see expandPopped), with
+  /// the wake delta the node collected since its last expansion.
+  ///
+  /// A candidate's execution here is its *first* — the one that counts
+  /// its work (action steps, env steps, dedup hits) — exactly when this is
+  /// the node's first expansion or the candidate was woken since the last
+  /// one. Sleep sets only shrink and close masks only grow, so a candidate
+  /// that ran once runs in every later expansion too, and one that did not
+  /// run can start only when a merge wakes it: each candidate is woken at
+  /// most once, into exactly one snapshot's delta.
   struct WakeSnapshot {
     std::vector<SleepEntry> Sleep;
     uint32_t CloseMask = 0;
     bool First = false; ///< this is the node's first expansion.
+    std::vector<SleepEntry> Woken; ///< sleep entries woken since the last.
+    uint32_t WokenMask = 0;        ///< close-mask bits added since the last.
   };
 
   /// Delivers \p Value to thread \p T's continuation, unwinding HideExit
@@ -2059,18 +2078,21 @@ private:
 
   /// Canonicalizes \p C, inserts it into the striped visited set and,
   /// when new, hands it to \p W's frontier. \p Counts is false when the
-  /// generating step is a wakeup *re-execution* (see expandPor): the edge
-  /// was already produced and counted once, so it must not count a second
-  /// dedup hit — that keeps DedupHits a function of the first-execution
-  /// edge set, which is schedule-independent. Requires \p C frozen.
+  /// generating step is a wakeup *re-execution* (see WakeSnapshot): the
+  /// edge was already produced and counted once, so it must not count a
+  /// second dedup hit — that keeps DedupHits a function of the
+  /// first-execution edge set, which is schedule-independent. Requires
+  /// \p C frozen.
   ///
   /// The incoming wake payload is preserved across the insert: on a
   /// revisit it is merged into the visited node — the sleep sets
-  /// intersect, the close masks union. The merge only moves *down* a
-  /// finite lattice, so chaotic iteration over any worker schedule
-  /// reaches the same least fixpoint; a merge that changed the node's
-  /// wake state re-queues it for re-expansion (a "wakeup": steps a
-  /// previous visit suppressed are now permitted here).
+  /// intersect, the close masks union — and what the merge woke joins the
+  /// node's wake delta. The merge only moves *down* a finite lattice, so
+  /// chaotic iteration over any worker schedule reaches the same least
+  /// fixpoint; a merge that changed the node's wake state re-queues it for
+  /// re-expansion (a "wakeup": steps a previous visit suppressed are now
+  /// permitted here). Without POR the payload is always empty and a
+  /// revisit changes nothing.
   void enqueue(Config C, const Node *Parent, StepCode Step, Worker &W,
                bool Counts = true) {
     canonicalize(C);
@@ -2092,8 +2114,6 @@ private:
       } else {
         if (Counts)
           ++W.DedupHits;
-        if (!PorOn)
-          return;
         uint64_t Woken = 0;
         if (!N.Sleep.empty()) {
           std::vector<SleepEntry> Merged;
@@ -2102,14 +2122,16 @@ private:
                                 std::back_inserter(Merged), sleepLess);
           if (Merged.size() != N.Sleep.size()) {
             Woken += N.Sleep.size() - Merged.size();
+            std::set_difference(N.Sleep.begin(), N.Sleep.end(),
+                                Merged.begin(), Merged.end(),
+                                std::back_inserter(N.Woken), sleepLess);
             N.Sleep = std::move(Merged);
           }
         }
-        uint32_t Mask = N.CloseMask | InMask;
-        if (Mask != N.CloseMask) {
-          Woken += static_cast<uint64_t>(
-              __builtin_popcount(Mask ^ N.CloseMask));
-          N.CloseMask = Mask;
+        if (uint32_t Added = InMask & ~N.CloseMask) {
+          Woken += static_cast<uint64_t>(__builtin_popcount(Added));
+          N.CloseMask |= Added;
+          N.WokenMask |= Added;
         }
         if (Woken == 0 || N.InQueue)
           return;
@@ -2124,20 +2146,6 @@ private:
     InFlight.fetch_add(1);
     std::lock_guard<std::mutex> Lock(W.M);
     W.Queue.push_back(Target);
-  }
-
-  /// Marks candidate \p Key of \p N as executed; returns true exactly on
-  /// the first execution, across wakeup replays and concurrent expansions
-  /// of the same node. Callers count steps and dedup stats only then, so
-  /// the counters converge to functions of the wake-state fixpoint.
-  bool markExecuted(const Node &N, uint64_t Key) {
-    Stripe &S = Stripes[N.C.Hash % NumStripes];
-    std::lock_guard<std::mutex> Lock(S.M);
-    auto It = std::lower_bound(N.Executed.begin(), N.Executed.end(), Key);
-    if (It != N.Executed.end() && *It == Key)
-      return false;
-    N.Executed.insert(It, Key);
-    return true;
   }
 
   const Node *popLocal(Worker &W) {
@@ -2189,11 +2197,12 @@ private:
   /// On hitting the MaxConfigs bound it raises Abort/ExhaustedFlag
   /// instead — callers observe the flag on their next loop iteration.
   void expandPopped(const Node *N, Worker &W) {
-    // Snapshot the node's wake state and clear its queue flag in one
-    // critical section: any merge that lands after the snapshot finds
-    // InQueue == false and re-queues the node, so no weakening is ever
-    // lost. Only a node's *first* expansion consumes a config ticket —
-    // wakeup replays revisit a config already counted.
+    // Snapshot the node's wake state, take its wake delta and clear its
+    // queue flag in one critical section: any merge that lands after the
+    // snapshot finds InQueue == false and re-queues the node, so no
+    // weakening is ever lost, and its delta goes to that next expansion.
+    // Only a node's *first* expansion consumes a config ticket — wakeup
+    // replays revisit a config already counted.
     WakeSnapshot Snap;
     {
       Stripe &S = Stripes[N->C.Hash % NumStripes];
@@ -2201,6 +2210,8 @@ private:
       Snap.Sleep = N->Sleep;
       Snap.CloseMask = N->CloseMask;
       Snap.First = !N->ExpandedOnce;
+      Snap.Woken = std::exchange(N->Woken, {});
+      Snap.WokenMask = std::exchange(N->WokenMask, 0);
       N->ExpandedOnce = true;
       N->InQueue = false;
     }
@@ -2331,9 +2342,9 @@ private:
 
   /// The env row of \p GS, built on the first request (see EnvRows):
   /// every coherent env step out of GS, in declaration order, with its
-  /// post-state interned. Plain expansion and expandPor both read rows, so
-  /// a state is enumerated once per exploration; a read that finds the row
-  /// counts as one of \p W's EnvRowHits.
+  /// post-state interned. Every expansion reads rows, so a state is
+  /// enumerated once per exploration; a read that finds the row counts as
+  /// one of \p W's EnvRowHits.
   const EnvRows::Row &envRow(GSRef GS, Worker &W) {
     if (const EnvRows::Row *R = Rows.find(GS)) {
       ++W.EnvRowHits;
@@ -2364,6 +2375,12 @@ private:
     StepCode Step;
     bool LabelsChanged; ///< the admin cascade installed/uninstalled a label.
   };
+
+  /// Whether some outcome in \p Succ changed the label set.
+  static bool labelsChanged(const std::vector<BuiltSucc> &Succ) {
+    return std::any_of(Succ.begin(), Succ.end(),
+                       [](const BuiltSucc &B) { return B.LabelsChanged; });
+  }
 
   /// The slots of \p Next, a successor of thread \p T's step from
   /// \p Parent (both frozen), that a memo outcome records: T's slot and
@@ -2401,12 +2418,15 @@ private:
   /// \p Args, T's view and evaluated arguments, are computed here when
   /// null and the step has to run.
   ///
-  /// Without symmetry the step goes through the thread-step memo: a hit
-  /// rebuilds the recorded successors from handles; a miss runs the step,
-  /// freezes its successors and records them when every outcome is
-  /// memoizable (see memoSlots). The recorded outcomes passed the same
-  /// deterministic checks on identical inputs, so a hit yields exactly
-  /// the successors a re-run would.
+  /// The step goes through the thread-step memo: a hit rebuilds the
+  /// recorded successors from handles; a miss runs the step, freezes its
+  /// successors and records them when every outcome is memoizable (see
+  /// memoSlots) and none brought symmetry's mirror extras. The recorded
+  /// outcomes passed the same deterministic checks on identical inputs,
+  /// so a hit yields exactly the successors a re-run would. Under
+  /// symmetry that holds too: the orbit groups normalize forms at T's
+  /// forks read only T's context and the global state, and resolving a
+  /// group rewrites other threads, which memoSlots refuses.
   bool buildThreadSuccessors(const Node &N, ThreadId T, Worker &W,
                              std::vector<BuiltSucc> &Out,
                              const View *Pre = nullptr,
@@ -2415,15 +2435,14 @@ private:
     const Frame &Top = C.thread(T).Stack.back();
     const Prog *ActNode = Top.Node;
     const StepKey Key{T, C.ctxRef(T), C.gsRef()};
-    if (!SymOn)
-      if (const StepMemo::Row *Hit = Memo.find(Key)) {
-        ++W.StepMemoHits;
-        for (const MemoOutcome &O : *Hit)
-          Out.push_back(BuiltSucc{
-              Config::successor(C, O.GS, O.Slots, O.NumSlots),
-              StepCode::thread(T, ActNode, O.Result), O.LabelsChanged});
-        return true;
-      }
+    if (const StepMemo::Row *Hit = Memo.find(Key)) {
+      ++W.StepMemoHits;
+      for (const MemoOutcome &O : *Hit)
+        Out.push_back(BuiltSucc{
+            Config::successor(C, O.GS, O.Slots, O.NumSlots),
+            StepCode::thread(T, ActNode, O.Result), O.LabelsChanged});
+      return true;
+    }
 
     View OwnPre;
     std::vector<Val> OwnArgs;
@@ -2446,14 +2465,14 @@ private:
                               Pre->toString().c_str()));
       return false;
     }
-    bool Memoizable = !SymOn;
+    bool Memoizable = true;
     std::vector<MemoOutcome> Record;
     std::vector<ThreadSlot> RecordSlots;
     for (const ActOutcome &O : *Outcomes) {
       Config Next = C;
       std::string Err;
       std::vector<Config> Extras;
-      switch (applyOutcome(Next, T, *Pre, O, Err, SymOn ? &Extras : nullptr)) {
+      switch (applyOutcome(Next, T, *Pre, O, Err, &Extras)) {
       case StepFault::None:
         break;
       case StepFault::Coherence:
@@ -2473,6 +2492,7 @@ private:
       }
       StepCode Step = StepCode::thread(T, ActNode, O.Result);
       bool LabelsChanged = Next.gs().labels() != C.gs().labels();
+      Memoizable = Memoizable && Extras.empty();
       if (Memoizable) {
         freeze(Next);
         size_t Before = RecordSlots.size();
@@ -2523,11 +2543,10 @@ private:
   }
 
   /// Counts and enqueues \p Succ, the successors of one thread step from
-  /// \p N: the one place where expand and expandPor hand built successors
-  /// on. Each successor carries the sleep set \p Sleep and, when it is
+  /// \p N. Each successor carries the sleep set \p Sleep and, when it is
   /// terminal, the close mask of \p CloseFp (none when null). The step
   /// counts ActionSteps for every outcome except the mirror extras, and
-  /// only on its first execution at N (\p Fresh, see markExecuted), which
+  /// only on its first execution at N (\p Fresh, see WakeSnapshot), which
   /// also decides whether a revisit counts a dedup hit. A terminal mirror
   /// extra with no trailing-env closure left to run has no behavior left:
   /// its terminal is recorded directly, so the k! - 1 regenerated value
@@ -2554,107 +2573,151 @@ private:
     }
   }
 
-  /// Reduced successor generation: ample singletons layered with sleep
-  /// sets (DESIGN.md §9). Candidates are gathered in canonical
-  /// order — runnable threads ascending by id, then env transitions in
-  /// declaration order. The ample choice is a function of the
-  /// configuration alone (never of the sleep set), and step counters are
-  /// charged once per (node, candidate) across wakeup replays: together
-  /// with the monotone wake merge in enqueue this makes the explored
-  /// node set and the work counters converge to the same fixpoint under
-  /// any worker schedule. The effort counters charged here (sleep hits,
-  /// full expansions) count every expansion, replays included, so they
-  /// may vary with the schedule.
-  void expandPor(const Node &N, const WakeSnapshot &Snap, Worker &W) {
+  /// Successor generation, for every mode (DESIGN.md §9). Candidates come
+  /// in canonical order — runnable threads ascending by id, then env
+  /// transitions in declaration order — and each one that is not asleep
+  /// runs. Without POR that is all: no candidate sleeps, no terminal
+  /// carries a close mask, and no node is expanded twice. POR adds the
+  /// ample singleton, and the sleep sets and close masks it hands to
+  /// successors.
+  ///
+  /// The ample choice is a function of the configuration alone (never of
+  /// the sleep set), and a candidate counts its work only on its first
+  /// execution here (see WakeSnapshot): together with the monotone wake
+  /// merge in enqueue this makes the explored node set and the work
+  /// counters converge to the same fixpoint under any worker schedule. The
+  /// effort counters charged here (sleep hits, full expansions) count
+  /// every expansion, replays included, so they may vary with the
+  /// schedule.
+  void expand(const Node &N, const WakeSnapshot &Snap, Worker &W) {
     const Config &C = N.C;
+    // A terminal keeps stepping only the env transitions its close mask
+    // licenses (only POR grants one): the reduction may have explored the
+    // last action before a postponed env step it commutes with, and once
+    // the program terminates the commuted traces "env before the last
+    // action" — and their distinct final views — would otherwise be lost.
+    // No runnable thread remains, so only licensed env candidates arise
+    // below; dependent or unlicensed transitions stop here like the plain
+    // engine does.
     const bool AtTerminal = recordTerminal(C, W);
-    if (AtTerminal) {
-      // A terminal must keep stepping the env transitions its last action
-      // commutes with: the reduction may have explored that action before
-      // a postponed env step, and once the program terminates the
-      // commuted traces "env before the last action" — and their distinct
-      // final views — would otherwise be lost. Falling through (no
-      // runnable threads remain, so only licensed env candidates arise
-      // below) recovers exactly those traces' terminals; dependent or
-      // unlicensed transitions stop here like the full engine does.
-      if (Snap.CloseMask == 0 || !Opts.EnvInterference || !Opts.Ambient)
-        return;
-    }
+    if (AtTerminal && Snap.CloseMask == 0)
+      return;
 
-    // A thread candidate carries its step's inputs and dynamic footprint;
-    // an env candidate its transition and its steps in the state's row.
-    struct Candidate {
-      bool IsEnv = false;
-      ThreadId T = 0;
-      const Prog *ActNode = nullptr;
-      const AtomicAction *A = nullptr;
+    // A candidate: its step's identity and static footprint and, under
+    // POR, a thread step's inputs and dynamic footprint.
+    struct ThreadInputs {
       std::vector<Val> Args;
       View Pre;
       Footprint Fp;
-      size_t EnvIdx = 0;
-      const Transition *Tr = nullptr;
-      const EnvSucc *First = nullptr;
-      const EnvSucc *Last = nullptr;
-      bool Sleeping = false;
+    };
+    struct Candidate {
+      SleepEntry Step;
+      std::optional<ThreadInputs> In;
     };
 
-    auto Sleeping = [&](const Candidate &K) {
-      for (const SleepEntry &E : Snap.Sleep)
-        if (E.IsEnv == K.IsEnv && (K.IsEnv ? E.EnvIdx == K.EnvIdx : E.T == K.T))
-          return true;
-      return false;
+    // Runs candidate \p K unless it is asleep; an env candidate's steps
+    // are [First, Last) of the state's row. Returns false when a safety
+    // failure was published. The run counts its work only if it is K's
+    // first here (see WakeSnapshot).
+    //
+    // Under POR each executed step puts every earlier independent sibling
+    // and every surviving inherited entry to sleep in its successors; a
+    // sleeping candidate was explored where it entered the sleep set and,
+    // by independence of everything since, is unchanged here. Sleep entries
+    // record the *static* (all-instance) footprint: a dynamically narrowed
+    // footprint describes only the instances enabled where the step
+    // executed, and a later step independent of it may enable new
+    // instances outside it (e.g. a combiner helping whichever slot holds a
+    // request). A thread step's dynamic footprint serves the instantaneous
+    // sides — the wake filter and the close mask — where only the step as
+    // taken matters (Footprint.h). An env step is judged by its static
+    // footprint, as closeMask judges it: were a thread entry kept asleep
+    // across the step on a narrower dynamic footprint, the close mask would
+    // never license the commuted order "last action, then env step" at a
+    // terminal, and that terminal would be lost. A step whose cascade
+    // changes the label set has effects beyond its footprint: it is
+    // dependent on everything.
+    std::optional<std::vector<BuiltSucc>> AmpleSucc;
+    std::vector<SleepEntry> Taken;
+    auto Run = [&](const Candidate &K, const EnvSucc *First,
+                   const EnvSucc *Last) {
+      const SleepEntry &E = K.Step;
+      if (holdsStep(Snap.Sleep, E)) {
+        PorSleepHitsCounter.fetch_add(1, std::memory_order_relaxed);
+        return true;
+      }
+      const bool Fresh = Snap.First || holdsStep(Snap.Woken, E) ||
+                         (E.IsEnv && E.EnvIdx < 32 &&
+                          ((Snap.WokenMask >> E.EnvIdx) & uint32_t(1)));
+      const bool IsEnv = E.IsEnv;
+      const Footprint *Fp = !PorOn ? nullptr : IsEnv ? E.Fp : &K.In->Fp;
+      std::vector<BuiltSucc> Succ;
+      if (!IsEnv) {
+        if (AmpleSucc)
+          Succ = std::move(*AmpleSucc);
+        else if (!buildThreadSuccessors(N, E.T, W, Succ,
+                                        K.In ? &K.In->Pre : nullptr,
+                                        K.In ? &K.In->Args : nullptr))
+          return false;
+        if (Fp && labelsChanged(Succ))
+          Fp = nullptr;
+      }
+      std::vector<SleepEntry> NextSleep;
+      if (Fp && Fp->known()) {
+        // Two env transitions are steps of the *same* agent (the
+        // environment): their self/self and owned-region touches alias.
+        for (const auto *From : {&Snap.Sleep, &std::as_const(Taken)})
+          for (const SleepEntry &X : *From)
+            if (fpIndependent(*X.Fp, *Fp, X.IsEnv && IsEnv))
+              NextSleep.push_back(X);
+        std::sort(NextSleep.begin(), NextSleep.end(), sleepLess);
+      }
+      if (!IsEnv) {
+        // License trailing-env closure on terminal successors: postponed
+        // independent env transitions still commute before this step.
+        enqueueStep(N, Succ, NextSleep, Fp, Fresh, W);
+      } else {
+        for (const EnvSucc *S = First; S != Last; ++S) {
+          if (Fresh)
+            ++W.EnvSteps;
+          Config Next = Config::successor(C, S->Post, nullptr, 0);
+          Next.Sleep = NextSleep;
+          // Trailing-env steps at a terminal stay terminal; the merged
+          // close mask keeps licensing further commuting transitions.
+          Next.EnvCloseMask = AtTerminal ? Snap.CloseMask : 0;
+          enqueue(std::move(Next), &N, StepCode::env(E.EnvIdx), W, Fresh);
+        }
+      }
+      if (Fp && E.Fp->known())
+        Taken.push_back(E);
+      return true;
     };
 
-    // Step-counter identity of a candidate at this node: a thread's
-    // pending action is pinned by its stack, so the thread id suffices;
-    // env candidates key by transition index.
-    auto CandKey = [](const Candidate &K) -> uint64_t {
-      return K.IsEnv ? ((uint64_t(1) << 63) | static_cast<uint64_t>(K.EnvIdx))
-                     : static_cast<uint64_t>(K.T);
-    };
-
+    // Thread candidates. Without POR each runs as soon as it is listed;
+    // under POR they are listed first, with their step inputs and dynamic
+    // footprints, for the ample check.
     std::vector<Candidate> Cands;
     for (const ThreadSlot &S : C.threads()) {
-      ThreadId T = S.Id;
       const ThreadCtx &Ctx = S.ctx();
       if (Ctx.Done || Ctx.Waiting)
         continue;
-      assert(!Ctx.Stack.empty());
-      const Frame &Top = Ctx.Stack.back();
-      assert(Top.K == Frame::Kind::Run &&
-             Top.Node->kind() == Prog::Kind::Act &&
+      assert(!Ctx.Stack.empty() && Ctx.Stack.back().K == Frame::Kind::Run &&
+             Ctx.Stack.back().Node->kind() == Prog::Kind::Act &&
              "normalized thread must sit at an atomic action");
-      Candidate K;
-      K.T = T;
-      K.ActNode = Top.Node;
-      K.A = Top.Node->action().get();
-      K.Args = evalArgs(Top);
-      K.Pre = C.gs().viewFor(T);
-      K.Fp = K.A->footprint(K.Pre, K.Args);
-      K.Sleeping = Sleeping(K);
+      const Frame &Top = Ctx.Stack.back();
+      const AtomicAction &A = *Top.Node->action();
+      Candidate K{SleepEntry{false, S.Id, 0, &A.staticFootprint()}, {}};
+      if (!PorOn) {
+        if (!Run(K, nullptr, nullptr))
+          return;
+        continue;
+      }
+      ThreadInputs &In = K.In.emplace();
+      In.Args = evalArgs(Top);
+      In.Pre = C.gs().viewFor(S.Id);
+      In.Fp = A.footprint(In.Pre, In.Args);
       Cands.push_back(std::move(K));
     }
-    // Sleep entries persist across many later configurations, so they
-    // record the *static* (all-instance) footprint: a dynamically
-    // narrowed footprint describes only the instances enabled where the
-    // step executed, and a later step independent of it may enable new
-    // instances outside it (e.g. a combiner helping whichever slot holds
-    // a request). A thread step's dynamic footprint keeps serving the
-    // instantaneous sides — the wake filter and the ample checks — where
-    // only the step as taken matters (Footprint.h); an env step filters by
-    // its static one (see below).
-    auto StaticFpOf = [](const Candidate &K) -> const Footprint & {
-      return K.IsEnv ? K.Tr->staticFootprint() : K.A->staticFootprint();
-    };
-    auto ToSleepEntry = [&](const Candidate &K) {
-      SleepEntry E;
-      E.IsEnv = K.IsEnv;
-      E.T = K.T;
-      E.ActNode = K.ActNode;
-      E.EnvIdx = K.EnvIdx;
-      E.Fp = &StaticFpOf(K);
-      return E;
-    };
 
     // Ample singleton: the first thread candidate whose step is a local
     // move (independent of the whole universe) explores alone; the sleep
@@ -2672,157 +2735,50 @@ private:
     // If any outcome's admin cascade changes the label set (hide
     // install/uninstall — a state effect the action's footprint does not
     // describe), fall back to full expansion.
-    for (Candidate &K : Cands) {
-      if (!globallyIndependent(K.Fp))
-        continue;
-      std::vector<BuiltSucc> Succ;
-      if (!buildThreadSuccessors(N, K.T, W, Succ, &K.Pre, &K.Args))
-        return;
-      bool LabelsChanged = false;
-      for (const BuiltSucc &B : Succ)
-        LabelsChanged |= B.LabelsChanged;
-      if (LabelsChanged)
-        break;
-      if (K.Sleeping) {
-        PorSleepHitsCounter.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      bool Fresh = markExecuted(N, CandKey(K));
-      std::vector<SleepEntry> NextSleep;
-      for (const SleepEntry &E : Snap.Sleep)
-        if (fpIndependent(*E.Fp, K.Fp))
-          NextSleep.push_back(E);
-      // License trailing-env closure on terminal successors: postponed
-      // independent env transitions still commute before this step.
-      enqueueStep(N, Succ, NextSleep, &K.Fp, Fresh, W);
-      return;
-    }
-
-    // Full expansion with sleep sets: sleeping candidates are skipped
-    // outright (their outcomes were explored where they entered the sleep
-    // set and, by independence of everything since, are unchanged here);
-    // each executed step puts every earlier independent sibling and every
-    // surviving inherited entry to sleep in its successors. Steps whose
-    // cascade changes the label set have effects beyond their footprint,
-    // so they are treated as dependent on everything.
-    PorFullExpansionsCounter.fetch_add(1, std::memory_order_relaxed);
-    // Env candidates join only here, after the threads, so an ample
-    // expansion never asks for the state's row. They read its steps
-    // grouped by transition (the row lists them in declaration order).
-    if (Opts.EnvInterference && Opts.Ambient) {
-      const EnvRows::Row &Row = envRow(C.gsRef(), W);
-      const EnvSucc *Next = Row.begin();
-      const std::vector<Transition> &Ts = Opts.Ambient->transitions();
-      for (size_t I = 0, Sz = Ts.size(); I != Sz; ++I) {
-        if (!isEnvStep(Ts[I]))
+    if (PorOn) {
+      for (Candidate &K : Cands) {
+        if (!globallyIndependent(K.In->Fp))
           continue;
-        const EnvSucc *First = Next;
-        while (Next != Row.end() && Next->Idx == I)
-          ++Next;
-        // At a terminal, only transitions licensed by the last action's
-        // (merged) close mask may keep firing (see Config::EnvCloseMask).
-        if (AtTerminal &&
-            (I >= 32 || !((Snap.CloseMask >> I) & uint32_t(1))))
-          continue;
-        Candidate K;
-        K.IsEnv = true;
-        K.EnvIdx = I;
-        K.Tr = &Ts[I];
-        K.First = First;
-        K.Last = Next;
-        K.Sleeping = Sleeping(K);
-        Cands.push_back(std::move(K));
-      }
-    }
-
-    std::vector<SleepEntry> Taken;
-    for (Candidate &K : Cands) {
-      if (K.Sleeping) {
-        PorSleepHitsCounter.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      bool Fresh = markExecuted(N, CandKey(K));
-      std::vector<SleepEntry> NextSleep;
-      auto ComputeSleep = [&](const Footprint &Fp) {
-        if (!Fp.known())
-          return;
-        // Two env transitions are steps of the *same* agent (the
-        // environment): their self/self and owned-region touches alias.
-        for (const auto *From : {&Snap.Sleep, &std::as_const(Taken)})
-          for (const SleepEntry &E : *From)
-            if (fpIndependent(*E.Fp, Fp, E.IsEnv && K.IsEnv))
-              NextSleep.push_back(E);
-        std::sort(NextSleep.begin(), NextSleep.end(), sleepLess);
-      };
-      if (!K.IsEnv) {
         std::vector<BuiltSucc> Succ;
-        if (!buildThreadSuccessors(N, K.T, W, Succ, &K.Pre, &K.Args))
+        if (!buildThreadSuccessors(N, K.Step.T, W, Succ, &K.In->Pre,
+                                   &K.In->Args))
           return;
-        bool LabelsChanged = false;
-        for (const BuiltSucc &B : Succ)
-          LabelsChanged |= B.LabelsChanged;
-        if (!LabelsChanged)
-          ComputeSleep(K.Fp);
-        enqueueStep(N, Succ, NextSleep, LabelsChanged ? nullptr : &K.Fp,
-                    Fresh, W);
-        if (!LabelsChanged && StaticFpOf(K).known())
-          Taken.push_back(ToSleepEntry(K));
-      } else {
-        // An env step is judged by its static footprint, as closeMask
-        // judges it: were a thread entry kept asleep across the step on a
-        // narrower dynamic footprint, the close mask would never license
-        // the commuted order "last action, then env step" at a terminal,
-        // and that terminal would be lost.
-        if (K.First != K.Last)
-          ComputeSleep(StaticFpOf(K));
-        for (const EnvSucc *S = K.First; S != K.Last; ++S) {
-          if (Fresh)
-            ++W.EnvSteps;
-          Config Next = Config::successor(C, S->Post, nullptr, 0);
-          Next.Sleep = NextSleep;
-          // Trailing-env steps at a terminal stay terminal; the merged
-          // close mask keeps licensing further commuting transitions.
-          Next.EnvCloseMask = AtTerminal ? Snap.CloseMask : 0;
-          enqueue(std::move(Next), &N, StepCode::env(K.EnvIdx), W, Fresh);
-        }
-        if (StaticFpOf(K).known())
-          Taken.push_back(ToSleepEntry(K));
+        if (labelsChanged(Succ))
+          break;
+        Candidate Ample = std::move(K);
+        Cands.clear();
+        Cands.push_back(std::move(Ample));
+        AmpleSucc = std::move(Succ);
+        break;
       }
+      if (!AmpleSucc)
+        PorFullExpansionsCounter.fetch_add(1, std::memory_order_relaxed);
+      for (const Candidate &K : Cands)
+        if (!Run(K, nullptr, nullptr))
+          return;
     }
-  }
 
-  /// Generates all successors of a normalized configuration.
-  void expand(const Node &N, const WakeSnapshot &Snap, Worker &W) {
-    if (PorOn)
-      return expandPor(N, Snap, W);
-
-    const Config &C = N.C;
-    if (recordTerminal(C, W))
+    // Env candidates run after the threads, and never beside an ample
+    // singleton, so an ample expansion never asks for the state's row.
+    // They read its steps grouped by transition (the row lists them in
+    // declaration order).
+    if (AmpleSucc || !Opts.EnvInterference || !Opts.Ambient)
       return;
-
-    // Thread action steps.
-    for (const ThreadSlot &S : C.threads()) {
-      ThreadId T = S.Id;
-      const ThreadCtx &Ctx = S.ctx();
-      if (Ctx.Done || Ctx.Waiting)
+    const EnvRows::Row &Row = envRow(C.gsRef(), W);
+    const EnvSucc *Next = Row.begin();
+    const std::vector<Transition> &Ts = Opts.Ambient->transitions();
+    for (size_t I = 0, Sz = Ts.size(); I != Sz; ++I) {
+      if (!isEnvStep(Ts[I]))
         continue;
-      assert(!Ctx.Stack.empty() && Ctx.Stack.back().K == Frame::Kind::Run &&
-             Ctx.Stack.back().Node->kind() == Prog::Kind::Act &&
-             "normalized thread must sit at an atomic action");
-      std::vector<BuiltSucc> Succ;
-      if (!buildThreadSuccessors(N, T, W, Succ))
-        return;
-      enqueueStep(N, Succ, {}, nullptr, /*Fresh=*/true, W);
-    }
-
-    // Environment interference steps, from the state's env row.
-    if (Opts.EnvInterference && Opts.Ambient) {
-      const EnvRows::Row &Row = envRow(C.gsRef(), W);
-      for (const EnvSucc &S : Row) {
-        ++W.EnvSteps;
-        enqueue(Config::successor(C, S.Post, nullptr, 0), &N,
-                StepCode::env(S.Idx), W);
-      }
+      const EnvSucc *First = Next;
+      while (Next != Row.end() && Next->Idx == I)
+        ++Next;
+      // At a terminal, only transitions licensed by the last action's
+      // (merged) close mask may keep firing (see Config::EnvCloseMask).
+      if (AtTerminal && (I >= 32 || !((Snap.CloseMask >> I) & uint32_t(1))))
+        continue;
+      Run({SleepEntry{true, 0, I, &Ts[I].staticFootprint()}, {}}, First,
+          Next);
     }
   }
 
@@ -2841,10 +2797,9 @@ private:
   ConsTable<GlobalState> GSTable;
   ConsTable<ThreadCtx> CtxTable;
   /// Recorded thread steps over handles into the tables above (see
-  /// StepMemo); unused under symmetry reduction.
+  /// StepMemo).
   StepMemo Memo;
-  /// Recorded env steps per global state, for plain expansion and
-  /// expandPor (see envRow).
+  /// Recorded env steps per global state (see envRow).
   EnvRows Rows;
 
   unsigned NumStripes = 1;

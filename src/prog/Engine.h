@@ -309,15 +309,17 @@ OracleTotals oracleTotals();
 /// Process-wide partial-order-reduction counters over every POR-reduced
 /// run so far (reported by `fcsl-verify --stats`): wakeup replays
 /// (re-expansions after a revisit shrank a sleep set or grew a close
-/// mask) with the peak number of candidates replayed at once, sleep-set
-/// hits (candidates pruned because a commuted order was already taken),
-/// and full-expansion fallbacks (no ample singleton at all). These are
-/// effort counters: every expansion adds to them, wakeup replays included,
-/// and how many replays a node gets depends on the order its routes
-/// arrive in, so at Jobs > 1 they may vary from run to run (verdicts,
-/// terminals and the work counters do not). Declined counts the
-/// explorations that declined POR (ReductionRecord::PorDeclined); it
-/// depends on the program alone.
+/// mask) with the most sleep entries and close-mask bits one revisit
+/// woke, sleep-set hits (candidates pruned because a commuted order was
+/// already taken), and full-expansion fallbacks (no ample singleton at
+/// all). These are effort counters: every expansion adds to them, wakeup
+/// replays included, and how many replays a node gets depends on the
+/// order its routes arrive in, so at Jobs > 1 they may vary from run to
+/// run. Verdicts, terminals and the work counters do not: a replay counts
+/// the work of the candidates its revisit woke and of no others (the
+/// wake delta, DESIGN.md §9). Declined counts the explorations that
+/// declined POR (ReductionRecord::PorDeclined); it depends on the
+/// program alone.
 struct PorStats {
   /// Always 0: they counted the retired dynamic licence's refusals. Kept
   /// because perfbench reads them.
@@ -347,7 +349,10 @@ SymMode defaultSymmetryMode();
 /// fresh-pointer renaming, how many k-ary orbit groups were formed, and
 /// the largest group seen. Lookups, Changed and Renames count wakeup
 /// replays' successors too, so like PorStats they may vary with the
-/// schedule at Jobs > 1.
+/// schedule at Jobs > 1. So may Groups: groups form when a thread step
+/// runs, and a step the thread-step memo serves (DESIGN.md §16) forms
+/// none, so Groups counts formations on memo misses, and at Jobs > 1 two
+/// workers may both miss one step.
 struct SymmetryStats {
   uint64_t Lookups = 0;
   uint64_t Hits = 0; ///< always 0: there is no orbit cache to hit.

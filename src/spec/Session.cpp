@@ -106,12 +106,6 @@ void VerificationSession::addObligation(ObCategory Category, std::string Name,
       ProofUnit{Category, std::move(Name), Inputs.fp(), std::move(Run)});
 }
 
-void VerificationSession::addObligation(ObCategory Category, std::string Name,
-                                        DischargeFn Run) {
-  assert(Run && "obligation needs a discharge function");
-  Units.push_back(ProofUnit{Category, std::move(Name), 0, std::move(Run)});
-}
-
 namespace {
 
 /// Replays a stored verdict as an ObligationResult.
@@ -205,8 +199,8 @@ SessionReport VerificationSession::run(const ResolvedModes &Modes,
                             Modes.Cache == cache::CacheMode::Check);
 
   // Phase 1 (serial): probe the store. A hit is replayed; under Check it
-  // is *also* dispatched, and the fresh result must agree. Misses and
-  // unkeyed units are always dispatched.
+  // is *also* dispatched, and the fresh result must agree. Misses are
+  // always dispatched.
   std::vector<ObligationResult> Results(N);
   std::vector<double> ElapsedMs(N, 0.0);
   std::vector<const cache::CacheRecord *> Hit(N, nullptr);
@@ -214,11 +208,6 @@ SessionReport VerificationSession::run(const ResolvedModes &Modes,
   ToRun.reserve(N);
   for (size_t I = 0; I != N; ++I) {
     const ProofUnit &U = Units[I];
-    if (!U.keyed()) {
-      ++Report.Cache.Unkeyed;
-      ToRun.push_back(I);
-      continue;
-    }
     if (!S) {
       ToRun.push_back(I);
       continue;
@@ -287,7 +276,7 @@ SessionReport VerificationSession::run(const ResolvedModes &Modes,
     }
     Results[I] = Fresh[K];
     ElapsedMs[I] = FreshMs[K];
-    if (Writes && U.keyed()) {
+    if (Writes) {
       S->append(toRecord(U.key(FlagsFp), Fresh[K], FreshMs[K]));
       ++Report.Cache.Stores;
     }
@@ -308,10 +297,7 @@ VerificationSession::serveFromStore(cache::Store &S, uint64_t FlagsFp,
   // partial corpus leaves no trace.
   std::vector<const cache::CacheRecord *> Recs(N, nullptr);
   for (size_t I = 0; I != N; ++I) {
-    const ProofUnit &U = Units[I];
-    if (!U.keyed())
-      return std::nullopt;
-    Recs[I] = S.lookup(U.key(FlagsFp));
+    Recs[I] = S.lookup(Units[I].key(FlagsFp));
     if (!Recs[I])
       return std::nullopt;
   }

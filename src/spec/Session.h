@@ -140,8 +140,9 @@ struct ResolvedModes {
 using DischargeFn = std::function<ObligationResult(const ResolvedModes &)>;
 
 /// One first-class obligation: category and name for reporting, a content
-/// fingerprint for addressing, and the discharge closure. ContentFp == 0
-/// marks a legacy unkeyed unit — always discharged, never cached.
+/// fingerprint for addressing, and the discharge closure. Every unit the
+/// session registers is keyed (ObligationInputs::fp is never 0); keyed()
+/// stays for readers outside the library.
 struct ProofUnit {
   ObCategory Category = ObCategory::Libs;
   std::string Name;
@@ -180,7 +181,8 @@ struct SessionReport {
   std::vector<std::string> Failures;
   /// This session's cache traffic (also accumulated process-wide for
   /// `--stats`): hits replayed, misses discharged, stale-by-flag misses,
-  /// records stored, check-mode re-runs and divergences, unkeyed units.
+  /// records stored, check-mode re-runs and divergences. Unkeyed stays 0:
+  /// every unit is keyed.
   cache::CacheStats Cache;
 
   uint64_t totalObligations() const;
@@ -231,10 +233,6 @@ public:
   void addObligation(ObCategory Category, std::string Name,
                      const ObligationInputs &Inputs, DischargeFn Run);
 
-  /// Registers an unkeyed unit — always discharged, never cached. For
-  /// obligations whose inputs cannot (yet) be fingerprinted.
-  void addObligation(ObCategory Category, std::string Name, DischargeFn Run);
-
   /// Schedules every unit under \p Modes and reports. \p Jobs is the
   /// worker count for concurrent discharge: 0 = the process default (see
   /// support/ThreadPool.h), 1 = serial. The scheduler first probes the
@@ -242,7 +240,7 @@ public:
   /// their stored check counts and engine counters — so the report is
   /// bit-identical to a cold run — and only misses (plus every unit,
   /// under --cache=check) go to the job pool, each discharged with
-  /// \p Modes. Fresh verdicts of keyed units are appended to the store in
+  /// \p Modes. Fresh verdicts are appended to the store in
   /// registration order. \p Progress, when set, observes each obligation
   /// as it completes.
   SessionReport run(const ResolvedModes &Modes, unsigned Jobs = 0,
@@ -253,12 +251,12 @@ public:
     return run(ResolvedModes::defaults(), Jobs, Progress);
   }
 
-  /// The daemon's microsecond fast path: when *every* unit is keyed and
-  /// has a verdict in \p S under \p FlagsFp, builds the same report a
+  /// The daemon's microsecond fast path: when *every* unit has a verdict
+  /// in \p S under \p FlagsFp, builds the same report a
   /// fully-warm run() would produce — replayed results, cache counters,
   /// registration-order aggregation — without invoking any discharge
   /// closure (the engine never runs). Returns nullopt the moment one unit
-  /// is unkeyed or missing, leaving no trace in the process cache stats.
+  /// is missing, leaving no trace in the process cache stats.
   std::optional<SessionReport>
   serveFromStore(cache::Store &S, uint64_t FlagsFp,
                  const ProgressFn &Progress = {}) const;

@@ -6,6 +6,8 @@
 // and env rows on an open-world spanning tree, the decline where no ample
 // set can form (ticker worlds without a local action, eight Table-1
 // sessions), the trailing-env terminals of a ticker world that keeps POR,
+// wakeup replays from woken sleep entries (flat combiner behind a local
+// step) and from a close-mask union (a two-route world),
 // a pair snapshot that must never exceed the full state space,
 // bit-identity across job counts, the check-dynamic oracle over every
 // Table-1 session, composition with symmetry, and the reduced corpus.
@@ -24,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -98,6 +101,12 @@ SpanSetup makeSpanOpenDiamond1() {
 // flat_combine(push 4) on its own slot while the environment publishes,
 // combines, and collects on the other, capped at 4 history entries. No
 // flat-combiner step is statically a local move, so POR declines.
+//
+// With \p NoteFirst the thread first takes a "note" step that reads and
+// rewrites its own contribution unchanged. That step is statically a
+// local move, so POR keeps its reduction: the note runs alone at the root,
+// and every later expansion is a full one with sleep sets, where the
+// combiner's steps go to sleep and wake again (wakeup replays).
 struct FcSetup {
   FlatCombinerCase Case;
   ProgRef Main;
@@ -105,11 +114,21 @@ struct FcSetup {
   EngineOptions Opts;
 };
 
-FcSetup makeFcSetup() {
+FcSetup makeFcSetup(bool NoteFirst = false) {
   FcSetup S{makeFlatCombinerCase(Fc, /*EnvHistCap=*/4), nullptr, {}, {}};
   S.Main = Prog::call("flat_combine",
                       {Expr::litPtr(S.Case.Slot1), Expr::litInt(FcPush),
                        Expr::litInt(4)});
+  if (NoteFirst) {
+    ActionRef Note = makeAction(
+        "note", S.Case.C, 0,
+        [](const View &Pre, const std::vector<Val> &)
+            -> std::optional<std::vector<ActOutcome>> {
+          return std::vector<ActOutcome>{{Val::unit(), Pre}};
+        },
+        Footprint::none().readWrite(FpAtom::selfAux(Fc)));
+    S.Main = Prog::bind(Prog::act(Note, {}), "_", S.Main);
+  }
   S.Initial = flatCombinerState(S.Case, 1);
   S.Opts.Ambient = S.Case.C;
   S.Opts.EnvInterference = true;
@@ -212,6 +231,89 @@ TickerWorld makeTickerWorld(int64_t Period, bool WildAtOne,
   }
   Heap Joint = Heap::singleton(Ptr(1), Val::ofInt(0));
   Joint.insert(Ptr(2), Val::ofInt(0));
+  W.Initial.addLabel(Tk, PCMType::nat(), std::move(Joint), PCMVal::ofNat(0),
+                     false);
+  W.Opts.Ambient = C;
+  W.Opts.EnvInterference = true;
+  W.Opts.Jobs = 1;
+  W.Opts.Por = PorMode::On;
+  return W;
+}
+
+// A two-route world (held in a TickerWorld): the environment sets cell 5
+// ("flip") and cell 6 ("mark"), once each, while the program reads cell 5
+// into x and then bumps cell 2, passing x along. Where it read 1 it first
+// takes a "note" step that reads and rewrites its own contribution
+// unchanged, a local move, so POR keeps its reduction. The bump's dynamic
+// footprint is cell 2 when x is 1, and reads cell 6 as well otherwise. So a bump after a read of 0 licenses only the flip at
+// its terminal, and a bump after a read of 1 licenses both. The terminal
+// with cell 5 set is reached both ways: by the shorter route (read 0,
+// bump, trailing flip) with the flip's bit alone, and by the longer one
+// (flip, read 1, note, bump) with the mark's bit too. Breadth-first, the
+// shorter route's terminal is expanded before the longer one arrives, so
+// the union of the two masks wakes the mark there, and a replay fires it.
+TickerWorld makeTwoRouteWorld() {
+  auto Coh = [](const View &S) {
+    if (!S.hasLabel(Tk))
+      return false;
+    const Heap &J = S.joint(Tk);
+    return J.contains(Ptr(2)) && J.contains(Ptr(5)) && J.contains(Ptr(6));
+  };
+  auto C = makeConcurroid("TwoRoute", {OwnedLabel{Tk, "tk", PCMType::nat()}},
+                          Coh);
+  auto SetOnce = [](Ptr P) {
+    return [P](const View &Pre) {
+      std::vector<View> Posts;
+      if (Pre.joint(Tk).lookup(P).getInt() == 0)
+        Posts.push_back(withCell(Pre, P, 1));
+      return Posts;
+    };
+  };
+  auto Cell = [](unsigned P) { return FpAtom::jointCell(Tk, Ptr(P)); };
+  C->addTransition(
+      Transition("flip", TransitionKind::Internal, SetOnce(Ptr(5)))
+          .withFootprint(Footprint::none().readWrite(Cell(5))));
+  C->addTransition(
+      Transition("mark", TransitionKind::Internal, SetOnce(Ptr(6)))
+          .withFootprint(Footprint::none().readWrite(Cell(6))));
+  ActionRef Read = makeAction(
+      "read5", C, 0,
+      [](const View &Pre, const std::vector<Val> &)
+          -> std::optional<std::vector<ActOutcome>> {
+        return std::vector<ActOutcome>{{Pre.joint(Tk).lookup(Ptr(5)), Pre}};
+      },
+      Footprint::none().read(Cell(5)));
+  ActionRef Bump = makeAction(
+      "bump2", C, 1,
+      [](const View &Pre, const std::vector<Val> &)
+          -> std::optional<std::vector<ActOutcome>> {
+        Val Old = Pre.joint(Tk).lookup(Ptr(2));
+        return std::vector<ActOutcome>{
+            {Old, withCell(Pre, Ptr(2), Old.getInt() + 1)}};
+      },
+      Footprint::none().readWrite(Cell(2)).read(Cell(6)),
+      [Cell](const View &, const std::vector<Val> &Args) {
+        Footprint Fp = Footprint::none().readWrite(Cell(2));
+        if (Args[0].getInt() != 1)
+          Fp.read(Cell(6));
+        return Fp;
+      });
+  ActionRef Note = makeAction(
+      "note", C, 0,
+      [](const View &Pre, const std::vector<Val> &)
+          -> std::optional<std::vector<ActOutcome>> {
+        return std::vector<ActOutcome>{{Val::unit(), Pre}};
+      },
+      Footprint::none().readWrite(FpAtom::selfAux(Tk)));
+  ProgRef BumpX = Prog::act(Bump, {Expr::var("x")});
+  TickerWorld W;
+  W.Main = Prog::bind(
+      Prog::act(Read, {}), "x",
+      Prog::ifThenElse(Expr::eq(Expr::var("x"), Expr::litInt(1)),
+                       Prog::bind(Prog::act(Note, {}), "_", BumpX), BumpX));
+  Heap Joint = Heap::singleton(Ptr(2), Val::ofInt(0));
+  Joint.insert(Ptr(5), Val::ofInt(0));
+  Joint.insert(Ptr(6), Val::ofInt(0));
   W.Initial.addLabel(Tk, PCMType::nat(), std::move(Joint), PCMVal::ofNat(0),
                      false);
   W.Opts.Ambient = C;
@@ -447,6 +549,82 @@ TEST(PorDynamicTest, DeclinesWhereNoAmpleSetCanForm) {
     EXPECT_EQ(On.Safe, Off.Safe) << Jobs << " jobs";
     EXPECT_TRUE(sameTerminals(On, Off)) << Jobs << " jobs";
     EXPECT_EQ(On.counters(), Off.counters()) << Jobs << " jobs";
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Wakeup replays: a revisit that shrinks a node's sleep set re-expands it.
+//===----------------------------------------------------------------------===//
+
+TEST(PorDynamicTest, FlatCombinerBehindALocalStepReplaysWakeups) {
+  // The combiner's steps go to sleep along one route and are woken by a
+  // later arrival along another, so the reduced run replays expansions.
+  // Replays re-execute steps already counted, so the work counters must
+  // still count each step once: they are pinned at one job, and at four
+  // they must match. Verdict and terminals match the plain engine's; the
+  // plain run explores more, because it also interleaves the environment
+  // before the note.
+  FcSetup S = makeFcSetup(/*NoteFirst=*/true);
+  S.Opts.Por = PorMode::On;
+  const PinnedCounts Reduced{2521, 1774, 3630, 2884, 3131, 936, 611};
+  EXPECT_EQ(countsOf(S.Main, S.Initial, S.Opts), Reduced);
+  S.Opts.Por = PorMode::Off;
+  RunResult Plain = explore(S.Main, S.Initial, S.Opts);
+  ASSERT_TRUE(Plain.complete()) << Plain.FailureNote;
+  EXPECT_EQ(Plain.ConfigsExplored, 2702u);
+  std::optional<EngineCounters> Serial;
+  for (unsigned Jobs : {1u, 4u}) {
+    S.Opts.Jobs = Jobs;
+    S.Opts.Por = PorMode::On;
+    PorStats Before = porStats();
+    RunResult On = explore(S.Main, S.Initial, S.Opts);
+    PorStats After = porStats();
+    ASSERT_TRUE(On.complete()) << On.FailureNote;
+    EXPECT_FALSE(On.Reduction.PorDeclined) << Jobs << " jobs";
+    EXPECT_GT(After.WakeupReplays - Before.WakeupReplays, 0u)
+        << Jobs << " jobs";
+    EXPECT_EQ(On.Safe, Plain.Safe) << Jobs << " jobs";
+    EXPECT_TRUE(sameTerminals(On, Plain)) << Jobs << " jobs";
+    EXPECT_EQ(On.ConfigsExplored, Reduced.Configs) << Jobs << " jobs";
+    if (!Serial)
+      Serial = On.counters();
+    EXPECT_EQ(On.counters(), *Serial) << Jobs << " jobs";
+    S.Opts.Por = PorMode::Check;
+    RunResult Checked = explore(S.Main, S.Initial, S.Opts);
+    EXPECT_TRUE(Checked.Safe) << Checked.FailureNote;
+    EXPECT_TRUE(Checked.Reduction.Oracle.Ran) << Jobs << " jobs";
+    EXPECT_FALSE(Checked.Reduction.Oracle.Mismatch) << Jobs << " jobs";
+    EXPECT_EQ(Checked.Reduction.Oracle.ReducedConfigs, Reduced.Configs)
+        << Jobs << " jobs";
+  }
+}
+
+TEST(PorDynamicTest, CloseMasksUnionAcrossRoutes) {
+  // The terminal with cell 5 set is reached first with the flip's mask
+  // alone, then with the mark's bit too: the merge wakes the mark there,
+  // and the replay fires it. The plain engine's terminals survive, and
+  // the work counters count each step once at one job and at four.
+  TickerWorld W = makeTwoRouteWorld();
+  const PinnedCounts Reduced{15, 8, 9, 3, 16, 11, 2};
+  EXPECT_EQ(countsOf(W.Main, W.Initial, W.Opts), Reduced);
+  EngineOptions OffOpts = W.Opts;
+  OffOpts.Por = PorMode::Off;
+  RunResult Off = explore(W.Main, W.Initial, OffOpts);
+  ASSERT_TRUE(Off.complete()) << Off.FailureNote;
+  EXPECT_EQ(Off.Terminals.size(), 4u);
+  RunResult Serial = explore(W.Main, W.Initial, W.Opts);
+  for (unsigned Jobs : {1u, 4u}) {
+    W.Opts.Jobs = Jobs;
+    W.Opts.Por = PorMode::On;
+    RunResult On = explore(W.Main, W.Initial, W.Opts);
+    ASSERT_TRUE(On.complete()) << On.FailureNote;
+    EXPECT_FALSE(On.Reduction.PorDeclined) << Jobs << " jobs";
+    EXPECT_TRUE(sameTerminals(On, Off)) << Jobs << " jobs";
+    EXPECT_EQ(On.counters(), Serial.counters()) << Jobs << " jobs";
+    W.Opts.Por = PorMode::Check;
+    RunResult Checked = explore(W.Main, W.Initial, W.Opts);
+    EXPECT_TRUE(Checked.Safe) << Checked.FailureNote;
+    EXPECT_FALSE(Checked.Reduction.Oracle.Mismatch) << Jobs << " jobs";
   }
 }
 

@@ -378,6 +378,37 @@ TEST(SymmetryTest, TreiberStackPinsItsOrbitCounters) {
   FAIL() << "no Treiber stack session";
 }
 
+TEST(SymmetryTest, ThreadStepMemoServesSymmetryRuns) {
+  // A symmetric pair beside a reader. The reader steps from the same
+  // context and global state along several schedules, so the thread-step
+  // memo serves it under symmetry too. The pair's steps finish their
+  // threads and resolve the orbit group, which rewrites other threads, so
+  // they are never recorded. The counters are the ones the engine counted
+  // before the memo served symmetry runs.
+  CounterWorld W = makeCounterWorld();
+  EngineOptions Opts = optsFor(W);
+  ProgRef Main =
+      Prog::par(symmetricPair(W), Prog::bind(Prog::act(W.Read, {}), "_",
+                                             Prog::act(W.Read, {})));
+  Opts.Symmetry = SymMode::Off;
+  RunResult Full = explore(Main, counterState(), Opts);
+  Opts.Symmetry = SymMode::On;
+  SymmetryStats Before = symmetryStats();
+  RunResult Canon = explore(Main, counterState(), Opts);
+  SymmetryStats After = symmetryStats();
+  ASSERT_TRUE(Full.complete()) << Full.FailureNote;
+  ASSERT_TRUE(Canon.complete()) << Canon.FailureNote;
+  EXPECT_TRUE(sameTerminals(Full, Canon));
+  EXPECT_GT(After.Groups - Before.Groups, 0u);
+  EXPECT_GT(Canon.StepMemoHits, 0u);
+  EXPECT_GT(Canon.StepMemoEntries, 0u);
+  EXPECT_EQ(Canon.ConfigsExplored, 15u);
+  EXPECT_EQ(Canon.ActionSteps, 18u);
+  EXPECT_EQ(Canon.DedupHits, 6u);
+  Opts.Jobs = 4;
+  EXPECT_EQ(explore(Main, counterState(), Opts).counters(), Canon.counters());
+}
+
 //===----------------------------------------------------------------------===//
 // Canonical representatives are deterministic: idempotent across repeated
 // runs and independent of discovery order (job count).

@@ -107,27 +107,17 @@ struct CaseSymRecord {
 std::vector<CaseSymRecord> SymPerCase;
 bool CollectSymPerCase = false;
 
-/// Per-session obligation-cache accounting, filled when both --stats and a
-/// non-off cache mode are active.
-struct CaseCacheRecord {
-  std::string Name;
-  uint64_t Hits = 0;
-  uint64_t Misses = 0;
-  uint64_t StaleFlags = 0;
-  uint64_t Stores = 0;
-  uint64_t Divergences = 0;
-  uint64_t Unkeyed = 0;
-};
-std::vector<CaseCacheRecord> CachePerCase;
+/// Per-session obligation-cache traffic (each session report's own cache
+/// counters), filled when both --stats and a non-off cache mode are active.
+std::vector<std::pair<std::string, cache::CacheStats>> CachePerCase;
 bool CollectCachePerCase = false;
 
-/// Runs one session, recording its symmetry and obligation-cache deltas
+/// Runs one session, recording its symmetry deltas and its cache traffic
 /// when asked.
 SessionReport runCase(const CaseEntry &Case) {
   if (!CollectSymPerCase && !CollectCachePerCase)
     return Case.MakeSession().run();
   SymmetryStats SymBefore = symmetryStats();
-  cache::CacheStats CacheBefore = cache::cacheStats();
   uint64_t ConfigsBefore = totalConfigsExplored();
   SessionReport Report = Case.MakeSession().run();
   if (CollectSymPerCase) {
@@ -138,16 +128,8 @@ SessionReport runCase(const CaseEntry &Case) {
         After.Renames - SymBefore.Renames,
         After.Groups - SymBefore.Groups});
   }
-  if (CollectCachePerCase) {
-    cache::CacheStats After = cache::cacheStats();
-    CachePerCase.push_back(CaseCacheRecord{
-        Case.Name, After.Hits - CacheBefore.Hits,
-        After.Misses - CacheBefore.Misses,
-        After.StaleFlags - CacheBefore.StaleFlags,
-        After.Stores - CacheBefore.Stores,
-        After.Divergences - CacheBefore.Divergences,
-        After.Unkeyed - CacheBefore.Unkeyed});
-  }
+  if (CollectCachePerCase)
+    CachePerCase.emplace_back(Case.Name, Report.Cache);
   return Report;
 }
 
@@ -250,10 +232,10 @@ void printStats() {
                      "unkeyed"});
       for (unsigned I = 1; I <= 5; ++I)
         Tbl.setRightAligned(I);
-      for (const CaseCacheRecord &R : CachePerCase)
-        Tbl.addRow({R.Name, std::to_string(R.Hits),
-                    std::to_string(R.Misses), std::to_string(R.StaleFlags),
-                    std::to_string(R.Stores), std::to_string(R.Unkeyed)});
+      for (const auto &[Name, R] : CachePerCase)
+        Tbl.addRow({Name, std::to_string(R.Hits), std::to_string(R.Misses),
+                    std::to_string(R.StaleFlags), std::to_string(R.Stores),
+                    std::to_string(R.Unkeyed)});
       std::printf("per-structure cache traffic:\n%s", Tbl.render().c_str());
     }
   }
