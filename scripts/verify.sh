@@ -15,11 +15,15 @@
 #      binaries are invoked directly rather than through ctest so only
 #      the relevant targets need to build.
 #   3. ASan+UBSan: a third build tree (build-asan/) compiled with
-#      -DFCSL_SANITIZE=address,undefined; the intern-arena, codec and
-#      symmetry tests run under it, along with the dist wire, cache and
-#      service tests, since those layers do the pointer-identity, raw-byte
-#      and pointer-renaming manipulation where memory bugs would hide.
-#      The engine, parallel-engine, POR, simulate and trace tests run
+#      -DFCSL_SANITIZE=address,undefined and with assertions on (its
+#      RelWithDebInfo flags drop -DNDEBUG; the other two trees keep it,
+#      so this is the one stage where assert() runs); the intern-arena,
+#      codec and symmetry tests run under it, along with the dist wire,
+#      cache and service tests, since those layers do the
+#      pointer-identity, raw-byte and pointer-renaming manipulation where
+#      memory bugs would hide. The soundness tests run there too, so the
+#      engine's assertions see every deliberately broken action. The
+#      engine, parallel-engine, POR, simulate and trace tests run
 #      too:
 #      configurations are handles into hash-cons tables each exploration
 #      frees with its visited set, edited copy-on-write, and failure
@@ -139,12 +143,14 @@ fi
 
 if [[ "$RUN_ASAN" == 1 ]]; then
   echo "== asan+ubsan: configure + build (build-asan/) =="
-  cmake -B build-asan -S . -DFCSL_SANITIZE=address,undefined >/dev/null
+  cmake -B build-asan -S . -DFCSL_SANITIZE=address,undefined \
+    -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O1 -g" >/dev/null
   cmake --build build-asan -j "$(nproc)" --target intern_test codec_test \
     --target dist_test cache_test service_test symmetry_test engine_test \
-    --target parallel_engine_test por_dynamic_test trace_test simulate_test
+    --target parallel_engine_test por_dynamic_test trace_test simulate_test \
+    --target soundness_test
 
-  echo "== asan+ubsan: checking intern arena, codec, dist wire, cache, service, symmetry, engine =="
+  echo "== asan+ubsan (assertions on): checking intern arena, codec, dist wire, cache, service, symmetry, engine, soundness =="
   ./build-asan/tests/intern_test
   ./build-asan/tests/codec_test
   ./build-asan/tests/dist_test
@@ -156,6 +162,7 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   ./build-asan/tests/por_dynamic_test
   ./build-asan/tests/trace_test
   ./build-asan/tests/simulate_test
+  ./build-asan/tests/soundness_test
 fi
 
 echo "== jobs: 4 jobs vs 1 over every session (plain, POR+symmetry, POR, symmetry) =="

@@ -13,27 +13,27 @@
 using namespace fcsl;
 
 PCMTypeRef PCMType::nat() {
-  static PCMTypeRef T(new PCMType(PCMKind::Nat));
+  static PCMTypeRef T = finish(new PCMType(PCMKind::Nat));
   return T;
 }
 
 PCMTypeRef PCMType::mutex() {
-  static PCMTypeRef T(new PCMType(PCMKind::Mutex));
+  static PCMTypeRef T = finish(new PCMType(PCMKind::Mutex));
   return T;
 }
 
 PCMTypeRef PCMType::ptrSet() {
-  static PCMTypeRef T(new PCMType(PCMKind::PtrSet));
+  static PCMTypeRef T = finish(new PCMType(PCMKind::PtrSet));
   return T;
 }
 
 PCMTypeRef PCMType::heap() {
-  static PCMTypeRef T(new PCMType(PCMKind::HeapPCM));
+  static PCMTypeRef T = finish(new PCMType(PCMKind::HeapPCM));
   return T;
 }
 
 PCMTypeRef PCMType::hist() {
-  static PCMTypeRef T(new PCMType(PCMKind::Hist));
+  static PCMTypeRef T = finish(new PCMType(PCMKind::Hist));
   return T;
 }
 
@@ -42,14 +42,14 @@ PCMTypeRef PCMType::pairOf(PCMTypeRef First, PCMTypeRef Second) {
   auto *T = new PCMType(PCMKind::Pair);
   T->First = std::move(First);
   T->Second = std::move(Second);
-  return PCMTypeRef(T);
+  return finish(T);
 }
 
 PCMTypeRef PCMType::lifted(PCMTypeRef Inner) {
   assert(Inner && "lifted component must be non-null");
   auto *T = new PCMType(PCMKind::Lift);
   T->Inner = std::move(Inner);
-  return PCMTypeRef(T);
+  return finish(T);
 }
 
 const PCMTypeRef &PCMType::first() const {
@@ -67,26 +67,34 @@ const PCMTypeRef &PCMType::inner() const {
   return Inner;
 }
 
-PCMVal PCMType::unit() const {
-  switch (K) {
-  case PCMKind::Nat:
-    return PCMVal::ofNat(0);
-  case PCMKind::Mutex:
-    return PCMVal::mutexFree();
-  case PCMKind::PtrSet:
-    return PCMVal::ofPtrSet({});
-  case PCMKind::HeapPCM:
-    return PCMVal::ofHeap(Heap());
-  case PCMKind::Hist:
-    return PCMVal::ofHist(History());
-  case PCMKind::Pair:
-    return PCMVal::makePair(First->unit(), Second->unit());
-  case PCMKind::Lift:
-    return PCMVal::liftDef(Inner->unit());
-  }
-  assert(false && "unknown PCM kind");
-  return PCMVal();
+PCMType::~PCMType() = default;
+
+PCMTypeRef PCMType::finish(PCMType *T) {
+  auto UnitOf = [T]() -> PCMVal {
+    switch (T->K) {
+    case PCMKind::Nat:
+      return PCMVal::ofNat(0);
+    case PCMKind::Mutex:
+      return PCMVal::mutexFree();
+    case PCMKind::PtrSet:
+      return PCMVal::ofPtrSet({});
+    case PCMKind::HeapPCM:
+      return PCMVal::ofHeap(Heap());
+    case PCMKind::Hist:
+      return PCMVal::ofHist(History());
+    case PCMKind::Pair:
+      return PCMVal::makePair(T->First->unit(), T->Second->unit());
+    case PCMKind::Lift:
+      return PCMVal::liftDef(T->Inner->unit());
+    }
+    assert(false && "unknown PCM kind");
+    return PCMVal();
+  };
+  T->Unit = std::make_unique<const PCMVal>(UnitOf());
+  return PCMTypeRef(T);
 }
+
+const PCMVal &PCMType::unit() const { return *Unit; }
 
 bool PCMType::admits(const PCMVal &V) const {
   if (V.kind() != K)

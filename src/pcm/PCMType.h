@@ -56,8 +56,9 @@ public:
   const PCMTypeRef &second() const;
   const PCMTypeRef &inner() const;
 
-  /// Manufactures the unit element of this carrier.
-  PCMVal unit() const;
+  /// The unit element of this carrier, built once with the type (types
+  /// are immutable, so the unit never changes).
+  const PCMVal &unit() const;
 
   /// Returns true if \p V is an element of this carrier (kind-shape check).
   bool admits(const PCMVal &V) const;
@@ -67,13 +68,18 @@ public:
 
   friend bool operator==(const PCMType &A, const PCMType &B);
 
+  ~PCMType();
+
 private:
   explicit PCMType(PCMKind K) : K(K) {}
+  /// Completes a new descriptor: builds its unit from the components'.
+  static PCMTypeRef finish(PCMType *T);
 
   PCMKind K;
   PCMTypeRef First; // Pair
   PCMTypeRef Second; // Pair
   PCMTypeRef Inner; // Lift
+  std::unique_ptr<const PCMVal> Unit;
 };
 
 /// Structural equality of carrier descriptors.

@@ -68,8 +68,8 @@ const PCMNode *intern(PCMNode &&V) {
   return arena().intern(std::move(V));
 }
 
-/// The interned mutex element \p Own. PCMType::unit() and join() ask for
-/// the two mutex constants on every call, so each is interned once.
+/// The interned mutex element \p Own. join() asks for the two mutex
+/// constants on every call, so each is interned once.
 const PCMNode *mutexNode(bool Own) {
   PCMNode V;
   V.K = PCMKind::Mutex;

@@ -1047,7 +1047,8 @@ public:
     // pair orders arrive as extra seed configurations.
     std::vector<Config> Seeds;
     std::string Err;
-    if (!normalize(C0, Err, SymOn ? &Seeds : nullptr)) {
+    if (!seedCoherent(Initial, Err) ||
+        !normalize(C0, /*From=*/0, Err, SymOn ? &Seeds : nullptr)) {
       Res.Safe = false;
       Res.FailureNote = std::move(Err);
       return;
@@ -1156,7 +1157,7 @@ public:
     };
 
     std::string Err;
-    if (!normalize(C, Err))
+    if (!seedCoherent(Initial, Err) || !normalize(C, /*From=*/0, Err))
       return FailOut(std::move(Err));
 
     for (Sim.Steps = 0; Sim.Steps < MaxSteps; ++Sim.Steps) {
@@ -1196,6 +1197,8 @@ public:
         switch (applyOutcome(C, T, Pre, O, Err, nullptr)) {
         case StepFault::None:
           break;
+        case StepFault::WritesOther:
+          return FailOut(writesOtherNote(A));
         case StepFault::Coherence:
           return FailOut(formatString("action %s broke coherence",
                                       A.name().c_str()));
@@ -1219,6 +1222,18 @@ public:
   }
 
 private:
+  /// Env transitions read the states they step as coherent ones, so with
+  /// env interference on, a run starts only from a state whose root view
+  /// the ambient finds coherent. Returns false, with \p Err set, when it
+  /// is not.
+  bool seedCoherent(const GlobalState &Initial, std::string &Err) const {
+    if (!Opts.EnvInterference || !Opts.Ambient ||
+        Opts.Ambient->coherent(Initial.viewFor(rootThread())))
+      return true;
+    Err = "the initial state is not coherent under " + Opts.Ambient->name();
+    return false;
+  }
+
   /// One stripe of the visited set.
   struct Stripe {
     std::mutex M;
@@ -1298,23 +1313,34 @@ private:
   }
 
   /// How applying an action outcome failed (see applyOutcome).
-  enum class StepFault : uint8_t { None, Coherence, Unwind };
+  enum class StepFault : uint8_t { None, WritesOther, Coherence, Unwind };
+
+  /// The failure note of an action whose post-view changed the label set
+  /// or some other(L) (see GlobalState::applyThread).
+  static std::string writesOtherNote(const AtomicAction &A) {
+    return formatString("action %s changed the label set or the other "
+                        "component",
+                        A.name().c_str());
+  }
 
   /// Applies outcome \p O of thread \p T's pending action, taken from
   /// T's view \p Pre, to \p C: writes the post-state, re-checks
   /// coherence, pops the action, delivers its result and runs the
-  /// administrative cascade (normalize, with \p Extras as there). Each
-  /// caller words its own failure: a broken coherence, or an unwinding
-  /// failure described by \p Err.
+  /// administrative cascade from T (normalize, with \p Extras as there).
+  /// The write keeps every other thread's contribution, so T's view after
+  /// it is O.Post, and coherence is checked on O.Post itself. Each caller
+  /// words its own failure: a post-view that wrote outside self and joint,
+  /// a broken coherence, or an unwinding failure described by \p Err.
   StepFault applyOutcome(Config &C, ThreadId T, const View &Pre,
                          const ActOutcome &O, std::string &Err,
                          std::vector<Config> *Extras) {
-    C.mutGS().applyThread(T, Pre, O.Post);
+    if (!C.mutGS().applyThread(T, Pre, O.Post))
+      return StepFault::WritesOther;
     if (Opts.CheckStepCoherence && Opts.Ambient &&
-        !Opts.Ambient->coherent(C.gs().viewFor(T)))
+        !Opts.Ambient->coherent(O.Post))
       return StepFault::Coherence;
     C.mutThread(T).Stack.pop_back();
-    if (!deliver(C, T, O.Result, Err) || !normalize(C, Err, Extras))
+    if (!deliver(C, T, O.Result, Err) || !normalize(C, T, Err, Extras))
       return StepFault::Unwind;
     return StepFault::None;
   }
@@ -1324,8 +1350,9 @@ private:
   //===--------------------------------------------------------------------===//
 
   /// One orbit group while its spine is still forking. Bookkeeping local
-  /// to a single normalize() pass — every fork of a spine happens within
-  /// the pass that opened the group, because normalize runs to fixpoint.
+  /// to a single normalize() call — every fork of a spine happens within
+  /// the call that opened the group, because the forked interiors are
+  /// visited in the same call.
   /// The durable, serialized marker is ThreadCtx::SymGroup.
   struct Forming {
     bool Flat = false; ///< k-ary spine: Par-kind children become interiors.
@@ -1354,8 +1381,8 @@ private:
     ThreadId G = 0;
     if (Ctx.SymGroup != 0 && Ctx.SymGroup != T) {
       // Interior of a spine whose root opened a flat group earlier in
-      // this pass. A missing entry means the group dissolved meanwhile:
-      // the children stay free.
+      // this normalize call. A missing entry means the group dissolved
+      // meanwhile: the children stay free.
       if (Groups.find(Ctx.SymGroup) == Groups.end())
         return;
       G = Ctx.SymGroup;
@@ -1387,7 +1414,7 @@ private:
     auto Slot = [&](const ProgRef &P, const Prog *&Raw, ThreadId Id,
                     ThreadId &Mark) -> bool {
       if (F.Flat && P->kind() == Prog::Kind::Par) {
-        Mark = G; // Interior: forks later in this same pass.
+        Mark = G; // Interior: forks later in this same call.
         return true;
       }
       // Leaf slot: a free thread (it may open its own nested group).
@@ -1497,9 +1524,9 @@ private:
   /// commutative, so all assignments share one global state and differ
   /// only in the delivered tuple). \p Extra is null only under simulate,
   /// which never forms groups. Returns false on an engine failure while
-  /// delivering; sets \p Progress when the group actually resolved.
+  /// delivering; sets \p Resolved when the group actually resolved.
   bool resolveGroup(Config &C, ThreadId G, std::string &Err,
-                    std::vector<Config> *Extra, bool &Progress) {
+                    std::vector<Config> *Extra, bool &Resolved) {
     GroupLayout L;
     layoutGroup(C, G, G, L);
     if (!L.Complete)
@@ -1568,20 +1595,31 @@ private:
           continue;
         Config M = Base;
         if (!deliver(M, G, TupleOf(*Shape, Seq), Err) ||
-            !normalize(M, Err, Extra))
+            !normalize(M, /*From=*/0, Err, Extra))
           return false;
         Extra->push_back(std::move(M));
       } while (std::next_permutation(Seq.begin(), Seq.end(), ValLess));
     }
     if (!deliver(C, G, TupleOf(*Shape, Vals), Err))
       return false;
-    Progress = true;
+    Resolved = true;
     return true;
   }
+
+  /// The threads normalize still has to visit; the lowest id goes first.
+  using DirtySet = std::set<ThreadId>;
 
   /// Applies administrative steps until every thread is Done, Waiting, or
   /// stopped at an atomic action. Returns false on failure, with \p Err
   /// set.
+  ///
+  /// Only threads that may take a step are visited (DESIGN.md §8): thread
+  /// \p From, whose step left every other thread as it was, or every
+  /// thread when \p From is 0 (a seed or a mirror configuration). The set
+  /// is worked in ascending id order, and each visit runs the thread's
+  /// whole cascade. A fork adds the two children, a thread that finishes
+  /// adds its parent, and a waiting interior of an orbit group adds the
+  /// group's root, the only member that may join.
   ///
   /// \p Extra (symmetry reduction only) receives mirror configurations:
   /// when an orbit group resolves with differing slot results, the
@@ -1589,182 +1627,194 @@ private:
   /// permutation of it, so each distinct value assignment must be
   /// delivered to regenerate exactly the unreduced engine's post-join
   /// configurations (see resolveGroup).
-  bool normalize(Config &C, std::string &Err,
+  bool normalize(Config &C, ThreadId From, std::string &Err,
                  std::vector<Config> *Extra = nullptr) {
-    // Orbit groups whose spines are forking in THIS pass (see symFork);
+    // Orbit groups whose spines are forking in THIS call (see symFork);
     // keyed by group-root thread id. The durable marker is SymGroup.
     FormingMap Groups;
-    bool Progress = true;
-    while (Progress) {
-      Progress = false;
-      // Collect ids first: admin steps add/remove threads.
-      std::vector<ThreadId> Ids;
-      Ids.reserve(C.threads().size());
+    DirtySet Dirty;
+    if (From != 0)
+      Dirty.insert(From);
+    else
       for (const ThreadSlot &S : C.threads())
-        Ids.push_back(S.Id);
-
-      for (ThreadId T : Ids) {
-        // Read through the shared context; only a thread that takes an
-        // administrative step gets a private copy.
-        const ThreadCtx *Cur = C.findThread(T);
-        if (!Cur)
-          continue; // Joined away meanwhile.
-
-        if (Cur->Done)
-          continue;
-
-        if (Cur->Waiting) {
-          if (Cur->SymGroup != 0) {
-            // Orbit-group member: interiors of the spine never join on
-            // their own, and the root joins the whole group at once, but
-            // only when every leaf slot has finished (resolveGroup).
-            if (T != Cur->SymGroup)
-              continue;
-            if (!resolveGroup(C, T, Err, Extra, Progress))
-              return false;
-            continue;
-          }
-          const ThreadCtx *L = C.findThread(leftChild(T));
-          const ThreadCtx *R = C.findThread(rightChild(T));
-          assert(L && R && "waiting thread lost its children");
-          if (!L->Done || !R->Done)
-            continue;
-          Val Result = Val::pair(*L->Done, *R->Done);
-          C.mutGS().joinChildren(T, leftChild(T), rightChild(T));
-          C.eraseThread(leftChild(T));
-          C.eraseThread(rightChild(T));
-          C.mutThread(T).Waiting = false;
-          if (!deliver(C, T, std::move(Result), Err))
-            return false;
-          Progress = true;
-          continue;
-        }
-
-        assert(!Cur->Stack.empty() && "running thread with empty stack");
-        if (Cur->Stack.back().K != Frame::Kind::Run ||
-            Cur->Stack.back().Node->kind() == Prog::Kind::Act)
-          continue; // BindCont/HideExit only surface via deliver; an Act
-                    // is a scheduling point, handled by expand().
-        ThreadCtx &Ctx = C.mutThread(T);
-        Frame &Top = Ctx.Stack.back();
-        const Prog *Node = Top.Node;
-
-        switch (Node->kind()) {
-        case Prog::Kind::Ret: {
-          Val V = Node->retExpr()->eval(Top.Env);
-          Ctx.Stack.pop_back();
-          if (!deliver(C, T, std::move(V), Err))
-            return false;
-          Progress = true;
-          break;
-        }
-        case Prog::Kind::Act:
-          break; // Unreachable: filtered above.
-        case Prog::Kind::Bind: {
-          Frame Cont;
-          Cont.K = Frame::Kind::BindCont;
-          Cont.Var = Node->bindVar();
-          Cont.Rest = Node->rest().get();
-          Cont.Env = Top.Env;
-          const Prog *First = Node->first().get();
-          VarEnv Env = std::move(Top.Env);
-          Ctx.Stack.pop_back();
-          Ctx.Stack.push_back(std::move(Cont));
-          Ctx.Stack.push_back(runFrame(First, std::move(Env)));
-          Progress = true;
-          break;
-        }
-        case Prog::Kind::If: {
-          bool Taken = Node->cond()->eval(Top.Env).getBool();
-          const Prog *Branch =
-              (Taken ? Node->thenProg() : Node->elseProg()).get();
-          VarEnv Env = std::move(Top.Env);
-          Ctx.Stack.pop_back();
-          Ctx.Stack.push_back(runFrame(Branch, std::move(Env)));
-          Progress = true;
-          break;
-        }
-        case Prog::Kind::Call: {
-          assert(Opts.Defs && "call without a definition table");
-          const FuncDef &Def = Opts.Defs->lookup(Node->callee());
-          assert(Def.Params.size() == Node->args().size() &&
-                 "call arity mismatch");
-          VarEnv CalleeEnv;
-          for (size_t I = 0, N = Def.Params.size(); I != N; ++I)
-            CalleeEnv[Def.Params[I]] = Node->args()[I]->eval(Top.Env);
-          Ctx.Stack.pop_back();
-          Ctx.Stack.push_back(runFrame(Def.Body.get(),
-                                       std::move(CalleeEnv)));
-          Progress = true;
-          break;
-        }
-        case Prog::Kind::Par: {
-          const Prog *Left = Node->left().get();
-          const Prog *Right = Node->right().get();
-          std::map<Label, std::pair<PCMVal, PCMVal>> Splits;
-          if (const SplitFn &Split = Node->split())
-            Splits = Split(C.gs().viewFor(T));
-          VarEnv Env = std::move(Top.Env);
-          Ctx.Stack.pop_back();
-          Ctx.Waiting = true;
-          C.mutGS().fork(T, leftChild(T), rightChild(T), Splits);
-          ThreadId LG = 0, RG = 0;
-          if (SymOn)
-            symFork(C, T, Node, Left, Right, LG, RG, Groups);
-          ThreadCtx L, R;
-          L.SymGroup = LG;
-          R.SymGroup = RG;
-          L.Stack.push_back(runFrame(Left, Env));
-          R.Stack.push_back(runFrame(Right, std::move(Env)));
-          C.addThread(leftChild(T), std::move(L));
-          C.addThread(rightChild(T), std::move(R));
-          Progress = true;
-          break;
-        }
-        case Prog::Kind::Hide: {
-          const HideSpec &Spec = Node->hideSpec();
-          View Pre = C.gs().viewFor(T);
-          const Heap &Mine = Pre.self(Spec.Pv).getHeap();
-          std::optional<Heap> Donation = Spec.ChooseDonation(Mine);
-          if (!Donation) {
-            Err = formatString(
-                "hide: the private heap does not satisfy the decoration "
-                "predicate (thread %llu)",
-                static_cast<unsigned long long>(T));
-            return false;
-          }
-          std::optional<PCMVal> Rest = pcmSubtract(
-              PCMVal::ofHeap(Mine), PCMVal::ofHeap(*Donation));
-          if (!Rest) {
-            Err = "hide: decoration selected cells outside the private "
-                  "heap";
-            return false;
-          }
-          GlobalState &GS = C.mutGS();
-          GS.setSelf(Spec.Pv, T, std::move(*Rest));
-          GS.addLabel(Spec.Hidden, Spec.SelfType, std::move(*Donation),
-                      Spec.SelfType->unit(), /*EnvClosed=*/true);
-          GS.setSelf(Spec.Hidden, T, Spec.InitSelf);
-          if (Spec.Installed && !Spec.Installed->coherent(GS.viewFor(T))) {
-            Err = "hide: the decorated donation does not establish the "
-                  "installed concurroid's coherence";
-            return false;
-          }
-          const Prog *Body = Node->body().get();
-          VarEnv Env = std::move(Top.Env);
-          Ctx.Stack.pop_back();
-          Frame Exit;
-          Exit.K = Frame::Kind::HideExit;
-          Exit.Node = Node;
-          Ctx.Stack.push_back(std::move(Exit));
-          Ctx.Stack.push_back(runFrame(Body, std::move(Env)));
-          Progress = true;
-          break;
-        }
-        }
-      }
+        Dirty.insert(S.Id);
+    while (!Dirty.empty()) {
+      ThreadId T = *Dirty.begin();
+      Dirty.erase(Dirty.begin());
+      if (!cascade(C, T, Dirty, Groups, Err, Extra))
+        return false;
     }
     return true;
+  }
+
+  /// Runs thread \p T's administrative steps until it stops at an atomic
+  /// action, waits, finishes or is joined away, adding to \p Dirty the
+  /// threads its steps may wake (see normalize).
+  bool cascade(Config &C, ThreadId T, DirtySet &Dirty, FormingMap &Groups,
+               std::string &Err, std::vector<Config> *Extra) {
+    while (true) {
+      // Read through the shared context; only a thread that takes an
+      // administrative step gets a private copy.
+      const ThreadCtx *Cur = C.findThread(T);
+      if (!Cur)
+        return true; // Joined away meanwhile.
+
+      if (Cur->Done) {
+        if (T != rootThread())
+          Dirty.insert(T / 2); // The parent may join now.
+        return true;
+      }
+
+      if (Cur->Waiting) {
+        if (Cur->SymGroup != 0) {
+          // Orbit-group member: interiors of the spine never join on
+          // their own, and the root joins the whole group at once, but
+          // only when every leaf slot has finished (resolveGroup).
+          if (T != Cur->SymGroup) {
+            Dirty.insert(Cur->SymGroup);
+            return true;
+          }
+          bool Resolved = false;
+          if (!resolveGroup(C, T, Err, Extra, Resolved))
+            return false;
+          if (!Resolved)
+            return true;
+          continue;
+        }
+        const ThreadCtx *L = C.findThread(leftChild(T));
+        const ThreadCtx *R = C.findThread(rightChild(T));
+        assert(L && R && "waiting thread lost its children");
+        if (!L->Done || !R->Done)
+          return true;
+        Val Result = Val::pair(*L->Done, *R->Done);
+        C.mutGS().joinChildren(T, leftChild(T), rightChild(T));
+        C.eraseThread(leftChild(T));
+        C.eraseThread(rightChild(T));
+        C.mutThread(T).Waiting = false;
+        if (!deliver(C, T, std::move(Result), Err))
+          return false;
+        continue;
+      }
+
+      assert(!Cur->Stack.empty() && "running thread with empty stack");
+      if (Cur->Stack.back().K != Frame::Kind::Run ||
+          Cur->Stack.back().Node->kind() == Prog::Kind::Act)
+        return true; // BindCont/HideExit only surface via deliver; an
+                     // Act is a scheduling point, handled by expand().
+      ThreadCtx &Ctx = C.mutThread(T);
+      Frame &Top = Ctx.Stack.back();
+      const Prog *Node = Top.Node;
+
+      switch (Node->kind()) {
+      case Prog::Kind::Ret: {
+        Val V = Node->retExpr()->eval(Top.Env);
+        Ctx.Stack.pop_back();
+        if (!deliver(C, T, std::move(V), Err))
+          return false;
+        break;
+      }
+      case Prog::Kind::Act:
+        break; // Unreachable: filtered above.
+      case Prog::Kind::Bind: {
+        Frame Cont;
+        Cont.K = Frame::Kind::BindCont;
+        Cont.Var = Node->bindVar();
+        Cont.Rest = Node->rest().get();
+        Cont.Env = Top.Env;
+        const Prog *First = Node->first().get();
+        VarEnv Env = std::move(Top.Env);
+        Ctx.Stack.pop_back();
+        Ctx.Stack.push_back(std::move(Cont));
+        Ctx.Stack.push_back(runFrame(First, std::move(Env)));
+        break;
+      }
+      case Prog::Kind::If: {
+        bool Taken = Node->cond()->eval(Top.Env).getBool();
+        const Prog *Branch =
+            (Taken ? Node->thenProg() : Node->elseProg()).get();
+        VarEnv Env = std::move(Top.Env);
+        Ctx.Stack.pop_back();
+        Ctx.Stack.push_back(runFrame(Branch, std::move(Env)));
+        break;
+      }
+      case Prog::Kind::Call: {
+        assert(Opts.Defs && "call without a definition table");
+        const FuncDef &Def = Opts.Defs->lookup(Node->callee());
+        assert(Def.Params.size() == Node->args().size() &&
+               "call arity mismatch");
+        VarEnv CalleeEnv;
+        for (size_t I = 0, N = Def.Params.size(); I != N; ++I)
+          CalleeEnv[Def.Params[I]] = Node->args()[I]->eval(Top.Env);
+        Ctx.Stack.pop_back();
+        Ctx.Stack.push_back(runFrame(Def.Body.get(),
+                                     std::move(CalleeEnv)));
+        break;
+      }
+      case Prog::Kind::Par: {
+        const Prog *Left = Node->left().get();
+        const Prog *Right = Node->right().get();
+        std::map<Label, std::pair<PCMVal, PCMVal>> Splits;
+        if (const SplitFn &Split = Node->split())
+          Splits = Split(C.gs().viewFor(T));
+        VarEnv Env = std::move(Top.Env);
+        Ctx.Stack.pop_back();
+        Ctx.Waiting = true;
+        C.mutGS().fork(T, leftChild(T), rightChild(T), Splits);
+        ThreadId LG = 0, RG = 0;
+        if (SymOn)
+          symFork(C, T, Node, Left, Right, LG, RG, Groups);
+        ThreadCtx L, R;
+        L.SymGroup = LG;
+        R.SymGroup = RG;
+        L.Stack.push_back(runFrame(Left, Env));
+        R.Stack.push_back(runFrame(Right, std::move(Env)));
+        C.addThread(leftChild(T), std::move(L));
+        C.addThread(rightChild(T), std::move(R));
+        Dirty.insert(leftChild(T));
+        Dirty.insert(rightChild(T));
+        break;
+      }
+      case Prog::Kind::Hide: {
+        const HideSpec &Spec = Node->hideSpec();
+        View Pre = C.gs().viewFor(T);
+        const Heap &Mine = Pre.self(Spec.Pv).getHeap();
+        std::optional<Heap> Donation = Spec.ChooseDonation(Mine);
+        if (!Donation) {
+          Err = formatString(
+              "hide: the private heap does not satisfy the decoration "
+              "predicate (thread %llu)",
+              static_cast<unsigned long long>(T));
+          return false;
+        }
+        std::optional<PCMVal> Rest = pcmSubtract(
+            PCMVal::ofHeap(Mine), PCMVal::ofHeap(*Donation));
+        if (!Rest) {
+          Err = "hide: decoration selected cells outside the private "
+                "heap";
+          return false;
+        }
+        GlobalState &GS = C.mutGS();
+        GS.setSelf(Spec.Pv, T, std::move(*Rest));
+        GS.addLabel(Spec.Hidden, Spec.SelfType, std::move(*Donation),
+                    Spec.SelfType->unit(), /*EnvClosed=*/true);
+        GS.setSelf(Spec.Hidden, T, Spec.InitSelf);
+        if (Spec.Installed && !Spec.Installed->coherent(GS.viewFor(T))) {
+          Err = "hide: the decorated donation does not establish the "
+                "installed concurroid's coherence";
+          return false;
+        }
+        const Prog *Body = Node->body().get();
+        VarEnv Env = std::move(Top.Env);
+        Ctx.Stack.pop_back();
+        Frame Exit;
+        Exit.K = Frame::Kind::HideExit;
+        Exit.Node = Node;
+        Ctx.Stack.push_back(std::move(Exit));
+        Ctx.Stack.push_back(runFrame(Body, std::move(Env)));
+        break;
+      }
+      }
+    }
   }
 
   //===--------------------------------------------------------------------===//
@@ -2475,6 +2525,12 @@ private:
       switch (applyOutcome(Next, T, *Pre, O, Err, &Extras)) {
       case StepFault::None:
         break;
+      case StepFault::WritesOther:
+        failGlobal(&N,
+                   threadStepText(T, A, *Args, &O.Result) +
+                       "  <-- WRITES OUTSIDE SELF AND JOINT",
+                   writesOtherNote(A));
+        return false;
       case StepFault::Coherence:
         failGlobal(&N,
                    threadStepText(T, A, *Args, &O.Result) +

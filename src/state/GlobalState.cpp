@@ -6,6 +6,7 @@
 
 #include "state/GlobalState.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace fcsl;
@@ -140,16 +141,19 @@ View GlobalState::viewForEnv() const {
   return Out;
 }
 
-void GlobalState::applyThread(ThreadId T, const View &Pre, const View &Post) {
-  (void)Pre;
-  assert(Pre.labels() == Post.labels() &&
-         "thread steps may not install or remove labels");
-  for (Label L : Post.labels()) {
-    assert(Pre.other(L) == Post.other(L) &&
-           "thread step mutated the other component");
-    setJoint(L, Post.joint(L));
-    setSelf(L, T, Post.self(L));
+bool GlobalState::applyThread(ThreadId T, const View &Pre, const View &Post) {
+  // Components are interned handles, so each other(L) compares by address.
+  auto SameLabelAndOther = [](const auto &A, const auto &B) {
+    return A.first == B.first && A.second.Other == B.second.Other;
+  };
+  if (!std::equal(Pre.begin(), Pre.end(), Post.begin(), Post.end(),
+                  SameLabelAndOther))
+    return false;
+  for (const auto &[L, Slice] : Post) {
+    setJoint(L, Slice.Joint);
+    setSelf(L, T, Slice.Self);
   }
+  return true;
 }
 
 void GlobalState::applyEnv(const View &Pre, const View &Post) {

@@ -85,9 +85,12 @@ public:
   /// other = all threads). Environment transitions step this view.
   View viewForEnv() const;
 
-  /// Writes back thread \p T's post-view: joints and T's selves are
-  /// updated; asserts the other components were left untouched.
-  void applyThread(ThreadId T, const View &Pre, const View &Post);
+  /// Writes back thread \p T's post-view \p Post of a step from its view
+  /// \p Pre: joints and T's selves are updated. A thread step may write
+  /// nothing else, so when \p Post has another label set or another
+  /// other(L) at some label, nothing is written and false is returned.
+  /// When \p Pre was T's view, a write leaves T's view equal to \p Post.
+  bool applyThread(ThreadId T, const View &Pre, const View &Post);
 
   /// Writes back an environment step.
   void applyEnv(const View &Pre, const View &Post);

@@ -507,6 +507,141 @@ TEST(EnvRowTest, FailureTraceThroughRowHits) {
 }
 
 //===----------------------------------------------------------------------===//
+// The administrative cascade after a step: joins that climb several
+// ancestors, and a hide inside one par branch. The counters were captured
+// from the engine that rescanned every thread to a fixpoint after each
+// step.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Whether \p A and \p B reached the same terminals.
+bool sameTerminalSets(const RunResult &A, const RunResult &B) {
+  return std::equal(A.Terminals.begin(), A.Terminals.end(),
+                    B.Terminals.begin(), B.Terminals.end(),
+                    [](const Terminal &X, const Terminal &Y) {
+                      return !(X < Y) && !(Y < X);
+                    });
+}
+
+} // namespace
+
+TEST(NormalizeTest, OneCompletionJoinsThreeAncestors) {
+  // par(par(par(incr, incr), incr), incr) under env bumps. On schedules
+  // where thread 8 finishes last, the cascade of its one step joins
+  // threads 4, 2 and 1 in turn, and the root is done.
+  CounterWorld W = makeCounterWorld(/*EnvCap=*/2);
+  ProgRef I = Prog::act(W.Incr, {});
+  ProgRef P = Prog::par(Prog::par(Prog::par(I, I), I), I);
+  EngineOptions Opts = memoOpts(W);
+  Opts.EnvInterference = true;
+  RunResult R = explore(P, counterState(), Opts);
+  ASSERT_TRUE(R.complete()) << R.FailureNote;
+  EXPECT_EQ(R.ConfigsExplored, 259u);
+  EXPECT_EQ(R.ActionSteps, 252u);
+  EXPECT_EQ(R.EnvSteps, 6u);
+  EXPECT_EQ(R.DedupHits, 0u);
+  EXPECT_EQ(R.Terminals.size(), 96u);
+  for (const Terminal &T : R.Terminals)
+    EXPECT_EQ(T.FinalView.self(Ct).getNat(), 4u);
+  Opts.Jobs = 4;
+  RunResult Par = explore(P, counterState(), Opts);
+  EXPECT_EQ(Par.counters(), R.counters());
+  EXPECT_TRUE(sameTerminalSets(Par, R));
+}
+
+TEST(NormalizeTest, HideInsideOneParBranch) {
+  // The left branch hides its share of the private heap behind the
+  // counter and increments twice; the right branch allocates, writes and
+  // reads a private cell. The hidden label comes and goes while the right
+  // branch runs, so the right branch's views gain and lose it.
+  CounterWorld W = makeCounterWorld(0);
+  ConcurroidRef PrivC = makePriv(Pv);
+  ActionRef Alloc = makePrivAlloc(PrivC, Pv);
+  ActionRef Write = makePrivWrite(PrivC, Pv);
+  ActionRef ReadP = makePrivRead(PrivC, Pv);
+  HideSpec Spec;
+  Spec.Pv = Pv;
+  Spec.Hidden = Ct;
+  Spec.SelfType = PCMType::nat();
+  Spec.ChooseDonation = [](const Heap &Mine) -> std::optional<Heap> {
+    const Val *V = Mine.tryLookup(Cell);
+    if (!V || !V->isInt())
+      return std::nullopt;
+    return Heap::singleton(Cell, *V);
+  };
+  Spec.InitSelf = PCMVal::ofNat(0);
+  ProgRef Left = Prog::hide(
+      Spec, Prog::seq(Prog::act(W.Incr, {}), Prog::act(W.Incr, {})));
+  ProgRef Right = Prog::bind(
+      Prog::act(Alloc, {Expr::litInt(5)}), "p",
+      Prog::seq(Prog::act(Write, {Expr::var("p"), Expr::litInt(7)}),
+                Prog::act(ReadP, {Expr::var("p")})));
+  // The left child takes the whole private heap (the counter cell).
+  ProgRef P = Prog::par(Left, Right);
+
+  GlobalState GS;
+  GS.addLabel(Pv, PCMType::heap(), Heap(), PCMVal::ofHeap(Heap()), false);
+  GS.setSelf(Pv, rootThread(),
+             PCMVal::ofHeap(Heap::singleton(Cell, Val::ofInt(0))));
+  EngineOptions Opts;
+  Opts.Ambient = PrivC;
+  Opts.EnvInterference = true;
+  Opts.Defs = &W.Defs;
+  Opts.Jobs = 1;
+  Opts.Por = PorMode::Off;
+  Opts.Symmetry = SymMode::Off;
+  RunResult R = explore(P, GS, Opts);
+  ASSERT_TRUE(R.complete()) << R.FailureNote;
+  EXPECT_EQ(R.ConfigsExplored, 12u);
+  EXPECT_EQ(R.ActionSteps, 17u);
+  EXPECT_EQ(R.EnvSteps, 0u);
+  EXPECT_EQ(R.DedupHits, 6u);
+  ASSERT_EQ(R.Terminals.size(), 1u);
+  for (const Terminal &T : R.Terminals) {
+    EXPECT_FALSE(T.FinalView.hasLabel(Ct));
+    EXPECT_EQ(T.FinalView.self(Pv).getHeap().lookup(Cell).getInt(), 2);
+    EXPECT_EQ(T.Result.toString(), "(1, 7)");
+  }
+  Opts.Jobs = 4;
+  RunResult Par = explore(P, GS, Opts);
+  EXPECT_EQ(Par.counters(), R.counters());
+  EXPECT_TRUE(sameTerminalSets(Par, R));
+}
+
+TEST(EngineTest, IncoherentSeedFailsTheRun) {
+  // The seed lacks the counter cell, so the counter's coherence fails
+  // before any step. The first thread step is safe and the per-step check
+  // is off, so a run that went on would read the env row of the seed,
+  // whose bump transition reads the missing cell.
+  CounterWorld W = makeCounterWorld(/*EnvCap=*/1);
+  ActionRef Nop = makeAction(
+      "nop", W.C, 0,
+      [](const View &Pre, const std::vector<Val> &)
+          -> std::optional<std::vector<ActOutcome>> {
+        return std::vector<ActOutcome>{{Val::unit(), Pre}};
+      });
+  GlobalState Bad;
+  Bad.addLabel(Pv, PCMType::heap(), Heap(), PCMVal::ofHeap(Heap()), false);
+  Bad.addLabel(Ct, PCMType::nat(), Heap(), PCMVal::ofNat(0), false);
+  EngineOptions Opts = memoOpts(W);
+  Opts.EnvInterference = true;
+  Opts.CheckStepCoherence = false;
+  const std::string Note =
+      "the initial state is not coherent under " + W.C->name();
+  for (unsigned Jobs : {1u, 4u}) {
+    Opts.Jobs = Jobs;
+    RunResult R = explore(Prog::act(Nop, {}), Bad, Opts);
+    EXPECT_FALSE(R.Safe) << "jobs=" << Jobs;
+    EXPECT_EQ(R.FailureNote, Note) << "jobs=" << Jobs;
+  }
+  SimResult Sim = simulate(Prog::act(Nop, {}), Bad, Opts, /*Seed=*/3,
+                           /*MaxSteps=*/10);
+  EXPECT_FALSE(Sim.Safe);
+  EXPECT_EQ(Sim.FailureNote, Note);
+}
+
+//===----------------------------------------------------------------------===//
 // Mode spellings and their resolution.
 //===----------------------------------------------------------------------===//
 

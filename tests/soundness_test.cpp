@@ -359,3 +359,41 @@ TEST(SoundnessTest, RacyNonAtomicIncrementLosesUpdates) {
   // The exhaustive exploration finds the lost-update interleaving.
   EXPECT_FALSE(R.Holds);
 }
+
+TEST(SoundnessTest, ActionWritingOtherFails) {
+  // A thread step may write only its own self and the joint state: other
+  // is fixed by construction. This action also claims one more unit for
+  // the other threads, so its post-view differs from the pre-view at
+  // other(Sec). The step must fail, naming the action, rather than write
+  // back self and joint and drop the rest.
+  auto C = makeConcurroid("Tally", {OwnedLabel{Sec, "tl", PCMType::nat()}},
+                          [](const View &S) { return S.hasLabel(Sec); });
+  ConcurroidRef CC = C;
+  ActionRef Grab = makeAction(
+      "grab_other", CC, 0,
+      [](const View &Pre, const std::vector<Val> &)
+          -> std::optional<std::vector<ActOutcome>> {
+        View Post = Pre;
+        Post.setOther(Sec, PCMVal::ofNat(Pre.other(Sec).getNat() + 1));
+        return std::vector<ActOutcome>{{Val::unit(), std::move(Post)}};
+      });
+  GlobalState GS;
+  GS.addLabel(Sec, PCMType::nat(), Heap(), PCMVal::ofNat(0), false);
+  EngineOptions Opts;
+  Opts.Ambient = CC;
+  Opts.Por = PorMode::Off;
+  Opts.Symmetry = SymMode::Off;
+  const std::string Note =
+      "action grab_other changed the label set or the other component";
+  for (unsigned Jobs : {1u, 4u}) {
+    Opts.Jobs = Jobs;
+    RunResult R = explore(Prog::act(Grab, {}), GS, Opts);
+    EXPECT_FALSE(R.Safe) << "jobs=" << Jobs;
+    EXPECT_EQ(R.FailureNote, Note) << "jobs=" << Jobs;
+    EXPECT_NE(R.renderTrace().find("grab_other"), std::string::npos);
+  }
+  SimResult Sim = simulate(Prog::act(Grab, {}), GS, Opts, /*Seed=*/1,
+                           /*MaxSteps=*/10);
+  EXPECT_FALSE(Sim.Safe);
+  EXPECT_EQ(Sim.FailureNote, Note);
+}

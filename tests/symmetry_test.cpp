@@ -409,6 +409,40 @@ TEST(SymmetryTest, ThreadStepMemoServesSymmetryRuns) {
   EXPECT_EQ(explore(Main, counterState(), Opts).counters(), Canon.counters());
 }
 
+TEST(SymmetryTest, LastSlotOfAThreeSlotSpineWakesTheRoot) {
+  // par(S, par(S, S)) is one flat orbit group of three slots: root 1,
+  // interior 3, slots 2, 6 and 7. Finished slots sort first, so the last
+  // slot to run is always under the interior: its step finishes it, the
+  // waiting interior passes that on, and the root resolves the group in
+  // the same cascade. The counters are the ones the engine counted when
+  // it rescanned every thread after each step.
+  CounterWorld W = makeCounterWorld();
+  EngineOptions Opts = optsFor(W);
+  ProgRef Slot =
+      Prog::bind(Prog::act(W.Read, {}), "_", Prog::act(W.Incr, {}));
+  ProgRef Main = Prog::par(Slot, Prog::par(Slot, Slot));
+  Opts.Symmetry = SymMode::Off;
+  RunResult Full = explore(Main, counterState(), Opts);
+  Opts.Symmetry = SymMode::On;
+  SymmetryStats Before = symmetryStats();
+  RunResult Canon = explore(Main, counterState(), Opts);
+  SymmetryStats After = symmetryStats();
+  ASSERT_TRUE(Full.complete()) << Full.FailureNote;
+  ASSERT_TRUE(Canon.complete()) << Canon.FailureNote;
+  EXPECT_TRUE(sameTerminals(Full, Canon));
+  EXPECT_GT(After.Groups - Before.Groups, 0u);
+  EXPECT_GE(After.GroupPeak, 3u);
+  EXPECT_EQ(Full.ConfigsExplored, 38u);
+  EXPECT_EQ(Canon.ConfigsExplored, 10u);
+  EXPECT_EQ(Canon.ActionSteps, 20u);
+  EXPECT_EQ(Canon.DedupHits, 11u);
+  EXPECT_EQ(Canon.Terminals.size(), 6u);
+  Opts.Jobs = 4;
+  RunResult Par = explore(Main, counterState(), Opts);
+  EXPECT_EQ(Par.counters(), Canon.counters());
+  EXPECT_TRUE(sameTerminals(Par, Canon));
+}
+
 //===----------------------------------------------------------------------===//
 // Canonical representatives are deterministic: idempotent across repeated
 // runs and independent of discovery order (job count).
