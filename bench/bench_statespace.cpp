@@ -199,6 +199,26 @@ bool sameTerminals(const std::vector<Terminal> &A,
 /// run on a shared host does not move it.
 constexpr unsigned Repeats = 5;
 
+/// The largest visited set, in configs and bytes, of any 1-job run.
+/// Multi-worker runs are left out: their visited-set bytes vary with the
+/// schedule, so a peak over them would not be a function of the code.
+struct {
+  uint64_t Configs = 0;
+  uint64_t Bytes = 0;
+} SerialPeak;
+
+/// explore(), noting the run's visited set in SerialPeak when it ran on
+/// one worker.
+RunResult exploreNoted(const ProgRef &Main, const GlobalState &S0,
+                       const EngineOptions &Opts) {
+  RunResult R = explore(Main, S0, Opts);
+  if (resolveJobs(Opts.Jobs) == 1) {
+    SerialPeak.Configs = std::max(SerialPeak.Configs, R.VisitedNodes);
+    SerialPeak.Bytes = std::max(SerialPeak.Bytes, R.VisitedBytes);
+  }
+  return R;
+}
+
 /// Explores \p Main from \p S0 Repeats times under \p Opts and returns
 /// the first run, with the median wall time in \p Ms. A repeat whose
 /// verdict, terminals or config count differ from the first run's
@@ -209,7 +229,7 @@ RunResult timedExplore(const ProgRef &Main, const GlobalState &S0,
   std::vector<double> Times;
   for (unsigned I = 0; I != Repeats; ++I) {
     Timer T;
-    RunResult R = explore(Main, S0, Opts);
+    RunResult R = exploreNoted(Main, S0, Opts);
     Times.push_back(T.elapsedMs());
     if (I == 0)
       First = std::move(R);
@@ -244,7 +264,7 @@ int main() {
     Opts.Ambient = Case.PrivOnly;
     Opts.EnvInterference = false;
     Opts.Defs = &Case.Defs;
-    RunResult R = explore(Main, spanRootState(Case, G), Opts);
+    RunResult R = exploreNoted(Main, spanRootState(Case, G), Opts);
     double Ms = T.elapsedMs();
     Table.addRow({Name, std::to_string(G.size()),
                   std::to_string(R.ConfigsExplored),
@@ -426,12 +446,12 @@ int main() {
                       const GlobalState &S0, EngineOptions Opts) {
       Opts.Symmetry = SymMode::Off;
       Timer TF;
-      RunResult Full = explore(Main, S0, Opts);
+      RunResult Full = exploreNoted(Main, S0, Opts);
       double MsF = TF.elapsedMs();
       SymmetryStats Before = symmetryStats();
       Opts.Symmetry = SymMode::On;
       Timer TC;
-      RunResult Canon = explore(Main, S0, Opts);
+      RunResult Canon = exploreNoted(Main, S0, Opts);
       double MsC = TC.elapsedMs();
       SymmetryStats After = symmetryStats();
       SymRow Row;
@@ -489,12 +509,12 @@ int main() {
       ProgRef Quad = symmetricIncrTree(W, 2);
       EngineOptions FullOpts = CtOpts;
       FullOpts.Symmetry = SymMode::Off;
-      RunResult Full = explore(Quad, counterState(), FullOpts);
+      RunResult Full = exploreNoted(Quad, counterState(), FullOpts);
       EngineOptions AllOnOpts = CtOpts;
       AllOnOpts.Por = PorMode::On;
       AllOnOpts.Symmetry = SymMode::On;
       Timer TA;
-      RunResult AllOn = explore(Quad, counterState(), AllOnOpts);
+      RunResult AllOn = exploreNoted(Quad, counterState(), AllOnOpts);
       AllOnRow.Ms = TA.elapsedMs();
       AllOnRow.Configs = AllOn.ConfigsExplored;
       AllOnRow.Identical = Full.Safe == AllOn.Safe &&
@@ -563,7 +583,7 @@ int main() {
     Opts.Ambient = Case.Open;
     Opts.EnvInterference = true;
     Opts.Defs = &Case.Defs;
-    RunResult R = explore(Prog::call("span", {Expr::litPtr(Ptr(1))}),
+    RunResult R = exploreNoted(Prog::call("span", {Expr::litPtr(Ptr(1))}),
                           spanOpenState(Case, G3, {}), Opts);
     std::printf("  open:   %8llu configs  %7.1f ms\n",
                 static_cast<unsigned long long>(R.ConfigsExplored),
@@ -576,7 +596,7 @@ int main() {
     Opts.Ambient = Case.PrivOnly;
     Opts.EnvInterference = false;
     Opts.Defs = &Case.Defs;
-    RunResult R = explore(makeSpanRootProg(Case, Ptr(1)),
+    RunResult R = exploreNoted(makeSpanRootProg(Case, Ptr(1)),
                           spanRootState(Case, G3), Opts);
     std::printf("  hidden: %8llu configs  %7.1f ms\n",
                 static_cast<unsigned long long>(R.ConfigsExplored),
@@ -674,19 +694,19 @@ int main() {
                  "\"intern_requests\": %llu, \"intern_nodes\": %llu, "
                  "\"dedup_ratio\": %.3f}\n",
                  static_cast<unsigned long long>(peakRssKb()),
-                 static_cast<unsigned long long>(peakVisitedNodes()),
-                 static_cast<unsigned long long>(peakVisitedBytes()),
+                 static_cast<unsigned long long>(SerialPeak.Configs),
+                 static_cast<unsigned long long>(SerialPeak.Bytes),
                  static_cast<unsigned long long>(IS.totalRequests()),
                  static_cast<unsigned long long>(IS.totalNodes()),
                  IS.dedupRatio());
     std::fprintf(F, "}\n");
     std::fclose(F);
     std::printf("wrote BENCH_statespace.json\n");
-    std::printf("peak RSS: %llu KB; peak visited set: %llu configs, "
+    std::printf("peak RSS: %llu KB; peak 1-job visited set: %llu configs, "
                 "%llu bytes; intern dedup %.2fx\n",
                 static_cast<unsigned long long>(peakRssKb()),
-                static_cast<unsigned long long>(peakVisitedNodes()),
-                static_cast<unsigned long long>(peakVisitedBytes()),
+                static_cast<unsigned long long>(SerialPeak.Configs),
+                static_cast<unsigned long long>(SerialPeak.Bytes),
                 IS.dedupRatio());
   }
   return Ok ? 0 : 1;

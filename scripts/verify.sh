@@ -31,7 +31,12 @@
 #      its table or a stale private copy would show up there.
 #      The decoders must stay fail-soft: malformed frames, including the
 #      retired tags 2 to 7 of the sharded exploration, are rejected and
-#      never crash.
+#      never crash. With assertions on, every hit of a computed table
+#      (the per-thread caches of joins and updates, support/Intern.h) is
+#      recomputed through the uncached path and must return the same
+#      node, so these tests cross-check the tables across the engine,
+#      soundness and symmetry workloads; the PCM, heap, history and flat
+#      combiner tests run here for the same reason.
 #   4. Jobs: the plain engine's report (fcsl-verify --cache=off verify
 #      all, every reduction off) at --jobs 4 must equal the --jobs 1
 #      report, timings stripped. The workers share one exploration's
@@ -148,10 +153,15 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   cmake --build build-asan -j "$(nproc)" --target intern_test codec_test \
     --target dist_test cache_test service_test symmetry_test engine_test \
     --target parallel_engine_test por_dynamic_test trace_test simulate_test \
-    --target soundness_test
+    --target soundness_test pcm_test heap_test histories_test \
+    --target flatcombiner_test
 
-  echo "== asan+ubsan (assertions on): checking intern arena, codec, dist wire, cache, service, symmetry, engine, soundness =="
+  echo "== asan+ubsan (assertions on): checking intern arena, computed tables, codec, dist wire, cache, service, symmetry, engine, soundness =="
   ./build-asan/tests/intern_test
+  ./build-asan/tests/pcm_test
+  ./build-asan/tests/heap_test
+  ./build-asan/tests/histories_test
+  ./build-asan/tests/flatcombiner_test
   ./build-asan/tests/codec_test
   ./build-asan/tests/dist_test
   ./build-asan/tests/cache_test

@@ -38,6 +38,23 @@ const HeapNode *intern(std::map<Ptr, Val> Cells) {
   return arena().intern(std::move(H));
 }
 
+/// Cached Heap::update results, keyed by the heap, the cell and the value
+/// written.
+struct UpdateKey {
+  const HeapNode *N = nullptr;
+  Ptr P;
+  Val V;
+
+  friend bool operator==(const UpdateKey &A, const UpdateKey &B) {
+    return A.N == B.N && A.P == B.P && A.V == B.V;
+  }
+};
+using UpdateTable = detail::ComputedTable<UpdateKey, const HeapNode *>;
+
+/// Cached Heap::join results; a null result is the undefined join.
+using JoinTable = detail::ComputedTable<
+    std::pair<const HeapNode *, const HeapNode *>, const HeapNode *>;
+
 } // namespace
 
 const HeapNode *fcsl::detail::heapEmptyNode() {
@@ -63,11 +80,16 @@ const Val &Heap::lookup(Ptr P) const {
 }
 
 void Heap::update(Ptr P, Val V) {
-  std::map<Ptr, Val> Cells = N->Cells;
-  auto It = Cells.find(P);
-  assert(It != Cells.end() && "update of a pointer outside the heap domain");
-  It->second = std::move(V);
-  N = intern(std::move(Cells));
+  thread_local UpdateTable Table("heap.update");
+  UpdateKey Key{N, P, V};
+  uint64_t Hash = fpCombine(fpCombine(N->Fp, P.id()), V.fingerprint());
+  N = Table.get(Key, Hash, [&] {
+    std::map<Ptr, Val> Cells = N->Cells;
+    auto It = Cells.find(P);
+    assert(It != Cells.end() && "update of a pointer outside the heap domain");
+    It->second = V;
+    return intern(std::move(Cells));
+  });
 }
 
 void Heap::insert(Ptr P, Val V) {
@@ -106,16 +128,23 @@ Ptr Heap::freshPtr() const {
 }
 
 std::optional<Heap> Heap::join(const Heap &A, const Heap &B) {
-  if (!disjoint(A, B))
-    return std::nullopt;
   if (A.isEmpty())
     return B;
   if (B.isEmpty())
     return A;
-  std::map<Ptr, Val> Cells = A.N->Cells;
-  for (const auto &Cell : B.N->Cells)
-    Cells.emplace(Cell.first, Cell.second);
-  return Heap(intern(std::move(Cells)));
+  thread_local JoinTable Table("heap.join");
+  const HeapNode *R = Table.get(
+      {A.N, B.N}, fpCombine(A.N->Fp, B.N->Fp), [&]() -> const HeapNode * {
+        if (!disjoint(A, B))
+          return nullptr;
+        std::map<Ptr, Val> Cells = A.N->Cells;
+        for (const auto &Cell : B.N->Cells)
+          Cells.emplace(Cell.first, Cell.second);
+        return intern(std::move(Cells));
+      });
+  if (!R)
+    return std::nullopt;
+  return Heap(R);
 }
 
 Heap Heap::without(const std::vector<Ptr> &Doomed) const {

@@ -39,6 +39,25 @@ const HistNode *intern(std::map<uint64_t, HistEntry> Entries) {
   return arena().intern(std::move(H));
 }
 
+/// Cached History::add results, keyed by the history, the stamp and the
+/// entry's two values.
+struct AddKey {
+  const HistNode *N = nullptr;
+  uint64_t T = 0;
+  Val Before;
+  Val After;
+
+  friend bool operator==(const AddKey &A, const AddKey &B) {
+    return A.N == B.N && A.T == B.T && A.Before == B.Before &&
+           A.After == B.After;
+  }
+};
+using AddTable = detail::ComputedTable<AddKey, const HistNode *>;
+
+/// Cached History::join results; a null result is the undefined join.
+using JoinTable = detail::ComputedTable<
+    std::pair<const HistNode *, const HistNode *>, const HistNode *>;
+
 } // namespace
 
 const HistNode *fcsl::detail::histEmptyNode() {
@@ -53,11 +72,16 @@ const HistEntry *History::tryLookup(uint64_t T) const {
 
 void History::add(uint64_t T, HistEntry E) {
   assert(T != 0 && "timestamp 0 is reserved");
-  std::map<uint64_t, HistEntry> Entries = N->Entries;
-  bool Inserted = Entries.emplace(T, std::move(E)).second;
-  assert(Inserted && "duplicate timestamp in history");
-  (void)Inserted;
-  N = intern(std::move(Entries));
+  thread_local AddTable Table("history.add");
+  AddKey Key{N, T, E.Before, E.After};
+  uint64_t Hash = fpCombine(fpCombine(N->Fp, T), E.Before.fingerprint());
+  N = Table.get(Key, fpCombine(Hash, E.After.fingerprint()), [&] {
+    std::map<uint64_t, HistEntry> Entries = N->Entries;
+    bool Inserted = Entries.emplace(T, E).second;
+    assert(Inserted && "duplicate timestamp in history");
+    (void)Inserted;
+    return intern(std::move(Entries));
+  });
 }
 
 uint64_t History::lastStamp() const {
@@ -65,17 +89,27 @@ uint64_t History::lastStamp() const {
 }
 
 std::optional<History> History::join(const History &A, const History &B) {
-  const History &Small = A.size() <= B.size() ? A : B;
-  const History &Large = A.size() <= B.size() ? B : A;
-  for (const auto &Entry : Small.N->Entries)
-    if (Large.contains(Entry.first))
-      return std::nullopt;
-  if (Small.isEmpty())
-    return Large;
-  std::map<uint64_t, HistEntry> Entries = Large.N->Entries;
-  for (const auto &Entry : Small.N->Entries)
-    Entries.emplace(Entry.first, Entry.second);
-  return History(intern(std::move(Entries)));
+  if (A.isEmpty())
+    return B;
+  if (B.isEmpty())
+    return A;
+  thread_local JoinTable Table("history.join");
+  const HistNode *R =
+      Table.get({A.N, B.N}, fpCombine(A.N->Fp, B.N->Fp),
+                [&]() -> const HistNode * {
+                  const History &Small = A.size() <= B.size() ? A : B;
+                  const History &Large = A.size() <= B.size() ? B : A;
+                  for (const auto &Entry : Small.N->Entries)
+                    if (Large.contains(Entry.first))
+                      return nullptr;
+                  std::map<uint64_t, HistEntry> Entries = Large.N->Entries;
+                  for (const auto &Entry : Small.N->Entries)
+                    Entries.emplace(Entry.first, Entry.second);
+                  return intern(std::move(Entries));
+                });
+  if (!R)
+    return std::nullopt;
+  return History(R);
 }
 
 bool History::isContinuous() const {

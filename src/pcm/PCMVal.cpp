@@ -225,60 +225,74 @@ PCMVal PCMVal::liftInner() const {
   return PCMVal(N->LiftN);
 }
 
+namespace {
+
+/// Cached PCMVal::join results; a null result is the undefined join.
+using JoinTable = detail::ComputedTable<
+    std::pair<const PCMNode *, const PCMNode *>, const PCMNode *>;
+
+} // namespace
+
 std::optional<PCMVal> PCMVal::join(const PCMVal &A, const PCMVal &B) {
   assert(A.N->K == B.N->K && "joining elements of different PCMs");
-  switch (A.N->K) {
-  case PCMKind::Nat:
-    return ofNat(A.N->Nat + B.N->Nat);
-  case PCMKind::Mutex:
-    // Own * Own is undefined: at most one thread holds the lock token.
-    if (A.N->Own && B.N->Own)
-      return std::nullopt;
-    return A.N->Own || B.N->Own ? mutexOwn() : mutexFree();
-  case PCMKind::PtrSet: {
-    for (Ptr P : A.N->Set)
-      if (B.N->Set.count(P))
-        return std::nullopt;
-    std::set<Ptr> Out = A.N->Set;
-    Out.insert(B.N->Set.begin(), B.N->Set.end());
-    return ofPtrSet(std::move(Out));
-  }
-  case PCMKind::HeapPCM: {
-    std::optional<Heap> H = Heap::join(A.N->HeapVal, B.N->HeapVal);
-    if (!H)
-      return std::nullopt;
-    return ofHeap(std::move(*H));
-  }
-  case PCMKind::Hist: {
-    std::optional<History> H = History::join(A.N->Hist, B.N->Hist);
-    if (!H)
-      return std::nullopt;
-    return ofHist(std::move(*H));
-  }
-  case PCMKind::Pair: {
-    std::optional<PCMVal> First = join(A.first(), B.first());
-    if (!First)
-      return std::nullopt;
-    std::optional<PCMVal> Second = join(A.second(), B.second());
-    if (!Second)
-      return std::nullopt;
-    return makePair(std::move(*First), std::move(*Second));
-  }
-  case PCMKind::Lift: {
-    // The lifted PCM makes join total by absorbing failures into the
-    // explicit undefined element.
-    PCMTypeRef InnerTy =
-        A.N->LiftInnerType ? A.N->LiftInnerType : B.N->LiftInnerType;
-    if (A.isLiftUndef() || B.isLiftUndef())
-      return liftUndef(InnerTy);
-    std::optional<PCMVal> Inner = join(A.liftInner(), B.liftInner());
-    if (!Inner)
-      return liftUndef(InnerTy);
-    return liftDef(std::move(*Inner));
-  }
-  }
-  assert(false && "unknown PCM kind");
-  return std::nullopt;
+  // Pair and Lift children join through join() again, so each level of a
+  // product probes the table.
+  auto Compute = [&A, &B]() -> const PCMNode * {
+    switch (A.N->K) {
+    case PCMKind::Nat:
+      return ofNat(A.N->Nat + B.N->Nat).N;
+    case PCMKind::Mutex:
+      // Own * Own is undefined: at most one thread holds the lock token.
+      if (A.N->Own && B.N->Own)
+        return nullptr;
+      return A.N->Own || B.N->Own ? mutexOwn().N : mutexFree().N;
+    case PCMKind::PtrSet: {
+      for (Ptr P : A.N->Set)
+        if (B.N->Set.count(P))
+          return nullptr;
+      std::set<Ptr> Out = A.N->Set;
+      Out.insert(B.N->Set.begin(), B.N->Set.end());
+      return ofPtrSet(std::move(Out)).N;
+    }
+    case PCMKind::HeapPCM: {
+      std::optional<Heap> H = Heap::join(A.N->HeapVal, B.N->HeapVal);
+      return H ? ofHeap(std::move(*H)).N : nullptr;
+    }
+    case PCMKind::Hist: {
+      std::optional<History> H = History::join(A.N->Hist, B.N->Hist);
+      return H ? ofHist(std::move(*H)).N : nullptr;
+    }
+    case PCMKind::Pair: {
+      std::optional<PCMVal> First = join(A.first(), B.first());
+      if (!First)
+        return nullptr;
+      std::optional<PCMVal> Second = join(A.second(), B.second());
+      if (!Second)
+        return nullptr;
+      return makePair(std::move(*First), std::move(*Second)).N;
+    }
+    case PCMKind::Lift: {
+      // The lifted PCM makes join total by absorbing failures into the
+      // explicit undefined element.
+      PCMTypeRef InnerTy =
+          A.N->LiftInnerType ? A.N->LiftInnerType : B.N->LiftInnerType;
+      if (A.isLiftUndef() || B.isLiftUndef())
+        return liftUndef(InnerTy).N;
+      std::optional<PCMVal> Inner = join(A.liftInner(), B.liftInner());
+      if (!Inner)
+        return liftUndef(InnerTy).N;
+      return liftDef(std::move(*Inner)).N;
+    }
+    }
+    assert(false && "unknown PCM kind");
+    return nullptr;
+  };
+  thread_local JoinTable Table("pcmval.join");
+  const PCMNode *R =
+      Table.get({A.N, B.N}, fpCombine(A.N->Fp, B.N->Fp), Compute);
+  if (!R)
+    return std::nullopt;
+  return PCMVal(R);
 }
 
 bool PCMVal::isValid() const {

@@ -809,6 +809,9 @@ struct Node {
   mutable std::vector<SleepEntry> Woken{}; ///< entries woken since.
   mutable bool InQueue = false;      ///< queued for (re-)expansion.
   mutable bool ExpandedOnce = false; ///< has consumed its config ticket.
+  /// Inserted by a re-execution that overtook the first execution of the
+  /// same step; that first execution's arrival is owed no dedup hit.
+  mutable bool Overtaken = false;
 };
 
 struct NodeHash {
@@ -2134,6 +2137,13 @@ private:
   /// first-execution edge set, which is schedule-independent. Requires
   /// \p C frozen.
   ///
+  /// With several workers a replay can run while the node's first
+  /// expansion is still going, and a re-execution can then insert a
+  /// successor before its first execution does. Every node owes exactly
+  /// one counting arrival no dedup hit — its creator in a serial run — so
+  /// a node a re-execution creates is marked Overtaken, and the first
+  /// counting arrival there clears the mark instead of counting.
+  ///
   /// The incoming wake payload is preserved across the insert: on a
   /// revisit it is merged into the visited node — the sleep sets
   /// intersect, the close masks union — and what the merge woke joins the
@@ -2160,9 +2170,10 @@ private:
         N.Sleep = std::move(InSleep);
         N.CloseMask = InMask;
         N.InQueue = true;
+        N.Overtaken = !Counts;
         Target = &N;
       } else {
-        if (Counts)
+        if (Counts && !std::exchange(N.Overtaken, false))
           ++W.DedupHits;
         uint64_t Woken = 0;
         if (!N.Sleep.empty()) {

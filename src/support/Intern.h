@@ -25,14 +25,23 @@
 /// is a deliberately leaked singleton, which keeps canonical pointers valid
 /// for the life of the process (and through static destructors).
 ///
+/// Because nodes are never freed, a handle names one value forever, so the
+/// results of pure operations on canonical values (joins, updates) can be
+/// cached by operand handle: ComputedTable below is a small per-thread
+/// cache that serves repeats without rebuilding the result's payload or
+/// taking an arena lock (DESIGN.md §8).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef FCSL_SUPPORT_INTERN_H
 #define FCSL_SUPPORT_INTERN_H
 
+#include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -126,6 +135,18 @@ struct InternStats {
 /// Snapshots every registered arena (thread-safe).
 InternStats internStats();
 
+/// Probe and hit counters of one cached operation (see ComputedTable),
+/// summed over every thread that ever ran it.
+struct ComputedTableStats {
+  std::string Name;
+  uint64_t Probes = 0;
+  uint64_t Hits = 0;
+};
+
+/// Snapshots every cached operation's counters, sorted by name
+/// (thread-safe).
+std::vector<ComputedTableStats> computedTableStats();
+
 namespace detail {
 
 /// Registers a stats provider under \p Name; called once per arena.
@@ -190,6 +211,89 @@ private:
 
   static constexpr size_t NumStripes = 64;
   Stripe Stripes[NumStripes];
+};
+
+/// One thread's probe and hit counters for one cached operation. Only the
+/// owning thread writes them, with plain relaxed stores (no read-modify-
+/// write on a shared cache line); stats snapshots read them.
+struct TableCounters {
+  std::atomic<uint64_t> Probes{0};
+  std::atomic<uint64_t> Hits{0};
+
+  static void bump(std::atomic<uint64_t> &C) {
+    C.store(C.load(std::memory_order_relaxed) + 1,
+            std::memory_order_relaxed);
+  }
+};
+
+/// Registers \p C, one thread's counters for operation \p Name, with the
+/// stats snapshot; detachTable folds them into the operation's totals when
+/// the thread exits.
+void attachTable(const char *Name, const TableCounters *C);
+void detachTable(const char *Name, const TableCounters *C);
+
+/// A computed table (Brace, Rudell and Bryant, DAC 1990): a direct-mapped
+/// cache of one pure operation's results, keyed by its canonical operand
+/// handles and scalar operands. Nodes are never freed, so a handle is never
+/// reused, and a slot hit compares the whole key: a fingerprint collision
+/// can only evict a slot, never return a wrong result. A hit builds no
+/// payload and takes no arena lock.
+///
+/// One table serves one thread: declare it `thread_local` inside the
+/// function that probes it. Its slots are heap-allocated when the thread
+/// first probes it, so threads that never run the operation pay nothing,
+/// and freed when the thread exits. Results are canonical nodes whichever
+/// thread computes them, so the cache never changes what callers see.
+///
+/// KeyT needs `==`, and a value-initialized KeyT (an empty slot) must equal
+/// no real key: put a node pointer first, which is never null in a real
+/// key. With assertions on, every hit is recomputed through the uncached
+/// path and must return the same handle.
+template <typename KeyT, typename ResultT> class ComputedTable {
+  /// A power of two, so the slot index is a mask of the hash.
+  static constexpr size_t NumSlots = 1024;
+
+public:
+  explicit ComputedTable(const char *Name)
+      : Name(Name), Slots(new Slot[NumSlots]()) {
+    attachTable(Name, &Counters);
+  }
+  ~ComputedTable() { detachTable(Name, &Counters); }
+
+  ComputedTable(const ComputedTable &) = delete;
+  ComputedTable &operator=(const ComputedTable &) = delete;
+
+  /// Returns Compute()'s result for \p Key, served from slot \p Hash when
+  /// that slot holds \p Key. \p Compute may probe this table again (a
+  /// recursive operation).
+  template <typename ComputeFn>
+  ResultT get(const KeyT &Key, uint64_t Hash, ComputeFn &&Compute) {
+    TableCounters::bump(Counters.Probes);
+    Slot &S = Slots[Hash & (NumSlots - 1)];
+    if (S.Key == Key) {
+      TableCounters::bump(Counters.Hits);
+      ResultT R = S.Result;
+#ifndef NDEBUG
+      ResultT Recomputed = Compute();
+      assert(Recomputed == R && "computed table served a stale result");
+#endif
+      return R;
+    }
+    ResultT R = Compute();
+    S.Key = Key;
+    S.Result = R;
+    return R;
+  }
+
+private:
+  struct Slot {
+    KeyT Key;
+    ResultT Result;
+  };
+
+  const char *Name;
+  std::unique_ptr<Slot[]> Slots;
+  TableCounters Counters;
 };
 
 } // namespace detail

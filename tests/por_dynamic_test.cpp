@@ -599,6 +599,25 @@ TEST(PorDynamicTest, FlatCombinerBehindALocalStepReplaysWakeups) {
   }
 }
 
+TEST(PorDynamicTest, ReplayCountersRepeatAtFourJobs) {
+  // At several workers a wakeup replay can run while the node's first
+  // expansion is still going, and a re-executed step can then insert a
+  // successor before the step's first execution does. The work counters
+  // must not depend on which arrives first: every one of many 4-job runs
+  // matches the serial run.
+  FcSetup S = makeFcSetup(/*NoteFirst=*/true);
+  S.Opts.Por = PorMode::On;
+  S.Opts.Jobs = 1;
+  RunResult Serial = explore(S.Main, S.Initial, S.Opts);
+  ASSERT_TRUE(Serial.complete()) << Serial.FailureNote;
+  S.Opts.Jobs = 4;
+  for (int Run = 0; Run != 40; ++Run) {
+    RunResult On = explore(S.Main, S.Initial, S.Opts);
+    ASSERT_TRUE(On.complete()) << On.FailureNote;
+    EXPECT_EQ(On.counters(), Serial.counters()) << "run " << Run;
+  }
+}
+
 TEST(PorDynamicTest, CloseMasksUnionAcrossRoutes) {
   // The terminal with cell 5 set is reached first with the flip's mask
   // alone, then with the mark's bit too: the merge wakes the mark there,

@@ -152,6 +152,19 @@ void printStats() {
                 std::to_string(Stats.totalNodes()),
                 formatString("%.2f", Stats.dedupRatio())});
   std::printf("\nintern arenas:\n%s", Table.render().c_str());
+  TextTable Cached;
+  Cached.setHeader({"computed table", "probes", "hits", "hit rate"});
+  for (unsigned I = 1; I <= 3; ++I)
+    Cached.setRightAligned(I);
+  for (const ComputedTableStats &S : computedTableStats())
+    Cached.addRow({S.Name, std::to_string(S.Probes), std::to_string(S.Hits),
+                   formatString("%.2f", S.Probes == 0
+                                            ? 0.0
+                                            : static_cast<double>(S.Hits) /
+                                                  static_cast<double>(
+                                                      S.Probes))});
+  std::printf("computed tables (hits skip the arenas):\n%s",
+              Cached.render().c_str());
   std::printf("peak visited set: %llu configs, %llu bytes\n",
               static_cast<unsigned long long>(peakVisitedNodes()),
               static_cast<unsigned long long>(peakVisitedBytes()));
